@@ -1,0 +1,10 @@
+"""Make ``repro`` (under ``src/``) and ``perfbench`` importable, however
+pytest was started: ``PYTHONPATH=src python -m pytest perfbench/tests -q``."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
