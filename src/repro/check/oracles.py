@@ -318,7 +318,7 @@ class CompactionOracle:
     whose compaction horizon covers them). The oracle replays that
     definition: it tracks every record entering each replica's log via
     ``on_record``, maintains the contiguous watermark over
-    ``max(compacted horizon, seen seqs)``, and flags the first apply
+    ``max(compacted horizon, seen seqs)``, and flags the first record
     that leaves the vector past the watermark — the seeded
     ``vector-gap`` bug, where a gapped anti-entropy batch silently
     advances the vector so the skipped records are never requested.
@@ -341,14 +341,7 @@ class CompactionOracle:
     def attach(self, env) -> None:
         for host_name, server in env.rc_servers.items():
             self._stores[host_name] = server.store
-            chain_on_record(server.store, self._on_record(host_name))
-            chain_on_apply(server.store, self._on_apply(host_name, server.store))
-
-    def _on_record(self, replica: str):
-        def on_record(record) -> None:
-            self._pending.setdefault((replica, record.origin), set()).add(record.seq)
-
-        return on_record
+            chain_on_record(server.store, self._on_record(host_name, server.store))
 
     def _advance(self, slot: Tuple[str, str], base: int) -> int:
         water = max(self._water.get(slot, 0), base)
@@ -358,10 +351,11 @@ class CompactionOracle:
         self._water[slot] = water
         return water
 
-    def _on_apply(self, replica: str, store):
-        def on_apply(uri: str, key: str, entry) -> None:
-            origin = entry.origin
+    def _on_record(self, replica: str, store):
+        def on_record(record) -> None:
+            origin = record.origin
             slot = (replica, origin)
+            self._pending.setdefault(slot, set()).add(record.seq)
             water = self._advance(slot, store.compacted.get(origin, 0))
             vec = store.vector.get(origin, 0)
             if vec > water:
@@ -373,7 +367,7 @@ class CompactionOracle:
                     f"never applied",
                 ))
 
-        return on_apply
+        return on_record
 
     def check_quiescent(self, prefix: str = "") -> None:
         """After settle: identical visible registers on every replica."""

@@ -148,11 +148,18 @@ class RCStore:
         #: check subsystem's convergence oracle mirrors replica state
         #: through this hook.
         self.on_apply: Optional[Callable[[str, str, Entry], None]] = None
-        #: Optional observer called as ``on_record(record)`` whenever a
-        #: record enters this replica's log (local accept or remote
-        #: merge). The server's durability journal and the check
-        #: subsystem's compaction oracle both hang off this hook.
+        #: Optional observer called as ``on_record(record)`` once a record
+        #: has entered this replica's log *and* been applied (local
+        #: accept or remote merge) — registers, vector and lamport all
+        #: cover it, which is what lets the durability journal cut a
+        #: snapshot from inside the hook. The check subsystem's
+        #: compaction oracle hangs off it too.
         self.on_record: Optional[Callable[[Record], None]] = None
+        #: ``(uri, key)`` of every register changed since the durability
+        #: layer last folded a snapshot. ``None`` until a base generation
+        #: exists: the first fold walks the whole store anyway, so a bulk
+        #: preload never pays for tracking.
+        self.dirty: Optional[set] = None
 
     # -- local writes -------------------------------------------------------
     def local_update(self, uri: str, assertions: Dict[str, Any], wall: float) -> List[Record]:
@@ -176,9 +183,9 @@ class RCStore:
                       wall=wall, deleted=deleted, seq=seq)
         record = Record(self.server_id, seq, uri, key, entry)
         self.logs.setdefault(self.server_id, {})[seq] = record
+        self._apply_entry(uri, key, entry)
         if self.on_record is not None:
             self.on_record(record)
-        self._apply_entry(uri, key, entry)
         return record
 
     # -- replication --------------------------------------------------------
@@ -239,11 +246,11 @@ class RCStore:
                     continue  # already covered by the vector or buffered
                 self.logs.setdefault(rec.origin, {})[rec.seq] = rec
                 self._advance_vector(rec.origin)
-            if self.on_record is not None:
-                self.on_record(rec)
             if rec.entry.lamport > self.lamport:
                 self.lamport = rec.entry.lamport
             self._apply_entry(rec.uri, rec.key, rec.entry)
+            if self.on_record is not None:
+                self.on_record(rec)
             new += 1
         return new
 
@@ -305,9 +312,9 @@ class RCStore:
                          deleted=entry.deleted, seq=seq)
         record = Record(self.server_id, seq, uri, key, imported)
         self.logs.setdefault(self.server_id, {})[seq] = record
+        self._apply_entry(uri, key, imported)
         if self.on_record is not None:
             self.on_record(record)
-        self._apply_entry(uri, key, imported)
         return record
 
     def adopt_vector(self, snap_vector: Dict[str, int]) -> None:
@@ -377,6 +384,8 @@ class RCStore:
                     if now is not None and now - entry.wall < grace:
                         continue  # within cross-group handoff grace
                 del bucket[key]
+                if self.dirty is not None:
+                    self.dirty.add((uri, key))
                 removed += 1
             if not bucket:
                 del self.data[uri]
@@ -399,6 +408,7 @@ class RCStore:
         self.vector.clear()
         self.compacted.clear()
         self.lamport = 0
+        self.dirty = None
 
     def record_count(self) -> int:
         """Records currently held across all per-origin logs."""
@@ -431,6 +441,8 @@ class RCStore:
                     elif n > 1:
                         self._bucket_live[uri] = n - 1
             bucket[key] = entry
+            if self.dirty is not None:
+                self.dirty.add((uri, key))
             self.applied += 1
         if self.on_apply is not None:
             self.on_apply(uri, key, entry)

@@ -20,7 +20,10 @@ Each replica is durable by default: every record entering the log is
 journaled to the host's :attr:`~repro.net.host.Host.disk` with a
 content digest, and the journal folds into a digest-verified snapshot
 every ``snapshot_every`` records (two snapshot generations are kept, so
-a corrupting write costs one journal replay, not the catalog). A host
+a corrupting write costs one journal replay, not the catalog). The fold
+is incremental — it re-encodes and re-hashes only the registers that
+changed since the previous generation and shares the rest with it — so
+its cost follows the write rate, not the catalog size. A host
 crash wipes the in-memory store; recovery — or a cold restart after
 *all* replicas crash — rebuilds the full visible state locally instead
 of replaying peers' history.
@@ -34,6 +37,7 @@ from repro.rcds.records import Entry, RCStore, Record
 from repro.robust import TIMEOUTS
 from repro.robust.overload import BULK, CONTROL
 from repro.rpc import RpcClient, RpcError, RpcServer
+from repro.security.hashes import content_hash
 from repro.sim.errors import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,12 +51,14 @@ RC_PORT = 385
 _MAX_SNAPSHOT_PAGES = 512
 
 
-def _ckpt():
-    """The checkpoint digest machinery, imported lazily: ``repro.core``
-    imports this module at package init, so a top-level import back into
-    it would be circular. Durability paths only run post-init."""
-    from repro.core.checkpoint import seal_record, verify_checkpoint_record
-    return seal_record, verify_checkpoint_record
+#: Snapshot entry leaves combine by addition modulo this: order
+#: independent, so a fold adds and subtracts only the leaves it touched.
+_LEAF_MOD = 1 << 256
+
+
+def _leaf(uri: str, key: str, entry_dict: Dict) -> int:
+    """SHA-256 leaf of one on-disk snapshot entry, as an integer."""
+    return int(content_hash((uri, key, entry_dict)), 16)
 
 
 def _failure_cause(exc: RpcError) -> str:
@@ -147,6 +153,7 @@ class RCServer:
         self.syncs_failed = 0
         self.snapshot_catchups = 0
         self.snapshots_written = 0
+        self.snapshot_entries_folded = 0
         self.snapshots_rejected = 0
         self.journal_skipped = 0
         self.restores = 0
@@ -165,6 +172,8 @@ class RCServer:
         self._m_compactions = obs.metrics.counter("rcds.compactions")
         self._m_tombstones_gc = obs.metrics.counter("rcds.tombstones_gc")
         self._m_catchups = obs.metrics.counter("rcds.snapshot_catchups")
+        self._m_snapshots = obs.metrics.counter("rcds.snapshots")
+        self._m_folded = obs.metrics.counter("rcds.snapshot_entries_folded")
         self._g_records = obs.metrics.gauge(
             "rcds.store_records", replica=self.store.server_id)
         self._g_tombstones = obs.metrics.gauge(
@@ -176,6 +185,15 @@ class RCServer:
                 "journal": [], "journal_prev": [],
             })
             self._restoring = False
+            #: Sum of the current generation's entry leaves mod
+            #: ``_LEAF_MOD``; meaningful while ``store.dirty`` is a set.
+            #: Kept in memory: a storage fault may rot the header's copy.
+            self._combined = 0
+            # Resolved here, not at module import: ``repro.core`` imports
+            # this module at package init, so a top-level import back
+            # into it would be circular.
+            from repro.core.checkpoint import seal_record, verify_checkpoint_record
+            self._seal, self._verify = seal_record, verify_checkpoint_record
             self.store.on_record = self._journal_record
             host.on_crash.append(self._on_host_crash)
             host.on_recover.append(self._on_host_recover)
@@ -311,6 +329,7 @@ class RCServer:
             "records_compacted": self.store.records_compacted,
             "tombstones_collected": self.store.tombstones_collected,
             "snapshots_written": self.snapshots_written,
+            "snapshot_entries_folded": self.snapshot_entries_folded,
             "snapshots_rejected": self.snapshots_rejected,
             "restores": self.restores,
             "snapshot_catchups": self.snapshot_catchups,
@@ -462,7 +481,7 @@ class RCServer:
                 if self.durable:
                     # Registers adopted from a snapshot never pass through
                     # the journal; persist them before the next crash.
-                    self._write_snapshot()
+                    self._fold()
                 return
             yield self.sim.timeout(self.sync_spacing)
 
@@ -530,65 +549,118 @@ class RCServer:
     def _journal_record(self, record: Record) -> None:
         """Synchronously journal every record entering the log, digest
         stamped (and scrambled after digesting under a gray storage
-        fault, so the restore path has to *catch* the rot)."""
+        fault, so the restore path has to *catch* the rot). The store
+        calls this after applying the record, so a fold cut from here
+        covers every record in the journal it retires."""
         if self._restoring:
             return
-        seal_record, _ = _ckpt()
         rec = record.to_dict()
-        seal_record(rec, self.host, scramble_key="entry")
+        self._seal(rec, self.host, scramble_key="entry")
         self._disk["journal"].append(rec)
         if len(self._disk["journal"]) >= self.snapshot_every:
-            self._write_snapshot()
+            self._fold()
 
-    def _write_snapshot(self) -> None:
-        """Fold the journal into a fresh digest-verified snapshot,
-        keeping the previous generation (and its journal) so one
-        corrupting write never costs the catalog."""
-        snap = {
+    def _fold(self) -> None:
+        """Fold the journal into the next snapshot generation, keeping
+        the previous one (and its journal) so one corrupting write never
+        costs the catalog.
+
+        A generation is ``{"header", "entries"}``: ``entries`` maps
+        ``(uri, key)`` to ``(entry dict, leaf)``, and the sealed header
+        carries the vector, horizon, lamport, entry count and the sum of
+        all leaves. Only registers in ``store.dirty`` are re-encoded and
+        re-hashed; the rest of the map is a pointer copy of the previous
+        generation's. With no base generation (``dirty is None``)
+        everything is dirty. A storage fault scrambles the header — the
+        one part written whole each time — never the shared entries.
+        """
+        store, d = self.store, self._disk
+        dirty = store.dirty
+        if dirty is None:
+            entries, total = {}, 0
+            dirty = [(uri, key) for uri, bucket in store.data.items()
+                     for key in bucket]
+        else:
+            entries, total = dict(d["snapshot"]["entries"]), self._combined
+        for slot in dirty:
+            uri, key = slot
+            old = entries.pop(slot, None)
+            if old is not None:
+                total -= old[1]
+            entry = store.data.get(uri, {}).get(key)
+            if entry is not None:       # else: tombstone GC dropped it
+                entry_dict = entry.to_dict()
+                leaf = _leaf(uri, key, entry_dict)
+                entries[slot] = (entry_dict, leaf)
+                total += leaf
+        self._combined = total % _LEAF_MOD
+        header = {
             "kind": "rcds-snapshot",
-            "server_id": self.store.server_id,
-            "vector": dict(self.store.vector),
-            "compacted": dict(self.store.compacted),
-            "lamport": self.store.lamport,
-            "entries": [(uri, key, entry.to_dict())
-                        for uri, key, entry in self.store.state_entries()],
+            "server_id": store.server_id,
+            "vector": dict(store.vector),
+            "compacted": dict(store.compacted),
+            "lamport": store.lamport,
+            "count": len(entries),
+            "combined": self._combined,
         }
-        seal_record, _ = _ckpt()
-        seal_record(snap, self.host, scramble_key="entries")
-        d = self._disk
+        self._seal(header, self.host, scramble_key="combined")
         d["snapshot_prev"], d["journal_prev"] = d["snapshot"], d["journal"]
-        d["snapshot"], d["journal"] = snap, []
+        d["snapshot"], d["journal"] = {"header": header, "entries": entries}, []
+        store.dirty = set()
         self.snapshots_written += 1
+        self.snapshot_entries_folded += len(dirty)
+        self._m_snapshots.inc()
+        self._m_folded.inc(len(dirty))
+
+    def _verify_generation(self, gen) -> bool:
+        """True iff everything a restore would install checks out: the
+        sealed header, every entry's leaf recomputed from the entry as
+        stored, their sum and the count."""
+        try:
+            header, entries = gen["header"], gen["entries"]
+            if not self._verify(header) or header["count"] != len(entries):
+                return False
+            total = 0
+            for (uri, key), (entry_dict, leaf) in entries.items():
+                if _leaf(uri, key, entry_dict) != leaf:
+                    return False
+                total += leaf
+            return total % _LEAF_MOD == header["combined"]
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return False    # rot can leave any shape behind
 
     def _restore_from_disk(self) -> int:
         """Rebuild the store from the durable snapshot + journal.
 
         Falls back to the previous snapshot generation (replaying both
-        journals) when the current one fails digest verification;
-        journal records that fail verification are skipped — the
-        resulting vector gap stalls at the contiguous watermark and
-        anti-entropy refills it from peers.
+        journals) when the current one fails verification; journal
+        records that fail verification are skipped — the resulting
+        vector gap stalls at the contiguous watermark and anti-entropy
+        refills it from peers. Dirty tracking resumes only against a
+        verified *current* generation; after a fallback the next fold
+        starts from scratch.
         """
-        _, verify_checkpoint_record = _ckpt()
         d = self._disk
         self._restoring = True
         restored = 0
         try:
             self.store.clear()
             snap = d.get("snapshot")
-            if snap is not None and verify_checkpoint_record(snap):
+            if snap is not None and self._verify_generation(snap):
                 restored += self._install_snapshot(snap)
+                self._combined = snap["header"]["combined"]
+                self.store.dirty = set()
                 journals = [d.get("journal", [])]
             else:
                 if snap is not None:
                     self.snapshots_rejected += 1
                 prev = d.get("snapshot_prev")
-                if prev is not None and verify_checkpoint_record(prev):
+                if prev is not None and self._verify_generation(prev):
                     restored += self._install_snapshot(prev)
                 journals = [d.get("journal_prev", []), d.get("journal", [])]
             for journal in journals:
                 for rec in journal:
-                    if not verify_checkpoint_record(rec):
+                    if not self._verify(rec):
                         self.journal_skipped += 1
                         continue
                     restored += self.store.apply_remote([Record.from_dict(rec)])
@@ -596,16 +668,19 @@ class RCServer:
             self._restoring = False
         return restored
 
-    def _install_snapshot(self, snap: Dict) -> int:
-        entries = [(uri, key, Entry.from_dict(ed))
-                   for uri, key, ed in snap["entries"]]
-        n = self.store.install_entries(entries)
-        self.store.adopt_vector(snap["vector"])
-        for origin, horizon in snap.get("compacted", {}).items():
+    def _install_snapshot(self, gen: Dict) -> int:
+        header = gen["header"]
+        # Sorted: a fold visits its dirty set in hash order, and bucket
+        # insertion order must not depend on the process's hash seed.
+        n = self.store.install_entries(
+            (uri, key, Entry.from_dict(entry_dict))
+            for (uri, key), (entry_dict, _) in sorted(gen["entries"].items()))
+        self.store.adopt_vector(header["vector"])
+        for origin, horizon in header["compacted"].items():
             if horizon > self.store.compacted.get(origin, 0):
                 self.store.compacted[origin] = horizon
-        if snap.get("lamport", 0) > self.store.lamport:
-            self.store.lamport = snap["lamport"]
+        if header["lamport"] > self.store.lamport:
+            self.store.lamport = header["lamport"]
         return n
 
     def _on_host_crash(self, host) -> None:

@@ -110,3 +110,47 @@ def test_blackout_of_every_replica_restores_from_disk():
         assert server.restores == 1
         assert server.store.get("urn:a", "v") == 1
         assert server.store.get("urn:b", "v") is None   # delete survived
+
+
+# -- the record that triggers a fold must be inside the fold ------------------
+# (PR 12: the snapshot used to be cut before the triggering record was
+# applied but after the vector covered it, then the journal was cleared —
+# one acknowledged write per ``snapshot_every`` vanished on restart.)
+
+def crash_and_check_four(host, server):
+    store = server.store
+    assert server.snapshots_written == 1      # the fourth record folded
+    host.crash()
+    host.recover()
+    assert [store.get(f"u{i}", "k") for i in range(1, 5)] == [1, 2, 3, 4]
+
+
+def test_fold_keeps_the_local_write_that_triggered_it():
+    sim, host, server = one_server(snapshot_every=4)
+    for i in range(1, 5):
+        server.store.local_update(f"u{i}", {"k": i}, wall=float(i))
+    crash_and_check_four(host, server)
+    assert server.store.vector[server.store.server_id] == 4
+
+
+def test_fold_keeps_the_remote_record_that_triggered_it():
+    from repro.rcds.records import RCStore
+
+    sim, host, server = one_server(snapshot_every=4)
+    peer = RCStore("rc-b:385")
+    for i in range(1, 5):
+        peer.local_update(f"u{i}", {"k": i}, wall=float(i))
+    server.store.apply_remote(peer.missing_for({}))   # last record folds
+    crash_and_check_four(host, server)
+    assert server.store.vector["rc-b:385"] == 4
+
+
+def test_fold_keeps_the_imported_entry_that_triggered_it():
+    from repro.rcds.records import Entry
+
+    sim, host, server = one_server(snapshot_every=4)
+    for i in range(1, 5):
+        server.store.import_entry(f"u{i}", "k", Entry(
+            value=i, lamport=i, origin="rc-z:385", wall=float(i), seq=i))
+    crash_and_check_four(host, server)
+    assert server.store.vector[server.store.server_id] == 4
