@@ -20,12 +20,10 @@ equivalence end to end rather than per mechanism.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.check.oracles import ProbeBus
 from repro.sim.kernel import Simulator
+from tests.replay import fingerprint
 
 #: Seeds the full-run fingerprint comparison sweeps. The ISSUE asks for
 #: at least ten distinct seeds across the suite; the demo sweep alone
@@ -33,58 +31,6 @@ from repro.sim.kernel import Simulator
 DEMO_SEEDS = list(range(1, 11))
 CHECK_SEEDS = [1, 2, 3]
 CHAOS_SEEDS = [1, 2]
-
-
-def _freeze(obj):
-    """Deterministic, comparison-friendly form of a report/probe value.
-
-    Atoms pass through; containers recurse; anything else must have an
-    address-free repr (asserted) so two separate runs can be compared.
-    """
-    if isinstance(obj, (str, int, float, bool, type(None))):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _freeze(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_freeze(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(repr(v) for v in obj)
-    r = repr(obj)
-    assert "0x" not in r, f"address-dependent repr in fingerprint: {r}"
-    return r
-
-
-def _fingerprint(obj) -> str:
-    return json.dumps(_freeze(obj), sort_keys=True)
-
-
-@pytest.fixture
-def probe_recorder(monkeypatch):
-    """Record every probe emission as (virtual time, kind, fields).
-
-    Wraps ``ProbeBus.emit`` (the runners build their own buses, so a
-    plain ``subscribe`` can't see them) and tracks the most recently
-    created Simulator to timestamp each emission in virtual time.
-    """
-    records = []
-    sims = []
-
-    orig_sim_init = Simulator.__init__
-
-    def tracking_init(self, *args, **kwargs):
-        orig_sim_init(self, *args, **kwargs)
-        sims.append(self)
-
-    orig_emit = ProbeBus.emit
-
-    def recording_emit(self, kind, **fields):
-        now = sims[-1].now if sims else 0.0
-        records.append((now, kind, _freeze(fields)))
-        orig_emit(self, kind, **fields)
-
-    monkeypatch.setattr(Simulator, "__init__", tracking_init)
-    monkeypatch.setattr(ProbeBus, "emit", recording_emit)
-    return records
 
 
 def _with_kernel(monkeypatch, legacy: bool, fn):
@@ -103,7 +49,7 @@ def _demo_fingerprint(seed: int) -> str:
     from repro.obs.cli import demo_scenario
 
     sim = demo_scenario(seed=seed)
-    return _fingerprint({
+    return fingerprint({
         "now": sim.now,
         "eid": sim._eid,
         "metrics": sim.obs.metrics.snapshot(),
@@ -129,7 +75,7 @@ def _check_fingerprint(scenario: str, seed: int, records) -> str:
     if scenario != "bulk":
         kwargs["total"] = 8
     report = run_check(scenario=scenario, seed=seed, **kwargs)
-    return _fingerprint({"report": report, "probes": list(records)})
+    return fingerprint({"report": report, "probes": list(records)})
 
 
 @pytest.mark.parametrize("scenario,seed", [
@@ -163,7 +109,7 @@ def _chaos_fingerprint(seed: int, records) -> str:
     from repro.robust.chaos import run_chaos
 
     report = run_chaos(seed, n_workers=3, total=24, duration=50.0)
-    return _fingerprint({"report": report, "probes": list(records)})
+    return fingerprint({"report": report, "probes": list(records)})
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
