@@ -39,16 +39,13 @@ def _overload_workload(seed: int, obs_sample: Optional[float], quick: bool):
     """The E12 overload scenario at 2x saturation; returns the sim."""
     from repro.robust.chaos import run_overload
 
-    holder: Dict = {}
-    run_overload(
+    return run_overload.run(
         seed,
         saturation=2.0,
         duration=10.0 if quick else 20.0,
         obs_sample=obs_sample,
         flight=False,  # isolate the tracing cost from the flight recorder's
-        instrument=lambda sim: holder.setdefault("sim", sim),
-    )
-    return holder["sim"]
+    ).sim
 
 
 def _bulk_workload(seed: int, obs_sample: Optional[float], quick: bool):

@@ -31,8 +31,6 @@ from repro.check.explore import (
     ExplorationScheduler,
     FaultEvent,
     apply_fault_plan,
-    run_check,
-    sample_fault_plan,
     seeded_bug,
 )
 from repro.check.oracles import (
@@ -44,6 +42,7 @@ from repro.check.oracles import (
     Violation,
     lww_merge,
 )
+from repro.check.scenarios import SCENARIOS, run_check, sample_fault_plan
 from repro.check.shrink import ddmin, load_trace, minimize, replay_trace, write_trace
 
 __all__ = [
@@ -54,6 +53,7 @@ __all__ = [
     "FaultEvent",
     "LwwMap",
     "ProbeBus",
+    "SCENARIOS",
     "SingleOwnerOracle",
     "Violation",
     "apply_fault_plan",

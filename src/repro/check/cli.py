@@ -15,27 +15,28 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import inspect
 from typing import List, Optional
 
-from repro.check.explore import BUGS, DEFAULT_PARAMS, FaultEvent, run_check
+from repro.check.explore import BUGS, FaultEvent
+from repro.check.scenarios import (
+    SCENARIOS,
+    bug_help,
+    reject_workers,
+    run_check,
+    scenario_help,
+)
 from repro.check.shrink import load_trace, minimize, replay_trace, write_trace
 
 
+#: The workload defaults are :func:`run_check`'s own.
+DEFAULT_PARAMS = {name: param.default for name, param
+                  in inspect.signature(run_check).parameters.items()}
+
+
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario",
-                   choices=("faults", "overload", "bulk", "gray", "heal",
-                            "shard"),
-                   default="faults",
-                   help="faults: crash/partition chaos (default); "
-                        "overload: saturation + degradation, no crashes; "
-                        "bulk: relay-tree distribution with a poisoned "
-                        "source and crashing fetchers; "
-                        "gray: asymmetric cuts, lossy/corrupting links, "
-                        "clock skew, zombie hosts — nothing fail-stop; "
-                        "heal: a replica partitioned past the compaction "
-                        "horizon under write/delete load, then healed; "
-                        "shard: federated catalog splitting under load "
-                        "with crashes and cuts racing the migration")
+    p.add_argument("--scenario", choices=list(SCENARIOS), default="faults",
+                   help=scenario_help())
     p.add_argument("--workers", type=int, default=DEFAULT_PARAMS["n_workers"],
                    help=f"worker hosts (default {DEFAULT_PARAMS['n_workers']})")
     p.add_argument("--steps", type=int, default=DEFAULT_PARAMS["total"],
@@ -47,8 +48,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                    help="keep the kernel's FIFO tie-breaking (fault timing "
                         "is still the seeded plan)")
     p.add_argument("--bug", choices=sorted(BUGS), default=None,
-                   help="deliberately disable a safety mechanism: "
-                        + "; ".join(f"{k} = {v}" for k, v in sorted(BUGS.items())))
+                   help="deliberately disable a safety mechanism (and the "
+                        "scenario whose oracles catch it): " + bug_help())
     p.add_argument("--no-shrink", action="store_true",
                    help="on violation, skip minimization")
     p.add_argument("--trace", default=None,
@@ -63,10 +64,7 @@ def _params(args) -> dict:
     return {
         "n_workers": args.workers,
         "total": args.steps,
-        "step": DEFAULT_PARAMS["step"],
         "duration": args.duration,
-        "saturation": DEFAULT_PARAMS["saturation"],
-        "service_time": DEFAULT_PARAMS["service_time"],
         "obs_sample": args.obs_sample,
     }
 
@@ -74,14 +72,8 @@ def _params(args) -> dict:
 def _describe(report: dict) -> str:
     extra = (f" reorders={report['schedule_reordered']}"
              if report["explore"] else " (FIFO schedule)")
-    if report.get("scenario") == "shard":
-        return (f"splits={report['splits']} epoch={report['epoch']} "
-                f"shards={len(report['shards'])} writes={report['delivered']} "
-                f"retired={report['completed']}{extra} "
-                f"t={report['finished_at']:.1f}s")
-    return (f"completed={report['completed']}/{report['workers']} "
-            f"recoveries={report['recoveries']} delivered={report['delivered']}"
-            f"{extra} t={report['finished_at']:.1f}s")
+    return (f"{SCENARIOS[report['scenario']].check_line(report)}{extra} "
+            f"t={report['finished_at']:.1f}s")
 
 
 def _handle_failure(report: dict, args, params: dict) -> None:
@@ -114,7 +106,8 @@ def _handle_failure(report: dict, args, params: dict) -> None:
         print(f"  flight recorder: {n} records dumped to {fpath}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
+    """Parse and validate a ``check`` command line."""
     parser = argparse.ArgumentParser(prog="python -m repro check",
                                      description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -128,7 +121,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_replay = sub.add_parser("replay", help="re-run a minimized trace")
     p_replay.add_argument("trace", help="trace file from run/sweep")
     args = parser.parse_args(argv)
+    if args.cmd != "replay":
+        reject_workers(sub.choices[args.cmd], args.scenario, args.workers)
+    return args
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = parse_args(argv)
     if args.cmd == "replay":
         trace = load_trace(args.trace)
         expected = trace.get("violations") or []
@@ -151,28 +150,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     params = _params(args)
-    if args.cmd == "run":
-        report = run_check(scenario=args.scenario, seed=args.seed, bug=args.bug,
-                           explore=not args.no_explore, **params)
-        status = "OK  " if report["ok"] else "FAIL"
-        print(f"seed {args.seed:4d}: {status} {_describe(report)}")
-        if not report["ok"]:
-            _handle_failure(report, args, params)
-            return 1
-        return 0
-
-    # sweep: seeds 1..N, stop at the first violation
-    for seed in range(1, args.seeds + 1):
+    # run: the one seed; sweep: seeds 1..N, stopping at the first violation
+    sweep = args.cmd == "sweep"
+    for seed in (range(1, args.seeds + 1) if sweep else [args.seed]):
         report = run_check(scenario=args.scenario, seed=seed, bug=args.bug,
                            explore=not args.no_explore, **params)
         status = "OK  " if report["ok"] else "FAIL"
         print(f"seed {seed:4d}: {status} {_describe(report)}")
         if not report["ok"]:
             _handle_failure(report, args, params)
-            print(f"sweep FAILED at seed {seed}/{args.seeds}")
+            if sweep:
+                print(f"sweep FAILED at seed {seed}/{args.seeds}")
             return 1
-    print(f"sweep OK: {args.seeds} seeds, scenario={args.scenario}, "
-          f"no violations")
+    if sweep:
+        print(f"sweep OK: {args.seeds} seeds, scenario={args.scenario}, "
+              f"no violations")
     return 0
 
 

@@ -1,5 +1,5 @@
 """Schedule exploration: seeded tie-breaking, explicit fault plans, and
-the check harness that runs a workload under oracle supervision.
+the scenarios' check mode — each workload under oracle supervision.
 
 One integer — the seed — fully determines a run: it picks the fault
 plan (an explicit, replayable list of :class:`FaultEvent`), seeds every
@@ -8,6 +8,10 @@ permutes same-timestamp event ties inside the kernel. Replaying the
 same (scenario, seed, plan, bug) tuple therefore reproduces the same
 execution bit-for-bit, which is what makes shrinking
 (:mod:`repro.check.shrink`) possible.
+
+The per-scenario ``check_*`` runners and ``plan_*`` samplers below are
+named by the scenario table (:mod:`repro.check.scenarios`), which is
+also where the name-keyed ``run_check`` and ``sample_fault_plan`` live.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.bulk.fetch import BulkFetcher
+from repro.bulk.testbed import build_bulk_site, make_payload
 from repro.check.oracles import (
     ChunkOracle,
     CompactionOracle,
@@ -25,31 +30,27 @@ from repro.check.oracles import (
     CorruptionOracle,
     DeliveryOracle,
     FalseDeathOracle,
-    ProbeBus,
     ResurrectionOracle,
     ShardOracle,
     SingleOwnerOracle,
     Violation,
 )
 from repro.core.process import SnipeContext
-from repro.daemon.tasks import TaskSpec
 from repro.guardian.guardian import Guardian
-from repro.obs.flight import FlightRecorder
 from repro.rcds.records import RCStore
 from repro.rcds.shard.server import ShardRCServer
-from repro.robust.health import HealthBoard
-from repro.transport.srudp import SrudpEndpoint
 from repro.robust.chaos import (
-    _instrument_sim,
+    CheckpointWorkload,
     build_chaos_env,
     build_shard_env,
-    install_chaos_programs,
     install_overload_worker,
-    new_coll_state,
     start_heal_sessions,
     start_load_generators,
     start_shard_sessions,
 )
+from repro.robust.health import HealthBoard
+from repro.robust.spine import Run, run_spine
+from repro.transport.srudp import SrudpEndpoint
 
 
 class ExplorationScheduler:
@@ -164,91 +165,108 @@ def apply_fault_plan(env, plan: List[FaultEvent]) -> None:
             raise ValueError(f"unknown fault kind {ev.kind!r}")
 
 
-def sample_fault_plan(
-    scenario: str, seed: int, workers: List[str], horizon: float
-) -> List[FaultEvent]:
-    """Seeded explicit fault plan for a scenario.
+def _r2(x: float) -> float:
+    return round(x, 2)
 
-    ``faults`` always includes at least one worker *partition* (the
-    host survives — only a correct fencing chain keeps the zombie from
-    double-owning its URN) plus a seeded mix of crashes and further
-    partitions. ``overload`` schedules degradation windows — congestion
-    on the core LAN and CPU-starved workers — on top of the bulk load.
-    All times are rounded so plans serialize cleanly.
-    """
+
+def sample_plan(sampler: Callable, seed: int, hosts: List[str],
+                horizon: float) -> List[FaultEvent]:
+    """Seeded explicit fault plan: *sampler* is one scenario's
+    ``plan_*(rng, hosts, horizon)`` below. All times are rounded so
+    plans serialize cleanly."""
     rng = random.Random(0xFA017 ^ (seed * 0x61C88647))
-    r2 = lambda x: round(x, 2)  # noqa: E731
-    plan: List[FaultEvent] = []
-    if scenario == "faults":
-        # The mandatory partition must outlast the Guardian's detection
-        # horizon (lease lapse + grace + probe-confirmed death), or no
-        # recovery ever starts while the victim is still alive and the
-        # zombie/fencing chain goes untested. Probe confirmation added
-        # several seconds to that horizon; durations shorter than ~12s
-        # heal before a death is ever declared.
-        w = workers[rng.randrange(len(workers))]
-        plan.append(FaultEvent("partition", f"s-{w}",
-                               r2(rng.uniform(3.0, horizon * 0.4)),
-                               r2(rng.uniform(14.0, 20.0))))
-        for _ in range(rng.randrange(1, 4)):
-            w = workers[rng.randrange(len(workers))]
-            kind = rng.choice(("crash", "partition"))
-            target = w if kind == "crash" else f"s-{w}"
-            plan.append(FaultEvent(kind, target,
-                                   r2(rng.uniform(3.0, horizon * 0.6)),
-                                   r2(rng.uniform(2.0, 8.0))))
-    elif scenario == "overload":
-        plan.append(FaultEvent("congest", "core-lan",
-                               r2(rng.uniform(4.0, 7.0)),
-                               r2(rng.uniform(6.0, 10.0)),
-                               factor=round(rng.uniform(2.0, 4.0), 1)))
-        for w in workers[: max(1, len(workers) // 2)]:
-            plan.append(FaultEvent("slow", w,
-                                   r2(rng.uniform(5.0, 9.0)),
-                                   r2(rng.uniform(4.0, 8.0)),
-                                   factor=round(rng.uniform(2.0, 5.0), 1)))
-    elif scenario == "bulk":
-        # Crash fetching hosts while the object is in flight (transfers
-        # are sub-second to a-few-seconds, so faults land early).
-        for _ in range(1 + rng.randrange(2)):
-            w = workers[rng.randrange(len(workers))]
-            plan.append(FaultEvent("crash", w,
-                                   r2(rng.uniform(0.1, min(3.0, horizon))),
-                                   r2(rng.uniform(0.5, 2.0))))
-    elif scenario == "gray":
-        plan = _sample_gray_plan(rng, workers, horizon)
-    elif scenario == "heal":
-        # One catalog replica isolated from the other two for longer than
-        # the stability window (peer_stale_after + compact_interval), so
-        # log compaction provably runs *while the cut is up* and the heal
-        # has to cross the compaction horizon — gapped batches, snapshot
-        # catch-up, and tombstone GC discipline are all on the path.
-        iso = ("c0", "c1", "c2")[rng.randrange(3)]
-        rest = ",".join(r for r in ("c0", "c1", "c2") if r != iso)
-        plan.append(FaultEvent("split", f"{iso}|{rest}",
-                               r2(rng.uniform(4.0, 10.0)),
-                               r2(rng.uniform(12.0, 18.0))))
-    elif scenario == "shard":
-        # A core host carrying shard replicas crashes mid-migration (c0
-        # stays up: it serves the director's own RC client), and one
-        # worker segment is cut so its facade re-routes on a stale map
-        # after the heal. Faults land while the write load is forcing
-        # splits, so every run races handoff against them.
-        core = ("c1", "c2")[rng.randrange(2)]
-        plan.append(FaultEvent("crash", core,
-                               r2(rng.uniform(8.0, horizon * 0.6)),
-                               r2(rng.uniform(4.0, 8.0))))
-        w = workers[rng.randrange(len(workers))]
-        plan.append(FaultEvent("partition", f"s-{w}",
-                               r2(rng.uniform(8.0, horizon * 0.7)),
-                               r2(rng.uniform(4.0, 8.0))))
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return sorted(plan, key=lambda e: (e.t, e.kind, e.target))
+    return sorted(sampler(rng, hosts, horizon),
+                  key=lambda e: (e.t, e.kind, e.target))
 
 
-def _sample_gray_plan(rng: random.Random, workers: List[str],
-                      horizon: float) -> List[FaultEvent]:
+def plan_faults(rng: random.Random, workers: List[str],
+                horizon: float) -> List[FaultEvent]:
+    """At least one worker *partition* (the host survives — only a
+    correct fencing chain keeps the zombie from double-owning its URN)
+    plus a seeded mix of crashes and further partitions."""
+    # The mandatory partition must outlast the Guardian's detection
+    # horizon (lease lapse + grace + probe-confirmed death), or no
+    # recovery ever starts while the victim is still alive and the
+    # zombie/fencing chain goes untested. Probe confirmation added
+    # several seconds to that horizon; durations shorter than ~12s
+    # heal before a death is ever declared.
+    w = workers[rng.randrange(len(workers))]
+    plan = [FaultEvent("partition", f"s-{w}",
+                       _r2(rng.uniform(3.0, horizon * 0.4)),
+                       _r2(rng.uniform(14.0, 20.0)))]
+    for _ in range(rng.randrange(1, 4)):
+        w = workers[rng.randrange(len(workers))]
+        kind = rng.choice(("crash", "partition"))
+        target = w if kind == "crash" else f"s-{w}"
+        plan.append(FaultEvent(kind, target,
+                               _r2(rng.uniform(3.0, horizon * 0.6)),
+                               _r2(rng.uniform(2.0, 8.0))))
+    return plan
+
+
+def plan_overload(rng: random.Random, workers: List[str],
+                  horizon: float) -> List[FaultEvent]:
+    """Degradation windows — congestion on the core LAN and CPU-starved
+    workers — on top of the bulk load."""
+    plan = [FaultEvent("congest", "core-lan",
+                       _r2(rng.uniform(4.0, 7.0)),
+                       _r2(rng.uniform(6.0, 10.0)),
+                       factor=round(rng.uniform(2.0, 4.0), 1))]
+    for w in workers[: max(1, len(workers) // 2)]:
+        plan.append(FaultEvent("slow", w,
+                               _r2(rng.uniform(5.0, 9.0)),
+                               _r2(rng.uniform(4.0, 8.0)),
+                               factor=round(rng.uniform(2.0, 5.0), 1)))
+    return plan
+
+
+def plan_bulk(rng: random.Random, dests: List[str],
+              horizon: float) -> List[FaultEvent]:
+    """Crash fetching hosts while the object is in flight (transfers
+    are sub-second to a-few-seconds, so faults land early)."""
+    plan = []
+    for _ in range(1 + rng.randrange(2)):
+        w = dests[rng.randrange(len(dests))]
+        plan.append(FaultEvent("crash", w,
+                               _r2(rng.uniform(0.1, min(3.0, horizon))),
+                               _r2(rng.uniform(0.5, 2.0))))
+    return plan
+
+
+def plan_heal(rng: random.Random, workers: List[str],
+              horizon: float) -> List[FaultEvent]:
+    """One catalog replica isolated from the other two for longer than
+    the stability window (peer_stale_after + compact_interval), so log
+    compaction provably runs *while the cut is up* and the heal has to
+    cross the compaction horizon — gapped batches, snapshot catch-up,
+    and tombstone GC discipline are all on the path."""
+    iso = ("c0", "c1", "c2")[rng.randrange(3)]
+    rest = ",".join(r for r in ("c0", "c1", "c2") if r != iso)
+    return [FaultEvent("split", f"{iso}|{rest}",
+                       _r2(rng.uniform(4.0, 10.0)),
+                       _r2(rng.uniform(12.0, 18.0)))]
+
+
+def plan_shard(rng: random.Random, workers: List[str],
+               horizon: float) -> List[FaultEvent]:
+    """A core host carrying shard replicas crashes mid-migration (c0
+    stays up: it serves the director's own RC client), and one worker
+    segment is cut so its facade re-routes on a stale map after the
+    heal. Faults land while the write load is forcing splits, so every
+    run races handoff against them."""
+    core = ("c1", "c2")[rng.randrange(2)]
+    w_crash = FaultEvent("crash", core,
+                         _r2(rng.uniform(8.0, horizon * 0.6)),
+                         _r2(rng.uniform(4.0, 8.0)))
+    w = workers[rng.randrange(len(workers))]
+    return [w_crash,
+            FaultEvent("partition", f"s-{w}",
+                       _r2(rng.uniform(8.0, horizon * 0.7)),
+                       _r2(rng.uniform(4.0, 8.0)))]
+
+
+def plan_gray(rng: random.Random, workers: List[str],
+              horizon: float) -> List[FaultEvent]:
     """Gray faults: nothing here bumps the topology version or fully cuts
     a host off — every fault is the kind a lease-based detector misreads.
 
@@ -261,7 +279,6 @@ def _sample_gray_plan(rng: random.Random, workers: List[str],
     the cut direction — its replies are simply eaten, which is exactly
     the retransmission/dup stress srudp must absorb.
     """
-    r2 = lambda x: round(x, 2)  # noqa: E731
     ws = list(workers)
     rng.shuffle(ws)
     skew_w, oneway_w = ws[0], ws[1 % len(ws)]
@@ -271,7 +288,7 @@ def _sample_gray_plan(rng: random.Random, workers: List[str],
     for w in rest:
         plan.append(FaultEvent(
             "impair", f"s-{w}",
-            r2(rng.uniform(3.0, horizon * 0.5)), r2(rng.uniform(4.0, 8.0)),
+            _r2(rng.uniform(3.0, horizon * 0.5)), _r2(rng.uniform(4.0, 8.0)),
             extra=(("dup", round(rng.uniform(0.05, 0.15), 2)),
                    ("loss", round(rng.uniform(0.05, 0.2), 2)),
                    ("reorder", round(rng.uniform(0.05, 0.2), 2))),
@@ -280,7 +297,7 @@ def _sample_gray_plan(rng: random.Random, workers: List[str],
     cw = rest[rng.randrange(len(rest))]
     plan.append(FaultEvent(
         "impair", f"s-{cw}",
-        r2(rng.uniform(4.0, horizon * 0.5)), r2(rng.uniform(3.0, 6.0)),
+        _r2(rng.uniform(4.0, horizon * 0.5)), _r2(rng.uniform(3.0, 6.0)),
         extra=(("corrupt", round(rng.uniform(0.1, 0.25), 2)),),
     ))
     # Clock skew: the worker's lease stamps land far in the past, so its
@@ -291,23 +308,23 @@ def _sample_gray_plan(rng: random.Random, workers: List[str],
     # wrongly declare.
     plan.append(FaultEvent(
         "skew", skew_w,
-        r2(rng.uniform(2.5, 5.0)), r2(rng.uniform(15.0, 25.0)),
+        _r2(rng.uniform(2.5, 5.0)), _r2(rng.uniform(15.0, 25.0)),
         extra=(("offset", -round(rng.uniform(15.0, 40.0), 1)),),
     ))
     # Asymmetric cut, replies-only direction (leases keep flowing).
     plan.append(FaultEvent(
         "oneway", f"gw->{oneway_w}",
-        r2(rng.uniform(3.0, horizon * 0.5)), r2(rng.uniform(3.0, 6.0)),
+        _r2(rng.uniform(3.0, horizon * 0.5)), _r2(rng.uniform(3.0, 6.0)),
     ))
     # Sometimes: a short checkpoint-bitrot window followed by a genuine
     # crash of the same worker — recovery must reject the torn record
     # and fall back to the previous good version.
     if rng.random() < 0.6:
         cv = rest[rng.randrange(len(rest))]
-        t0 = r2(rng.uniform(6.0, horizon * 0.6))
+        t0 = _r2(rng.uniform(6.0, horizon * 0.6))
         plan.append(FaultEvent("ckptrot", cv, t0, 0.4))
-        plan.append(FaultEvent("crash", cv, r2(t0 + 0.45),
-                               r2(rng.uniform(2.0, 5.0))))
+        plan.append(FaultEvent("crash", cv, _r2(t0 + 0.45),
+                               _r2(rng.uniform(2.0, 5.0))))
     return plan
 
 
@@ -382,52 +399,16 @@ def seeded_bug(name: Optional[str]):
 # The check harness
 # ---------------------------------------------------------------------------
 
-#: Virtual seconds between oracle sweeps of the run loop.
-CHUNK = 0.5
+def _check(scenario: str, seed: int, plan_for: Callable, explore: bool,
+           p: Dict, build: Callable, body: Callable, settle: float = 0.0) -> Run:
+    """One model-checking run of a scenario through the spine.
 
-
-def _flight_on_failure(flight: FlightRecorder,
-                       violations: List[Violation]) -> Optional[List[Dict]]:
-    """Stamp the violations onto the flight tape and snapshot it — but only
-    on failure; a clean run ships no tape."""
-    if not violations:
-        return None
-    for v in violations:
-        flight.note_violation(v.oracle, v.time, v.detail)
-    return flight.snapshot()
-
-DEFAULT_PARAMS = {
-    "n_workers": 3,
-    "total": 16,
-    "step": 0.2,
-    "duration": 60.0,
-    "saturation": 3.0,
-    "service_time": 0.05,
-}
-
-
-def run_check(
-    scenario: str = "faults",
-    seed: int = 1,
-    bug: Optional[str] = None,
-    plan: Optional[List[FaultEvent]] = None,
-    explore: bool = True,
-    n_workers: int = 3,
-    total: int = 16,
-    step: float = 0.2,
-    duration: float = 60.0,
-    saturation: float = 3.0,
-    service_time: float = 0.05,
-    obs_sample: Optional[float] = None,
-) -> Dict:
-    """One model-checking run; returns a report dict (``report["ok"]``).
-
-    Builds the chaos star site, attaches the probe bus and all three
-    oracles, runs the checkpointing workload under the seeded fault
-    *plan* (sampled from the seed when not given) with tie-permutation
-    *explore* enabled, and sweeps the oracles every :data:`CHUNK`
-    virtual seconds. The run stops at the first violation — everything
-    after it is noise for shrinking purposes.
+    *plan_for(hosts)* yields the explicit fault plan (the caller's, or
+    one sampled from the seed) once the site exists; *body* — the
+    scenario generator, see :func:`repro.robust.spine.run_spine` — sets
+    ``run.oracles`` and arms ``run.plan``. With *explore* the seed also
+    permutes same-timestamp ties. The run stops at the first violation —
+    everything after it is noise for shrinking purposes.
 
     Violations are *recorded*, never raised: several components
     legitimately wrap their loops in broad ``except`` clauses, so an
@@ -435,237 +416,222 @@ def run_check(
     process crash escaping the kernel (strict mode) is itself recorded
     as a ``process-crash`` violation.
     """
-    if scenario not in ("faults", "overload", "bulk", "gray", "heal", "shard"):
-        raise ValueError(f"unknown scenario {scenario!r}")
-    with seeded_bug(bug):
-        if scenario == "bulk":
-            report = _run_bulk(seed, plan, explore, duration, obs_sample)
-        elif scenario == "shard":
-            report = _run_shard(seed, plan, explore, n_workers, duration,
-                                obs_sample)
-        else:
-            report = _run(scenario, seed, plan, explore, n_workers, total, step,
-                          duration, saturation, service_time, obs_sample)
-    report["bug"] = bug
-    report["params"] = {
-        "n_workers": n_workers, "total": total, "step": step,
-        "duration": duration, "saturation": saturation,
-        "service_time": service_time, "obs_sample": obs_sample,
-    }
-    return report
+    scheduler = ExplorationScheduler(seed) if explore else None
+
+    def planned(run: Run, *site):
+        # The hosts faults may hit: the last thing every site builder returns.
+        run.plan = plan_for(site[-1])
+        return (yield from body(run, *site))
+
+    run = run_spine(seed, build, planned, settle=settle,
+                    supervise=p["duration"], scheduler=scheduler,
+                    obs_sample=p["obs_sample"])
+    run.report.update(
+        scenario=scenario,
+        explore=explore,
+        plan=[e.to_dict() for e in run.plan],
+        violations=[v.to_dict() for v in run.violations],
+        schedule_picks=scheduler.picks if scheduler else 0,
+        schedule_reordered=scheduler.reordered if scheduler else 0,
+    )
+    return run
 
 
-def _run(scenario, seed, plan, explore, n_workers, total, step, duration,
-         saturation, service_time, obs_sample=None):
-    if scenario == "overload":
-        def configure(sim):
-            # Bounded server queues small enough that overload actually
-            # bites (cf. run_overload); the adaptive controls stay on —
-            # the oracles check safety, not the overload treatment.
-            sim.overload.server_bulk_capacity = 128
+def _check_star(scenario: str, seed: int, plan_for: Callable, explore: bool,
+                p: Dict, build: Optional[Callable] = None,
+                program: str = "chaos-worker", liveness: bool = True,
+                oracles: Optional[Callable] = None,
+                load: Optional[Callable] = None,
+                quiesce: Optional[Callable] = None) -> Run:
+    """Model-check the checkpointing workload on the chaos star site —
+    the run the faults, overload, gray and heal scenarios share.
 
-        env, workers = build_chaos_env(
-            seed, n_workers, rc_service_time=service_time, configure=configure
-        )
-    elif scenario == "heal":
-        # Aggressive compaction, so the horizon provably moves while one
-        # replica is cut off and anti-entropy must heal across it (via
-        # gap-refusing batches and snapshot catch-up) rather than replay
-        # a complete log.
-        env, workers = build_chaos_env(seed, n_workers, rc_server_kw=dict(
-            compact_interval=1.0, peer_stale_after=6.0, max_sync_records=32,
-            snapshot_every=64, log_keep_tail=8))
-    else:
-        env, workers = build_chaos_env(seed, n_workers)
-    sim = env.sim
-    _instrument_sim(sim, None, obs_sample)
-
-    if plan is None:
-        plan = sample_fault_plan(scenario, seed, workers, horizon=duration * 0.5)
-
-    bus = ProbeBus()
-    sim.probes = bus
-    flight = FlightRecorder(sim).attach(bus)
-    convergence = ConvergenceOracle(sim)
-    convergence.attach(env)
-    bus.subscribe(convergence.on_probe)
-    delivery = DeliveryOracle(sim)
-    owner = SingleOwnerOracle(sim)
-    chunks = ChunkOracle(sim)  # inert unless something moves bulk data
-    corruption = CorruptionOracle(sim)
-    bus.subscribe(delivery.on_probe)
-    bus.subscribe(owner.on_probe)
-    bus.subscribe(chunks.on_probe)
-    bus.subscribe(corruption.on_probe)
-    oracles = [convergence, delivery, owner, chunks, corruption]
-    resurrection = compaction = None
-    if scenario == "heal":
+    Five oracles always watch (convergence, delivery, single-owner,
+    chunk-integrity, corruption); a scenario adds its own through
+    *oracles(run)*, extra load through *load(run, workers)* (may return
+    the time its load ends, which the early stop then waits out), and
+    quiescent checks through *quiesce(run)*. With *liveness* every
+    worker must complete within the budget, and the run may stop early
+    once all have and the faults are over.
+    """
+    def body(run: Run, workers: List[str]):
+        sim, env, bus = run.sim, run.env, run.bus
+        convergence = ConvergenceOracle(sim)
+        convergence.attach(env)
+        bus.subscribe(convergence.on_probe)
+        delivery = DeliveryOracle(sim)
+        owner = SingleOwnerOracle(sim)
+        chunks = ChunkOracle(sim)  # inert unless something moves bulk data
+        corruption = CorruptionOracle(sim)
+        bus.subscribe(delivery.on_probe)
+        bus.subscribe(owner.on_probe)
+        bus.subscribe(chunks.on_probe)
+        bus.subscribe(corruption.on_probe)
         # Attach order matters: ConvergenceOracle.attach *sets* the
-        # stores' on_apply slot; these two chain onto it.
-        resurrection = ResurrectionOracle(sim)
-        resurrection.attach(env)
-        compaction = CompactionOracle(sim)
-        compaction.attach(env)
-        oracles += [resurrection, compaction]
-    if scenario == "gray":
+        # stores' on_apply slot; a scenario's oracles chain onto it.
+        run.oracles = [convergence, delivery, owner, chunks, corruption] + (
+            oracles(run) if oracles is not None else [])
+
+        work = CheckpointWorkload(env, workers, "check", p["total"], 3,
+                                  p["step"], program=program)
+        quiet_after = (load(run, workers) if load is not None else 0.0) or 0.0
+        apply_fault_plan(env, run.plan)
+        quiet_after = max(quiet_after, max(
+            (e.t + e.duration for e in run.plan), default=0.0))
+        yield lambda: (liveness and work.all_reported()
+                       and sim.now > quiet_after + 6.0)
+
+        urns, completed = work.urns, len(work.completed())
+        if liveness and not run.violations:
+            if completed == len(urns):
+                convergence.check_quiescent(urns)
+            else:
+                run.violations.append(Violation(
+                    "liveness", sim.now,
+                    f"only {completed}/{len(urns)} workers completed within "
+                    f"the {p['duration']:.0f}s budget",
+                ))
+            run.sweep()
+        if quiesce is not None and not run.violations:
+            quiesce(run)
+            run.sweep()
+        return {
+            "completed": completed,
+            "workers": len(urns),
+            "recoveries": sum(len(g.recoveries) for g in env.guardians.values()),
+            "delivered": delivery.delivered,
+            "heal": None,
+        }
+
+    return _check(scenario, seed, plan_for, explore, p,
+                  build or (lambda: build_chaos_env(seed, p["n_workers"])),
+                  body, settle=4.0)  # drain queues, let anti-entropy converge
+
+
+def check_faults(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
+    """Crash/partition plans over the checkpointing workload."""
+    return _check_star("faults", seed, plan_for, explore, p).report
+
+
+def check_overload(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
+    """Saturating lookup load plus degradation windows; nothing crashes,
+    and nothing has to finish — the oracles check safety, not the
+    overload treatment."""
+    def configure(sim):
+        # Bounded server queues small enough that overload actually
+        # bites (cf. run_overload); the adaptive controls stay on.
+        sim.overload.server_bulk_capacity = 128
+
+    def build():
+        env, workers = build_chaos_env(
+            seed, p["n_workers"], rc_service_time=p["service_time"],
+            configure=configure)
+        install_overload_worker(
+            env, {"steps": 0, "send_failures": 0, "ckpt_failures": 0})
+        return env, workers
+
+    def load(run: Run, workers: List[str]) -> None:
+        capacity = len(run.env.rc_replicas) / p["service_time"]
+        start_load_generators(run.env, workers, p["saturation"] * capacity,
+                              4.0, p["duration"] - 6.0)
+
+    return _check_star("overload", seed, plan_for, explore, p, build=build,
+                       program="overload-worker", liveness=False,
+                       load=load).report
+
+
+def check_gray(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
+    """Gray plans, plus the no-false-death oracle."""
+    def oracles(run: Run) -> List:
         # Only gray plans promise every non-crashed host stays reachable
         # over *some* path; a full partition (faults scenario) makes a
         # lease-inferred death legitimate, so the oracle stays out there.
         spans = [(e.target, e.t, e.t + e.duration + 20.0)
-                 for e in plan if e.kind == "crash"]
+                 for e in run.plan if e.kind == "crash"]
         falsedeath = FalseDeathOracle(
-            sim, crashed=lambda h, t: any(
+            run.sim, crashed=lambda h, t: any(
                 h == c and a <= t <= b for c, a, b in spans),
         )
-        bus.subscribe(falsedeath.on_probe)
-        oracles.append(falsedeath)
+        run.bus.subscribe(falsedeath.on_probe)
+        return [falsedeath]
 
-    scheduler = ExplorationScheduler(seed) if explore else None
-    if scheduler is not None:
-        sim.set_scheduler(scheduler)
+    return _check_star("gray", seed, plan_for, explore, p,
+                       oracles=oracles).report
 
-    acked: Dict[str, int] = {}
-    coll_state = new_coll_state()
-    install_chaos_programs(env, acked, coll_state)
-    wstats = {"steps": 0, "send_failures": 0, "ckpt_failures": 0}
-    if scenario == "overload":
-        install_overload_worker(env, wstats)
 
-    env.settle(2.0)
-    coll = env.spawn(TaskSpec(program="chaos-collector", name="check-coll"), on="c0")
-    program = "overload-worker" if scenario == "overload" else "chaos-worker"
-    urns = []
-    for i, w in enumerate(workers):
-        spec = TaskSpec(
-            program=program, arch="worker", name=f"check-w{i}",
-            params={"total": total, "ckpt_every": 3,
-                    "collector_urn": coll.urn, "step": step},
-        )
-        urns.append(env.spawn(spec, on=w).urn)
+def check_heal(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
+    """A replica group split past the compaction horizon under pinned
+    write/delete load, with the resurrection and compaction oracles."""
+    duration = p["duration"]
+    resurrection = compaction = None
+    tracked: Dict = {}
 
-    if scenario == "overload":
-        capacity = len(env.rc_replicas) / service_time
-        start_load_generators(env, workers, saturation * capacity,
-                              4.0, duration - 6.0)
+    def oracles(run: Run) -> List:
+        nonlocal resurrection, compaction
+        resurrection = ResurrectionOracle(run.sim)
+        resurrection.attach(run.env)
+        compaction = CompactionOracle(run.sim)
+        compaction.attach(run.env)
+        return [resurrection, compaction]
 
-    heal_tracked = None
-    heal_end = 0.0
-    if scenario == "heal":
+    def load(run: Run, workers: List[str]) -> float:
+        nonlocal tracked
         # Per-key write/delete load pinned to fixed replicas, with the
         # retirements (write-here/delete-there pairs) seeded *inside*
         # the split window so the tombstone and the stale live write
         # land on opposite sides of the cut.
-        splits = [e for e in plan if e.kind == "split"]
+        splits = [e for e in run.plan if e.kind == "split"]
         if splits:
             retire_window = (splits[0].t + 0.35 * splits[0].duration,
                              splits[0].t + 0.65 * splits[0].duration)
         else:  # a shrunk plan may have dropped the split entirely
             retire_window = (duration * 0.2, duration * 0.3)
         heal_end = duration * 0.55
-        heal_tracked = start_heal_sessions(
-            env, workers, 3.0, heal_end, n_keys=18, interval=0.35,
+        tracked = start_heal_sessions(
+            run.env, workers, 3.0, heal_end, n_keys=18, interval=0.35,
             value_pad=256, retire_frac=0.3, retire_window=retire_window)
+        return heal_end
 
-    apply_fault_plan(env, plan)
-    fault_end = max((e.t + e.duration for e in plan), default=0.0)
-
-    violations: List[Violation] = []
-    crashed = False
-
-    def sweep() -> None:
-        for oracle in oracles:
-            violations.extend(oracle.violations)
-            oracle.violations = []
-
-    while sim.now < duration:
-        try:
-            env.run(until=min(sim.now + CHUNK, duration))
-        except Exception as exc:  # strict mode: a component process died
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-            crashed = True
-            break
-        sweep()
-        if violations:
-            break
-        if (scenario in ("faults", "gray", "heal")
-                and len(coll_state["done"]) == len(urns)
-                and sim.now > fault_end + 6.0
-                and sim.now > heal_end + 6.0):
-            break
-
-    completed = sum(1 for u in urns if coll_state["done"].get(u) == total)
-    if not violations and not crashed:
-        try:
-            env.settle(4.0)  # drain queues, let anti-entropy converge
-        except Exception as exc:
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-        sweep()
-        completed = sum(1 for u in urns if coll_state["done"].get(u) == total)
-        if not violations and scenario in ("faults", "gray", "heal"):
-            if completed == len(urns):
-                convergence.check_quiescent(urns)
-            else:
-                violations.append(Violation(
-                    "liveness", sim.now,
-                    f"only {completed}/{len(urns)} workers completed within "
-                    f"the {duration:.0f}s budget",
+    def quiesce(run: Run) -> None:
+        resurrection.check_quiescent()
+        compaction.check_quiescent(prefix="snipe://heal/")
+        for uri in sorted(tracked["retired"]):
+            holders = sorted(r for r, srv in run.env.rc_servers.items()
+                             if srv.store.lookup(uri))
+            if holders:
+                run.violations.append(Violation(
+                    "no-resurrection", run.sim.now,
+                    f"retired key {uri} still visible on "
+                    f"{', '.join(holders)} after its delete was "
+                    f"acknowledged",
                 ))
-            sweep()
-        if not violations and scenario == "heal":
-            resurrection.check_quiescent()
-            compaction.check_quiescent(prefix="snipe://heal/")
-            for uri in sorted(heal_tracked["retired"]):
-                holders = sorted(r for r, srv in env.rc_servers.items()
-                                 if srv.store.lookup(uri))
-                if holders:
-                    violations.append(Violation(
-                        "no-resurrection", sim.now,
-                        f"retired key {uri} still visible on "
-                        f"{', '.join(holders)} after its delete was "
-                        f"acknowledged",
-                    ))
-            sweep()
 
-    recoveries = sum(len(g.recoveries) for g in env.guardians.values())
-    heal = None
-    if heal_tracked is not None:
-        heal = {
-            "writes_ok": heal_tracked["writes_ok"],
-            "writes_failed": heal_tracked["writes_failed"],
-            "deletes_ok": heal_tracked["deletes_ok"],
-            "deletes_failed": heal_tracked["deletes_failed"],
-            "retired": len(heal_tracked["retired"]),
-            "compactions": sum(
-                s.store.compactions for s in env.rc_servers.values()),
-            "tombstones_collected": sum(
-                s.store.tombstones_collected for s in env.rc_servers.values()),
-            "snapshot_catchups": sum(
-                s.snapshot_catchups for s in env.rc_servers.values()),
-        }
-    return {
-        "scenario": scenario,
-        "seed": seed,
-        "explore": explore,
-        "plan": [e.to_dict() for e in plan],
-        "violations": [v.to_dict() for v in violations],
-        "flight": _flight_on_failure(flight, violations),
-        "ok": not violations,
-        "completed": completed,
-        "workers": len(urns),
-        "recoveries": recoveries,
-        "delivered": delivery.delivered,
-        "heal": heal,
-        "schedule_picks": scheduler.picks if scheduler else 0,
-        "schedule_reordered": scheduler.reordered if scheduler else 0,
-        "finished_at": sim.now,
+    # Aggressive compaction, so the horizon provably moves while one
+    # replica is cut off and anti-entropy must heal across it (via
+    # gap-refusing batches and snapshot catch-up) rather than replay
+    # a complete log.
+    run = _check_star(
+        "heal", seed, plan_for, explore, p,
+        build=lambda: build_chaos_env(seed, p["n_workers"], rc_server_kw=dict(
+            compact_interval=1.0, peer_stale_after=6.0, max_sync_records=32,
+            snapshot_every=64, log_keep_tail=8)),
+        oracles=oracles, load=load, quiesce=quiesce)
+    servers = run.env.rc_servers.values()
+    run.report["heal"] = {
+        "writes_ok": tracked["writes_ok"],
+        "writes_failed": tracked["writes_failed"],
+        "deletes_ok": tracked["deletes_ok"],
+        "deletes_failed": tracked["deletes_failed"],
+        "retired": len(tracked["retired"]),
+        "compactions": sum(s.store.compactions for s in servers),
+        "tombstones_collected": sum(
+            s.store.tombstones_collected for s in servers),
+        "snapshot_catchups": sum(s.snapshot_catchups for s in servers),
     }
+    return run.report
 
 
-def _run_shard(seed, plan, explore, n_workers, duration, obs_sample=None):
+def check_shard(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
     """Model-check the sharded catalog: write/delete load through the
     facade forces splits while a core host crashes and a worker segment
     is cut, with the shard-ownership oracle judging every locally
@@ -674,101 +640,56 @@ def _run_shard(seed, plan, explore, n_workers, duration, obs_sample=None):
     alike). At quiescence the final map must place every live name in
     exactly one group — in particular no name on both sides of a split
     boundary — with each group internally converged."""
-    env, workers = build_shard_env(seed, n_workers=min(n_workers, 3),
-                                   split_threshold=24)
-    sim = env.sim
-    mgr = env.shard_manager
-    _instrument_sim(sim, None, obs_sample)
+    fault_stop = p["duration"] * 0.5
 
-    bus = ProbeBus()
-    sim.probes = bus
-    flight = FlightRecorder(sim).attach(bus)
-    convergence = ConvergenceOracle(sim)
-    convergence.attach(env)
-    bus.subscribe(convergence.on_probe)
-    shard = ShardOracle(sim)
-    shard.attach(env)
-    bus.subscribe(shard.on_probe)
-    oracles = [convergence, shard]
+    def body(run: Run, workers: List[str]):
+        env = run.env
+        convergence = ConvergenceOracle(run.sim)
+        convergence.attach(env)
+        run.bus.subscribe(convergence.on_probe)
+        shard = ShardOracle(run.sim)
+        shard.attach(env)
+        run.bus.subscribe(shard.on_probe)
+        run.oracles = [convergence, shard]
 
-    scheduler = ExplorationScheduler(seed) if explore else None
-    if scheduler is not None:
-        sim.set_scheduler(scheduler)
+        env.settle(2.0)
+        load = start_shard_sessions(
+            env, workers, 3.0, fault_stop + 10.0, n_keys=48, interval=0.25,
+            retire_window=(fault_stop * 0.5, fault_stop * 0.9))
+        apply_fault_plan(env, run.plan)
+        yield
 
-    env.settle(2.0)
-    fault_stop = duration * 0.5
-    t1 = fault_stop + 10.0
-    load = start_shard_sessions(
-        env, workers, 3.0, t1, n_keys=48, interval=0.25,
-        retire_window=(fault_stop * 0.5, fault_stop * 0.9))
-
-    if plan is None:
-        plan = sample_fault_plan("shard", seed, workers, horizon=duration * 0.5)
-    apply_fault_plan(env, plan)
-
-    violations: List[Violation] = []
-    crashed = False
-
-    def sweep() -> None:
-        for oracle in oracles:
-            violations.extend(oracle.violations)
-            oracle.violations = []
-
-    while sim.now < duration:
-        try:
-            env.run(until=min(sim.now + CHUNK, duration))
-        except Exception as exc:  # strict mode: a component process died
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-            crashed = True
-            break
-        sweep()
-        if violations:
-            break
-
-    if not violations and not crashed:
-        try:
-            env.settle(12.0)  # anti-entropy + handoff janitors drain
-        except Exception as exc:
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-        sweep()
-        if not violations:
+        mgr = env.shard_manager
+        if not run.violations:
             if mgr.splits < 1:
-                violations.append(Violation(
-                    "liveness", sim.now,
+                run.violations.append(Violation(
+                    "liveness", run.sim.now,
                     f"the load never forced a split (threshold 24, "
                     f"{load['writes_ok']} writes acked) — the scenario "
                     f"exercised no migration",
                 ))
             shard.check_quiescent(mgr)
-            sweep()
+            run.sweep()
+        return {
+            "completed": len(load["retired"]),
+            "workers": len(workers),
+            "recoveries": 0,
+            "delivered": load["writes_ok"],
+            "splits": mgr.splits,
+            "epoch": mgr.map.epoch,
+            "shards": sorted(mgr.map.shards),
+            "local_accepts": shard.local_accepts,
+        }
 
-    return {
-        "scenario": "shard",
-        "seed": seed,
-        "explore": explore,
-        "plan": [e.to_dict() for e in plan],
-        "violations": [v.to_dict() for v in violations],
-        "flight": _flight_on_failure(flight, violations),
-        "ok": not violations,
-        "completed": len(load["retired"]),
-        "workers": len(workers),
-        "recoveries": 0,
-        "delivered": load["writes_ok"],
-        "splits": mgr.splits,
-        "epoch": mgr.map.epoch,
-        "shards": sorted(mgr.map.shards),
-        "local_accepts": shard.local_accepts,
-        "schedule_picks": scheduler.picks if scheduler else 0,
-        "schedule_reordered": scheduler.reordered if scheduler else 0,
-        "finished_at": sim.now,
-    }
+    return _check(
+        "shard", seed, plan_for, explore, p,
+        lambda: build_shard_env(seed, n_workers=min(p["n_workers"], 3),
+                                split_threshold=24),
+        body, settle=12.0,  # anti-entropy + handoff janitors drain
+    ).report
 
 
-def _run_bulk(seed, plan, explore, duration, obs_sample=None):
+def check_bulk(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
     """Model-check the bulk data plane: a relay-tree distribution under
     crashing fetchers and one poisoned source, with the chunk-integrity
     oracle watching every commit.
@@ -779,112 +700,82 @@ def _run_bulk(seed, plan, explore, duration, obs_sample=None):
     fetcher quarantines the poisoned source and re-pulls the chunk from
     a clean one; under the seeded ``no-chunk-verify`` bug the corrupt
     bytes are committed and the oracle flags the commit."""
-    from repro.bulk.testbed import build_bulk_site, make_payload
-
     chunk_size = 16384
     object_kb = 512
-    env, root, dests = build_bulk_site(seed=seed, racks=2, per_rack=3)
-    sim = env.sim
-    _instrument_sim(sim, None, obs_sample)
+    duration = p["duration"]
 
-    bus = ProbeBus()
-    sim.probes = bus
-    flight = FlightRecorder(sim).attach(bus)
-    chunks = ChunkOracle(sim)
-    bus.subscribe(chunks.on_probe)
+    def body(run: Run, root: str, dests: List[str]):
+        env, sim = run.env, run.sim
+        chunks = ChunkOracle(sim)
+        run.bus.subscribe(chunks.on_probe)
+        run.oracles = [chunks]
 
-    # Poison the first fetched commit, synchronously at commit time —
-    # before the committing host can have served that chunk onward.
-    poisoned = {}
+        # Poison the first fetched commit, synchronously at commit time —
+        # before the committing host can have served that chunk onward.
+        poisoned: Dict = {}
 
-    def poisoner(kind, f):
-        if kind != "bulk.chunk" or poisoned:
-            return
-        svc = env.bulk_services.get(f["host"])
-        if svc is None:
-            return
-        data = svc.store.get(f["name"], f["seq"])
-        svc.store._chunks[f["name"]][f["seq"]] = b"\x00poison\x00" + data[8:]
-        poisoned[(f["host"], f["seq"])] = sim.now
+        def poisoner(kind, f):
+            if kind != "bulk.chunk" or poisoned:
+                return
+            svc = env.bulk_services.get(f["host"])
+            if svc is None:
+                return
+            data = svc.store.get(f["name"], f["seq"])
+            svc.store._chunks[f["name"]][f["seq"]] = b"\x00poison\x00" + data[8:]
+            poisoned[(f["host"], f["seq"])] = sim.now
 
-    bus.subscribe(poisoner)
+        run.bus.subscribe(poisoner)
 
-    scheduler = ExplorationScheduler(seed) if explore else None
-    if scheduler is not None:
-        sim.set_scheduler(scheduler)
+        apply_fault_plan(env, run.plan)
+        payload = make_payload(object_kb * 1024, chunk_size)
+        proc = env.bulk_distributor(root).distribute(
+            "check-obj", payload, dests, chunk_size=chunk_size,
+            strategy="tree", deadline=duration)
+        yield lambda: proc.triggered
 
-    if plan is None:
-        plan = sample_fault_plan("bulk", seed, dests, horizon=duration * 0.5)
-    apply_fault_plan(env, plan)
+        report = proc.value if proc.triggered and proc.ok else None
+        if not run.violations:
+            if report is None:
+                run.violations.append(Violation(
+                    "liveness", sim.now,
+                    f"distribution did not finish within the "
+                    f"{duration:.0f}s budget",
+                ))
+            elif report["completed"] != len(dests):
+                run.violations.append(Violation(
+                    "liveness", sim.now,
+                    f"only {report['completed']}/{len(dests)} hosts completed "
+                    f"(failed: {report['failed']})",
+                ))
+            elif not report["all_verified"]:
+                run.violations.append(Violation(
+                    "chunk-integrity", sim.now,
+                    "a completed host's whole-object hash did not verify",
+                ))
+            run.sweep()
+        return {
+            "completed": report["completed"] if report else 0,
+            "workers": len(dests),
+            "recoveries": sum(
+                r.get("crashes", 0)
+                for r in (report or {}).get("per_dest", {}).values()),
+            "delivered": chunks.committed,
+            "poisoned": sorted(f"{h}#{s}" for h, s in poisoned),
+            "chunk_retries": report["chunk_retries"] if report else 0,
+        }
 
-    payload = make_payload(object_kb * 1024, chunk_size)
-    dist = env.bulk_distributor(root)
-    proc = dist.distribute("check-obj", payload, dests,
-                           chunk_size=chunk_size, strategy="tree",
-                           deadline=duration)
+    return _check(
+        "bulk", seed, plan_for, explore, p,
+        lambda: build_bulk_site(seed=seed, racks=2, per_rack=3), body).report
 
-    violations: List[Violation] = []
-    crashed = False
-    report = None
-    while sim.now < duration:
-        try:
-            env.run(until=min(sim.now + CHUNK, duration))
-        except Exception as exc:  # strict mode: a component process died
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-            crashed = True
-            break
-        violations.extend(chunks.violations)
-        chunks.violations = []
-        if violations:
-            break
-        if proc.triggered:
-            report = proc.value
-            break
-    if report is None and proc.triggered and proc.ok:
-        report = proc.value
 
-    completed = report["completed"] if report else 0
-    if not violations and not crashed:
-        if report is None:
-            violations.append(Violation(
-                "liveness", sim.now,
-                f"distribution did not finish within the "
-                f"{duration:.0f}s budget",
-            ))
-        elif report["completed"] != len(dests):
-            violations.append(Violation(
-                "liveness", sim.now,
-                f"only {report['completed']}/{len(dests)} hosts completed "
-                f"(failed: {report['failed']})",
-            ))
-        elif not report["all_verified"]:
-            violations.append(Violation(
-                "chunk-integrity", sim.now,
-                "a completed host's whole-object hash did not verify",
-            ))
-        violations.extend(chunks.violations)
-        chunks.violations = []
+def describe_check(report: Dict) -> str:
+    """One-line summary of a check run (the default ``check_line``)."""
+    return (f"completed={report['completed']}/{report['workers']} "
+            f"recoveries={report['recoveries']} delivered={report['delivered']}")
 
-    crashes = sum(
-        r.get("crashes", 0) for r in (report or {}).get("per_dest", {}).values()
-    )
-    return {
-        "scenario": "bulk",
-        "seed": seed,
-        "explore": explore,
-        "plan": [e.to_dict() for e in plan],
-        "violations": [v.to_dict() for v in violations],
-        "flight": _flight_on_failure(flight, violations),
-        "ok": not violations,
-        "completed": completed,
-        "workers": len(dests),
-        "recoveries": crashes,
-        "delivered": chunks.committed,
-        "poisoned": sorted(f"{h}#{s}" for h, s in poisoned),
-        "chunk_retries": report["chunk_retries"] if report else 0,
-        "schedule_picks": scheduler.picks if scheduler else 0,
-        "schedule_reordered": scheduler.reordered if scheduler else 0,
-        "finished_at": sim.now,
-    }
+
+def describe_shard_check(report: Dict) -> str:
+    return (f"splits={report['splits']} epoch={report['epoch']} "
+            f"shards={len(report['shards'])} writes={report['delivered']} "
+            f"retired={report['completed']}")

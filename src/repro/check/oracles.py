@@ -35,49 +35,12 @@ replica identity and the store itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.daemon.tasks import TaskState
-
-
-@dataclass
-class Violation:
-    """One oracle/model disagreement, timestamped in virtual time."""
-
-    oracle: str
-    time: float
-    detail: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"oracle": self.oracle, "time": self.time, "detail": self.detail}
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.oracle}] t={self.time:.3f}s {self.detail}"
-
-
-class ProbeBus:
-    """Fan-out for semantic probe events (``sim.probes``).
-
-    Deliberately minimal: subscribers are called synchronously, in
-    subscription order, from inside the emitting component. Oracle
-    callbacks must therefore be O(1) and must never raise — they record
-    violations instead (an exception here would surface inside an
-    unrelated component's ``except`` clause and be swallowed or
-    misattributed).
-    """
-
-    __slots__ = ("_subs",)
-
-    def __init__(self) -> None:
-        self._subs: List[Callable[[str, Dict[str, Any]], None]] = []
-
-    def subscribe(self, fn: Callable[[str, Dict[str, Any]], None]) -> None:
-        self._subs.append(fn)
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        for fn in self._subs:
-            fn(kind, fields)
+# Both live with the run spine (their lowest user); every oracle here
+# files the one and subscribes to the other.
+from repro.robust.spine import ProbeBus, Violation  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.check.explore import FaultEvent, run_check
+from repro.check.explore import FaultEvent
+from repro.check.scenarios import run_check
 
 TRACE_VERSION = 1
 

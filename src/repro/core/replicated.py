@@ -59,11 +59,6 @@ def service_locations(rc: RCClient, service: str):
 
     def resolve() -> List[Tuple[str, int]]:
         assertions = yield rc.lookup(uri_mod.service_urn(service))
-        out = []
-        for key, info in assertions.items():
-            if key.startswith("location:") and info["value"]:
-                hostname, port = key[len("location:"):].rsplit(":", 1)
-                out.append((hostname, int(port)))
-        return sorted(out)
+        return uri_mod.locations_of(assertions)
 
     return rc.sim.process(resolve(), name=f"service-locations:{service}")

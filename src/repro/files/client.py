@@ -54,12 +54,7 @@ class FileClient:
 
     def _file_servers(self) -> List:
         assertions = yield self.rc.lookup(uri_mod.service_urn("fileserver"))
-        out = []
-        for key, info in assertions.items():
-            if key.startswith("location:") and info["value"]:
-                hostname, port = key[len("location:"):].rsplit(":", 1)
-                out.append((hostname, int(port)))
-        return sorted(out)
+        return uri_mod.locations_of(assertions)
 
     # -- write ------------------------------------------------------------------
     def write(self, lifn: str, payload: Any, size: int, server: Optional[tuple] = None):

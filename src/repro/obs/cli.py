@@ -14,8 +14,9 @@ Subcommands:
   regression gate: exit nonzero when any matching metric moved more than
   PCT percent (``--metrics GLOB`` filters, ``--direction up|down|any``
   picks the gated direction).
-* ``profile`` — run a scenario (demo/chaos/overload/bulk) under the
-  deterministic kernel profiler; print the hot-subsystem table and write
+* ``profile`` — run a scenario (``demo``, or any chaos scenario in the
+  scenario table, with its profile preset) under the deterministic
+  kernel profiler; print the hot-subsystem table and write
   ``BENCH_profile_<scenario>.json`` (with a d3-flamegraph-style nested
   JSON under ``flame``; ``--flame PATH`` also writes it standalone).
 * ``overhead`` — measure the cost of the observability layer itself:
@@ -41,7 +42,7 @@ import argparse
 import json
 from typing import Callable, List, Optional
 
-from repro.obs.prof import PROFILE_SCENARIOS
+from repro.check.scenarios import SCENARIOS
 from repro.obs.report import (
     diff_exports,
     gate_diff,
@@ -366,7 +367,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_prof = sub.add_parser("profile",
                             help="run a scenario under the kernel profiler")
-    p_prof.add_argument("--scenario", choices=PROFILE_SCENARIOS, default="demo")
+    p_prof.add_argument("--scenario", choices=("demo", *SCENARIOS),
+                        default="demo")
     p_prof.add_argument("--seed", type=int, default=1)
     p_prof.add_argument("--out", default=".", metavar="DIR",
                         help="directory for BENCH_profile_<scenario>.json "

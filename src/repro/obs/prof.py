@@ -35,10 +35,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import TimerHandle
 
-#: Scenarios ``profile_scenario`` knows how to run.
-PROFILE_SCENARIOS = ("demo", "chaos", "overload", "bulk")
-
-
 def _module_subsystem(mod: Optional[str]) -> str:
     """``repro.transport.base`` -> ``transport``; anything else, last part."""
     if not mod:
@@ -320,62 +316,30 @@ class KernelProfiler:
 def profile_scenario(scenario: str, seed: int = 1, **kw: Any) -> Dict[str, Any]:
     """Run one scenario under the profiler; returns a result dict.
 
-    ``{"scenario", "seed", "ok", "profile", "flame"}`` — ``profile`` is
-    :meth:`KernelProfiler.export`, ``flame`` the nested flamegraph JSON.
+    *scenario* is ``demo`` (the lossy-LAN transport demo) or any name in
+    the scenario table, run in chaos mode with its ``profile`` preset
+    (*kw* overrides). ``{"scenario", "seed", "ok", "profile", "flame"}``
+    — ``profile`` is :meth:`KernelProfiler.export`, ``flame`` the nested
+    flamegraph JSON.
     """
+    # Imported here: obs sits below the harnesses it profiles.
+    from repro.check.scenarios import SCENARIOS
+    from repro.obs.cli import demo_scenario
+
     prof = KernelProfiler()
     ok = True
-    if scenario == "demo":
-        from repro.obs.cli import demo_scenario
-
-        kw.setdefault("seed", seed)
-        sim = demo_scenario(instrument=prof.attach, **kw)
-        prof.detach(sim)
-    elif scenario == "chaos":
-        from repro.robust.chaos import run_chaos
-
-        holder: Dict[str, Any] = {}
-
-        def instrument(sim):
-            holder["sim"] = sim
-            prof.attach(sim)
-
-        kw.setdefault("duration", 60.0)
-        kw.setdefault("total", 30)
-        report = run_chaos(seed, instrument=instrument, **kw)
-        prof.detach(holder["sim"])
-        ok = report["ok"]
-    elif scenario == "overload":
-        from repro.robust.chaos import run_overload
-
-        holder = {}
-
-        def instrument(sim):
-            holder["sim"] = sim
-            prof.attach(sim)
-
-        kw.setdefault("duration", 24.0)
-        kw.setdefault("saturation", 3.0)
-        report = run_overload(seed, instrument=instrument, **kw)
-        prof.detach(holder["sim"])
-        ok = report["ok"]
-    elif scenario == "bulk":
-        from repro.robust.chaos import run_bulk_chaos
-
-        holder = {}
-
-        def instrument(sim):
-            holder["sim"] = sim
-            prof.attach(sim)
-
-        kw.setdefault("object_kb", 1024)
-        report = run_bulk_chaos(seed, instrument=instrument, **kw)
-        prof.detach(holder["sim"])
-        ok = report["ok"]
+    entry = SCENARIOS.get(scenario)
+    if entry is not None:
+        run = entry.chaos.run(seed, instrument=prof.attach,
+                              **{**entry.profile, **kw})
+        prof.detach(run.sim)
+        ok = run.report["ok"]
+    elif scenario != "demo":
+        raise ValueError(f"unknown profile scenario {scenario!r} "
+                         f"(known: demo, {', '.join(SCENARIOS)})")
     else:
-        raise ValueError(
-            f"unknown profile scenario {scenario!r} (known: {PROFILE_SCENARIOS})"
-        )
+        kw.setdefault("seed", seed)
+        prof.detach(demo_scenario(instrument=prof.attach, **kw))
     return {
         "scenario": scenario,
         "seed": seed,

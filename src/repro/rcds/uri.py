@@ -18,7 +18,7 @@ Conventions used throughout the reproduction:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 def host_url(host: str) -> str:
@@ -75,3 +75,15 @@ def urn_kind(uri: str) -> Optional[Tuple[str, str]]:
     if len(parts) == 4 and parts[0] == "urn" and parts[1] == "snipe":
         return parts[2], parts[3]
     return None
+
+
+def locations_of(assertions: Dict) -> List[Tuple[str, int]]:
+    """The sorted ``(host, port)`` pairs a service record advertises: its
+    truthy ``location:<host>:<port>`` assertions (how replicated services,
+    RMs and file servers register, §5.2)."""
+    out = []
+    for key, info in assertions.items():
+        if key.startswith("location:") and info["value"]:
+            hostname, port = key[len("location:"):].rsplit(":", 1)
+            out.append((hostname, int(port)))
+    return sorted(out)

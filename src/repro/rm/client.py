@@ -54,12 +54,7 @@ class RmClient:
 
     def _managers(self) -> List[Tuple[str, int]]:
         assertions = yield self.rc.lookup(uri_mod.service_urn("rm"))
-        out = []
-        for key, info in assertions.items():
-            if key.startswith("location:") and info["value"]:
-                hostname, port = key[len("location:"):].rsplit(":", 1)
-                out.append((hostname, int(port)))
-        return sorted(out)
+        return uri_mod.locations_of(assertions)
 
     def request(self, spec: TaskSpec, owner: str = "anonymous",
                 timeout: Optional[float] = None):

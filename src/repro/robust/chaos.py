@@ -26,6 +26,13 @@ declares the worker dead and respawns it, and the fencing machinery must
 then keep the surviving original from double-executing. Host crashes use
 the refcounted injector one-shots, so overlapping fault windows compose.
 
+Every ``run_*`` here is one scenario's chaos mode: a generator body
+handed to :func:`repro.robust.spine.run_spine`, which owns the phases
+the scenarios share (instrumentation, probe bus, flight recorder, the
+run itself, the verdict/flight tail). They are looked up by name through
+:data:`repro.check.scenarios.SCENARIOS`; each returns its report dict,
+and ``run_*.run(...)`` the whole :class:`~repro.robust.spine.Run`.
+
 Entry points: :func:`run_chaos` (one seed -> report dict), used by
 ``python -m repro chaos run --seed N`` and the parametrized pytest
 suite in ``tests/robust/test_chaos.py``; and :func:`run_overload`
@@ -42,40 +49,52 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.bulk.testbed import build_bulk_site, make_payload
 from repro.core.checkpoint import checkpoint_to_files
 from repro.core.environment import SnipeEnvironment
 from repro.daemon.tasks import TaskSpec, TaskState
+from repro.obs.slo import _metric_value
 from repro.rcds import uri as uri_mod
+from repro.rcds.client import QUORUM, ConsistencyError, RCClient
+from repro.rcds.records import MOVED
 from repro.rcds.server import RC_PORT
 from repro.robust import TIMEOUTS
+from repro.robust.health import HealthBoard
 from repro.robust.overload import CONTROL
+from repro.robust.spine import Run, Verdict, run_spine, scenario_runner
 from repro.rpc import RpcClient, RpcError
 
 #: Seeds the CI smoke and the pytest suite pin.
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
 
-def _instrument_sim(sim, instrument: Optional[Callable],
-                    obs_sample: Optional[float]) -> None:
-    """Apply per-run observability knobs before any workload process runs.
-
-    ``obs_sample`` enables tracing at that sampling rate (None = tracer
-    stays detached, today's zero-cost default); ``instrument`` is an
-    arbitrary hook — the profiler and SLO-monitor CLIs attach through it.
-    """
-    if obs_sample is not None:
-        tracer = sim.obs.tracer
-        tracer.enabled = True
-        tracer.sample_rate = obs_sample
-    if instrument is not None:
-        instrument(sim)
-
-
-def _arm_flight(sim, bus) -> "object":
-    """Attach a flight recorder to *sim* (frames) and *bus* (probes)."""
-    from repro.obs.flight import FlightRecorder
-
-    return FlightRecorder(sim).attach(bus)
+def _star_site(
+    seed: int,
+    n_workers: int,
+    configure: Optional[Callable] = None,
+    backup_core: bool = False,
+) -> Tuple[SnipeEnvironment, List[str]]:
+    """Hosts and wires of the star site, nothing running on them yet:
+    c0-c2 and a forwarding gateway on the core LAN(s), each worker alone
+    on its own segment behind the gateway so it can be isolated."""
+    env = SnipeEnvironment(seed=seed)
+    if configure is not None:
+        configure(env.sim)
+    env.add_segment("core-lan")
+    core_segments = ["core-lan"]
+    if backup_core:
+        env.add_segment("core-lan2")
+        core_segments.append("core-lan2")
+    for name in ("c0", "c1", "c2"):
+        env.add_host(name, segments=core_segments)
+    gw = env.add_host("gw", segments=core_segments, forwarding=True)
+    workers = []
+    for i in range(n_workers):
+        seg = env.add_segment(f"s-w{i}")
+        env.topology.connect(gw, seg)
+        env.add_host(f"w{i}", segments=[f"s-w{i}"], arch="worker")
+        workers.append(f"w{i}")
+    return env, workers
 
 
 def build_chaos_env(
@@ -98,23 +117,7 @@ def build_chaos_env(
     a healthy alternate path — the gray scenario's per-interface health
     scoring steers around the sick link instead of timing out forever.
     """
-    env = SnipeEnvironment(seed=seed)
-    if configure is not None:
-        configure(env.sim)
-    env.add_segment("core-lan")
-    core_segments = ["core-lan"]
-    if backup_core:
-        env.add_segment("core-lan2")
-        core_segments.append("core-lan2")
-    for name in ("c0", "c1", "c2"):
-        env.add_host(name, segments=core_segments)
-    gw = env.add_host("gw", segments=core_segments, forwarding=True)
-    workers = []
-    for i in range(n_workers):
-        seg = env.add_segment(f"s-w{i}")
-        env.topology.connect(gw, seg)
-        env.add_host(f"w{i}", segments=[f"s-w{i}"], arch="worker")
-        workers.append(f"w{i}")
+    env, workers = _star_site(seed, n_workers, configure, backup_core)
     server_kw = dict(rc_server_kw or {})
     if rc_service_time is not None:
         server_kw["service_time"] = rc_service_time
@@ -208,6 +211,41 @@ def install_chaos_programs(env: SnipeEnvironment, acked: Dict[str, int], coll_st
                 coll_state["progress"].setdefault(urn, set()).add(p["i"])
 
 
+class CheckpointWorkload:
+    """The chaos-collector on c0 plus one checkpointing *program* task per
+    worker host, started on a settled site — the workload the faults,
+    overload and gray scenarios and their model-checking twins share.
+    Task names (``<prefix>-coll``, ``<prefix>-w<i>``) are part of the
+    replay contract."""
+
+    def __init__(self, env: SnipeEnvironment, workers: List[str], prefix: str,
+                 total: int, ckpt_every: int, step: float,
+                 program: str = "chaos-worker") -> None:
+        self.total = total
+        self.acked: Dict[str, int] = {}
+        self.state = new_coll_state()
+        install_chaos_programs(env, self.acked, self.state)
+        env.settle(2.0)
+        self.coll = env.spawn(
+            TaskSpec(program="chaos-collector", name=f"{prefix}-coll"), on="c0")
+        self.urns: List[str] = []
+        for i, w in enumerate(workers):
+            spec = TaskSpec(
+                program=program,
+                arch="worker",  # keep (re)placement on the worker fleet
+                name=f"{prefix}-w{i}",
+                params={"total": total, "ckpt_every": ckpt_every,
+                        "collector_urn": self.coll.urn, "step": step},
+            )
+            self.urns.append(env.spawn(spec, on=w).urn)
+
+    def all_reported(self) -> bool:
+        return len(self.state["done"]) == len(self.urns)
+
+    def completed(self) -> List[str]:
+        return [u for u in self.urns if self.state["done"].get(u) == self.total]
+
+
 def _schedule_faults(
     env: SnipeEnvironment,
     workers: List[str],
@@ -270,6 +308,7 @@ def _check_catalogs(env: SnipeEnvironment, urns: List[str]):
     return disagreements
 
 
+@scenario_runner
 def run_chaos(
     seed: int,
     n_workers: int = 4,
@@ -282,125 +321,121 @@ def run_chaos(
     instrument: Optional[Callable] = None,
     obs_sample: Optional[float] = None,
     flight: bool = True,
-) -> Dict:
+) -> Run:
     """One seeded chaos run; returns a report dict (``report["ok"]``)."""
-    from repro.check.oracles import ProbeBus
+    def scenario(run: Run, workers: List[str]):
+        env = run.env
+        work = CheckpointWorkload(env, workers, "chaos", total, ckpt_every, step)
+        acked, coll_state, urns = work.acked, work.state, work.urns
+        fault_stop = min(duration * 0.45, 45.0)
+        events = _schedule_faults(env, workers, fault_stop, churn, partitions)
 
-    env, workers = build_chaos_env(seed, n_workers)
-    _instrument_sim(env.sim, instrument, obs_sample)
-    bus = ProbeBus()
-    env.sim.probes = bus
-    recorder = _arm_flight(env.sim, bus) if flight else None
-    acked: Dict[str, int] = {}
-    coll_state = new_coll_state()
-    install_chaos_programs(env, acked, coll_state)
-    env.settle(2.0)
+        # Run to quiescence: everyone done, or the duration budget spent.
+        deadline = env.sim.now + duration
+        while env.sim.now < deadline:
+            env.run(until=min(env.sim.now + 5.0, deadline))
+            if work.all_reported() and env.sim.now > fault_stop + 12.0:
+                break
+        yield None  # driven above; the spine only settles
 
-    coll = env.spawn(TaskSpec(program="chaos-collector", name="chaos-coll"), on="c0")
-    tasks = []
-    for i, w in enumerate(workers):
-        spec = TaskSpec(
-            program="chaos-worker",
-            arch="worker",  # keep (re)placement on the worker fleet
-            name=f"chaos-w{i}",
-            params={"total": total, "ckpt_every": ckpt_every,
-                    "collector_urn": coll.urn, "step": step},
-        )
-        tasks.append(env.spawn(spec, on=w))
-    urns = [t.urn for t in tasks]
+        recoveries = [r for g in env.guardians.values() for r in g.recoveries]
+        unrecoverable: Dict[str, str] = {}
+        for g in env.guardians.values():
+            unrecoverable.update(g.unrecoverable)
+        coll_ctx = env.daemons["c0"].contexts[work.coll.urn]
 
-    fault_stop = min(duration * 0.45, 45.0)
-    events = _schedule_faults(env, workers, fault_stop, churn, partitions)
+        invariants: List[Verdict] = []
+        # 1. Every task completed exactly once.
+        completed = work.completed()
+        dups = sum(coll_state["dup_done"].values())
+        invariants.append((
+            "completed-exactly-once",
+            len(completed) == len(urns) and not coll_state["mismatch"],
+            f"{len(completed)}/{len(urns)} completed once; "
+            f"{dups} duplicate reports deduplicated; "
+            f"{len(coll_state['mismatch'])} result mismatches",
+        ))
+        # 2. Incarnations never regress.
+        regressed = [
+            u for u, incs in coll_state["incs"].items()
+            if any(b < a for a, b in zip(incs, incs[1:]))
+        ]
+        bad_recs = [r for r in recoveries if (r["new_inc"] or 0) <= (r["old_inc"] or 0)]
+        invariants.append((
+            "no-incarnation-regression",
+            not regressed and not bad_recs,
+            f"{len(recoveries)} recoveries, all raised incarnation; "
+            f"{len(regressed)} receivers saw a regression",
+        ))
+        # 3. Catalog replicas agree on terminal state.
+        disagreements = env.run(until=env.sim.process(_check_catalogs(env, urns)))
+        invariants.append((
+            "catalogs-converged",
+            not disagreements,
+            "all replicas report state=exited for every task"
+            if not disagreements else f"disagreeing records: {disagreements}",
+        ))
+        # 4. Nothing silently lost.
+        missing = {
+            u: sorted(set(range(1, total + 1)) - coll_state["progress"].get(u, set()))
+            for u in urns
+            if set(range(1, total + 1)) - coll_state["progress"].get(u, set())
+        }
+        held = sum(len(v) for v in coll_ctx._ooo.values())
+        recv_events = coll_ctx.msgs_received + coll_ctx.msgs_deduped + coll_ctx.msgs_fenced
+        acked_total = sum(acked.values())
+        invariants.append((
+            "no-silent-loss",
+            not missing and held == 0 and recv_events >= acked_total,
+            f"{acked_total} acked sends vs {coll_ctx.msgs_received} delivered + "
+            f"{coll_ctx.msgs_deduped} deduped + {coll_ctx.msgs_fenced} fenced; "
+            f"{held} parked out-of-order; missing work: {missing or 'none'}",
+        ))
 
-    # Run to quiescence: everyone done, or the duration budget spent.
-    deadline = env.sim.now + duration
-    while env.sim.now < deadline:
-        env.run(until=min(env.sim.now + 5.0, deadline))
-        if len(coll_state["done"]) == len(urns) and env.sim.now > fault_stop + 12.0:
-            break
-    env.settle(3.0)  # let anti-entropy converge the catalogs
+        latencies = [r["recovered_at"] - r["detected_at"] for r in recoveries]
+        return {
+            "workers": n_workers,
+            "total": total,
+            "events": events,
+            "fault_log": list(env.failures.log),
+            "recoveries": recoveries,
+            "unrecoverable": unrecoverable,
+            "msgs_fenced": coll_ctx.msgs_fenced,
+            "invariants": run.verdicts("invariant", invariants),
+            "recovery_latency": {
+                "count": len(latencies),
+                "mean": sum(latencies) / len(latencies) if latencies else 0.0,
+                "max": max(latencies) if latencies else 0.0,
+            },
+        }
 
-    recoveries = [r for g in env.guardians.values() for r in g.recoveries]
-    unrecoverable: Dict[str, str] = {}
-    for g in env.guardians.values():
-        unrecoverable.update(g.unrecoverable)
-    coll_ctx = env.daemons["c0"].contexts[coll.urn]
+    return run_spine(
+        seed, lambda: build_chaos_env(seed, n_workers), scenario,
+        settle=3.0,  # let anti-entropy converge the catalogs
+        instrument=instrument, obs_sample=obs_sample, flight=flight)
 
-    invariants: List[Tuple[str, bool, str]] = []
-    # 1. Every task completed exactly once.
-    completed = [u for u in urns if coll_state["done"].get(u) == total]
-    dups = sum(coll_state["dup_done"].values())
-    invariants.append((
-        "completed-exactly-once",
-        len(completed) == len(urns) and not coll_state["mismatch"],
-        f"{len(completed)}/{len(urns)} completed once; "
-        f"{dups} duplicate reports deduplicated; "
-        f"{len(coll_state['mismatch'])} result mismatches",
-    ))
-    # 2. Incarnations never regress.
-    regressed = [
-        u for u, incs in coll_state["incs"].items()
-        if any(b < a for a, b in zip(incs, incs[1:]))
-    ]
-    bad_recs = [r for r in recoveries if (r["new_inc"] or 0) <= (r["old_inc"] or 0)]
-    invariants.append((
-        "no-incarnation-regression",
-        not regressed and not bad_recs,
-        f"{len(recoveries)} recoveries, all raised incarnation; "
-        f"{len(regressed)} receivers saw a regression",
-    ))
-    # 3. Catalog replicas agree on terminal state.
-    disagreements = env.run(until=env.sim.process(_check_catalogs(env, urns)))
-    invariants.append((
-        "catalogs-converged",
-        not disagreements,
-        "all replicas report state=exited for every task"
-        if not disagreements else f"disagreeing records: {disagreements}",
-    ))
-    # 4. Nothing silently lost.
-    missing = {
-        u: sorted(set(range(1, total + 1)) - coll_state["progress"].get(u, set()))
-        for u in urns
-        if set(range(1, total + 1)) - coll_state["progress"].get(u, set())
-    }
-    held = sum(len(v) for v in coll_ctx._ooo.values())
-    recv_events = coll_ctx.msgs_received + coll_ctx.msgs_deduped + coll_ctx.msgs_fenced
-    acked_total = sum(acked.values())
-    invariants.append((
-        "no-silent-loss",
-        not missing and held == 0 and recv_events >= acked_total,
-        f"{acked_total} acked sends vs {coll_ctx.msgs_received} delivered + "
-        f"{coll_ctx.msgs_deduped} deduped + {coll_ctx.msgs_fenced} fenced; "
-        f"{held} parked out-of-order; missing work: {missing or 'none'}",
-    ))
 
-    latencies = [r["recovered_at"] - r["detected_at"] for r in recoveries]
-    ok = all(ok for _, ok, _ in invariants)
-    flight_records = None
-    if recorder is not None and not ok:
-        for name, inv_ok, detail in invariants:
-            if not inv_ok:
-                recorder.note_violation(f"invariant:{name}", env.sim.now, detail)
-        flight_records = recorder.snapshot()
-    return {
-        "seed": seed,
-        "workers": n_workers,
-        "total": total,
-        "flight": flight_records,
-        "events": events,
-        "fault_log": list(env.failures.log),
-        "recoveries": recoveries,
-        "unrecoverable": unrecoverable,
-        "msgs_fenced": coll_ctx.msgs_fenced,
-        "invariants": invariants,
-        "ok": ok,
-        "recovery_latency": {
-            "count": len(latencies),
-            "mean": sum(latencies) / len(latencies) if latencies else 0.0,
-            "max": max(latencies) if latencies else 0.0,
-        },
-        "finished_at": env.sim.now,
-    }
+def verdicts_of(report: Dict) -> Tuple[str, List[Verdict]]:
+    """A chaos report's quiescent verdicts and the key they sit under
+    (safety scenarios report ``invariants``, measured ones ``criteria``)."""
+    kind = "invariants" if "invariants" in report else "criteria"
+    return kind, report[kind]
+
+
+def _verdict_table(report: Dict, lines: List[str]) -> str:
+    """Close a scenario report: the verdict table and the RESULT line."""
+    kind, verdicts = verdicts_of(report)
+    lines += ["", f"{kind}:"]
+    lines += [f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}"
+              for name, ok, detail in verdicts]
+    lines += ["", f"RESULT: {'OK' if report['ok'] else 'FAILED'} "
+                  f"(simulated {report['finished_at']:.1f}s)"]
+    return "\n".join(lines)
+
+
+def _fault_schedule(report: Dict) -> List[str]:
+    return ["", "fault schedule:",
+            *([f"  {e}" for e in report["events"]] or ["  (none)"]), ""]
 
 
 def format_report(report: Dict) -> str:
@@ -408,12 +443,9 @@ def format_report(report: Dict) -> str:
     lines = [
         f"chaos run: seed={report['seed']} workers={report['workers']} "
         f"x {report['total']} steps",
-        "",
-        "fault schedule:",
+        *_fault_schedule(report),
+        f"recoveries: {len(report['recoveries'])}",
     ]
-    lines += [f"  {e}" for e in report["events"]] or ["  (none)"]
-    lines.append("")
-    lines.append(f"recoveries: {len(report['recoveries'])}")
     for r in report["recoveries"]:
         lines.append(
             f"  {r['urn']}: {r['from']} -> {r['to']} "
@@ -426,14 +458,12 @@ def format_report(report: Dict) -> str:
     if rl["count"]:
         lines.append(f"recovery latency: mean {rl['mean']:.2f}s, max {rl['max']:.2f}s")
     lines.append(f"fenced messages dropped at collector: {report['msgs_fenced']}")
-    lines.append("")
-    lines.append("invariants:")
-    for name, ok, detail in report["invariants"]:
-        lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    lines.append("")
-    lines.append(f"RESULT: {'OK' if report['ok'] else 'FAILED'} "
-                 f"(simulated {report['finished_at']:.1f}s)")
-    return "\n".join(lines)
+    return _verdict_table(report, lines)
+
+
+def sweep_faults(report: Dict) -> str:
+    return (f"recoveries={len(report['recoveries'])} "
+            f"fenced={report['msgs_fenced']}")
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +558,7 @@ def start_load_generators(
     return load
 
 
+@scenario_runner
 def run_overload(
     seed: int,
     saturation: float = 5.0,
@@ -541,7 +572,7 @@ def run_overload(
     instrument: Optional[Callable] = None,
     obs_sample: Optional[float] = None,
     flight: bool = True,
-) -> Dict:
+) -> Run:
     """One seeded overload run; returns a report dict (``report["ok"]``).
 
     The chaos site is rebuilt with the RC replicas as single-threaded
@@ -573,113 +604,84 @@ def run_overload(
         # queue behind that backlog or get shed with it.
         cfg.server_bulk_capacity = 128
 
-    from repro.check.oracles import ProbeBus
-
-    env, workers = build_chaos_env(
-        seed, n_workers, rc_service_time=service_time, configure=configure
-    )
-    _instrument_sim(env.sim, instrument, obs_sample)
-    bus = ProbeBus()
-    env.sim.probes = bus
-    recorder = _arm_flight(env.sim, bus) if flight else None
-    acked: Dict[str, int] = {}
-    coll_state = new_coll_state()
-    install_chaos_programs(env, acked, coll_state)
     wstats = {"steps": 0, "send_failures": 0, "ckpt_failures": 0}
-    install_overload_worker(env, wstats)
+    t_load0, t_load1 = 4.0, duration - 8.0
 
-    env.settle(2.0)
-
-    coll = env.spawn(TaskSpec(program="chaos-collector", name="ovl-coll"), on="c0")
-    for i, w in enumerate(workers):
+    def scenario(run: Run, workers: List[str]):
+        env = run.env
+        install_overload_worker(env, wstats)
         # Enough steps that every worker is still mid-run (lease live,
         # reports flowing) for the whole overload window.
-        spec = TaskSpec(
-            program="overload-worker",
-            arch="worker",
-            name=f"ovl-w{i}",
-            params={"total": 400, "ckpt_every": 8,
-                    "collector_urn": coll.urn, "step": 0.25},
-        )
-        env.spawn(spec, on=w)
+        CheckpointWorkload(env, workers, "ovl", total=400, ckpt_every=8,
+                           step=0.25, program="overload-worker")
 
-    # -- bulk load: open-loop Poisson rc.lookup generators -------------------
-    capacity = len(env.rc_replicas) / service_time
-    offered_rate = saturation * capacity
-    t_load0, t_load1 = 4.0, duration - 8.0
-    load = start_load_generators(env, workers, offered_rate, t_load0, t_load1)
+        # -- bulk load: open-loop Poisson rc.lookup generators ---------------
+        capacity = len(env.rc_replicas) / service_time
+        load = start_load_generators(env, workers, saturation * capacity,
+                                     t_load0, t_load1)
 
-    # -- degradation window inside the load window ---------------------------
-    env.failures.congest_segment_at(8.0, "core-lan", congest_factor, duration=12.0)
-    for w in workers[: max(1, len(workers) // 2)]:
-        env.failures.slow_host_at(10.0, w, slow_factor, duration=8.0)
+        # -- degradation window inside the load window -----------------------
+        env.failures.congest_segment_at(8.0, "core-lan", congest_factor, duration=12.0)
+        for w in workers[: max(1, len(workers) // 2)]:
+            env.failures.slow_host_at(10.0, w, slow_factor, duration=8.0)
+        yield duration
 
-    env.run(until=duration)
-    env.settle(4.0)  # drain queues; late false deaths would show up here
+        metrics = env.sim.obs.metrics
+        snap = metrics.snapshot()
+        hist = metrics.histogram("overload.control_latency")
+        control_p99 = hist.percentile(99)
+        deaths = sum(g.deaths_declared for g in env.guardians.values())
+        recoveries = sum(len(g.recoveries) for g in env.guardians.values())
+        hb_ok = sum(d.heartbeats_ok for d in env.daemons.values())
+        hb_failed = sum(d.heartbeats_failed for d in env.daemons.values())
+        window = t_load1 - t_load0
+        criteria: List[Verdict] = [
+            ("no-false-deaths",
+             deaths == 0 and recoveries == 0,
+             f"{deaths} deaths declared, {recoveries} recoveries "
+             f"(every host stayed up: any death is false)"),
+            ("no-lost-heartbeats",
+             hb_failed == 0,
+             f"{hb_ok} lease heartbeats delivered, {hb_failed} failed"),
+            ("control-p99-bounded",
+             hist.n > 0 and control_p99 <= control_p99_bound,
+             f"control-plane p99 {control_p99 * 1000:.1f}ms over {hist.n} calls "
+             f"(bound {control_p99_bound * 1000:.0f}ms)"),
+        ]
+        return {
+            "saturation": saturation,
+            "adaptive": adaptive,
+            "workers": n_workers,
+            "service_time": service_time,
+            "capacity_ops_s": capacity,
+            "offered_rate_ops_s": saturation * capacity,
+            "load": dict(load),
+            "goodput_ops_s": load["ok_in_window"] / window if window > 0 else 0.0,
+            "control_p99_s": control_p99,
+            "control_calls": hist.n,
+            "deaths_declared": deaths,
+            "recoveries": recoveries,
+            "heartbeats_ok": hb_ok,
+            "heartbeats_failed": hb_failed,
+            "requests_shed": int(metrics.counter("rpc.requests_shed").value),
+            "rx_drops": int(sum(v for k, v in snap.items()
+                                if k.startswith("transport.rx_drops"))),
+            "breaker_opens": int(sum(v for k, v in snap.items()
+                                     if k.startswith("robust.breaker_opened"))),
+            "worker_stats": dict(wstats),
+            "criteria": run.verdicts("criterion", criteria),
+        }
 
-    metrics = env.sim.obs.metrics
-    snap = metrics.snapshot()
-    hist = metrics.histogram("overload.control_latency")
-    control_p99 = hist.percentile(99)
-    deaths = sum(g.deaths_declared for g in env.guardians.values())
-    recoveries = sum(len(g.recoveries) for g in env.guardians.values())
-    hb_ok = sum(d.heartbeats_ok for d in env.daemons.values())
-    hb_failed = sum(d.heartbeats_failed for d in env.daemons.values())
-    sheds = int(metrics.counter("rpc.requests_shed").value)
-    rx_drops = int(sum(v for k, v in snap.items()
-                       if k.startswith("transport.rx_drops")))
-    breaker_opens = int(sum(v for k, v in snap.items()
-                            if k.startswith("robust.breaker_opened")))
-    window = t_load1 - t_load0
-    goodput = load["ok_in_window"] / window if window > 0 else 0.0
-
-    criteria: List[Tuple[str, bool, str]] = [
-        ("no-false-deaths",
-         deaths == 0 and recoveries == 0,
-         f"{deaths} deaths declared, {recoveries} recoveries "
-         f"(every host stayed up: any death is false)"),
-        ("no-lost-heartbeats",
-         hb_failed == 0,
-         f"{hb_ok} lease heartbeats delivered, {hb_failed} failed"),
-        ("control-p99-bounded",
-         hist.n > 0 and control_p99 <= control_p99_bound,
-         f"control-plane p99 {control_p99 * 1000:.1f}ms over {hist.n} calls "
-         f"(bound {control_p99_bound * 1000:.0f}ms)"),
-    ]
-    ok = all(c_ok for _, c_ok, _ in criteria)
-    flight_records = None
-    if recorder is not None and not ok:
-        for name, c_ok, detail in criteria:
-            if not c_ok:
-                recorder.note_violation(f"criterion:{name}", env.sim.now, detail)
-        flight_records = recorder.snapshot()
-    return {
-        "seed": seed,
-        "saturation": saturation,
-        "adaptive": adaptive,
-        "flight": flight_records,
-        "workers": n_workers,
-        "service_time": service_time,
-        "capacity_ops_s": capacity,
-        "offered_rate_ops_s": offered_rate,
-        "load": dict(load),
-        "goodput_ops_s": goodput,
-        "control_p99_s": control_p99,
-        "control_calls": hist.n,
-        "deaths_declared": deaths,
-        "recoveries": recoveries,
-        "heartbeats_ok": hb_ok,
-        "heartbeats_failed": hb_failed,
-        "requests_shed": sheds,
-        "rx_drops": rx_drops,
-        "breaker_opens": breaker_opens,
-        "worker_stats": dict(wstats),
-        "criteria": criteria,
-        "ok": ok,
-        "finished_at": env.sim.now,
-    }
+    return run_spine(
+        seed,
+        lambda: build_chaos_env(seed, n_workers, rc_service_time=service_time,
+                                configure=configure),
+        scenario,
+        settle=4.0,  # drain queues; late false deaths would show up here
+        instrument=instrument, obs_sample=obs_sample, flight=flight)
 
 
+@scenario_runner
 def run_bulk_chaos(
     seed: int,
     racks: int = 3,
@@ -690,7 +692,7 @@ def run_bulk_chaos(
     instrument: Optional[Callable] = None,
     obs_sample: Optional[float] = None,
     flight: bool = True,
-) -> Dict:
+) -> Run:
     """One seeded bulk-distribution chaos run; returns a report dict.
 
     Builds the rack site, starts a relay-tree distribution of a
@@ -709,18 +711,11 @@ def run_bulk_chaos(
       (at least one destination's fetch was interrupted and resumed),
       so the run proves recovery rather than a quiet fair-weather pass.
     """
-    from repro.bulk.testbed import build_bulk_site, make_payload
-    from repro.check.oracles import ProbeBus
-
-    env, root, dests = build_bulk_site(seed=seed, racks=racks, per_rack=per_rack)
-    sim = env.sim
-    _instrument_sim(sim, instrument, obs_sample)
-    bus = ProbeBus()
-    sim.probes = bus
-    recorder = _arm_flight(sim, bus) if flight else None
     commits: Dict[Tuple[str, int], int] = {}
     evicts: Dict[Tuple[str, int], int] = {}
     commits_by_host: Dict[str, int] = {}
+    events: List[str] = []
+    killed: Dict[str, float] = {}
 
     def counter(kind: str, fields: Dict) -> None:
         if kind == "bulk.chunk":
@@ -733,106 +728,100 @@ def run_bulk_chaos(
             key = (fields["host"], fields["seq"])
             evicts[key] = evicts.get(key, 0) + 1
 
-    bus.subscribe(counter)
+    def scenario(run: Run, root: str, dests: List[str]):
+        env, sim = run.env, run.sim
+        run.bus.subscribe(counter)
 
-    # Seeded kills, triggered by *progress* rather than wall time: a
-    # pipelined tree finishes everywhere almost simultaneously, so a
-    # timer race would often fire after the victim is already done. The
-    # assassin watches the commit stream and crashes each victim the
-    # moment it has committed its target fraction of the object —
-    # guaranteed mid-transfer, every seed.
-    rng = sim.rng.stream("bulk-chaos.schedule")
-    events: List[str] = []
-    heads = [f"m{r}-0" for r in range(racks)]
-    head = heads[rng.randrange(len(heads))]
-    leaves = [m for m in dests if m not in heads]
-    leaf = leaves[rng.randrange(len(leaves))]
-    nchunks = (object_kb * 1024 + chunk_size - 1) // chunk_size
-    outage = {
-        head: rng.uniform(0.5, 1.5),
-        leaf: rng.uniform(0.3, 1.0),
-    }
-    kill_at = {head: max(1, nchunks // 4), leaf: max(2, nchunks // 2)}
-    killed: Dict[str, float] = {}
-    events.append(f"kill relay head {head} at {kill_at[head]}/{nchunks} "
-                  f"chunks for {outage[head]:.1f}s")
-    events.append(f"kill leaf {leaf} at {kill_at[leaf]}/{nchunks} "
-                  f"chunks for {outage[leaf]:.1f}s")
+        # Seeded kills, triggered by *progress* rather than wall time: a
+        # pipelined tree finishes everywhere almost simultaneously, so a
+        # timer race would often fire after the victim is already done. The
+        # assassin watches the commit stream and crashes each victim the
+        # moment it has committed its target fraction of the object —
+        # guaranteed mid-transfer, every seed.
+        rng = sim.rng.stream("bulk-chaos.schedule")
+        heads = [f"m{r}-0" for r in range(racks)]
+        head = heads[rng.randrange(len(heads))]
+        leaves = [m for m in dests if m not in heads]
+        leaf = leaves[rng.randrange(len(leaves))]
+        nchunks = (object_kb * 1024 + chunk_size - 1) // chunk_size
+        outage = {
+            head: rng.uniform(0.5, 1.5),
+            leaf: rng.uniform(0.3, 1.0),
+        }
+        kill_at = {head: max(1, nchunks // 4), leaf: max(2, nchunks // 2)}
+        events.append(f"kill relay head {head} at {kill_at[head]}/{nchunks} "
+                      f"chunks for {outage[head]:.1f}s")
+        events.append(f"kill leaf {leaf} at {kill_at[leaf]}/{nchunks} "
+                      f"chunks for {outage[leaf]:.1f}s")
 
-    def assassin(kind: str, fields: Dict) -> None:
-        if kind != "bulk.chunk":
-            return
-        h = fields["host"]
-        target = kill_at.get(h)
-        if target is None or h in killed:
-            return
-        if commits_by_host.get(h, 0) >= target:
-            killed[h] = sim.now
-            env.failures.host_down_at(sim.now, h, duration=outage[h])
+        def assassin(kind: str, fields: Dict) -> None:
+            if kind != "bulk.chunk":
+                return
+            h = fields["host"]
+            target = kill_at.get(h)
+            if target is None or h in killed:
+                return
+            if commits_by_host.get(h, 0) >= target:
+                killed[h] = sim.now
+                env.failures.host_down_at(sim.now, h, duration=outage[h])
 
-    bus.subscribe(assassin)
+        run.bus.subscribe(assassin)
 
-    payload = make_payload(object_kb * 1024, chunk_size)
-    dist = env.bulk_distributor(root, fanout=2)
-    proc = dist.distribute("chaos-obj", payload, dests,
-                           chunk_size=chunk_size, strategy="tree",
-                           deadline=duration)
-    report = env.run(until=proc)
-    env.settle(1.0)
+        payload = make_payload(object_kb * 1024, chunk_size)
+        dist = env.bulk_distributor(root, fanout=2)
+        proc = dist.distribute("chaos-obj", payload, dests,
+                               chunk_size=chunk_size, strategy="tree",
+                               deadline=duration)
+        yield proc
 
-    crashes = sum(r.get("crashes", 0) for r in report["per_dest"].values())
-    dups = sorted(
-        f"{host}#{seq}"
-        for (host, seq), n in commits.items()
-        if n > 1 + evicts.get((host, seq), 0)
-    )
-    invariants: List[Tuple[str, bool, str]] = [
-        ("all-hosts-complete",
-         report["completed"] == len(dests),
-         f"{report['completed']}/{len(dests)} hosts hold the object; "
-         f"failed: {report['failed'] or 'none'}"),
-        ("digests-verified",
-         report["all_verified"],
-         "every chunk digest and whole-object hash checked out"
-         if report["all_verified"] else "a completed host skipped verification"),
-        ("exactly-once-per-chunk",
-         not dups,
-         f"{sum(commits.values())} chunk commits across the site, no "
-         f"duplicates" if not dups else f"duplicate commits: {dups}"),
-        ("failover-exercised",
-         crashes >= 1 and len(killed) >= 2,
-         f"{len(killed)} hosts killed mid-object "
-         f"({', '.join(f'{h} at t={t:.2f}s' for h, t in sorted(killed.items()))}); "
-         f"{crashes} fetches interrupted and resumed"),
-    ]
-    ok = all(inv_ok for _, inv_ok, _ in invariants)
-    flight_records = None
-    if recorder is not None and not ok:
-        for name, inv_ok, detail in invariants:
-            if not inv_ok:
-                recorder.note_violation(f"invariant:{name}", sim.now, detail)
-        flight_records = recorder.snapshot()
-    return {
-        "seed": seed,
-        "racks": racks,
-        "per_rack": per_rack,
-        "flight": flight_records,
-        "bytes": report["bytes"],
-        "nchunks": report["nchunks"],
-        "events": events,
-        "killed": {h: round(t, 3) for h, t in killed.items()},
-        "fault_log": list(env.failures.log),
-        "completed": report["completed"],
-        "hosts": len(dests),
-        "elapsed": report["elapsed"],
-        "aggregate_goodput": report["aggregate_goodput"],
-        "chunk_commits": sum(commits.values()),
-        "chunk_retries": report["chunk_retries"],
-        "crashes": crashes,
-        "invariants": invariants,
-        "ok": ok,
-        "finished_at": sim.now,
-    }
+        report = proc.value
+        crashes = sum(r.get("crashes", 0) for r in report["per_dest"].values())
+        dups = sorted(
+            f"{host}#{seq}"
+            for (host, seq), n in commits.items()
+            if n > 1 + evicts.get((host, seq), 0)
+        )
+        invariants: List[Verdict] = [
+            ("all-hosts-complete",
+             report["completed"] == len(dests),
+             f"{report['completed']}/{len(dests)} hosts hold the object; "
+             f"failed: {report['failed'] or 'none'}"),
+            ("digests-verified",
+             report["all_verified"],
+             "every chunk digest and whole-object hash checked out"
+             if report["all_verified"] else "a completed host skipped verification"),
+            ("exactly-once-per-chunk",
+             not dups,
+             f"{sum(commits.values())} chunk commits across the site, no "
+             f"duplicates" if not dups else f"duplicate commits: {dups}"),
+            ("failover-exercised",
+             crashes >= 1 and len(killed) >= 2,
+             f"{len(killed)} hosts killed mid-object "
+             f"({', '.join(f'{h} at t={t:.2f}s' for h, t in sorted(killed.items()))}); "
+             f"{crashes} fetches interrupted and resumed"),
+        ]
+        return {
+            "racks": racks,
+            "per_rack": per_rack,
+            "bytes": report["bytes"],
+            "nchunks": report["nchunks"],
+            "events": events,
+            "killed": {h: round(t, 3) for h, t in killed.items()},
+            "fault_log": list(env.failures.log),
+            "completed": report["completed"],
+            "hosts": len(dests),
+            "elapsed": report["elapsed"],
+            "aggregate_goodput": report["aggregate_goodput"],
+            "chunk_commits": sum(commits.values()),
+            "chunk_retries": report["chunk_retries"],
+            "crashes": crashes,
+            "invariants": run.verdicts("invariant", invariants),
+        }
+
+    return run_spine(
+        seed, lambda: build_bulk_site(seed=seed, racks=racks, per_rack=per_rack),
+        scenario, settle=1.0,
+        instrument=instrument, obs_sample=obs_sample, flight=flight)
 
 
 def format_bulk_report(report: Dict) -> str:
@@ -841,29 +830,22 @@ def format_bulk_report(report: Dict) -> str:
         f"bulk chaos run: seed={report['seed']} "
         f"{report['racks']} racks x {report['per_rack']} hosts, "
         f"{report['bytes'] / 1024:.0f} KiB in {report['nchunks']} chunks",
-        "",
-        "fault schedule:",
-    ]
-    lines += [f"  {e}" for e in report["events"]] or ["  (none)"]
-    lines.append("")
-    lines.append(
+        *_fault_schedule(report),
         f"distribution : {report['completed']}/{report['hosts']} hosts in "
         f"{report['elapsed']:.2f}s "
-        f"({report['aggregate_goodput'] / 1e6:.2f} MB/s aggregate)"
-    )
-    lines.append(
+        f"({report['aggregate_goodput'] / 1e6:.2f} MB/s aggregate)",
         f"chunk traffic: {report['chunk_commits']} commits, "
         f"{report['chunk_retries']} retries, "
-        f"{report['crashes']} fetches crashed mid-object"
-    )
-    lines.append("")
-    lines.append("invariants:")
-    for name, ok, detail in report["invariants"]:
-        lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    lines.append("")
-    lines.append(f"RESULT: {'OK' if report['ok'] else 'FAILED'} "
-                 f"(simulated {report['finished_at']:.1f}s)")
-    return "\n".join(lines)
+        f"{report['crashes']} fetches crashed mid-object",
+    ]
+    return _verdict_table(report, lines)
+
+
+def sweep_bulk(report: Dict) -> str:
+    return (f"completed={report['completed']}/{report['hosts']} "
+            f"crashes={report['crashes']} "
+            f"retries={report['chunk_retries']} "
+            f"goodput={report['aggregate_goodput'] / 1e6:.1f}MB/s")
 
 
 def format_overload_report(report: Dict) -> str:
@@ -892,15 +874,15 @@ def format_overload_report(report: Dict) -> str:
         f"{report['worker_stats']['send_failures']} report failures, "
         f"{report['worker_stats']['ckpt_failures']} checkpoint failures "
         f"(best-effort bulk)",
-        "",
-        "criteria:",
     ]
-    for name, ok, detail in report["criteria"]:
-        lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    lines.append("")
-    lines.append(f"RESULT: {'OK' if report['ok'] else 'FAILED'} "
-                 f"(simulated {report['finished_at']:.1f}s)")
-    return "\n".join(lines)
+    return _verdict_table(report, lines)
+
+
+def sweep_overload(report: Dict) -> str:
+    return (f"goodput={report['goodput_ops_s']:.1f}/s "
+            f"control_p99={report['control_p99_s'] * 1000:.0f}ms "
+            f"deaths={report['deaths_declared']} "
+            f"hb_failed={report['heartbeats_failed']}")
 
 
 # ---------------------------------------------------------------------------
@@ -926,8 +908,6 @@ def start_gray_sessions(
     *host's* health board — exactly the differential-detector state the
     gray scenario measures.
     """
-    from repro.rcds.client import RCClient
-
     stats = {"sessions": 0, "ops_ok": 0, "ops_failed": 0,
              "window": (t0, t1), "in_window": {}}
 
@@ -940,7 +920,6 @@ def start_gray_sessions(
             try:
                 for _ in range(ops_per_session):
                     target = env.rc_replicas[rng.randrange(len(env.rc_replicas))][0]
-                    t_op = env.sim.now
                     try:
                         yield client.lookup(f"snipe://host/{target}")
                         stats["ops_ok"] += 1
@@ -948,7 +927,6 @@ def start_gray_sessions(
                         stats["in_window"][key] = stats["in_window"].get(key, 0) + 1
                     except Exception:
                         stats["ops_failed"] += 1
-                    del t_op
                     yield env.sim.timeout(think)
             finally:
                 client.close()
@@ -967,6 +945,7 @@ def start_gray_sessions(
     return stats
 
 
+@scenario_runner
 def run_gray(
     seed: int,
     n_workers: int = 4,
@@ -982,7 +961,7 @@ def run_gray(
     instrument: Optional[Callable] = None,
     obs_sample: Optional[float] = None,
     flight: bool = True,
-) -> Dict:
+) -> Run:
     """One seeded gray-failure run; returns a report dict (``report["ok"]``).
 
     The chaos site gets a second core segment (dual-homed core) and four
@@ -1008,145 +987,102 @@ def run_gray(
     goodput. ``differential=False`` is the heartbeat-only baseline of
     experiment E15: health boards inert, Guardian trusts lapsed leases.
     """
-    from repro.check.oracles import ProbeBus
-    from repro.robust.health import HealthBoard
+    gray_probes = {"corrupt_deliver": 0, "deaths": []}
+
+    def scenario(run: Run, workers: List[str]):
+        env = run.env
+
+        def watch(kind, f):
+            if kind == "srudp.corrupt_deliver":
+                gray_probes["corrupt_deliver"] += 1
+            elif kind == "guardian.death":
+                gray_probes["deaths"].append(
+                    (round(env.sim.now, 2), f.get("host"), f.get("reason")))
+
+        run.bus.subscribe(watch)
+        work = CheckpointWorkload(env, workers, "gray", total, 4, step)
+        load = start_gray_sessions(env, workers, 4.0, duration - 2.0)
+
+        # -- the gray fault schedule ----------------------------------------
+        env.failures.slow_host_at(zombie_at, zombie, zombie_factor,
+                                  duration=zombie_for)
+        skewed = workers[-1]
+        env.failures.skew_clock_at(6.0, skewed, offset=-30.0, duration=duration - 10.0)
+        env.failures.impair_link_at(10.0, f"s-{workers[0]}", corrupt=0.15,
+                                    symmetric=True, duration=8.0)
+        env.failures.impair_link_at(12.0, "core-lan", src="c1", dst="c0",
+                                    loss=1.0, duration=6.0)
+        yield duration
+
+        z_end = zombie_at + zombie_for
+        in_zombie = sum(n for t, n in load["in_window"].items()
+                        if zombie_at <= t < z_end)
+        detections = [
+            h.health.first_quarantine_of(zombie)
+            for h in env.topology.hosts.values()
+            if h.health.first_quarantine_of(zombie) is not None
+        ]
+        detection_s = (min(detections) - zombie_at) if detections else None
+        deaths = sum(g.deaths_declared for g in env.guardians.values())
+        probe_saved = sum(g.false_deaths_averted for g in env.guardians.values())
+        false_deaths = [d for d in gray_probes["deaths"] if d[2] == "host-lease"]
+        snap = env.sim.obs.metrics.snapshot()
+        rx_corrupt = int(sum(v for k, v in snap.items()
+                             if k.startswith("transport.rx_corrupt")))
+        completed, urns, coll_state = work.completed(), work.urns, work.state
+
+        criteria: List[Verdict] = [
+            ("zombie-quarantined",
+             (detection_s is not None) if differential else True,
+             (f"{zombie} quarantined {detection_s:.2f}s after slowdown "
+              f"by {len(detections)} host(s)") if detection_s is not None
+             else f"{zombie} never quarantined"
+                  + ("" if differential else " (baseline: detector off)")),
+            ("no-false-deaths",
+             deaths == 0,
+             f"{deaths} deaths declared ({len(false_deaths)} from leases), "
+             f"{probe_saved} averted by probe-before-death "
+             f"(no host ever crashed: any death is false)"),
+            ("no-corrupt-delivery",
+             gray_probes["corrupt_deliver"] == 0,
+             f"{gray_probes['corrupt_deliver']} corrupted deliveries; "
+             f"{rx_corrupt} corrupt frames detected and dropped at receivers"),
+            ("completed-exactly-once",
+             len(completed) == len(urns) and not coll_state["mismatch"],
+             f"{len(completed)}/{len(urns)} workers completed once; "
+             f"{len(coll_state['mismatch'])} result mismatches"),
+        ]
+        return {
+            "differential": differential,
+            "workers": n_workers,
+            "zombie": zombie,
+            "zombie_window": (zombie_at, z_end),
+            "goodput_ops_s": in_zombie / zombie_for,
+            "ops_ok": load["ops_ok"],
+            "ops_failed": load["ops_failed"],
+            "sessions": load["sessions"],
+            "detection_s": detection_s,
+            "deaths_declared": deaths,
+            "false_lease_deaths": len(false_deaths),
+            "death_log": gray_probes["deaths"],
+            "probe_saved": probe_saved,
+            "ckpt_rejected": sum(g.ckpt_rejected for g in env.guardians.values()),
+            "rx_corrupt_dropped": rx_corrupt,
+            "corrupt_delivered": gray_probes["corrupt_deliver"],
+            "criteria": run.verdicts("criterion", criteria),
+        }
 
     saved = HealthBoard.differential_enabled
     HealthBoard.differential_enabled = differential
     try:
-        return _run_gray(
-            seed, n_workers, total, step, duration, zombie, zombie_at,
-            zombie_for, zombie_factor, rc_service_time, differential,
-            instrument, obs_sample, flight, ProbeBus,
-        )
+        return run_spine(
+            seed,
+            lambda: build_chaos_env(seed, n_workers, rc_service_time=rc_service_time,
+                                    backup_core=True),
+            scenario, settle=4.0,
+            instrument=instrument, obs_sample=obs_sample, flight=flight)
     finally:
         HealthBoard.differential_enabled = saved
-
-
-def _run_gray(seed, n_workers, total, step, duration, zombie, zombie_at,
-              zombie_for, zombie_factor, rc_service_time, differential,
-              instrument, obs_sample, flight, ProbeBus):
-    env, workers = build_chaos_env(
-        seed, n_workers, rc_service_time=rc_service_time, backup_core=True
-    )
-    _instrument_sim(env.sim, instrument, obs_sample)
-    bus = ProbeBus()
-    env.sim.probes = bus
-    recorder = _arm_flight(env.sim, bus) if flight else None
-
-    gray_probes = {"corrupt_deliver": 0, "deaths": [], "probe_saved": 0}
-
-    def watch(kind, f):
-        if kind == "srudp.corrupt_deliver":
-            gray_probes["corrupt_deliver"] += 1
-        elif kind == "guardian.death":
-            gray_probes["deaths"].append(
-                (round(env.sim.now, 2), f.get("host"), f.get("reason")))
-
-    bus.subscribe(watch)
-
-    acked: Dict[str, int] = {}
-    coll_state = new_coll_state()
-    install_chaos_programs(env, acked, coll_state)
-    env.settle(2.0)
-
-    coll = env.spawn(TaskSpec(program="chaos-collector", name="gray-coll"), on="c0")
-    urns = []
-    for i, w in enumerate(workers):
-        spec = TaskSpec(
-            program="chaos-worker", arch="worker", name=f"gray-w{i}",
-            params={"total": total, "ckpt_every": 4,
-                    "collector_urn": coll.urn, "step": step},
-        )
-        urns.append(env.spawn(spec, on=w).urn)
-
-    load = start_gray_sessions(env, workers, 4.0, duration - 2.0)
-
-    # -- the gray fault schedule --------------------------------------------
-    env.failures.slow_host_at(zombie_at, zombie, zombie_factor,
-                              duration=zombie_for)
-    skewed = workers[-1]
-    env.failures.skew_clock_at(6.0, skewed, offset=-30.0, duration=duration - 10.0)
-    env.failures.impair_link_at(10.0, f"s-{workers[0]}", corrupt=0.15,
-                                symmetric=True, duration=8.0)
-    env.failures.impair_link_at(12.0, "core-lan", src="c1", dst="c0",
-                                loss=1.0, duration=6.0)
-
-    env.run(until=duration)
-    env.settle(4.0)
-
-    # -- measurements --------------------------------------------------------
-    z_end = zombie_at + zombie_for
-    in_zombie = sum(n for t, n in load["in_window"].items()
-                    if zombie_at <= t < z_end)
-    goodput = in_zombie / zombie_for
-    detections = [
-        h.health.first_quarantine_of(zombie)
-        for h in env.topology.hosts.values()
-        if h.health.first_quarantine_of(zombie) is not None
-    ]
-    detection_s = (min(detections) - zombie_at) if detections else None
-    deaths = sum(g.deaths_declared for g in env.guardians.values())
-    probe_saved = sum(g.false_deaths_averted for g in env.guardians.values())
-    ckpt_rejected = sum(g.ckpt_rejected for g in env.guardians.values())
-    false_deaths = [d for d in gray_probes["deaths"] if d[2] == "host-lease"]
-    metrics = env.sim.obs.metrics
-    snap = metrics.snapshot()
-    rx_corrupt = int(sum(v for k, v in snap.items()
-                         if k.startswith("transport.rx_corrupt")))
-    completed = [u for u in urns if coll_state["done"].get(u) == total]
-
-    criteria: List[Tuple[str, bool, str]] = [
-        ("zombie-quarantined",
-         (detection_s is not None) if differential else True,
-         (f"{zombie} quarantined {detection_s:.2f}s after slowdown "
-          f"by {len(detections)} host(s)") if detection_s is not None
-         else f"{zombie} never quarantined"
-              + ("" if differential else " (baseline: detector off)")),
-        ("no-false-deaths",
-         deaths == 0,
-         f"{deaths} deaths declared ({len(false_deaths)} from leases), "
-         f"{probe_saved} averted by probe-before-death "
-         f"(no host ever crashed: any death is false)"),
-        ("no-corrupt-delivery",
-         gray_probes["corrupt_deliver"] == 0,
-         f"{gray_probes['corrupt_deliver']} corrupted deliveries; "
-         f"{rx_corrupt} corrupt frames detected and dropped at receivers"),
-        ("completed-exactly-once",
-         len(completed) == len(urns) and not coll_state["mismatch"],
-         f"{len(completed)}/{len(urns)} workers completed once; "
-         f"{len(coll_state['mismatch'])} result mismatches"),
-    ]
-    ok = all(c_ok for _, c_ok, _ in criteria)
-    flight_records = None
-    if recorder is not None and not ok:
-        for name, c_ok, detail in criteria:
-            if not c_ok:
-                recorder.note_violation(f"criterion:{name}", env.sim.now, detail)
-        flight_records = recorder.snapshot()
-    return {
-        "seed": seed,
-        "differential": differential,
-        "workers": n_workers,
-        "zombie": zombie,
-        "zombie_window": (zombie_at, z_end),
-        "flight": flight_records,
-        "goodput_ops_s": goodput,
-        "ops_ok": load["ops_ok"],
-        "ops_failed": load["ops_failed"],
-        "sessions": load["sessions"],
-        "detection_s": detection_s,
-        "deaths_declared": deaths,
-        "false_lease_deaths": len(false_deaths),
-        "death_log": gray_probes["deaths"],
-        "probe_saved": probe_saved,
-        "ckpt_rejected": ckpt_rejected,
-        "rx_corrupt_dropped": rx_corrupt,
-        "corrupt_delivered": gray_probes["corrupt_deliver"],
-        "criteria": criteria,
-        "ok": ok,
-        "finished_at": env.sim.now,
-    }
 
 
 def format_gray_report(report: Dict) -> str:
@@ -1169,20 +1105,90 @@ def format_gray_report(report: Dict) -> str:
         f"corruption: {report['corrupt_delivered']} delivered, "
         f"{report['rx_corrupt_dropped']} dropped at receivers",
         f"checkpoints rejected on digest: {report['ckpt_rejected']}",
-        "",
-        "criteria:",
     ]
-    for name, ok, detail in report["criteria"]:
-        lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    lines.append("")
-    lines.append(f"RESULT: {'OK' if report['ok'] else 'FAILED'} "
-                 f"(simulated {report['finished_at']:.1f}s)")
-    return "\n".join(lines)
+    return _verdict_table(report, lines)
+
+
+def sweep_gray(report: Dict) -> str:
+    det = report["detection_s"]
+    return (f"goodput={report['goodput_ops_s']:.1f}/s "
+            f"detect={'%.2fs' % det if det is not None else 'never'} "
+            f"false_deaths={report['false_lease_deaths']} "
+            f"saved={report['probe_saved']}")
 
 
 # ---------------------------------------------------------------------------
 # Partition-heal scenario (experiment E16)
 # ---------------------------------------------------------------------------
+
+def _start_keyed_load(env: SnipeEnvironment, workers: List[str], t0: float,
+                      t1: float, n_keys: int, interval: float,
+                      retire_frac: float, retire_window: Tuple[float, float],
+                      stream: str, uri_of: Callable[[int], str],
+                      ops_of: Callable, failure: type,
+                      delete_delay: float = 0.0) -> Dict:
+    """Per-key write, then retire, then delete load — what both the heal
+    and the shard sessions are.
+
+    Key *i* (``uri_of(i)``) gets a writer process on worker ``i mod n``
+    writing a monotonic sequence number every ~*interval* (jitter from
+    ``<stream>.k<i>``) from *t0* to *t1*. The first ``retire_frac`` of
+    the keys instead stop at a time drawn from *stream* inside
+    *retire_window*, wait *delete_delay*, and are deleted (up to five
+    tries). ``ops_of(i, worker)`` binds a key's ``(write(uri, n),
+    delete(uri))``; each returns the event to wait on and fails with
+    *failure*. ``tracked["acked"][uri]`` is the last acknowledged
+    ``(n, time)``; a deleted key moves to ``tracked["retired"]``.
+    """
+    rng = env.sim.rng.stream(stream)
+    n_retire = int(n_keys * retire_frac)
+    tracked: Dict = {
+        "writes_ok": 0, "writes_failed": 0,
+        "deletes_ok": 0, "deletes_failed": 0,
+        "acked": {}, "retired": {}, "keys": [],
+    }
+
+    def _driver(i: int) -> None:
+        uri = uri_of(i)
+        tracked["keys"].append(uri)
+        write, delete = ops_of(i, workers[i % len(workers)])
+        jitter = env.sim.rng.stream(f"{stream}.k{i}")
+        retire_t = rng.uniform(*retire_window) if i < n_retire else None
+
+        def writer():
+            yield env.sim.timeout(max(0.0, t0 - env.sim.now))
+            n = 0
+            stop = retire_t if retire_t is not None else t1
+            while env.sim.now < stop:
+                n += 1
+                try:
+                    yield write(uri, n)
+                    tracked["writes_ok"] += 1
+                    tracked["acked"][uri] = (n, env.sim.now)
+                except failure:
+                    tracked["writes_failed"] += 1
+                yield env.sim.timeout(interval * (0.75 + 0.5 * jitter.random()))
+            if retire_t is None:
+                return
+            if delete_delay:
+                yield env.sim.timeout(delete_delay)
+            for _ in range(5):
+                try:
+                    yield delete(uri)
+                    tracked["deletes_ok"] += 1
+                    tracked["retired"][uri] = env.sim.now
+                    tracked["acked"].pop(uri, None)
+                    return
+                except failure:
+                    yield env.sim.timeout(0.5)
+            tracked["deletes_failed"] += 1
+
+        env.sim.process(writer(), name=f"{stream.replace('.', '-')}:k{i}")
+
+    for i in range(n_keys):
+        _driver(i)
+    return tracked
+
 
 def start_heal_sessions(
     env: SnipeEnvironment,
@@ -1212,70 +1218,26 @@ def start_heal_sessions(
     write per key.
     """
     replicas = list(env.rc_replicas)
-    rng = env.sim.rng.stream("heal.load")
-    n_retire = int(n_keys * retire_frac)
-    tracked: Dict = {
-        "writes_ok": 0, "writes_failed": 0,
-        "deletes_ok": 0, "deletes_failed": 0,
-        "acked": {}, "retired": {}, "keys": {},
-    }
     clients: Dict[str, RpcClient] = {}
 
-    for i in range(n_keys):
-        uri = f"snipe://heal/k{i}"
+    def ops_of(i: int, wname: str):
         pin = replicas[i % len(replicas)]
-        retire_t = (rng.uniform(*retire_window) if i < n_retire else None)
-        tracked["keys"][uri] = {"pin": pin[0], "retire_t": retire_t}
+        deleter = replicas[(i + 1) % len(replicas)]
+        rpc = clients.setdefault(
+            wname, RpcClient(env.topology.hosts[wname], secret=env.secret))
+        return (
+            lambda uri, n: rpc.call(
+                pin[0], pin[1], "rc.update", timeout=TIMEOUTS["rc.call"],
+                uri=uri, assertions={"v": f"{n}:" + "x" * value_pad}),
+            lambda uri: rpc.call(
+                deleter[0], deleter[1], "rc.delete", timeout=TIMEOUTS["rc.call"],
+                uri=uri, keys=None),
+        )
 
-    def _driver(i: int) -> None:
-        uri = f"snipe://heal/k{i}"
-        pin = replicas[i % len(replicas)]
-        wname = workers[i % len(workers)]
-        host = env.topology.hosts[wname]
-        rpc = clients.setdefault(wname, RpcClient(host, secret=env.secret))
-        jitter = env.sim.rng.stream(f"heal.load.k{i}")
-        retire_t = tracked["keys"][uri]["retire_t"]
-
-        def writer():
-            yield env.sim.timeout(max(0.0, t0 - env.sim.now))
-            n = 0
-            stop = retire_t if retire_t is not None else t1
-            while env.sim.now < stop:
-                n += 1
-                value = f"{n}:" + "x" * value_pad
-                try:
-                    yield rpc.call(pin[0], pin[1], "rc.update",
-                                   timeout=TIMEOUTS["rc.call"],
-                                   uri=uri, assertions={"v": value})
-                    tracked["writes_ok"] += 1
-                    tracked["acked"][uri] = n
-                except RpcError:
-                    tracked["writes_failed"] += 1
-                yield env.sim.timeout(interval * (0.75 + 0.5 * jitter.random()))
-            if retire_t is None:
-                return
-            # Retire: delete through the next replica in the ring (during
-            # a partition: usually the other side of the cut).
-            deleter = replicas[(i + 1) % len(replicas)]
-            yield env.sim.timeout(0.5)
-            for _ in range(5):
-                try:
-                    yield rpc.call(deleter[0], deleter[1], "rc.delete",
-                                   timeout=TIMEOUTS["rc.call"],
-                                   uri=uri, keys=None)
-                    tracked["deletes_ok"] += 1
-                    tracked["retired"][uri] = env.sim.now
-                    tracked["acked"].pop(uri, None)
-                    return
-                except RpcError:
-                    yield env.sim.timeout(0.5)
-            tracked["deletes_failed"] += 1
-
-        env.sim.process(writer(), name=f"heal-load:k{i}")
-
-    for i in range(n_keys):
-        _driver(i)
-    return tracked
+    return _start_keyed_load(
+        env, workers, t0, t1, n_keys, interval, retire_frac, retire_window,
+        "heal.load", lambda i: f"snipe://heal/k{i}", ops_of, RpcError,
+        delete_delay=0.5)
 
 
 def _visible_state(store, uri: str) -> Dict[str, Tuple]:
@@ -1288,6 +1250,7 @@ def _visible_state(store, uri: str) -> Dict[str, Tuple]:
     return out
 
 
+@scenario_runner
 def run_partition_heal(
     seed: int,
     n_workers: int = 4,
@@ -1305,7 +1268,7 @@ def run_partition_heal(
     instrument: Optional[Callable] = None,
     obs_sample: Optional[float] = None,
     flight: bool = True,
-) -> Dict:
+) -> Run:
     """One seeded partition-heal run; returns a report dict (``report["ok"]``).
 
     Two fault shapes against the replicated catalog under the sustained
@@ -1329,9 +1292,6 @@ def run_partition_heal(
     the legacy single-blob ``rc.sync`` exchange, whose payload grows
     with the whole divergence and ships on the control lane.
     """
-    from repro.check.oracles import ProbeBus
-    from repro.obs.slo import _metric_value
-
     if duration is None:
         duration = 40.0 if blackout else 100.0
     if bounded:
@@ -1342,13 +1302,6 @@ def run_partition_heal(
     else:
         rc_server_kw = dict(max_sync_records=None)
 
-    env, workers = build_chaos_env(seed, n_workers, rc_server_kw=rc_server_kw)
-    _instrument_sim(env.sim, instrument, obs_sample)
-    bus = ProbeBus()
-    env.sim.probes = bus
-    recorder = _arm_flight(env.sim, bus) if flight else None
-    env.settle(2.0)
-
     heal_t = (blackout_at + blackout_for) if blackout else (part_at + part_for)
     # After a blackout the writers keep going for a while: the post-crash
     # writes prove the restored store still accepts and replicates work.
@@ -1358,22 +1311,7 @@ def run_partition_heal(
     else:
         retire_window = (part_at + 0.3 * part_for, part_at + 0.6 * part_for)
 
-    load = start_heal_sessions(
-        env, workers, 3.0, monitor_from, n_keys=n_keys, interval=interval,
-        value_pad=value_pad, retire_window=retire_window,
-    )
-    sessions = start_gray_sessions(env, workers, 4.0, duration - 2.0)
-
-    if blackout:
-        for h in ("c0", "c1", "c2"):
-            env.failures.host_down_at(blackout_at, h, duration=blackout_for)
-    else:
-        env.failures.partition_at(part_at, ["c2"], ["c0", "c1"],
-                                  duration=part_for)
-
-    stores = {name: srv.store for name, srv in env.rc_servers.items()}
     measures: Dict = {"reconverged_at": None, "diverged_at_heal": None}
-
     # Control-plane experience *during the heal window*, measured
     # directly: small CONTROL-lane lookups against every replica while
     # anti-entropy drains the partition backlog. This is the traffic an
@@ -1381,176 +1319,185 @@ def run_partition_heal(
     # replica — the cumulative histograms can't isolate the window.
     probe: Dict = {"lat": [], "failed": 0}
 
-    def _probe_control():
-        gw_host = env.topology.hosts["gw"]
-        rpc = RpcClient(gw_host, secret=env.secret)
-        yield env.sim.timeout(max(0.0, heal_t - env.sim.now))
-        while env.sim.now < min(heal_t + 15.0, duration):
-            for rhost, rport in env.rc_replicas:
-                t_op = env.sim.now
-                try:
-                    yield rpc.call(rhost, rport, "rc.lookup",
-                                   timeout=TIMEOUTS["rc.sync"], lane=CONTROL,
-                                   uri=uri_mod.host_url(rhost))
-                    probe["lat"].append(env.sim.now - t_op)
-                except RpcError:
-                    probe["failed"] += 1
-            yield env.sim.timeout(0.2)
+    def scenario(run: Run, workers: List[str]):
+        env = run.env
+        env.settle(2.0)
+        load = start_heal_sessions(
+            env, workers, 3.0, monitor_from, n_keys=n_keys, interval=interval,
+            value_pad=value_pad, retire_window=retire_window,
+        )
+        sessions = start_gray_sessions(env, workers, 4.0, duration - 2.0)
 
-    env.sim.process(_probe_control(), name="heal-control-probe")
+        if blackout:
+            for h in ("c0", "c1", "c2"):
+                env.failures.host_down_at(blackout_at, h, duration=blackout_for)
+        else:
+            env.failures.partition_at(part_at, ["c2"], ["c0", "c1"],
+                                      duration=part_for)
 
-    def _agreement() -> int:
-        """Number of tracked keys the three replicas disagree on."""
-        bad = 0
-        for uri in load["keys"]:
-            views = [_visible_state(s, uri) for s in stores.values()]
-            want_empty = uri in load["retired"]
-            if want_empty:
-                if any(views):
+        stores = {name: srv.store for name, srv in env.rc_servers.items()}
+
+        def _probe_control():
+            gw_host = env.topology.hosts["gw"]
+            rpc = RpcClient(gw_host, secret=env.secret)
+            yield env.sim.timeout(max(0.0, heal_t - env.sim.now))
+            while env.sim.now < min(heal_t + 15.0, duration):
+                for rhost, rport in env.rc_replicas:
+                    t_op = env.sim.now
+                    try:
+                        yield rpc.call(rhost, rport, "rc.lookup",
+                                       timeout=TIMEOUTS["rc.sync"], lane=CONTROL,
+                                       uri=uri_mod.host_url(rhost))
+                        probe["lat"].append(env.sim.now - t_op)
+                    except RpcError:
+                        probe["failed"] += 1
+                yield env.sim.timeout(0.2)
+
+        env.sim.process(_probe_control(), name="heal-control-probe")
+
+        def _agreement() -> int:
+            """Number of tracked keys the three replicas disagree on."""
+            bad = 0
+            for uri in load["keys"]:
+                views = [_visible_state(s, uri) for s in stores.values()]
+                want_empty = uri in load["retired"]
+                if want_empty:
+                    if any(views):
+                        bad += 1
+                elif any(v != views[0] for v in views[1:]):
                     bad += 1
-            elif any(v != views[0] for v in views[1:]):
-                bad += 1
-        return bad
+            return bad
 
-    def monitor():
-        yield env.sim.timeout(max(0.0, monitor_from - env.sim.now))
-        measures["diverged_at_heal"] = _agreement()
-        while True:
-            if _agreement() == 0:
-                measures["reconverged_at"] = env.sim.now
-                return
-            yield env.sim.timeout(0.25)
+        def monitor():
+            yield env.sim.timeout(max(0.0, monitor_from - env.sim.now))
+            measures["diverged_at_heal"] = _agreement()
+            while True:
+                if _agreement() == 0:
+                    measures["reconverged_at"] = env.sim.now
+                    return
+                yield env.sim.timeout(0.25)
 
-    env.sim.process(monitor(), name="heal-monitor")
-    env.run(until=duration)
-    env.settle(4.0)
+        env.sim.process(monitor(), name="heal-monitor")
+        yield duration
 
-    # -- measurements --------------------------------------------------------
-    export = env.sim.obs.metrics.export()
-    snap = env.sim.obs.metrics.snapshot()
-    max_batch = _metric_value(export, "rcds.sync_batch_records", "max")
-    lat = sorted(probe["lat"])
-    control_p99 = lat[int(0.99 * (len(lat) - 1))] if lat else None
-    control_max = lat[-1] if lat else None
-    hb_failed = int(sum(d.heartbeats_failed for d in env.daemons.values()))
-    hb_failovers = int(sum(d.rc.failovers for d in env.daemons.values()))
-    sync_failures = {k: int(v) for k, v in snap.items()
-                     if k.startswith("rcds.sync_failures")}
-    replica_stats = {name: srv._h_stats({}) for name, srv in env.rc_servers.items()}
-    reconverge_s = (measures["reconverged_at"] - monitor_from
-                    if measures["reconverged_at"] is not None else None)
+        export = env.sim.obs.metrics.export()
+        snap = env.sim.obs.metrics.snapshot()
+        max_batch = _metric_value(export, "rcds.sync_batch_records", "max")
+        lat = sorted(probe["lat"])
+        control_p99 = lat[int(0.99 * (len(lat) - 1))] if lat else None
+        control_max = lat[-1] if lat else None
+        hb_failed = int(sum(d.heartbeats_failed for d in env.daemons.values()))
+        hb_failovers = int(sum(d.rc.failovers for d in env.daemons.values()))
+        sync_failures = {k: int(v) for k, v in snap.items()
+                         if k.startswith("rcds.sync_failures")}
+        replica_stats = {name: srv._h_stats({}) for name, srv in env.rc_servers.items()}
+        reconverge_s = (measures["reconverged_at"] - monitor_from
+                        if measures["reconverged_at"] is not None else None)
 
-    resurrected = []
-    for uri in load["retired"]:
-        for name, store in stores.items():
-            if _visible_state(store, uri):
-                resurrected.append((uri, name))
-    stale = []
-    for uri, n_acked in load["acked"].items():
-        for name, store in stores.items():
-            view = _visible_state(store, uri)
-            got = view.get("v")
-            n_got = int(got[3].split(":")[0]) if got else None
-            if n_got is None or n_got < n_acked:
-                stale.append((uri, name, n_got, n_acked))
+        resurrected = []
+        for uri in load["retired"]:
+            for name, store in stores.items():
+                if _visible_state(store, uri):
+                    resurrected.append((uri, name))
+        stale = []
+        for uri, (n_acked, _t) in load["acked"].items():
+            for name, store in stores.items():
+                view = _visible_state(store, uri)
+                got = view.get("v")
+                n_got = int(got[3].split(":")[0]) if got else None
+                if n_got is None or n_got < n_acked:
+                    stale.append((uri, name, n_got, n_acked))
 
-    criteria: List[Tuple[str, bool, str]] = [
-        ("replicas-reconverged",
-         reconverge_s is not None,
-         (f"all {len(load['keys'])} tracked keys agree on every replica "
-          f"{reconverge_s:.2f}s after heal "
-          f"({measures['diverged_at_heal']} keys diverged at heal)")
-         if reconverge_s is not None
-         else f"still diverged at t={env.sim.now:.0f}s "
-              f"({_agreement()} keys disagree)"),
-        ("no-resurrection",
-         not resurrected,
-         f"{len(load['retired'])} keys deleted"
-         + (f"; resurrected: {sorted(set(resurrected))[:4]}" if resurrected
-            else ", none came back")),
-        ("writes-survive",
-         not stale,
-         f"{len(load['acked'])} live keys at or past their last acked write"
-         + (f"; stale/missing: {stale[:4]}" if stale else "")),
-    ]
-    if bounded:
-        criteria.append((
-            "payload-bounded",
-            max_batch <= max_sync_records,
-            f"largest sync payload {max_batch:.0f} records "
-            f"(bound {max_sync_records})",
-        ))
-        criteria.append((
-            "control-responsive-during-heal",
-            control_p99 is not None and control_p99 <= 0.5
-            and probe["failed"] == 0,
-            f"heal-window control p99 "
-            + (f"{control_p99 * 1000:.0f}ms" if control_p99 is not None
-               else "n/a")
-            + f", {probe['failed']} probe failures",
-        ))
-        if not blackout:
+        criteria: List[Verdict] = [
+            ("replicas-reconverged",
+             reconverge_s is not None,
+             (f"all {len(load['keys'])} tracked keys agree on every replica "
+              f"{reconverge_s:.2f}s after heal "
+              f"({measures['diverged_at_heal']} keys diverged at heal)")
+             if reconverge_s is not None
+             else f"still diverged at t={env.sim.now:.0f}s "
+                  f"({_agreement()} keys disagree)"),
+            ("no-resurrection",
+             not resurrected,
+             f"{len(load['retired'])} keys deleted"
+             + (f"; resurrected: {sorted(set(resurrected))[:4]}" if resurrected
+                else ", none came back")),
+            ("writes-survive",
+             not stale,
+             f"{len(load['acked'])} live keys at or past their last acked write"
+             + (f"; stale/missing: {stale[:4]}" if stale else "")),
+        ]
+        if bounded:
             criteria.append((
-                "zero-lost-heartbeats",
-                hb_failed == 0 and hb_failovers == 0,
-                f"{hb_failed} lease heartbeats failed, "
-                f"{hb_failovers} had to fail over",
+                "payload-bounded",
+                max_batch <= max_sync_records,
+                f"largest sync payload {max_batch:.0f} records "
+                f"(bound {max_sync_records})",
             ))
-    if blackout:
-        restores = {name: srv.restores for name, srv in env.rc_servers.items()}
-        criteria.append((
-            "durable-restore",
-            all(r >= 1 for r in restores.values())
-            and all(s.record_count() > 0 for s in stores.values()),
-            f"restores per replica {restores}, "
-            f"records {[s.record_count() for s in stores.values()]}",
-        ))
-    ok = all(c_ok for _, c_ok, _ in criteria)
+            criteria.append((
+                "control-responsive-during-heal",
+                control_p99 is not None and control_p99 <= 0.5
+                and probe["failed"] == 0,
+                f"heal-window control p99 "
+                + (f"{control_p99 * 1000:.0f}ms" if control_p99 is not None
+                   else "n/a")
+                + f", {probe['failed']} probe failures",
+            ))
+            if not blackout:
+                criteria.append((
+                    "zero-lost-heartbeats",
+                    hb_failed == 0 and hb_failovers == 0,
+                    f"{hb_failed} lease heartbeats failed, "
+                    f"{hb_failovers} had to fail over",
+                ))
+        if blackout:
+            restores = {name: srv.restores for name, srv in env.rc_servers.items()}
+            criteria.append((
+                "durable-restore",
+                all(r >= 1 for r in restores.values())
+                and all(s.record_count() > 0 for s in stores.values()),
+                f"restores per replica {restores}, "
+                f"records {[s.record_count() for s in stores.values()]}",
+            ))
 
-    flight_records = None
-    if recorder is not None and not ok:
-        for name, c_ok, detail in criteria:
-            if not c_ok:
-                recorder.note_violation(f"criterion:{name}", env.sim.now, detail)
-        flight_records = recorder.snapshot()
+        return {
+            "mode": "blackout" if blackout else "partition",
+            "bounded": bounded,
+            "bound": max_sync_records if bounded else None,
+            "workers": n_workers,
+            "n_keys": n_keys,
+            "value_pad": value_pad,
+            "fault_window": ((blackout_at, heal_t) if blackout
+                             else (part_at, heal_t)),
+            "heal_t": heal_t,
+            "reconverge_s": reconverge_s,
+            "diverged_at_heal": measures["diverged_at_heal"],
+            "max_sync_batch": max_batch,
+            "control_p99": control_p99,
+            "control_max": control_max,
+            "control_probe_failed": probe["failed"],
+            "heartbeats_failed": hb_failed,
+            "heartbeat_failovers": hb_failovers,
+            "writes_ok": load["writes_ok"],
+            "writes_failed": load["writes_failed"],
+            "deletes_ok": load["deletes_ok"],
+            "deletes_failed": load["deletes_failed"],
+            "retired": len(load["retired"]),
+            "resurrected": sorted(set(resurrected)),
+            "stale_keys": stale,
+            "sync_failures": sync_failures,
+            "snapshot_catchups": sum(s["snapshot_catchups"]
+                                     for s in replica_stats.values()),
+            "replica_stats": replica_stats,
+            "lookup_ops_ok": sessions["ops_ok"],
+            "lookup_ops_failed": sessions["ops_failed"],
+            "criteria": run.verdicts("criterion", criteria),
+        }
 
-    return {
-        "seed": seed,
-        "mode": "blackout" if blackout else "partition",
-        "bounded": bounded,
-        "bound": max_sync_records if bounded else None,
-        "workers": n_workers,
-        "n_keys": n_keys,
-        "value_pad": value_pad,
-        "fault_window": ((blackout_at, heal_t) if blackout
-                         else (part_at, heal_t)),
-        "heal_t": heal_t,
-        "reconverge_s": reconverge_s,
-        "diverged_at_heal": measures["diverged_at_heal"],
-        "max_sync_batch": max_batch,
-        "control_p99": control_p99,
-        "control_max": control_max,
-        "control_probe_failed": probe["failed"],
-        "heartbeats_failed": hb_failed,
-        "heartbeat_failovers": hb_failovers,
-        "writes_ok": load["writes_ok"],
-        "writes_failed": load["writes_failed"],
-        "deletes_ok": load["deletes_ok"],
-        "deletes_failed": load["deletes_failed"],
-        "retired": len(load["retired"]),
-        "resurrected": sorted(set(resurrected)),
-        "stale_keys": stale,
-        "sync_failures": sync_failures,
-        "snapshot_catchups": sum(s["snapshot_catchups"]
-                                 for s in replica_stats.values()),
-        "replica_stats": replica_stats,
-        "lookup_ops_ok": sessions["ops_ok"],
-        "lookup_ops_failed": sessions["ops_failed"],
-        "flight": flight_records,
-        "criteria": criteria,
-        "ok": ok,
-        "finished_at": env.sim.now,
-    }
+    return run_spine(
+        seed, lambda: build_chaos_env(seed, n_workers, rc_server_kw=rc_server_kw),
+        scenario, settle=4.0,
+        instrument=instrument, obs_sample=obs_sample, flight=flight)
 
 
 # ---------------------------------------------------------------------------
@@ -1573,17 +1520,7 @@ def build_shard_env(
     the same core hosts (different port). The director runs on the
     gateway — deliberately off the core hosts, so a core crash stresses
     the shard groups without also beheading map publication."""
-    env = SnipeEnvironment(seed=seed)
-    env.add_segment("core-lan")
-    for name in ("c0", "c1", "c2"):
-        env.add_host(name, segments=["core-lan"])
-    gw = env.add_host("gw", segments=["core-lan"], forwarding=True)
-    workers = []
-    for i in range(n_workers):
-        seg = env.add_segment(f"s-w{i}")
-        env.topology.connect(gw, seg)
-        env.add_host(f"w{i}", segments=[f"s-w{i}"], arch="worker")
-        workers.append(f"w{i}")
+    env, workers = _star_site(seed, n_workers)
     env.add_rc_servers(["c0", "c1", "c2"], sharded=True,
                        **dict(rc_server_kw or {}))
     mgr = env.enable_sharding(
@@ -1621,58 +1558,20 @@ def start_shard_sessions(
     abandoned write kept alive by transport retransmission can land
     after the delete and win LWW — base-catalog semantics the shard
     layer must preserve, not mask.)"""
-    from repro.rcds.client import QUORUM, ConsistencyError
 
-    rng = env.sim.rng.stream("shard.load")
-    n_retire = int(n_keys * retire_frac)
-    tracked: Dict = {
-        "writes_ok": 0, "writes_failed": 0,
-        "deletes_ok": 0, "deletes_failed": 0,
-        "acked": {}, "retired": {}, "keys": [],
-    }
-
-    def _driver(i: int) -> None:
-        # Structured names so splits have a radix to bite on.
-        uri = f"snipe://app/g{i % 4}/k{i:03d}"
-        tracked["keys"].append(uri)
-        wname = workers[i % len(workers)]
+    def ops_of(_i: int, wname: str):
         client = env.rc_client(wname)
-        jitter = env.sim.rng.stream(f"shard.load.k{i}")
-        retire_t = rng.uniform(*retire_window) if i < n_retire else None
+        return (lambda uri, n: client.update(uri, {"v": n}, consistency=QUORUM),
+                lambda uri: client.delete(uri, consistency=QUORUM))
 
-        def writer():
-            yield env.sim.timeout(max(0.0, t0 - env.sim.now))
-            n = 0
-            stop = retire_t if retire_t is not None else t1
-            while env.sim.now < stop:
-                n += 1
-                try:
-                    yield client.update(uri, {"v": n}, consistency=QUORUM)
-                    tracked["writes_ok"] += 1
-                    tracked["acked"][uri] = (n, env.sim.now)
-                except ConsistencyError:
-                    tracked["writes_failed"] += 1
-                yield env.sim.timeout(interval * (0.75 + 0.5 * jitter.random()))
-            if retire_t is None:
-                return
-            for _ in range(5):
-                try:
-                    yield client.delete(uri, consistency=QUORUM)
-                    tracked["deletes_ok"] += 1
-                    tracked["retired"][uri] = env.sim.now
-                    tracked["acked"].pop(uri, None)
-                    return
-                except ConsistencyError:
-                    yield env.sim.timeout(0.5)
-            tracked["deletes_failed"] += 1
-
-        env.sim.process(writer(), name=f"shard-load:k{i}")
-
-    for i in range(n_keys):
-        _driver(i)
-    return tracked
+    return _start_keyed_load(
+        env, workers, t0, t1, n_keys, interval, retire_frac, retire_window,
+        # Structured names so splits have a radix to bite on.
+        "shard.load", lambda i: f"snipe://app/g{i % 4}/k{i:03d}", ops_of,
+        ConsistencyError)
 
 
+@scenario_runner
 def run_shard_chaos(
     seed: int,
     n_workers: int = 3,
@@ -1683,7 +1582,7 @@ def run_shard_chaos(
     instrument: Optional[Callable] = None,
     obs_sample: Optional[float] = None,
     flight: bool = True,
-) -> Dict:
+) -> Run:
     """One seeded sharded-catalog chaos run; returns a report dict.
 
     Write/delete load through the facade drives the ``app`` shard past
@@ -1705,172 +1604,159 @@ def run_shard_chaos(
     * **queries-complete** — a scatter-gather prefix query through the
       facade returns exactly the live tracked keys.
     """
-    from repro.check.oracles import ProbeBus
-    from repro.rcds.records import MOVED
-
-    env, workers = build_shard_env(seed, n_workers,
-                                   split_threshold=split_threshold)
-    _instrument_sim(env.sim, instrument, obs_sample)
-    bus = ProbeBus()
-    env.sim.probes = bus
-    recorder = _arm_flight(env.sim, bus) if flight else None
-    mgr = env.shard_manager
-    env.settle(2.0)
-
     fault_stop = duration * 0.5
     t0, t1 = 3.0, fault_stop + 10.0
-    load = start_shard_sessions(
-        env, workers, t0, t1, n_keys=n_keys, interval=interval,
-        retire_window=(fault_stop * 0.5, fault_stop * 0.9))
 
-    rng = env.sim.rng.stream("shard-chaos.schedule")
-    events: List[str] = []
-    core = ["c1", "c2"]  # c0 carries the director's RC client: keep it up
-    victim = core[rng.randrange(len(core))]
-    t_crash = rng.uniform(8.0, fault_stop * 0.6)
-    d_crash = rng.uniform(4.0, 8.0)
-    env.failures.host_down_at(t_crash, victim, duration=d_crash)
-    events.append(f"t={t_crash:5.1f}s crash {victim} (shard replicas) "
-                  f"for {d_crash:.1f}s")
-    w = workers[rng.randrange(len(workers))]
-    t_part = rng.uniform(8.0, fault_stop * 0.7)
-    d_part = rng.uniform(4.0, 8.0)
-    env.failures.segment_down_at(t_part, f"s-{w}", duration=d_part)
-    events.append(f"t={t_part:5.1f}s partition {w} for {d_part:.1f}s")
-    events.sort()
+    def scenario(run: Run, workers: List[str]):
+        env = run.env
+        events: List[str] = []
+        env.settle(2.0)
+        load = start_shard_sessions(
+            env, workers, t0, t1, n_keys=n_keys, interval=interval,
+            retire_window=(fault_stop * 0.5, fault_stop * 0.9))
 
-    env.run(until=duration)
-    env.settle(12.0)  # anti-entropy + handoff janitors drain
+        rng = env.sim.rng.stream("shard-chaos.schedule")
+        core = ["c1", "c2"]  # c0 carries the director's RC client: keep it up
+        victim = core[rng.randrange(len(core))]
+        t_crash = rng.uniform(8.0, fault_stop * 0.6)
+        d_crash = rng.uniform(4.0, 8.0)
+        env.failures.host_down_at(t_crash, victim, duration=d_crash)
+        events.append(f"t={t_crash:5.1f}s crash {victim} (shard replicas) "
+                      f"for {d_crash:.1f}s")
+        w = workers[rng.randrange(len(workers))]
+        t_part = rng.uniform(8.0, fault_stop * 0.7)
+        d_part = rng.uniform(4.0, 8.0)
+        env.failures.segment_down_at(t_part, f"s-{w}", duration=d_part)
+        events.append(f"t={t_part:5.1f}s partition {w} for {d_part:.1f}s")
+        events.sort()
+        yield duration
 
-    # -- quiescent checks ---------------------------------------------------
-    final_map = mgr.map
-    groups = {sid: grp for sid, grp in mgr.servers.items()}
-    tracked_set = set(load["keys"])
+        # -- quiescent checks -----------------------------------------------
+        mgr = env.shard_manager
+        final_map = mgr.map
+        groups = {sid: grp for sid, grp in mgr.servers.items()}
+        tracked_set = set(load["keys"])
 
-    diverged: List[Tuple[str, str]] = []
-    misplaced: List[Tuple[str, str]] = []
-    dual: List[str] = []
-    for uri in sorted(tracked_set):
-        owner_sid = final_map.route(uri)
-        visible_in: List[str] = []
-        for sid, grp in groups.items():
+        diverged: List[Tuple[str, str]] = []
+        misplaced: List[Tuple[str, str]] = []
+        dual: List[str] = []
+        for uri in sorted(tracked_set):
+            owner_sid = final_map.route(uri)
+            visible_in: List[str] = []
+            for sid, grp in groups.items():
+                views = [_visible_state(s.store, uri) for s in grp.values()]
+                if any(v != views[0] for v in views[1:]):
+                    diverged.append((uri, sid))
+                if any(views):
+                    visible_in.append(sid)
+                    if sid != owner_sid:
+                        misplaced.append((uri, sid))
+            if len(visible_in) > 1:
+                dual.append(uri)
+
+        # LWW-honest survival checks: an entry stamped at/after the last ack
+        # (or the delete) is a *later* write that legitimately won — e.g. an
+        # abandoned RPC replayed by the transport after a partition healed.
+        # What the shard layer must never produce is an *older* stamp
+        # resurfacing: that is a record lost or replayed across a migration.
+        _EPS = 1.0
+        stale: List[Tuple[str, str, Optional[int], int]] = []
+        for uri, (n_acked, t_acked) in load["acked"].items():
+            grp = groups[final_map.route(uri)]
             views = [_visible_state(s.store, uri) for s in grp.values()]
-            if any(v != views[0] for v in views[1:]):
-                diverged.append((uri, sid))
-            if any(views):
-                visible_in.append(sid)
-                if sid != owner_sid:
-                    misplaced.append((uri, sid))
-        if len(visible_in) > 1:
-            dual.append(uri)
+            got = views[0].get("v") if views and views[0] else None
+            if got is None:
+                stale.append((uri, final_map.route(uri), None, n_acked))
+            elif got[3] < n_acked and got[0] < t_acked - _EPS:
+                stale.append((uri, final_map.route(uri), got[3], n_acked))
+        resurrected = []
+        zombie_revived = 0
+        for uri, t_deleted in load["retired"].items():
+            for sid, grp in groups.items():
+                views = [v for v in (_visible_state(s.store, uri)
+                                     for s in grp.values()) if v]
+                if not views:
+                    continue
+                got = views[0].get("v")
+                if got is not None and got[0] >= t_deleted - _EPS:
+                    zombie_revived += 1  # newer stamp: a legitimate LWW winner
+                else:
+                    resurrected.append((uri, sid))
 
-    # LWW-honest survival checks: an entry stamped at/after the last ack
-    # (or the delete) is a *later* write that legitimately won — e.g. an
-    # abandoned RPC replayed by the transport after a partition healed.
-    # What the shard layer must never produce is an *older* stamp
-    # resurfacing: that is a record lost or replayed across a migration.
-    _EPS = 1.0
-    stale: List[Tuple[str, str, Optional[int], int]] = []
-    for uri, (n_acked, t_acked) in load["acked"].items():
-        grp = groups[final_map.route(uri)]
-        views = [_visible_state(s.store, uri) for s in grp.values()]
-        got = views[0].get("v") if views and views[0] else None
-        if got is None:
-            stale.append((uri, final_map.route(uri), None, n_acked))
-        elif got[3] < n_acked and got[0] < t_acked - _EPS:
-            stale.append((uri, final_map.route(uri), got[3], n_acked))
-    resurrected = []
-    zombie_revived = 0
-    for uri, t_deleted in load["retired"].items():
-        for sid, grp in groups.items():
-            views = [v for v in (_visible_state(s.store, uri)
-                                 for s in grp.values()) if v]
-            if not views:
-                continue
-            got = views[0].get("v")
-            if got is not None and got[0] >= t_deleted - _EPS:
-                zombie_revived += 1  # newer stamp: a legitimate LWW winner
-            else:
-                resurrected.append((uri, sid))
+        # Ground truth for the federation query: what the owning groups
+        # actually hold live at quiescence (acked state modulo zombies).
+        truth = sorted(
+            uri for uri in tracked_set
+            if any(_visible_state(s.store, uri)
+                   for s in groups[final_map.route(uri)].values()))
+        client = env.rc_client(workers[0])
+        queried = [u for u in env.run(until=client.query("snipe://app/"))
+                   if u in tracked_set]
+        query_missing = sorted(set(truth) - set(queried))
+        query_extra = sorted(set(queried) - set(truth))
 
-    # Ground truth for the federation query: what the owning groups
-    # actually hold live at quiescence (acked state modulo zombies).
-    truth = sorted(
-        uri for uri in tracked_set
-        if any(_visible_state(s.store, uri)
-               for s in groups[final_map.route(uri)].values()))
-    client = env.rc_client(workers[0])
-    queried = [u for u in env.run(until=client.query("snipe://app/"))
-               if u in tracked_set]
-    query_missing = sorted(set(truth) - set(queried))
-    query_extra = sorted(set(queried) - set(truth))
+        redirects = sum(s.redirects for g in groups.values() for s in g.values())
+        handoffs = sum(s.handoffs for g in groups.values() for s in g.values())
+        moved_markers = sum(
+            1 for g in groups.values() for s in g.values()
+            for bucket in s.store.data.values()
+            for e in bucket.values() if e.deleted and e.value == MOVED)
 
-    redirects = sum(s.redirects for g in groups.values() for s in g.values())
-    handoffs = sum(s.handoffs for g in groups.values() for s in g.values())
-    moved_markers = sum(
-        1 for g in groups.values() for s in g.values()
-        for bucket in s.store.data.values()
-        for e in bucket.values() if e.deleted and e.value == MOVED)
+        invariants: List[Verdict] = [
+            ("splits-exercised",
+             mgr.splits >= 1,
+             f"{mgr.splits} splits, map at epoch {final_map.epoch} with "
+             f"{len(final_map.shards)} shards; {handoffs} records handed off"),
+            ("groups-converged",
+             not diverged,
+             "every shard replica group agrees on every tracked name"
+             if not diverged else f"diverged (uri, shard): {diverged[:4]}"),
+            ("placement-clean",
+             not misplaced and not dual,
+             f"every live name only in its owning group "
+             f"({moved_markers} migration tombstones left behind)"
+             if not (misplaced or dual)
+             else f"misplaced: {misplaced[:4]}; parent+child visible: {dual[:4]}"),
+            ("writes-survive",
+             not stale and not resurrected,
+             f"{len(load['acked'])} live keys at/past last acked write, "
+             f"{len(load['retired'])} retired keys stayed deleted "
+             f"({zombie_revived} revived by later-stamped in-flight writes)"
+             if not (stale or resurrected)
+             else f"stale: {stale[:4]}; resurrected: {resurrected[:4]}"),
+            ("queries-complete",
+             not query_missing and not query_extra,
+             f"facade query returned all {len(truth)} live keys"
+             if not (query_missing or query_extra)
+             else f"missing: {query_missing[:4]}; extra: {query_extra[:4]}"),
+        ]
+        return {
+            "workers": n_workers,
+            "n_keys": n_keys,
+            "split_threshold": split_threshold,
+            "events": events,
+            "fault_log": list(env.failures.log),
+            "splits": mgr.splits,
+            "epoch": final_map.epoch,
+            "shards": sorted(final_map.shards),
+            "redirects": redirects,
+            "redirect_retries": sum(
+                c.redirect_retries for c in env._clients.values()
+                if hasattr(c, "redirect_retries")),
+            "handoffs": handoffs,
+            "writes_ok": load["writes_ok"],
+            "writes_failed": load["writes_failed"],
+            "deletes_ok": load["deletes_ok"],
+            "retired": len(load["retired"]),
+            "invariants": run.verdicts("invariant", invariants),
+        }
 
-    invariants: List[Tuple[str, bool, str]] = [
-        ("splits-exercised",
-         mgr.splits >= 1,
-         f"{mgr.splits} splits, map at epoch {final_map.epoch} with "
-         f"{len(final_map.shards)} shards; {handoffs} records handed off"),
-        ("groups-converged",
-         not diverged,
-         "every shard replica group agrees on every tracked name"
-         if not diverged else f"diverged (uri, shard): {diverged[:4]}"),
-        ("placement-clean",
-         not misplaced and not dual,
-         f"every live name only in its owning group "
-         f"({moved_markers} migration tombstones left behind)"
-         if not (misplaced or dual)
-         else f"misplaced: {misplaced[:4]}; parent+child visible: {dual[:4]}"),
-        ("writes-survive",
-         not stale and not resurrected,
-         f"{len(load['acked'])} live keys at/past last acked write, "
-         f"{len(load['retired'])} retired keys stayed deleted "
-         f"({zombie_revived} revived by later-stamped in-flight writes)"
-         if not (stale or resurrected)
-         else f"stale: {stale[:4]}; resurrected: {resurrected[:4]}"),
-        ("queries-complete",
-         not query_missing and not query_extra,
-         f"facade query returned all {len(truth)} live keys"
-         if not (query_missing or query_extra)
-         else f"missing: {query_missing[:4]}; extra: {query_extra[:4]}"),
-    ]
-    ok = all(inv_ok for _, inv_ok, _ in invariants)
-    flight_records = None
-    if recorder is not None and not ok:
-        for name, inv_ok, detail in invariants:
-            if not inv_ok:
-                recorder.note_violation(f"invariant:{name}", env.sim.now, detail)
-        flight_records = recorder.snapshot()
-    return {
-        "seed": seed,
-        "workers": n_workers,
-        "n_keys": n_keys,
-        "split_threshold": split_threshold,
-        "events": events,
-        "fault_log": list(env.failures.log),
-        "flight": flight_records,
-        "splits": mgr.splits,
-        "epoch": final_map.epoch,
-        "shards": sorted(final_map.shards),
-        "redirects": redirects,
-        "redirect_retries": sum(
-            c.redirect_retries for c in env._clients.values()
-            if hasattr(c, "redirect_retries")),
-        "handoffs": handoffs,
-        "writes_ok": load["writes_ok"],
-        "writes_failed": load["writes_failed"],
-        "deletes_ok": load["deletes_ok"],
-        "retired": len(load["retired"]),
-        "invariants": invariants,
-        "ok": ok,
-        "finished_at": env.sim.now,
-    }
+    return run_spine(
+        seed,
+        lambda: build_shard_env(seed, n_workers, split_threshold=split_threshold),
+        scenario,
+        settle=12.0,  # anti-entropy + handoff janitors drain
+        instrument=instrument, obs_sample=obs_sample, flight=flight)
 
 
 def format_shard_report(report: Dict) -> str:
@@ -1878,31 +1764,24 @@ def format_shard_report(report: Dict) -> str:
     lines = [
         f"shard chaos run: seed={report['seed']} workers={report['workers']} "
         f"keys={report['n_keys']} split_threshold={report['split_threshold']}",
-        "",
-        "fault schedule:",
-    ]
-    lines += [f"  {e}" for e in report["events"]] or ["  (none)"]
-    lines.append("")
-    lines.append(
+        *_fault_schedule(report),
         f"federation  : {len(report['shards'])} shards at epoch "
         f"{report['epoch']} after {report['splits']} splits: "
-        f"{', '.join(report['shards'])}")
-    lines.append(
+        f"{', '.join(report['shards'])}",
         f"migration   : {report['handoffs']} records handed off, "
         f"{report['redirects']} stale-epoch redirects fenced, "
-        f"{report['redirect_retries']} client re-routes")
-    lines.append(
+        f"{report['redirect_retries']} client re-routes",
         f"load        : {report['writes_ok']} writes ok / "
         f"{report['writes_failed']} failed, {report['deletes_ok']} deletes "
-        f"({report['retired']} keys retired)")
-    lines.append("")
-    lines.append("invariants:")
-    for name, ok, detail in report["invariants"]:
-        lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    lines.append("")
-    lines.append(f"RESULT: {'OK' if report['ok'] else 'FAILED'} "
-                 f"(simulated {report['finished_at']:.1f}s)")
-    return "\n".join(lines)
+        f"({report['retired']} keys retired)",
+    ]
+    return _verdict_table(report, lines)
+
+
+def sweep_shard(report: Dict) -> str:
+    return (f"splits={report['splits']} epoch={report['epoch']} "
+            f"redirects={report['redirects']} "
+            f"handoffs={report['handoffs']}")
 
 
 def format_heal_report(report: Dict) -> str:
@@ -1931,12 +1810,15 @@ def format_heal_report(report: Dict) -> str:
         f"(failovers {report['heartbeat_failovers']}), "
         f"snapshot catch-ups {report['snapshot_catchups']}",
         f"  sync failures by cause: {report['sync_failures'] or '{}'}",
-        "",
-        "criteria:",
     ]
-    for name, ok, detail in report["criteria"]:
-        lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    lines.append("")
-    lines.append(f"RESULT: {'OK' if report['ok'] else 'FAILED'} "
-                 f"(simulated {report['finished_at']:.1f}s)")
-    return "\n".join(lines)
+    return _verdict_table(report, lines)
+
+
+def sweep_heal(report: Dict) -> str:
+    rc = report["reconverge_s"]
+    p99 = report["control_p99"]
+    return (f"reconverge={'%.2fs' % rc if rc is not None else 'never'} "
+            f"max_batch={report['max_sync_batch']:.0f} "
+            f"ctl_p99={'%.0fms' % (p99 * 1000) if p99 is not None else 'n/a'} "
+            f"hb_fo={report['heartbeat_failovers']} "
+            f"resurrected={len(report['resurrected'])}")

@@ -2,96 +2,45 @@
 
 Subcommands:
 
-* ``run`` — one run of a scenario. ``--scenario faults`` (default)
-  builds the star site, drives the seeded fault schedule over the
-  checkpointing workload, and prints the fault timeline, recovery log,
-  and invariant table. ``--scenario overload`` saturates the same site
-  with bulk traffic instead (``--saturation N`` times capacity; pass
-  ``--static`` to disable the adaptive overload controls and see the
-  baseline behaviour) and checks that the control plane survives.
-  ``--scenario bulk`` distributes one object over the rack site's relay
-  tree while killing a relay head (and a leaf) mid-transfer, and checks
-  completion, digest verification, and exactly-once chunk commits.
-  ``--scenario heal`` partitions one catalog replica from the other two
-  for a minute of write/delete load — long enough that log compaction
-  runs behind the cut — then heals it and checks reconvergence, payload
-  bounds, and control-plane health (``--unbounded`` for the legacy
-  single-blob baseline, ``--blackout`` to crash all three replicas and
-  restore from durable snapshots instead). Exit status 0 iff every
-  invariant/criterion holds. ``--seed N`` picks the schedule; same
-  seed, same run.
+* ``run`` — one run of a scenario (``--scenario``, default ``faults``;
+  ``--help`` lists them with a one-line description each, generated
+  from :data:`repro.check.scenarios.SCENARIOS`). Prints the scenario's
+  report — fault timeline, measurements, and the invariant/criteria
+  table. Exit status 0 iff every invariant/criterion holds. ``--seed N``
+  picks the schedule; same seed, same run. Scenario-specific flags are
+  tagged ``[scenario, ...]`` in ``--help``; passing one to a scenario
+  that does not take it is a usage error (exit 2), never ignored. The
+  baselines the experiments compare against are such flags:
+  ``--static`` (overload), ``--heartbeat-only`` (gray), ``--unbounded``
+  and ``--blackout`` (heal).
 * ``sweep`` — run several seeds back to back (default: the CI seeds)
   and print one summary line each; exit non-zero if any seed fails.
 * ``bench`` — the robustness benchmarks: ``--experiment gray`` (E15,
   differential detector vs heartbeat-only; writes
-  ``BENCH_gray_goodput.json``) or ``--experiment heal`` (E16, bounded
+  ``BENCH_gray_goodput.json``), ``--experiment heal`` (E16, bounded
   anti-entropy vs the unbounded blob plus blackout restore; writes
-  ``BENCH_heal_reconvergence.json``).
+  ``BENCH_heal_reconvergence.json``) or ``--experiment catalog`` (E18,
+  sharded federation vs full replication; writes
+  ``BENCH_catalog_scale.json``).
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+import time
+from typing import Dict, List, Optional, Tuple
 
-from repro.robust.chaos import (
-    DEFAULT_SEEDS,
-    format_bulk_report,
-    format_gray_report,
-    format_heal_report,
-    format_overload_report,
-    format_report,
-    format_shard_report,
-    run_bulk_chaos,
-    run_chaos,
-    run_gray,
-    run_overload,
-    run_partition_heal,
-    run_shard_chaos,
-)
+from repro.bench import e15_gray as e15
+from repro.bench import e16_heal as e16
+from repro.bench import e18_catalog_scale as e18
+from repro.check.scenarios import SCENARIOS, add_chaos_flags, chaos_kwargs
+from repro.obs.flight import dump_flight_records
+from repro.obs.report import save_export, write_bench_json
+from repro.robust.chaos import DEFAULT_SEEDS, verdicts_of
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario",
-                   choices=("faults", "overload", "bulk", "gray", "heal",
-                            "shard"),
-                   default="faults",
-                   help="faults: crash/partition chaos (default); "
-                        "overload: bulk saturation, no crashes; "
-                        "bulk: relay-tree distribution with mid-transfer kills; "
-                        "gray: zombie replica, clock skew, corruption, "
-                        "one-way links — nothing fail-stop; "
-                        "heal: replica partitioned past the compaction "
-                        "horizon under write/delete load, then healed; "
-                        "shard: sharded catalog splitting under write load "
-                        "while a shard replica crashes and a worker is "
-                        "partitioned")
-    p.add_argument("--workers", type=int, default=4, help="worker hosts (default 4)")
-    p.add_argument("--steps", type=int, default=60,
-                   help="[faults] work units per task (default 60)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated-seconds budget "
-                        "(default: 120 for faults, 32 for overload)")
-    p.add_argument("--no-churn", action="store_true",
-                   help="[faults] disable host crash/churn")
-    p.add_argument("--no-partitions", action="store_true",
-                   help="[faults] disable segment partitions (no zombie scenarios)")
-    p.add_argument("--saturation", type=float, default=5.0,
-                   help="[overload] offered load as a multiple of site "
-                        "capacity (default 5.0)")
-    p.add_argument("--static", action="store_true",
-                   help="[overload] baseline: fixed timeouts, no breakers, "
-                        "no priority lanes")
-    p.add_argument("--heartbeat-only", action="store_true",
-                   help="[gray] baseline: health boards inert, Guardian "
-                        "trusts lapsed leases without probing")
-    p.add_argument("--unbounded", action="store_true",
-                   help="[heal] baseline: legacy single-blob rc.sync on the "
-                        "control lane, no compaction, no payload bound")
-    p.add_argument("--blackout", action="store_true",
-                   help="[heal] crash all three replicas at once instead of "
-                        "partitioning; the catalog must come back from the "
-                        "durable snapshots + journals")
+    add_chaos_flags(p)
     p.add_argument("--obs-sample", type=float, default=None, metavar="RATE",
                    help="enable tracing at this sampling rate (1.0 = every "
                         "record, 0.01 = 1-in-100; default: tracing off)")
@@ -100,83 +49,108 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                         "JSON (diffable with `python -m repro obs diff`)")
 
 
-def _run_one(seed: int, args) -> dict:
-    holder = {}
-    instrument = (
-        (lambda sim: holder.setdefault("sim", sim))
-        if getattr(args, "export", None) else None
-    )
-    if args.scenario == "bulk":
-        report = run_bulk_chaos(
-            seed,
-            duration=args.duration if args.duration is not None else 60.0,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    elif args.scenario == "overload":
-        report = run_overload(
-            seed,
-            saturation=args.saturation,
-            adaptive=not args.static,
-            instrument=instrument,
-            n_workers=args.workers,
-            duration=args.duration if args.duration is not None else 32.0,
-            obs_sample=args.obs_sample,
-        )
-    elif args.scenario == "gray":
-        report = run_gray(
-            seed,
-            n_workers=args.workers,
-            total=args.steps,
-            duration=args.duration if args.duration is not None else 40.0,
-            differential=not args.heartbeat_only,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    elif args.scenario == "heal":
-        report = run_partition_heal(
-            seed,
-            n_workers=args.workers,
-            duration=args.duration,
-            bounded=not args.unbounded,
-            blackout=args.blackout,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    elif args.scenario == "shard":
-        report = run_shard_chaos(
-            seed,
-            n_workers=min(args.workers, 3),
-            duration=args.duration if args.duration is not None else 90.0,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    else:
-        report = run_chaos(
-            seed,
-            n_workers=args.workers,
-            total=args.steps,
-            duration=args.duration if args.duration is not None else 120.0,
-            churn=not args.no_churn,
-            partitions=not args.no_partitions,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    if getattr(args, "export", None) and holder.get("sim") is not None:
-        from repro.obs.report import save_export
-
-        save_export(holder["sim"].obs.export(), args.export)
+def _run_one(seed: int, args, kwargs: Dict) -> dict:
+    run = SCENARIOS[args.scenario].chaos.run(
+        seed, obs_sample=args.obs_sample, **kwargs)
+    report = run.report
+    if args.export:
+        save_export(run.sim.obs.export(), args.export)
         print(f"metrics export written to {args.export}")
     if not report["ok"] and report.get("flight"):
-        from repro.obs.flight import dump_flight_records
-
         path = f"flight-{args.scenario}-seed{seed}.jsonl"
         n = dump_flight_records(path, report["flight"])
         print(f"flight recorder: {n} records dumped to {path}")
     return report
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+# ---------------------------------------------------------------------------
+# bench: experiment -> (run, BENCH name, default --duration, blurb)
+# ---------------------------------------------------------------------------
+# Each ``run(args, duration)`` returns ``(rows, text, ok, json_kw)``: the
+# metric rows, the table to print, the experiment's own gate, and what
+# ``write_bench_json`` takes beyond the rows.
+
+def _seed_matrix(bench_rows, fmt, summarize, gate):
+    """A bench that is one chaos scenario over ``--seeds`` x configs."""
+    def run(args, duration: float) -> Tuple:
+        rows = bench_rows(seeds=args.seeds, duration=duration)
+        summary = summarize(rows)
+        return rows, fmt(rows), gate(summary), {
+            "extra": {"summary": summary, "seeds": list(args.seeds)}}
+    return run
+
+
+def _bench_catalog(args, window: float) -> Tuple:
+    kw = {}
+    if args.names is not None:
+        kw["name_counts"] = tuple(args.names)
+    if args.clients is not None:
+        kw["n_client_hosts"] = args.clients
+    rows = e18.catalog_scale(seed=args.seeds[0], window=window, **kw)
+    skw = {}
+    if args.split_names is not None:
+        skw["n_names"] = args.split_names
+    sims = []
+    split = e18.split_under_load(
+        seed=args.seeds[0], window=min(window + 10.0, 30.0),
+        instrument=sims.append, **skw)
+    sharded = [r for r in rows if r["config"] == "sharded"]
+    # misses are a hard zero (every preloaded name must resolve);
+    # failed ops get a 0.1%-of-writes allowance — at the saturated
+    # top scale a closed-loop QUORUM write can exhaust its retry
+    # budget without indicting the federation.
+    ok = (all(r["misses"] == 0
+              and r["failed"] <= 0.001 * (r["updates"] + r["creates"])
+              for r in sharded)
+          and split["splits"] >= 1 and split["drain_s"] is not None)
+    return rows, e18.format_catalog_bench(rows, split), ok, {
+        "seed": args.seeds[0],
+        "metrics": sims[0].obs.metrics.export() if sims else None,
+        "extra": {"summary": e18.summarize(rows, split), "split": split}}
+
+
+BENCHES = {
+    "gray": (
+        _seed_matrix(
+            e15.gray_goodput, e15.format_gray_bench, e15.summarize,
+            lambda s: (s["goodput_ratio"] is not None
+                       and s["goodput_ratio"] >= 2.0
+                       and s["false_deaths_differential"] == 0)),
+        "gray_goodput", 40.0,
+        "E15, differential detector vs heartbeat-only"),
+    "heal": (
+        _seed_matrix(
+            e16.heal_reconvergence, e16.format_heal_bench, e16.summarize,
+            lambda s: (s["bounded_all_ok"] and s["blackout_all_ok"]
+                       and s["baseline_breaches_bound"]
+                       and s["blackout_resurrected"] == 0)),
+        "heal_reconvergence", 100.0,
+        "E16, bounded anti-entropy vs the unbounded blob, plus blackout "
+        "restore"),
+    "catalog": (
+        _bench_catalog, "catalog_scale", 20.0,
+        "E18, sharded federation vs full replication at 10^4-10^5 names "
+        "plus a shard split under live load"),
+}
+
+
+def _cmd_bench(args) -> int:
+    run, bench_name, default_duration, _blurb = BENCHES[args.experiment]
+    t0 = time.monotonic()
+    rows, text, ok, json_kw = run(
+        args, args.duration if args.duration is not None else default_duration)
+    print(text)
+    path = write_bench_json(
+        bench_name, rows, args.json_dir,
+        wall_s=round(time.monotonic() - t0, 2), scenario=args.experiment,
+        **json_kw)
+    print(f"\nbench json written: {path}")
+    return 0 if ok else 1
+
+
+def parse_args(argv: Optional[List[str]]) -> Tuple[argparse.Namespace, Dict]:
+    """Parse and validate a ``chaos`` command line; returns the namespace
+    and, for ``run``/``sweep``, the selected scenario's runner kwargs."""
     parser = argparse.ArgumentParser(prog="python -m repro chaos",
                                      description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -189,20 +163,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_bench = sub.add_parser(
         "bench", help="robustness benchmarks: E15 gray goodput, E16 heal "
                       "reconvergence, or E18 catalog scale")
-    p_bench.add_argument("--experiment", choices=("gray", "heal", "catalog"),
-                         default="gray",
-                         help="gray: E15, differential detector vs "
-                              "heartbeat-only; heal: E16, bounded "
-                              "anti-entropy vs the unbounded blob, plus "
-                              "blackout restore; catalog: E18, sharded "
-                              "federation vs full replication at 10^4-10^5 "
-                              "names plus a shard split under live load "
-                              "(default: gray)")
+    p_bench.add_argument(
+        "--experiment", choices=list(BENCHES), default="gray",
+        help="; ".join(f"{n}: {b[3]}" for n, b in BENCHES.items())
+             + " (default: gray)")
     p_bench.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    p_bench.add_argument("--duration", type=float, default=None,
-                         help="simulated-seconds budget per run "
-                              "(default: 40 for gray, 100 for heal, "
-                              "20 for catalog)")
+    p_bench.add_argument(
+        "--duration", type=float, default=None,
+        help="simulated-seconds budget per run (default: "
+             + ", ".join(f"{b[2]:g} for {n}" for n, b in BENCHES.items()) + ")")
     p_bench.add_argument("--names", type=int, nargs="+", default=None,
                          help="[catalog] preloaded catalog sizes per row "
                               "(default: 10000 100000)")
@@ -216,179 +185,28 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="directory for the BENCH json "
                               "(default: current directory)")
     args = parser.parse_args(argv)
-
     if args.cmd == "bench":
-        import time as _time
+        return args, {}
+    return args, chaos_kwargs(sub.choices[args.cmd], args)
 
-        from repro.obs.report import write_bench_json
 
-        if args.experiment == "catalog":
-            from repro.bench.e18_catalog_scale import (
-                catalog_scale,
-                format_catalog_bench,
-                split_under_load,
-                summarize,
-            )
+def main(argv: Optional[List[str]] = None) -> int:
+    args, kwargs = parse_args(argv)
+    if args.cmd == "bench":
+        return _cmd_bench(args)
 
-            t0 = _time.monotonic()
-            window = args.duration if args.duration is not None else 20.0
-            kw = {}
-            if args.names is not None:
-                kw["name_counts"] = tuple(args.names)
-            if args.clients is not None:
-                kw["n_client_hosts"] = args.clients
-            rows = catalog_scale(seed=args.seeds[0], window=window, **kw)
-            skw = {}
-            if args.split_names is not None:
-                skw["n_names"] = args.split_names
-            holder = {}
-            split = split_under_load(
-                seed=args.seeds[0], window=min(window + 10.0, 30.0),
-                instrument=lambda sim: holder.setdefault("sim", sim), **skw)
-            print(format_catalog_bench(rows, split))
-            metrics = (holder["sim"].obs.metrics.export()
-                       if holder.get("sim") is not None else None)
-            path = write_bench_json(
-                "catalog_scale", rows, args.json_dir,
-                wall_s=round(_time.monotonic() - t0, 2), scenario="catalog",
-                seed=args.seeds[0], metrics=metrics,
-                extra={"summary": summarize(rows, split), "split": split},
-            )
-            print(f"\nbench json written: {path}")
-            sharded = [r for r in rows if r["config"] == "sharded"]
-            # misses are a hard zero (every preloaded name must resolve);
-            # failed ops get a 0.1%-of-writes allowance — at the saturated
-            # top scale a closed-loop QUORUM write can exhaust its retry
-            # budget without indicting the federation.
-            ok = (all(r["misses"] == 0
-                      and r["failed"] <= 0.001 * (r["updates"] + r["creates"])
-                      for r in sharded)
-                  and split["splits"] >= 1 and split["drain_s"] is not None)
-            return 0 if ok else 1
-
-        if args.experiment == "heal":
-            from repro.bench.e16_heal import (
-                format_heal_bench,
-                heal_reconvergence,
-                summarize,
-            )
-
-            t0 = _time.monotonic()
-            rows = heal_reconvergence(
-                seeds=args.seeds,
-                duration=args.duration if args.duration is not None else 100.0,
-            )
-            print(format_heal_bench(rows))
-            path = write_bench_json(
-                "heal_reconvergence", rows, args.json_dir,
-                wall_s=round(_time.monotonic() - t0, 2), scenario="heal",
-                extra={"summary": summarize(rows), "seeds": list(args.seeds)},
-            )
-            print(f"\nbench json written: {path}")
-            s = summarize(rows)
-            ok = (s["bounded_all_ok"] and s["blackout_all_ok"]
-                  and s["baseline_breaches_bound"]
-                  and s["blackout_resurrected"] == 0)
-            return 0 if ok else 1
-
-        from repro.bench.e15_gray import format_gray_bench, gray_goodput, summarize
-
-        t0 = _time.monotonic()
-        rows = gray_goodput(
-            seeds=args.seeds,
-            duration=args.duration if args.duration is not None else 40.0,
-        )
-        print(format_gray_bench(rows))
-        path = write_bench_json(
-            "gray_goodput", rows, args.json_dir,
-            wall_s=round(_time.monotonic() - t0, 2), scenario="gray",
-            extra={"summary": summarize(rows), "seeds": list(args.seeds)},
-        )
-        print(f"\nbench json written: {path}")
-        s = summarize(rows)
-        ok = (s["goodput_ratio"] is not None and s["goodput_ratio"] >= 2.0
-              and s["false_deaths_differential"] == 0)
-        return 0 if ok else 1
-
+    entry = SCENARIOS[args.scenario]
     if args.cmd == "run":
-        report = _run_one(args.seed, args)
-        if args.scenario == "bulk":
-            print(format_bulk_report(report))
-        elif args.scenario == "overload":
-            print(format_overload_report(report))
-        elif args.scenario == "gray":
-            print(format_gray_report(report))
-        elif args.scenario == "heal":
-            print(format_heal_report(report))
-        elif args.scenario == "shard":
-            print(format_shard_report(report))
-        else:
-            print(format_report(report))
+        report = _run_one(args.seed, args, kwargs)
+        print(entry.render(report))
         return 0 if report["ok"] else 1
     failures = 0
     for seed in args.seeds:
-        report = _run_one(seed, args)
-        if args.scenario == "bulk":
-            bad = [name for name, ok, _ in report["invariants"] if not ok]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"completed={report['completed']}/{report['hosts']} "
-                f"crashes={report['crashes']} "
-                f"retries={report['chunk_retries']} "
-                f"goodput={report['aggregate_goodput'] / 1e6:.1f}MB/s "
-                + (f"failed: {bad}" if bad else "")
-            )
-        elif args.scenario == "overload":
-            bad = [name for name, ok, _ in report["criteria"] if not ok]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"goodput={report['goodput_ops_s']:.1f}/s "
-                f"control_p99={report['control_p99_s'] * 1000:.0f}ms "
-                f"deaths={report['deaths_declared']} "
-                f"hb_failed={report['heartbeats_failed']} "
-                + (f"failed: {bad}" if bad else "")
-            )
-        elif args.scenario == "heal":
-            bad = [name for name, ok, _ in report["criteria"] if not ok]
-            rc = report["reconverge_s"]
-            p99 = report["control_p99"]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"reconverge={'%.2fs' % rc if rc is not None else 'never'} "
-                f"max_batch={report['max_sync_batch']:.0f} "
-                f"ctl_p99={'%.0fms' % (p99 * 1000) if p99 is not None else 'n/a'} "
-                f"hb_fo={report['heartbeat_failovers']} "
-                f"resurrected={len(report['resurrected'])} "
-                + (f"failed: {bad}" if bad else "")
-            )
-        elif args.scenario == "shard":
-            bad = [name for name, ok, _ in report["invariants"] if not ok]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"splits={report['splits']} epoch={report['epoch']} "
-                f"redirects={report['redirects']} "
-                f"handoffs={report['handoffs']} "
-                + (f"failed: {bad}" if bad else "")
-            )
-        elif args.scenario == "gray":
-            bad = [name for name, ok, _ in report["criteria"] if not ok]
-            det = report["detection_s"]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"goodput={report['goodput_ops_s']:.1f}/s "
-                f"detect={'%.2fs' % det if det is not None else 'never'} "
-                f"false_deaths={report['false_lease_deaths']} "
-                f"saved={report['probe_saved']} "
-                + (f"failed: {bad}" if bad else "")
-            )
-        else:
-            bad = [name for name, ok, _ in report["invariants"] if not ok]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"recoveries={len(report['recoveries'])} "
-                f"fenced={report['msgs_fenced']} "
-                + (f"failed: {bad}" if bad else "")
-            )
+        report = _run_one(seed, args, kwargs)
+        bad = [name for name, ok, _ in verdicts_of(report)[1] if not ok]
+        print(f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
+              f"{entry.sweep_line(report)} "
+              + (f"failed: {bad}" if bad else ""))
         failures += 0 if report["ok"] else 1
     return 0 if failures == 0 else 1
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.check.explore import (
+from repro.check import (
     ExplorationScheduler,
     FaultEvent,
     sample_fault_plan,

@@ -1,5 +1,7 @@
 """Unit tests for the deterministic kernel profiler."""
 
+import pytest
+
 from repro.obs.cli import demo_scenario
 from repro.obs.prof import (
     KernelProfiler,
@@ -134,3 +136,15 @@ def test_profile_scenario_demo_end_to_end():
     assert result["profile"]["events"] > 0
     assert len(result["profile"]["top"]) == 3
     assert result["flame"]["value"] >= 0
+
+
+def test_profile_scenario_takes_any_table_scenario():
+    """Chaos scenarios are looked up in the scenario table (preset merged
+    under the caller's overrides); ``chaos`` was the old private spelling
+    of ``faults`` and is gone."""
+    result = profile_scenario("bulk", seed=1, object_kb=128)
+    assert result["ok"] and result["profile"]["events"] > 0
+    assert "bulk-fetch" in [
+        r["subsystem"] for r in result["profile"]["by_subsystem"]]
+    with pytest.raises(ValueError, match="faults"):
+        profile_scenario("chaos")

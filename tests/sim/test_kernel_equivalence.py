@@ -69,7 +69,7 @@ def test_demo_scenario_identical_across_kernels(monkeypatch, seed):
 # ---------------------------------------------------------------------------
 
 def _check_fingerprint(scenario: str, seed: int, records) -> str:
-    from repro.check.explore import run_check
+    from repro.check import run_check
 
     kwargs = {"duration": 30.0}
     if scenario != "bulk":

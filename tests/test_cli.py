@@ -1,8 +1,12 @@
 """Smoke tests for the ``python -m repro`` command-line interface."""
 
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
+import pytest
 
 
 def run_cli(*args, timeout=120):
@@ -61,3 +65,56 @@ def test_obs_report_renders_saved_export_and_diff(tmp_path):
     assert diff.returncode == 0
     assert "delta" in diff.stdout
     assert "transport.retransmits" in diff.stdout
+
+
+# ---------------------------------------------------------------------------
+# chaos / check flag validation (flags are declared per scenario-table entry)
+# ---------------------------------------------------------------------------
+
+def test_chaos_rejects_flags_the_scenario_does_not_take():
+    """Every baseline flag here belongs to another scenario; the CLI used
+    to run plain ``faults`` and exit 0."""
+    result = run_cli("chaos", "run", "--scenario", "faults", "--static",
+                     "--blackout", "--unbounded", "--heartbeat-only",
+                     "--saturation", "9")
+    assert result.returncode == 2
+    for flag in ("--static", "--blackout", "--unbounded", "--heartbeat-only",
+                 "--saturation"):
+        assert flag in result.stderr
+    assert "overload" in result.stderr  # names the scenarios that take them
+
+
+@pytest.mark.parametrize("cli", ["chaos", "check"])
+def test_shard_rejects_more_workers_than_its_site_has(cli):
+    result = run_cli(cli, "run", "--scenario", "shard", "--workers", "4")
+    assert result.returncode == 2
+    assert "--workers 4" in result.stderr
+
+
+def _documented_commands(verb):
+    """Every ``python -m repro <verb> run|sweep ...`` line in README.md and
+    ci.yml (CI's ``for s in ...`` loops are expanded over the table)."""
+    from repro.check.scenarios import SCENARIOS
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text() + (
+        root / ".github" / "workflows" / "ci.yml").read_text()
+    text = re.sub(r"\s*\n\s+(?=--)", " ", text)  # ci.yml folds long commands
+    found = set()
+    for m in re.finditer(rf"python -m repro {verb} ((?:run|sweep)[^\n#`;]*)", text):
+        line = m.group(1).rstrip('" ')  # `run: "! ... "` steps end in a quote
+        for name in (SCENARIOS if '"$s"' in line else [None]):
+            found.add(tuple(shlex.split(line.replace('"$s"', str(name)))))
+    return sorted(found)
+
+
+def test_every_documented_chaos_and_check_command_still_parses():
+    from repro.check import cli as check_cli
+    from repro.robust import cli as chaos_cli
+
+    chaos, check = _documented_commands("chaos"), _documented_commands("check")
+    assert len(chaos) >= 10 and len(check) >= 8  # the scan found them
+    for argv in chaos:
+        chaos_cli.parse_args(list(argv))  # SystemExit(2) would fail the test
+    for argv in check:
+        check_cli.parse_args(list(argv))

@@ -1,0 +1,69 @@
+"""The scenario table is complete, and it is the only list of scenarios."""
+
+import argparse
+
+from repro.check import BUGS, SCENARIOS
+from repro.check import cli as check_cli
+from repro.check.scenarios import CHAOS_FLAGS
+from repro.obs import cli as obs_cli
+from repro.robust import cli as chaos_cli
+from repro.robust.spine import Run
+from tests.replay import SCENARIOS as GOLDEN_SCENARIOS
+
+
+def test_every_entry_declares_every_role():
+    for name, s in SCENARIOS.items():
+        for role in (s.chaos, s.chaos.run, s.check, s.plan, s.render,
+                     s.sweep_line, s.check_line):
+            assert callable(role), name
+        assert s.blurb and s.flags, name
+        assert set(s.flags) <= set(CHAOS_FLAGS), name
+        assert "duration" in s.flags, name  # every run has a time budget
+
+
+def _scenario_choices(parser, *path):
+    """The ``--scenario`` choices of the subcommand at *path*."""
+    for word in path:
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return next(a for a in parser._actions if a.dest == "scenario").choices
+
+
+def test_cli_scenario_choices_are_the_tables_keys(monkeypatch):
+    parsers = {}
+    orig = argparse.ArgumentParser.parse_args
+
+    def capture(self, args=None, namespace=None):
+        parsers[self.prog] = self
+        return orig(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    chaos_cli.parse_args(["run"])
+    check_cli.parse_args(["run"])
+    monkeypatch.setattr(obs_cli, "_cmd_report", lambda args: 0)
+    obs_cli.main(["report"])
+    names = list(SCENARIOS)
+    for verb in ("run", "sweep"):
+        assert list(_scenario_choices(parsers["python -m repro chaos"], verb)) == names
+        assert list(_scenario_choices(parsers["python -m repro check"], verb)) == names
+    assert list(_scenario_choices(parsers["python -m repro obs"], "profile")) \
+        == ["demo", *names]
+
+
+def test_every_seeded_bug_belongs_to_exactly_one_scenario():
+    claimed = [bug for s in SCENARIOS.values() for bug in s.bugs]
+    assert sorted(claimed) == sorted(BUGS)
+
+
+def test_golden_digests_cover_every_scenario():
+    assert sorted(GOLDEN_SCENARIOS) == sorted(SCENARIOS)
+
+
+def test_run_hands_back_the_sim_next_to_the_report():
+    """``run_*`` returns the report; ``run_*.run`` the whole Run — what
+    replaced the ``holder`` sim-capture idiom."""
+    run = SCENARIOS["bulk"].chaos.run(1, object_kb=128, flight=False)
+    assert isinstance(run, Run) and run.report["ok"]
+    assert run.sim.now == run.report["finished_at"]
+    assert run.sim.obs.metrics.export()["counters"]
