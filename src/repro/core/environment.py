@@ -31,7 +31,6 @@ from repro.rcds.shard import ROOT_SID, ShardedRCClient, ShardManager, ShardRCSer
 from repro.rm.client import RmClient
 from repro.rm.manager import ResourceManager
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import TraceMonitor
 
 
 class SnipeEnvironment:
@@ -41,7 +40,6 @@ class SnipeEnvironment:
         self.sim = Simulator(seed=seed)
         self.topology = Topology(self.sim)
         self.programs = ProgramRegistry()
-        self.monitor = TraceMonitor(self.sim)
         self.failures = FailureInjector(self.sim, self.topology)
         self.secret = secret
         self.rc_replicas: List[Tuple[str, int]] = []

@@ -17,10 +17,11 @@ Two replication patterns from the paper:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.rcds import uri as uri_mod
 from repro.rcds.client import QUORUM, RCClient
+from repro.robust.replicas import discover
 
 
 def make_replicated_process(rc: RCClient, pseudo_name: str, group: str):
@@ -56,9 +57,4 @@ def make_replicated_service(rc: RCClient, service: str, locations: Sequence[Tupl
 
 def service_locations(rc: RCClient, service: str):
     """Resolve a replicated service's current locations (a process)."""
-
-    def resolve() -> List[Tuple[str, int]]:
-        assertions = yield rc.lookup(uri_mod.service_urn(service))
-        return uri_mod.locations_of(assertions)
-
-    return rc.sim.process(resolve(), name=f"service-locations:{service}")
+    return rc.sim.process(discover(rc, service), name=f"service-locations:{service}")

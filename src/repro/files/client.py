@@ -7,15 +7,15 @@ to the next-closest replica when a server is dead or a copy corrupt.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.files.server import FILE_PORT
 from repro.rcds import uri as uri_mod
 from repro.rcds.client import RCClient
 from repro.rcds.lifn import LifnRegistry
 from repro.robust import TIMEOUTS
+from repro.robust.replicas import ReplicaClient, discover
 from repro.robust.retry import RetryPolicy
-from repro.rpc import RpcClient, RpcError
 from repro.security.hashes import content_hash
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,7 +26,7 @@ class FileError(Exception):
     """No replica reachable, or all reachable replicas failed integrity."""
 
 
-class FileClient:
+class FileClient(ReplicaClient):
     """File operations from one host against the replicated file service."""
 
     def __init__(
@@ -36,25 +36,17 @@ class FileClient:
         secret: Optional[bytes] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        self.sim = host.sim
-        self.host = host
+        # *retry* governs rounds over the replica set: a round where
+        # every replica fails (FileError) is retried under it.
+        super().__init__(host, "file", secret, retry)
         self.rc = rc
         self.lifns = LifnRegistry(rc)
-        self._rpc = RpcClient(host, secret=secret)
         self.integrity_failures = 0
-        #: Rounds over the replica set; a round where every replica fails
-        #: (FileError) is retried under this policy.
-        self.retry = retry or RetryPolicy.single()
-        self._rng = host.sim.rng.stream(f"file-client.{host.name}")
 
     # -- server discovery ---------------------------------------------------
     def file_servers(self):
         """Registered file servers as (host, port) pairs (a process)."""
-        return self.sim.process(self._file_servers(), name="fs-discover")
-
-    def _file_servers(self) -> List:
-        assertions = yield self.rc.lookup(uri_mod.service_urn("fileserver"))
-        return uri_mod.locations_of(assertions)
+        return self.sim.process(discover(self.rc, "fileserver"), name="fs-discover")
 
     # -- write ------------------------------------------------------------------
     def write(self, lifn: str, payload: Any, size: int, server: Optional[tuple] = None):
@@ -62,34 +54,38 @@ class FileClient:
         return self.sim.process(self._write(lifn, payload, size, server), name=f"fwrite:{lifn}")
 
     def _write(self, lifn: str, payload: Any, size: int, server: Optional[tuple]):
+        args = {"timeout": TIMEOUTS["file.put"], "_size": size,
+                "name": lifn, "payload": payload, "size": size}
+
         def one_round(_attempt: int):
             target = server
             if target is None:
-                servers = yield from self._file_servers()
+                servers = yield from discover(self.rc, "fileserver")
                 if not servers:
                     raise FileError("no file servers registered")
                 local = [s for s in servers if s[0] == self.host.name]
                 target = local[0] if local else servers[0]
-            try:
-                result = yield self._rpc.call(
-                    target[0], target[1], "file.put",
-                    timeout=TIMEOUTS["file.put"], _size=size,
-                    name=lifn, payload=payload, size=size,
-                )
-            except RpcError as exc:
-                raise FileError(f"write {lifn!r} to {target}: {exc}") from None
-            return result
+            # One chosen server, no failover: a write lands where asked.
+            done, errors = yield from self.walk([target], "file.put", args)
+            if not done:
+                raise FileError(f"write {lifn!r} to {target}: {errors[0][1]}")
+            return done[0][1]
 
-        return (
-            yield from self.retry.run(
-                self.sim, one_round, retry_on=(FileError,), rng=self._rng, op="file.put"
-            )
-        )
+        return self.rounds(one_round, (FileError,), op="file.put")
 
     # -- read ---------------------------------------------------------------------
     def read(self, lifn: str, verify: bool = True):
         """Fetch *lifn* from the closest replica, verifying integrity."""
         return self.sim.process(self._read(lifn, verify), name=f"fread:{lifn}")
+
+    def _distance(self, server_host: str) -> int:
+        """Closest-first (§6): this host, then a shared segment, then the rest."""
+        if server_host == self.host.name:
+            return 0
+        topo = self.host.topology
+        if server_host in topo.hosts and topo.shared_segments(self.host.name, server_host):
+            return 1
+        return 2
 
     def _read(self, lifn: str, verify: bool):
         def one_round(_attempt: int):
@@ -97,59 +93,28 @@ class FileClient:
             if not locations:
                 raise FileError(f"no replicas registered for {lifn!r}")
             expected_hash = yield self.lifns.content_hash(lifn)
-            # Closest-first ordering (§6).
-            topo = self.host.topology
 
-            def rank(url: str) -> tuple:
-                h = uri_mod.host_of(url)
-                # A replica behind an open circuit breaker or a health
-                # quarantine sorts after every healthy one at any
-                # distance: quarantine first, topology second.
-                sick = bool(h) and (
-                    self._rpc.breaker_open(h, FILE_PORT)
-                    or self.host.health.is_quarantined(h)
-                )
-                if h == self.host.name:
-                    return (sick, 0)
-                if h in topo.hosts and topo.shared_segments(self.host.name, h):
-                    return (sick, 1)
-                return (sick, 2)
-
-            errors = []
-            for url in sorted(locations, key=lambda u: (rank(u), u)):
-                server_host = uri_mod.host_of(url)
-                if server_host is None:
-                    continue
-                try:
-                    result = yield self._rpc.call(
-                        server_host, FILE_PORT, "file.get",
-                        timeout=TIMEOUTS["file.get"], name=lifn
-                    )
-                except RpcError as exc:
-                    errors.append(f"{url}: {exc}")
-                    continue
+            def intact(_replica, result) -> Optional[str]:
                 if verify and expected_hash is not None:
                     if content_hash(result["payload"]) != expected_hash:
                         self.integrity_failures += 1
-                        errors.append(f"{url}: integrity check failed")
-                        continue
-                result["location"] = url
-                return result
-            raise FileError(f"all replicas of {lifn!r} failed: {errors}")
+                        return "integrity check failed"
+                return None
 
-        return (
-            yield from self.retry.run(
-                self.sim, one_round, retry_on=(FileError,), rng=self._rng, op="file.get"
+            # Sick replicas sort after every healthy one at any distance:
+            # quarantine first, topology second, URL as the tie-break.
+            located = [(uri_mod.host_of(url), url) for url in locations]
+            nearest = sorted((self._distance(h), url, h) for h, url in located if h is not None)
+            replicas = self.sick_last([(h, FILE_PORT, url) for _, url, h in nearest])
+            done, errors = yield from self.walk(
+                replicas, "file.get", {"timeout": TIMEOUTS["file.get"], "name": lifn},
+                accept=intact,
             )
-        )
+            if not done:
+                errors = [f"{replica[2]}: {why}" for replica, why in errors]
+                raise FileError(f"all replicas of {lifn!r} failed: {errors}")
+            (replica, result), = done
+            result["location"] = replica[2]
+            return result
 
-    # -- sink/source conveniences (§5.9) ------------------------------------------
-    def open_write(self, lifn: str, server_host: str, file_server) -> tuple:
-        """Spawn a sink on *file_server*; returns (host, port, done_event).
-
-        "Opening a file for writing thus consists of spawning a file sink
-        process" — the caller then sends ordinary SNIPE messages to
-        (host, port) and an EOF to close.
-        """
-        port, done = file_server.spawn_sink(lifn)
-        return server_host, port, done
+        return self.rounds(one_round, (FileError,), op="file.get")

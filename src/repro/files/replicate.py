@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.files.server import FileServer
 from repro.rcds import uri as uri_mod
+from repro.robust.replicas import discover
 from repro.rpc import RpcClient, RpcError
 from repro.sim.errors import Interrupt
 
@@ -72,7 +73,7 @@ class ReplicationDaemon:
         self._last_gets[name] = vf.gets
         try:
             locations = yield self.server.lifns.locations(name)
-            servers = yield from self._peer_servers()
+            servers = yield from discover(self.server.rc, "fileserver")
         except Exception:
             return
         target = self.redundancy
@@ -103,15 +104,6 @@ class ReplicationDaemon:
                     yield self.server.lifns.unbind(name, our_url)
                 except Exception:
                     pass
-
-    def _peer_servers(self):
-        assertions = yield self.server.rc.lookup(uri_mod.service_urn("fileserver"))
-        out = []
-        for key, info in assertions.items():
-            if key.startswith("location:") and info["value"]:
-                hostname, port = key[len("location:"):].rsplit(":", 1)
-                out.append((hostname, int(port)))
-        return sorted(out)
 
     def close(self) -> None:
         if self._proc.is_alive:

@@ -45,6 +45,7 @@ from repro.rcds.client import QUORUM, RCClient
 from repro.rm.client import RmClient
 from repro.robust.health import HealthBoard
 from repro.robust.overload import CONTROL
+from repro.robust.replicas import discover
 from repro.robust.retry import RetryPolicy
 from repro.rpc import RpcClient, RpcError, RpcServer
 from repro.sim.events import defuse
@@ -250,16 +251,10 @@ class Guardian:
     def _live_guardians(self, dead):
         """Guardian hosts registered in the catalog, minus dead ones."""
         try:
-            assertions = yield self.rc.lookup(uri_mod.service_urn("guardian"), lane=CONTROL)
+            guardians = yield from discover(self.rc, "guardian", CONTROL)
         except Exception:
             return [self.host.name]
-        out = []
-        for key, info in assertions.items():
-            if key.startswith("location:") and info["value"]:
-                hostname = key[len("location:"):].rsplit(":", 1)[0]
-                if hostname not in dead:
-                    out.append(hostname)
-        return sorted(set(out)) or [self.host.name]
+        return sorted({h for h, _port in guardians if h not in dead}) or [self.host.name]
 
     def _owns(self, urn: str, live_guardians: List[str]) -> bool:
         idx = zlib.crc32(urn.encode()) % len(live_guardians)

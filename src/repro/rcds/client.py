@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.robust import TIMEOUTS
 from repro.robust.overload import BULK
-from repro.robust.retry import RetryPolicy
-from repro.rpc import RpcClient, RpcError
+from repro.robust.replicas import ReplicaClient
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -35,7 +34,45 @@ class ConsistencyError(Exception):
     """Not enough replicas answered to satisfy the consistency level."""
 
 
-class RCClient:
+class CatalogClient:
+    """The catalog API (every call returns a sim process; use with
+    ``yield``), once for the plain and the sharded client: a subclass
+    supplies the ``_lookup``/``_update``/``_delete`` generators."""
+
+    def lookup(self, uri: str, consistency: str = ONE, lane: str = BULK):
+        return self.sim.process(
+            self._lookup(uri, consistency, lane), name=f"rc.lookup:{uri}"
+        )
+
+    def update(self, uri: str, assertions: Dict[str, Any], consistency: str = ONE,
+               lane: str = BULK):
+        return self.sim.process(
+            self._update(uri, assertions, consistency, lane), name=f"rc.update:{uri}"
+        )
+
+    def delete(self, uri: str, keys: Optional[List[str]] = None, consistency: str = ONE,
+               lane: str = BULK):
+        return self.sim.process(
+            self._delete(uri, keys, consistency, lane), name=f"rc.delete:{uri}"
+        )
+
+    def get(self, uri: str, key: str, consistency: str = ONE, lane: str = BULK):
+        """One assertion's value (or None)."""
+        return self.sim.process(
+            self._get(uri, key, consistency, lane), name=f"rc.get:{uri}"
+        )
+
+    def _get(self, uri: str, key: str, consistency: str, lane: str = BULK):
+        assertions = yield self.lookup(uri, consistency, lane=lane)
+        info = assertions.get(key)
+        return info["value"] if info else None
+
+    def set(self, uri: str, key: str, value: Any, consistency: str = ONE,
+            lane: str = BULK):
+        return self.update(uri, {key: value}, consistency, lane=lane)
+
+
+class RCClient(CatalogClient, ReplicaClient):
     """Client-side access to a set of RC replicas from one host."""
 
     def __init__(
@@ -44,24 +81,13 @@ class RCClient:
         replicas: List[Tuple[str, int]],
         secret: Optional[bytes] = None,
         rpc_timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         if not replicas:
             raise ValueError("RCClient needs at least one replica address")
-        self.sim = host.sim
-        self.host = host
+        super().__init__(host, "rc", secret, counter="rcds.failovers")
         self.replicas = list(replicas)
         self.rpc_timeout = rpc_timeout if rpc_timeout is not None else TIMEOUTS["rc.call"]
-        #: Temporal retry discipline: each *round* tries every candidate
-        #: replica once; the policy decides whether a failed round is
-        #: retried (with backoff) or surfaces as ConsistencyError. The
-        #: default single-round policy matches the historical behaviour.
-        self.retry = retry or RetryPolicy.single()
-        self._rpc = RpcClient(host, secret=secret)
-        self._rng = host.sim.rng.stream(f"rc-client.{host.name}")
-        self.failovers = 0
         metrics = self.sim.obs.metrics
-        self._m_failovers = metrics.counter("rcds.failovers")
         self._m_lookup_latency = metrics.histogram("rcds.lookup_latency")
         self._m_update_latency = metrics.histogram("rcds.update_latency")
 
@@ -77,66 +103,29 @@ class RCClient:
         raise ValueError(f"unknown consistency level {consistency!r}")
 
     def _candidate_order(self) -> List[Tuple[str, int]]:
-        """Local replica first (closest-resource heuristic), then random —
-        but replicas under an open circuit breaker or a health-board
-        quarantine sink to the back, so a sick or zombie server is only
-        tried once every healthy one failed. The health board catches
-        what the breaker can't: a replica that answers *some* traffic
-        (heartbeats, the occasional call) while failing most work."""
+        """Local replica first (closest-resource heuristic), then random;
+        sick replicas last."""
         local = [r for r in self.replicas if r[0] == self.host.name]
         rest = [r for r in self.replicas if r[0] != self.host.name]
-        self._rng.shuffle(rest)
-        order = local + rest
-        health = self.host.health
-
-        def sick(r: Tuple[str, int]) -> bool:
-            return self._rpc.breaker_open(*r) or health.is_quarantined(r[0])
-
-        # Deliberately no sort-by-score among the healthy: ordering by a
-        # continuously-updated score makes every client herd onto the
-        # momentarily-best replica, which is worse under plain overload.
-        # Quarantine is a binary demotion; the shuffle keeps the load
-        # spread across everything above the bar.
-        return [r for r in order if not sick(r)] + [r for r in order if sick(r)]
+        self.rng.shuffle(rest)
+        return self.sick_last(local + rest)
 
     def _fanout(self, method: str, need: int, targets: List[Tuple[str, int]],
                 lane: str = BULK, **args):
-        """Call *method* on successive replicas until *need* succeed.
-
-        One round walks every candidate; ``self.retry`` decides whether a
-        failed round (ConsistencyError) is re-attempted with backoff.
-        """
+        """Call *method* on successive replicas until *need* succeed."""
+        args.update(timeout=self.rpc_timeout, lane=lane)
 
         def one_round(_attempt: int):
-            results = []
-            for rhost, rport in targets:
-                try:
-                    result = yield self._rpc.call(
-                        rhost, rport, method, timeout=self.rpc_timeout, lane=lane, **args
-                    )
-                    results.append(((rhost, rport), result))
-                    if len(results) >= need:
-                        return results
-                except RpcError:
-                    self.failovers += 1
-                    self._m_failovers.inc()
-            raise ConsistencyError(
-                f"{method}: only {len(results)}/{need} replicas reachable"
-            )
+            done, _ = yield from self.walk(targets, method, args, need)
+            if len(done) < need:
+                raise ConsistencyError(
+                    f"{method}: only {len(done)}/{need} replicas reachable"
+                )
+            return done
 
-        return (
-            yield from self.retry.run(
-                self.sim, one_round, retry_on=(ConsistencyError,),
-                rng=self._rng, op=method,
-            )
-        )
+        return self.rounds(one_round, (ConsistencyError,), op=method)
 
-    # -- public API (all return sim processes; use with ``yield``) ----------
-    def lookup(self, uri: str, consistency: str = ONE, lane: str = BULK):
-        return self.sim.process(
-            self._lookup(uri, consistency, lane), name=f"rc.lookup:{uri}"
-        )
-
+    # -- the catalog verbs (generators; CatalogClient wraps them) -----------
     def _lookup(self, uri: str, consistency: str, lane: str = BULK):
         need = self._required(consistency)
         targets = self._candidate_order()
@@ -153,39 +142,24 @@ class RCClient:
                     merged[key] = info
         return merged
 
-    def update(self, uri: str, assertions: Dict[str, Any], consistency: str = ONE,
-               lane: str = BULK):
-        return self.sim.process(
-            self._update(uri, assertions, consistency, lane), name=f"rc.update:{uri}"
-        )
-
     def _update(self, uri: str, assertions: Dict[str, Any], consistency: str,
                 lane: str = BULK):
-        need = self._required(consistency)
-        if consistency == MASTER:
-            targets = [self.replicas[0]]  # single-master baseline: no failover
-        else:
-            targets = self._candidate_order()
         t0 = self.sim.now
-        results = yield from self._fanout(
-            "rc.update", need, targets, lane=lane, uri=uri, assertions=assertions
+        result = yield from self._mutate(
+            "rc.update", consistency, lane, uri=uri, assertions=assertions
         )
         self._m_update_latency.observe(self.sim.now - t0)
-        return results[0][1]
-
-    def delete(self, uri: str, keys: Optional[List[str]] = None, consistency: str = ONE,
-               lane: str = BULK):
-        return self.sim.process(
-            self._delete(uri, keys, consistency, lane), name=f"rc.delete:{uri}"
-        )
+        return result
 
     def _delete(self, uri: str, keys: Optional[List[str]], consistency: str,
                 lane: str = BULK):
+        return self._mutate("rc.delete", consistency, lane, uri=uri, keys=keys)
+
+    def _mutate(self, method: str, consistency: str, lane: str, **args):
         need = self._required(consistency)
+        # MASTER is the single-master baseline: replica 0 only, no failover.
         targets = [self.replicas[0]] if consistency == MASTER else self._candidate_order()
-        results = yield from self._fanout(
-            "rc.delete", need, targets, lane=lane, uri=uri, keys=keys
-        )
+        results = yield from self._fanout(method, need, targets, lane=lane, **args)
         return results[0][1]
 
     def query(self, prefix: str, lane: str = BULK,
@@ -211,32 +185,9 @@ class RCClient:
         return self.sim.process(self._stats(lane), name="rc.stats")
 
     def _stats(self, lane: str = BULK):
-        out: Dict[str, Dict[str, Any]] = {}
-        for rhost, rport in self._candidate_order():
-            try:
-                stats = yield self._rpc.call(
-                    rhost, rport, "rc.stats", timeout=self.rpc_timeout, lane=lane
-                )
-                out[stats["server_id"]] = stats
-            except RpcError:
-                continue
-        return out
-
-    # -- convenience -----------------------------------------------------------
-    def get(self, uri: str, key: str, consistency: str = ONE, lane: str = BULK):
-        """One assertion's value (or None)."""
-        return self.sim.process(
-            self._get(uri, key, consistency, lane), name=f"rc.get:{uri}"
+        targets = self._candidate_order()
+        done, _ = yield from self.walk(
+            targets, "rc.stats", {"timeout": self.rpc_timeout, "lane": lane},
+            need=len(targets),
         )
-
-    def _get(self, uri: str, key: str, consistency: str, lane: str = BULK):
-        assertions = yield self.lookup(uri, consistency, lane=lane)
-        info = assertions.get(key)
-        return info["value"] if info else None
-
-    def set(self, uri: str, key: str, value: Any, consistency: str = ONE,
-            lane: str = BULK):
-        return self.update(uri, {key: value}, consistency, lane=lane)
-
-    def close(self) -> None:
-        self._rpc.close()
+        return {stats["server_id"]: stats for _, stats in done}

@@ -4,7 +4,7 @@ Callers keep the exact RCClient API (lookup/update/delete/query/get/
 set/stats, consistency levels, lanes); underneath, every operation is
 routed by the cached shard map to an :class:`RCClient` over the owning
 shard's replica group. The map is fetched from the root directory group
-(QUORUM when possible), cached for ``map_ttl`` seconds, and refreshed
+(QUORUM when possible), cached for ``MAP_TTL`` seconds, and refreshed
 early whenever an operation fails against a whole group — the signature
 of an epoch-fenced redirect. If the refreshed map carries a newer
 epoch, the operation re-routes and retries; if the epoch did not move,
@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.rcds.client import ONE, QUORUM, ConsistencyError, RCClient
-from repro.rcds.shard.map import MAP_KEY, MAP_URI, ShardInfo, ShardMap
+from repro.rcds.client import ONE, QUORUM, CatalogClient, ConsistencyError, RCClient
+from repro.rcds.shard.map import MAP_KEY, MAP_URI, ShardMap
 from repro.robust.overload import BULK, CONTROL
-from repro.robust.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -33,11 +32,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Page size for scatter-gather prefix queries.
 QUERY_PAGE = 256
 
+#: Seconds a fetched shard map is trusted before the next operation
+#: re-reads it from the root group.
+MAP_TTL = 5.0
+
 #: Routed-operation attempts: first try + retries after map refreshes.
 _MAX_REROUTES = 3
 
 
-class ShardedRCClient:
+class ShardedRCClient(CatalogClient):
     """Client-side access to the federated catalog from one host."""
 
     def __init__(
@@ -45,27 +48,19 @@ class ShardedRCClient:
         host: "Host",
         root_replicas: List[Tuple[str, int]],
         secret: Optional[bytes] = None,
-        rpc_timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-        map_ttl: float = 5.0,
-        query_page: int = QUERY_PAGE,
     ) -> None:
         if not root_replicas:
             raise ValueError("ShardedRCClient needs at least one root replica")
         self.sim = host.sim
         self.host = host
         self.secret = secret
-        self.rpc_timeout = rpc_timeout
-        self.retry = retry
-        self.map_ttl = map_ttl
-        self.query_page = query_page
         self.root_replicas = [tuple(r) for r in root_replicas]
         #: Surface compatibility with RCClient (callers introspect this).
         self.replicas = list(self.root_replicas)
         self.map: ShardMap = ShardMap.initial(self.root_replicas)
         self._map_fetched = -1e18
         self._clients: Dict[Tuple[Tuple[str, int], ...], RCClient] = {}
-        self._root = self._client_for_replicas(tuple(self.root_replicas))
+        self._root = self._client_for(self.root_replicas)
         self.redirect_retries = 0
         metrics = self.sim.obs.metrics
         self._m_redirect_retries = metrics.counter("rcds.redirect_retries")
@@ -73,23 +68,20 @@ class ShardedRCClient:
         self._m_fanout = metrics.histogram("rcds.query_fanout")
 
     # -- plumbing -----------------------------------------------------------
-    def _client_for_replicas(self, replicas: Tuple[Tuple[str, int], ...]) -> RCClient:
-        client = self._clients.get(replicas)
+    def _client_for(self, replicas) -> RCClient:
+        """The (cached) RCClient over one shard's replica group."""
+        key = tuple(tuple(r) for r in replicas)
+        client = self._clients.get(key)
         if client is None:
-            client = RCClient(self.host, list(replicas), secret=self.secret,
-                              rpc_timeout=self.rpc_timeout, retry=self.retry)
-            self._clients[replicas] = client
+            client = self._clients[key] = RCClient(self.host, list(key), secret=self.secret)
         return client
-
-    def _client_for(self, info: ShardInfo) -> RCClient:
-        return self._client_for_replicas(tuple(tuple(r) for r in info.replicas))
 
     @property
     def failovers(self) -> int:
         return sum(c.failovers for c in self._clients.values())
 
     def _ensure_map(self, force: bool = False):
-        if not force and self.sim.now - self._map_fetched < self.map_ttl:
+        if not force and self.sim.now - self._map_fetched < MAP_TTL:
             return
         self._map_fetched = self.sim.now
         self._m_map_refreshes.inc()
@@ -111,7 +103,7 @@ class ShardedRCClient:
         and re-routing when the whole group refuses (epoch redirect)."""
         yield from self._ensure_map()
         for _attempt in range(_MAX_REROUTES):
-            client = self._client_for(self.map.owner(uri))
+            client = self._client_for(self.map.owner(uri).replicas)
             try:
                 return (yield from op(client))
             except ConsistencyError:
@@ -123,23 +115,17 @@ class ShardedRCClient:
                 self._m_redirect_retries.inc()
         raise ConsistencyError(f"shard map unstable for {uri}")
 
-    # -- public API (all return sim processes; use with ``yield``) ----------
-    def lookup(self, uri: str, consistency: str = ONE, lane: str = BULK):
-        return self.sim.process(
-            self._routed(uri, lambda c: c._lookup(uri, consistency, lane)),
-            name=f"rc.lookup:{uri}")
+    # -- the catalog verbs (generators; CatalogClient wraps them) -----------
+    def _lookup(self, uri: str, consistency: str, lane: str = BULK):
+        return self._routed(uri, lambda c: c._lookup(uri, consistency, lane))
 
-    def update(self, uri: str, assertions: Dict[str, Any],
-               consistency: str = ONE, lane: str = BULK):
-        return self.sim.process(
-            self._routed(uri, lambda c: c._update(uri, assertions, consistency, lane)),
-            name=f"rc.update:{uri}")
+    def _update(self, uri: str, assertions: Dict[str, Any], consistency: str,
+                lane: str = BULK):
+        return self._routed(uri, lambda c: c._update(uri, assertions, consistency, lane))
 
-    def delete(self, uri: str, keys: Optional[List[str]] = None,
-               consistency: str = ONE, lane: str = BULK):
-        return self.sim.process(
-            self._routed(uri, lambda c: c._delete(uri, keys, consistency, lane)),
-            name=f"rc.delete:{uri}")
+    def _delete(self, uri: str, keys: Optional[List[str]], consistency: str,
+                lane: str = BULK):
+        return self._routed(uri, lambda c: c._delete(uri, keys, consistency, lane))
 
     def query(self, prefix: str, lane: str = BULK):
         """URIs under *prefix*, scatter-gathered across every shard whose
@@ -153,13 +139,12 @@ class ShardedRCClient:
         self._m_fanout.observe(len(shards))
         found = set()
         for info in shards:
-            client = self._client_for(info)
+            client = self._client_for(info.replicas)
             after: Optional[str] = None
             while True:
-                page = yield from client._query(prefix, lane, after,
-                                                self.query_page)
+                page = yield from client._query(prefix, lane, after, QUERY_PAGE)
                 found.update(page)
-                if len(page) < self.query_page:
+                if len(page) < QUERY_PAGE:
                     break
                 after = page[-1]
         return sorted(found)
@@ -173,24 +158,10 @@ class ShardedRCClient:
         yield from self._ensure_map()
         out: Dict[str, Dict[str, Any]] = {}
         for _sid, info in sorted(self.map.shards.items()):
-            client = self._client_for(info)
+            client = self._client_for(info.replicas)
             stats = yield from client._stats(lane)
             out.update(stats)
         return out
-
-    # -- convenience --------------------------------------------------------
-    def get(self, uri: str, key: str, consistency: str = ONE, lane: str = BULK):
-        return self.sim.process(self._get(uri, key, consistency, lane),
-                                name=f"rc.get:{uri}")
-
-    def _get(self, uri: str, key: str, consistency: str, lane: str = BULK):
-        assertions = yield self.lookup(uri, consistency, lane=lane)
-        info = assertions.get(key)
-        return info["value"] if info else None
-
-    def set(self, uri: str, key: str, value: Any, consistency: str = ONE,
-            lane: str = BULK):
-        return self.update(uri, {key: value}, consistency, lane=lane)
 
     def close(self) -> None:
         for client in self._clients.values():

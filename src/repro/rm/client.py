@@ -11,12 +11,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.daemon.tasks import TaskSpec
-from repro.rcds import uri as uri_mod
 from repro.rcds.client import RCClient
 from repro.rm.manager import AllocationError
 from repro.robust import TIMEOUTS
+from repro.robust.replicas import ReplicaClient, discover
 from repro.robust.retry import RetryPolicy
-from repro.rpc import RpcClient, RpcError
+from repro.rpc import RpcError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -26,7 +26,15 @@ class RmUnreachable(AllocationError):
     """No RM answered at all — transient, unlike a policy rejection."""
 
 
-class RmClient:
+def _policy_rejection(exc: RpcError) -> Optional[AllocationError]:
+    """A goal or placement refusal: every RM would say the same, so it
+    must not fail over (nor retry)."""
+    if "allocation goal" in str(exc) or "no host satisfies" in str(exc):
+        return AllocationError(str(exc))
+    return None
+
+
+class RmClient(ReplicaClient):
     """Finds RMs via the catalog and issues requests with failover."""
 
     def __init__(
@@ -36,25 +44,17 @@ class RmClient:
         secret: Optional[bytes] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        self.sim = host.sim
-        self.host = host
+        # *retry* governs rounds over the discovered manager set: a round
+        # that reaches no RM at all (RmUnreachable) is retried under it.
+        super().__init__(host, "rm", secret, retry)
         self.rc = rc
-        self._rpc = RpcClient(host, secret=secret)
-        self._rng = host.sim.rng.stream(f"rm-client.{host.name}")
-        self.failovers = 0
-        #: Rounds over the discovered manager set; a round that reaches no
-        #: RM at all (RmUnreachable) is retried under this policy. Policy
-        #: rejections (goals, no suitable host) never retry — every RM
-        #: would answer the same.
-        self.retry = retry or RetryPolicy.single()
 
-    def managers(self):
-        """Registered RMs as (host, port) pairs (a process)."""
-        return self.sim.process(self._managers(), name="rm-discover")
-
-    def _managers(self) -> List[Tuple[str, int]]:
-        assertions = yield self.rc.lookup(uri_mod.service_urn("rm"))
-        return uri_mod.locations_of(assertions)
+    def _candidates(self):
+        """Generator: the registered RMs in random order, sick ones last —
+        try the healthy before spending the timeout budget on a probe."""
+        managers: List[Tuple[str, int]] = yield from discover(self.rc, "rm")
+        self.rng.shuffle(managers)
+        return self.sick_last(managers)
 
     def request(self, spec: TaskSpec, owner: str = "anonymous",
                 timeout: Optional[float] = None):
@@ -65,35 +65,19 @@ class RmClient:
 
     def _request(self, spec: TaskSpec, owner: str, timeout: float):
         def one_round(_attempt: int):
-            managers = yield from self._managers()
+            managers = yield from self._candidates()
             if not managers:
                 raise RmUnreachable("no resource managers registered")
-            self._rng.shuffle(managers)
-            # Quarantined managers sink to the back of the round: try the
-            # healthy ones before spending the timeout budget on a probe.
-            managers.sort(key=lambda m: self._rpc.breaker_open(*m))
-            errors = []
-            for rm_host, rm_port in managers:
-                try:
-                    result = yield self._rpc.call(
-                        rm_host, rm_port, "rm.request", timeout=timeout,
-                        spec=spec, owner=owner,
-                    )
-                    return result
-                except RpcError as exc:
-                    if "allocation goal" in str(exc) or "no host satisfies" in str(exc):
-                        # Policy rejection: every RM will say the same; give up.
-                        raise AllocationError(str(exc)) from None
-                    self.failovers += 1
-                    errors.append(f"{rm_host}:{rm_port}: {exc}")
+            done, errors = yield from self.walk(
+                managers, "rm.request", {"timeout": timeout, "spec": spec, "owner": owner},
+                fatal=_policy_rejection,
+            )
+            if done:
+                return done[0][1]
+            errors = [f"{rm[0]}:{rm[1]}: {exc}" for rm, exc in errors]
             raise RmUnreachable(f"no RM reachable: {errors}")
 
-        return (
-            yield from self.retry.run(
-                self.sim, one_round, retry_on=(RmUnreachable,),
-                rng=self._rng, op="rm.request",
-            )
-        )
+        return self.rounds(one_round, (RmUnreachable,), op="rm.request")
 
     def migrate(self, urn: str, to: Optional[str] = None,
                 timeout: Optional[float] = None):
@@ -103,18 +87,11 @@ class RmClient:
         return self.sim.process(self._migrate(urn, to, timeout), name=f"rm-migrate:{urn}")
 
     def _migrate(self, urn: str, to: Optional[str], timeout: float):
-        managers = yield from self._managers()
-        self._rng.shuffle(managers)
-        managers.sort(key=lambda m: self._rpc.breaker_open(*m))
-        errors = []
-        for rm_host, rm_port in managers:
-            try:
-                return (
-                    yield self._rpc.call(
-                        rm_host, rm_port, "rm.migrate", timeout=timeout, urn=urn, to=to
-                    )
-                )
-            except RpcError as exc:
-                self.failovers += 1
-                errors.append(str(exc))
+        managers = yield from self._candidates()
+        done, errors = yield from self.walk(
+            managers, "rm.migrate", {"timeout": timeout, "urn": urn, "to": to}
+        )
+        if done:
+            return done[0][1]
+        errors = [str(exc) for _, exc in errors]
         raise AllocationError(f"no RM could migrate {urn!r}: {errors}")

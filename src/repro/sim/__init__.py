@@ -29,27 +29,22 @@ from repro.sim.kernel import Simulator, TimerHandle
 from repro.sim.process import Process
 from repro.sim.resources import Gate, PriorityStore, Resource, Store
 from repro.sim.rng import RngRegistry
-from repro.sim.monitor import Counter, Probe, TimeSeries, TraceMonitor
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Event",
     "Gate",
     "Interrupt",
     "PriorityStore",
-    "Probe",
     "Process",
     "Resource",
     "RngRegistry",
     "SimulationError",
     "Simulator",
     "Store",
-    "TimeSeries",
     "Timeout",
     "TimerHandle",
-    "TraceMonitor",
     "defuse",
     "waker",
 ]

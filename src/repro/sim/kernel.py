@@ -17,16 +17,14 @@ Determinism: entry keys are assigned when the timer is *scheduled*, and
 buckets are flushed into the heap strictly before any entry with an
 equal-or-later key can be popped, so the pop order — including
 same-timestamp tie sets seen by an exploration scheduler — is
-bit-identical to pushing every timer straight onto the heap. Setting
-``SNIPE_LEGACY_KERNEL=1`` (or ``Simulator(legacy_timers=True)``) does
-exactly that, which is what the kernel-equivalence suite compares
-against.
+bit-identical to pushing every timer straight onto the heap.
+``Simulator(legacy_timers=True)`` does exactly that: it is the naive-heap
+reference ``tests/sim/test_timer_wheel.py`` compares the wheel against.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.sim.errors import SimulationError, StopSimulation
@@ -98,16 +96,15 @@ class Simulator:
         into loud test failures.
     legacy_timers:
         When True, ``schedule_timer`` bypasses the timer wheel and pushes
-        every timer straight onto the heap (the pre-wheel scheduling
-        path, kept for one PR as the equivalence baseline). ``None``
-        reads the ``SNIPE_LEGACY_KERNEL`` environment variable.
+        every timer straight onto the heap — the naive reference the
+        timer-wheel unit tests compare against; nothing else sets it.
     """
 
     def __init__(
         self,
         seed: int = 0,
         strict_process_errors: bool = True,
-        legacy_timers: Optional[bool] = None,
+        legacy_timers: bool = False,
     ) -> None:
         self.now: float = 0.0
         self.rng = RngRegistry(seed)
@@ -143,8 +140,6 @@ class Simulator:
         #: :meth:`sequence`, frame identity is per-sim state so replays
         #: cannot be perturbed by earlier simulations in the process.
         self.frames_constructed = 0
-        if legacy_timers is None:
-            legacy_timers = bool(os.environ.get("SNIPE_LEGACY_KERNEL"))
         self._legacy_timers = legacy_timers
         # Timer wheel: per-level sparse calendar buckets (slot -> entry
         # list) plus a heap of (slot_start, level, slot) flush deadlines.

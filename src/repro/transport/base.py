@@ -44,7 +44,7 @@ class Message:
 class TransportEndpoint:
     """Base class: binds (proto, port), owns a path selector, sends frames.
 
-    Subclasses implement the actual protocol in :meth:`_rx_loop` and their
+    Subclasses implement the actual protocol in :meth:`_on_frame` and their
     ``send``. The local fast path (destination == own host) bypasses the
     NIC entirely, like a kernel loopback.
     """
@@ -92,32 +92,19 @@ class TransportEndpoint:
         self._m_rx_corrupt = obs.metrics.counter(
             "transport.rx_corrupt", proto=self.proto
         )
-        # Per-frame protocols dispatch synchronously from the arrival
-        # event via the binding handler (no receive-loop process, no Store
-        # hop per frame); a subclass that truly needs a blocking loop can
-        # instead override ``_rx_loop``.
-        on_frame = getattr(self, "_on_frame", None)
-        if on_frame is not None:
-            self.binding.handler = on_frame
-            self._rx_proc = None
-        else:
-            self._rx_proc = self.sim.process(
-                self._rx_loop(), name=f"{self.proto}:{host.name}:{port}"
-            )
+        # Frames dispatch synchronously from the arrival event via the
+        # binding handler (no receive-loop process, no Store hop per frame).
+        self.binding.handler = self._on_frame
 
     # -- subclass API -------------------------------------------------------
-    def _rx_loop(self):
-        """Protocol receive loop; subclasses either override this or
-        define ``_on_frame(frame)`` for synchronous per-frame dispatch."""
+    def _on_frame(self, frame) -> None:
+        """Handle one arrived frame; every protocol overrides this."""
         raise NotImplementedError
-        yield  # pragma: no cover
 
     def close(self) -> None:
         if not self.closed:
             self.closed = True
             self.host.unbind(self.proto, self.port)
-            if self._rx_proc is not None and self._rx_proc.is_alive:
-                self._rx_proc.interrupt("closed")
 
     # -- accounting helpers -------------------------------------------------
     def _note_tx(self) -> None:

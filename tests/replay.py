@@ -1,14 +1,13 @@
 """Replay fingerprints: the one definition of "the same run".
 
 A run's fingerprint is its whole report dict plus every
-``ProbeBus.emit`` as ``(virtual time, kind, frozen fields)``. Two
-consumers share it:
-
-* ``tests/sim/test_kernel_equivalence.py`` compares the fingerprint of
-  one seed under the optimised and the legacy kernel;
-* ``tests/test_replay_golden.py`` compares it against the digests
-  committed in ``baselines/replay-digests.json`` — the lock on harness
-  refactors (``scripts/regolden.py`` is the only writer of that file).
+``ProbeBus.emit`` as ``(virtual time, kind, frozen fields)``; for the
+transport demo (``demo/<seed>``, no harness and no probe bus) the
+"report" is the kernel's end state: virtual end time, events scheduled
+and the full metrics snapshot. ``tests/test_replay_golden.py`` compares
+it against the digests committed in ``baselines/replay-digests.json`` —
+the lock on kernel, product and harness refactors alike
+(``scripts/regolden.py`` is the only writer of that file).
 
 The harness entry points are looked up *by name* in
 ``repro.robust.chaos`` / ``repro.check`` rather than through the
@@ -52,8 +51,9 @@ VARIANT_SEEDS = range(1, 4)
 
 
 def all_keys() -> List[str]:
-    """Every key the golden file must hold: ``<harness>/<run>/<seed>``."""
-    keys = []
+    """Every key the golden file must hold: ``<harness>/<run>/<seed>``,
+    plus ``demo/<seed>`` for the harness-less transport demo."""
+    keys = [f"demo/{seed}" for seed in FULL_SEEDS]
     for name in CHAOS_RUNS:
         seeds = FULL_SEEDS if name in SCENARIOS else VARIANT_SEEDS
         keys += [f"chaos/{name}/{seed}" for seed in seeds]
@@ -118,9 +118,16 @@ def recording() -> Iterator[List]:
 def run_key(key: str) -> Dict:
     """Run the harness a golden *key* names; returns the un-hashed
     fingerprint ``{"report": ..., "probes": [...]}`` (frozen)."""
-    harness, name, seed = key.split("/")
+    harness, _, rest = key.partition("/")
+    name, _, seed = rest.rpartition("/")  # name is "" for demo/<seed>
     with recording() as records:
-        if harness == "chaos":
+        if harness == "demo":
+            from repro.obs.cli import demo_scenario
+
+            sim = demo_scenario(seed=int(seed))
+            report = {"now": sim.now, "eid": sim._eid,
+                      "metrics": sim.obs.metrics.snapshot()}
+        elif harness == "chaos":
             import repro.robust.chaos as chaos
 
             fn, kwargs = CHAOS_RUNS[name]

@@ -155,7 +155,7 @@ def test_rm_kill_via_catalog_lookup():
     def go(sim):
         result = yield rmc.request(TaskSpec(program="worker", params={"rounds": 100}))
         yield sim.timeout(2.0)
-        yield rmc._rpc.call(rms[0].host.name, rms[0].port, "rm.kill", urn=result["urn"])
+        yield rmc.rpc.call(rms[0].host.name, rms[0].port, "rm.kill", urn=result["urn"])
         yield sim.timeout(1.0)
         host_idx = int(result["host"][1:])
         return daemons[host_idx].tasks[result["urn"]].state

@@ -150,3 +150,16 @@ def test_wheel_levels_cover_expected_spans():
     # The coarsest level must cover every lease/retry horizon in the
     # tree (tens of seconds).
     assert WHEEL_GRANULARITY * WHEEL_FANOUT ** (WHEEL_LEVELS - 1) > 60.0
+
+
+def test_wheel_mode_uses_the_wheel():
+    """The two modes really are different code paths: by default a long
+    timer lands in a wheel bucket, not on the heap; the naive reference
+    pushes it straight onto the heap."""
+    sim = Simulator(seed=1)
+    sim.schedule_timer(1.0, lambda: None)
+    assert any(sim._wheel[lvl] for lvl in range(len(sim._wheel)))
+    legacy = Simulator(seed=1, legacy_timers=True)
+    baseline = len(legacy._queue)
+    legacy.schedule_timer(1.0, lambda: None)
+    assert len(legacy._queue) == baseline + 1

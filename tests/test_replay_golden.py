@@ -5,9 +5,11 @@ key, the SHA-256 of the run's fingerprint (whole report + timestamped
 probe stream, see ``tests/replay.py``). A harness or product change that
 moves any of them either broke determinism or changed behaviour; the
 second kind re-goldens deliberately with ``scripts/regolden.py`` and
-says why. Seed 1 of each of the twelve harness x scenario pairs runs in
-tier-1; the full file (ten seeds each, plus the baseline-flag variants)
-runs under ``-m slow`` and in CI's ``check-sweep`` job.
+says why. Seed 1 of each of the twelve harness x scenario pairs and the
+ten ``demo/<seed>`` kernel end states (cheap; they took over from the
+retired two-kernel comparison) run in tier-1; the full file (ten seeds
+each, plus the baseline-flag variants) runs under ``-m slow`` and in
+CI's ``check-sweep`` job.
 """
 
 import json
@@ -40,6 +42,11 @@ def test_golden_file_holds_exactly_the_expected_keys():
 
 @pytest.mark.parametrize("key", TIER1)
 def test_seed_one_replays_to_the_committed_digest(key, tmp_path):
+    _assert_replays(key, tmp_path)
+
+
+@pytest.mark.parametrize("key", [k for k in all_keys() if k.startswith("demo/")])
+def test_demo_replays_to_the_committed_digest(key, tmp_path):
     _assert_replays(key, tmp_path)
 
 
