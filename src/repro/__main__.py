@@ -63,15 +63,6 @@ def _cmd_fig1() -> int:
     return 0
 
 
-def _cmd_experiments() -> int:
-    import runpy
-    import pathlib
-
-    script = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "run_all_experiments.py"
-    runpy.run_path(str(script), run_name="__main__")
-    return 0
-
-
 def _cmd_info() -> int:
     import repro
 
@@ -90,10 +81,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     commands = {
         "examples": _cmd_examples,
-        "experiments": _cmd_experiments,
         "fig1": _cmd_fig1,
         "info": _cmd_info,
     }
+    if argv and argv[0] == "experiments":
+        from repro.bench.manifest import main as experiments_main
+
+        return experiments_main(argv[1:])
     if argv and argv[0] == "obs":
         from repro.obs.cli import main as obs_main
 

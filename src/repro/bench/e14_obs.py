@@ -11,7 +11,9 @@ three times over —
   (``--obs-sample 0.01``);
 * **on** — tracing enabled at full rate (``--obs-sample 1.0``).
 
-Measured per (workload, config): wall-clock (minimum over ``repeats``
+Measured per (workload, config): the simulated outcome (virtual end
+time, kernel events — identical across configs, which is the point),
+wall-clock (minimum over ``repeats``
 runs — the minimum is the right estimator for a deterministic workload
 whose only noise source is the machine), trace records kept, records
 thinned by sampling, and ring-buffer drops. ``overhead_pct`` is the
@@ -98,6 +100,8 @@ def obs_overhead(seed: int = 1, repeats: int = 3,
                 "workload": wname,
                 "config": cname,
                 "sample_rate": rate,
+                "virtual_s": round(sims[cname].now, 6),
+                "events": sims[cname]._eid,
                 "wall_ms": wall_ms,
                 "trace_records": len(tracer),
                 "trace_dropped": tracer.dropped,

@@ -38,10 +38,10 @@ from typing import Dict, List, Optional, Sequence
 #: (config name, bounded anti-entropy on?).
 CONFIGS = (("bounded", True), ("unbounded", False))
 
-#: Load knobs shared by every row: fast writers and 2 KiB values build a
-#: divergence big enough that the unbounded baseline's blob visibly
-#: storms, while the bounded protocol stays at its per-RPC record bound.
-LOAD = dict(interval=0.1, value_pad=2048)
+#: 2 KiB values, with the fast writers below, build a divergence big
+#: enough that the unbounded baseline's blob visibly storms, while the
+#: bounded protocol stays at its per-RPC record bound.
+VALUE_PAD = 2048
 
 
 def _row(config: str, report: Dict) -> Dict:
@@ -72,18 +72,25 @@ def _row(config: str, report: Dict) -> Dict:
 
 
 def heal_reconvergence(seeds: Sequence[int] = (1, 2, 3),
-                       duration: float = 100.0) -> List[Dict]:
-    """Run the E16 matrix; one metrics row per (config, seed)."""
+                       duration: float = 100.0,
+                       part_for: float = 60.0,
+                       interval: float = 0.1) -> List[Dict]:
+    """Run the E16 matrix; one metrics row per (config, seed). The
+    partition opens at t=8 s for *part_for* seconds of a *duration*-second
+    run, every writer issuing one op per *interval* seconds; the blackout
+    rows use the scenario's own 40 s shape under the same load."""
+    load = dict(interval=interval, value_pad=VALUE_PAD)
     from repro.robust.chaos import run_partition_heal
 
     rows: List[Dict] = []
     for cname, bounded in CONFIGS:
         for seed in seeds:
             report = run_partition_heal(seed, duration=duration,
-                                        bounded=bounded, flight=False, **LOAD)
+                                        part_for=part_for, bounded=bounded,
+                                        flight=False, **load)
             rows.append(_row(cname, report))
     for seed in seeds:
-        report = run_partition_heal(seed, blackout=True, flight=False, **LOAD)
+        report = run_partition_heal(seed, blackout=True, flight=False, **load)
         rows.append(_row("blackout", report))
     return rows
 

@@ -38,7 +38,8 @@ def _noop_program(ctx, **_kw):
     return "ok"
 
 
-def _run_snipe(n_hosts: int, n_rms: int, rate: float, window: float, seed: int) -> Dict:
+def _run_snipe(n_hosts: int, n_rms: int, rate: float, window: float,
+               drain: float, seed: int) -> Dict:
     env = SnipeEnvironment.lan_site(
         n_hosts=n_hosts, n_rc=3, n_rm=0, seed=seed, mcast=False, settle=0.0
     )
@@ -69,11 +70,12 @@ def _run_snipe(n_hosts: int, n_rms: int, rate: float, window: float, seed: int) 
             i += 1
 
     env.sim.process(generator(), name="load-gen")
-    env.run(until=start + window + 60.0)
+    env.run(until=start + window + drain)
     return _summarize("snipe", n_rms, n_hosts, rate, window, latencies, failures[0])
 
 
-def _run_pvm(n_hosts: int, rate: float, window: float, seed: int) -> Dict:
+def _run_pvm(n_hosts: int, rate: float, window: float, drain: float,
+             seed: int) -> Dict:
     sim = Simulator(seed=seed)
     topo = Topology(sim)
     seg = topo.add_segment("lan", ETHERNET_100)
@@ -118,7 +120,7 @@ def _run_pvm(n_hosts: int, rate: float, window: float, seed: int) -> Dict:
             i += 1
 
     sim.process(generator(), name="load-gen")
-    sim.run(until=start + window + 60.0)
+    sim.run(until=start + window + drain)
     return _summarize("pvm", 1, n_hosts, rate, window, latencies, failures[0])
 
 
@@ -141,16 +143,19 @@ def rm_scalability(
     rates: Sequence[float] = (20.0, 45.0, 90.0),
     rm_counts: Sequence[int] = (1, 2, 4),
     window: float = 20.0,
+    drain: float = 60.0,
     seed: int = 0,
 ) -> List[Dict]:
     """Rows for every (system, offered rate) pair.
 
     One server's capacity is 1/SERVICE_TIME = 50 req/s: the middle rate
-    approaches it, the top rate exceeds it.
+    approaches it, the top rate exceeds it. Load is offered for *window*
+    seconds; the run continues *drain* seconds more so queued requests
+    finish (or hit their 30 s timeout) and are counted.
     """
     rows: List[Dict] = []
     for rate in rates:
-        rows.append(_run_pvm(n_hosts, rate, window, seed))
+        rows.append(_run_pvm(n_hosts, rate, window, drain, seed))
         for k in rm_counts:
-            rows.append(_run_snipe(n_hosts, k, rate, window, seed))
+            rows.append(_run_snipe(n_hosts, k, rate, window, drain, seed))
     return rows

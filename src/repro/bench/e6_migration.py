@@ -25,10 +25,13 @@ def migration_loss(
     hop_counts: Sequence[int] = (0, 1, 2, 3),
     n_msgs: int = 60,
     send_interval: float = 0.05,
+    horizon: float = 600.0,
     seed: int = 0,
 ) -> List[Dict]:
     """Rows: {hops, sent, received, lost, duplicated, reordered,
-    max_pause_ms} per hop count."""
+    max_pause_ms} per hop count. *horizon* is how long each site runs
+    (virtual seconds) — far past the stream's end, so a late message
+    would still be counted."""
     rows: List[Dict] = []
     for hops in hop_counts:
         env = SnipeEnvironment.lan_site(n_hosts=max(4, hops + 2), seed=seed, mcast=False)
@@ -78,7 +81,7 @@ def migration_loss(
             ),
             on=f"h{max(1, hops + 1)}",
         )
-        env.run(until=600.0)
+        env.run(until=horizon)
         lost = n_msgs - len(set(received))
         duplicated = len(received) - len(set(received))
         reordered = sum(1 for a, b in zip(received, received[1:]) if b < a)

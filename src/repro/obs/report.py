@@ -211,9 +211,10 @@ def write_bench_json(
     seed: Optional[int] = None,
     hosts: Optional[int] = None,
     extra: Optional[Dict[str, Any]] = None,
+    filename: Optional[str] = None,
 ) -> str:
-    """Write ``BENCH_<name>.json`` — the machine-readable twin of a
-    benchmark's printed table — and return its path.
+    """Write ``BENCH_<name>.json`` (or *filename*) — the machine-readable
+    twin of a benchmark's printed table — and return its path.
 
     Every file carries a common envelope: ``schema`` (see
     :data:`BENCH_SCHEMA_VERSION`), ``scenario`` (defaults to *name*),
@@ -240,7 +241,7 @@ def write_bench_json(
     if extra:
         payload.update(extra)
     os.makedirs(directory or ".", exist_ok=True)
-    path = os.path.join(directory, f"BENCH_{name}.json")
+    path = os.path.join(directory, filename or f"BENCH_{name}.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")

@@ -13,7 +13,6 @@ goals") are per-owner concurrency caps enforced before selection.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.daemon.daemon import DAEMON_PORT
@@ -31,9 +30,6 @@ RM_PORT = 3600
 
 PASSIVE = "passive"
 ACTIVE = "active"
-
-_tokens = itertools.count(1)
-
 
 class AllocationError(Exception):
     """No suitable host, or an allocation goal would be violated."""
@@ -145,7 +141,10 @@ class ResourceManager:
             self.rejects += 1
             self._m_rejects.inc()
             raise AllocationError(f"no host satisfies {spec.program!r} requirements")
-        token = next(_tokens)
+        # Per-simulation, like every identity counter: the token's digits
+        # are payload bytes, so a process-global one would make a run's
+        # timing depend on how many simulations came before it.
+        token = self.sim.sequence("rm.token")
         if self.mode == PASSIVE:
             # Reserve only; the requester performs the spawn itself (§3.5).
             chosen = ranked[0]
