@@ -1,9 +1,10 @@
-"""Benchmark harnesses: one module per experiment in EXPERIMENTS.md.
+"""Experiment builders: one module per experiment in EXPERIMENTS.md.
 
-Each harness builds its workload on the simulator, runs it, and returns
-plain-dict rows suitable for printing as the paper's tables/series.
-The thin pytest-benchmark wrappers live in ``benchmarks/``; these
-modules are also importable directly (the examples use them too).
+Each builder sets its workload up on the simulator, runs it, and returns
+named tables of plain-dict rows — the paper's tables and series.
+:mod:`repro.bench.manifest` declares every experiment once (builders,
+sizes, paper-shape check) and holds the one runner,
+``python -m repro experiments``.
 """
 
 from repro.bench.topologies import dual_media_pair, two_mpp_site, wan_site

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.bench.table import Tables
 from repro.net.media import ETHERNET_100, MYRINET, WAN_T3
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
@@ -22,8 +23,8 @@ from repro.transport.pathsel import DEFAULT_IP, SNIPE
 from repro.transport.srudp import SrudpEndpoint
 
 
-def media_selection(size: int = 20_000_000, seed: int = 0) -> List[Dict]:
-    """Rows: {policy, segment_used, seconds, mbps}."""
+def media_selection(size: int = 20_000_000, seed: int = 0) -> Tables:
+    """Table ``media``, rows {policy, segment_used, seconds, mbps}."""
     rows: List[Dict] = []
     for policy in (SNIPE, DEFAULT_IP):
         sim = Simulator(seed=seed)
@@ -65,4 +66,4 @@ def media_selection(size: int = 20_000_000, seed: int = 0) -> List[Dict]:
                 "mbps": size / done["t"] / 1e6,
             }
         )
-    return rows
+    return {"media": rows}

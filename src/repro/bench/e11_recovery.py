@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.bench.table import Tables
 from repro.core.checkpoint import checkpoint_to_files
 from repro.core.environment import SnipeEnvironment
 from repro.daemon.tasks import TaskSpec, TaskState
@@ -66,8 +67,8 @@ def _site(lease_ttl: float, seed: int) -> SnipeEnvironment:
 
 
 def recovery_mttr(lease_ttls: Sequence[float] = (1.5, 3.0, 6.0),
-                  seed: int = 7) -> List[Dict]:
-    """One crash-and-recover episode per lease TTL; returns MTTR rows."""
+                  seed: int = 7) -> Tables:
+    """One crash-and-recover episode per lease TTL; table ``mttr``."""
     rows: List[Dict] = []
     for lease_ttl in lease_ttls:
         env = _site(lease_ttl, seed=seed)
@@ -95,4 +96,4 @@ def recovery_mttr(lease_ttls: Sequence[float] = (1.5, 3.0, 6.0),
             "bound_s": round(bound_s, 3),
             "within_bound": mttr_s <= bound_s,
         })
-    return rows
+    return {"mttr": rows}

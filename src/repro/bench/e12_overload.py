@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.bench.table import Tables
 from repro.robust.chaos import run_overload
 
 #: Control-plane p99 budget the adaptive stack must honour (seconds).
@@ -39,8 +40,8 @@ CONTROL_P99_BOUND = 0.5
 def overload_goodput(
     saturations: Sequence[float] = (2.0, 5.0),
     seed: int = 1,
-) -> List[Dict]:
-    """Static vs adaptive under 2x/5x saturation; returns metric rows."""
+) -> Tables:
+    """Static vs adaptive under 2x/5x saturation; table ``overload``."""
     rows: List[Dict] = []
     for saturation in saturations:
         for adaptive in (False, True):
@@ -61,4 +62,4 @@ def overload_goodput(
                 "breaker_opens": r["breaker_opens"],
                 "ok": r["ok"],
             })
-    return rows
+    return {"overload": rows}

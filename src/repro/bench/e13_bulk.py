@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.table import Tables
 from repro.bulk.distribute import build_relay_tree
 from repro.bulk.testbed import build_bulk_site, make_payload
 
@@ -89,8 +90,9 @@ def bulk_distribution(
     host_counts: Sequence[int] = (8, 16, 32),
     object_kb: int = 1024,
     seed: int = 1,
-) -> List[Dict]:
-    """Unicast vs relay tree (and tree + relay crash); returns rows."""
+) -> Tables:
+    """Unicast vs relay tree (and tree + relay crash); table
+    ``distribution``."""
     rows: List[Dict] = []
     for hosts in host_counts:
         unicast = _one_run(hosts, "unicast", False, seed, object_kb)
@@ -106,4 +108,4 @@ def bulk_distribution(
             crash["goodput_mbs"] / unicast["goodput_mbs"]
             if unicast["goodput_mbs"] else 0.0, 2)
         rows.extend([unicast, tree, crash])
-    return rows
+    return {"distribution": rows}

@@ -33,7 +33,9 @@ daemon heartbeats into failover.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
+
+from repro.bench.table import Tables, mean
 
 #: (config name, bounded anti-entropy on?).
 CONFIGS = (("bounded", True), ("unbounded", False))
@@ -74,8 +76,9 @@ def _row(config: str, report: Dict) -> Dict:
 def heal_reconvergence(seeds: Sequence[int] = (1, 2, 3),
                        duration: float = 100.0,
                        part_for: float = 60.0,
-                       interval: float = 0.1) -> List[Dict]:
-    """Run the E16 matrix; one metrics row per (config, seed). The
+                       interval: float = 0.1) -> Tables:
+    """Run the E16 matrix: table ``runs``, one metrics row per (config,
+    seed); table ``summary``, the cross-seed aggregates. The
     partition opens at t=8 s for *part_for* seconds of a *duration*-second
     run, every writer issuing one op per *interval* seconds; the blackout
     rows use the scenario's own 40 s shape under the same load."""
@@ -92,15 +95,10 @@ def heal_reconvergence(seeds: Sequence[int] = (1, 2, 3),
     for seed in seeds:
         report = run_partition_heal(seed, blackout=True, flight=False, **load)
         rows.append(_row("blackout", report))
-    return rows
+    return {"runs": rows, "summary": [_summary(rows)]}
 
 
-def _mean(vals: List[float]) -> Optional[float]:
-    vals = [v for v in vals if v is not None]
-    return sum(vals) / len(vals) if vals else None
-
-
-def summarize(rows: List[Dict]) -> Dict:
+def _summary(rows: List[Dict]) -> Dict:
     """Cross-seed aggregates and the headline payload/latency contrast."""
     by = {c: [r for r in rows if r["config"] == c]
           for c in ("bounded", "unbounded", "blackout")}
@@ -109,16 +107,16 @@ def summarize(rows: List[Dict]) -> Dict:
     peak_base = max((r["max_sync_batch"] for r in base), default=0)
     return {
         "reconverge_bounded_s": round(
-            _mean([r["reconverge_s"] for r in bnd]) or 0.0, 2),
+            mean([r["reconverge_s"] for r in bnd]) or 0.0, 2),
         "reconverge_unbounded_s": round(
-            _mean([r["reconverge_s"] for r in base]) or 0.0, 2),
+            mean([r["reconverge_s"] for r in base]) or 0.0, 2),
         "max_batch_bounded": peak_bnd,
         "max_batch_unbounded": peak_base,
         "payload_ratio": (round(peak_base / peak_bnd, 1) if peak_bnd else None),
         "control_p99_bounded_ms": round(
-            _mean([r["control_p99_ms"] for r in bnd]) or 0.0, 1),
+            mean([r["control_p99_ms"] for r in bnd]) or 0.0, 1),
         "control_p99_unbounded_ms": round(
-            _mean([r["control_p99_ms"] for r in base]) or 0.0, 1),
+            mean([r["control_p99_ms"] for r in base]) or 0.0, 1),
         "hb_failovers_bounded": sum(r["hb_failovers"] for r in bnd),
         "hb_failovers_unbounded": sum(r["hb_failovers"] for r in base),
         "probe_failed_unbounded": sum(r["probe_failed"] for r in base),
@@ -129,38 +127,3 @@ def summarize(rows: List[Dict]) -> Dict:
         "baseline_breaches_bound": peak_base > max(
             (r["bound"] or 0 for r in bnd), default=0),
     }
-
-
-def format_heal_bench(rows: List[Dict]) -> str:
-    """Human-readable E16 table for the CLI."""
-    s = summarize(rows)
-    lines = [
-        "== E16: heal reconvergence — bounded anti-entropy vs one blob ==",
-        f"  {'config':10s} {'seed':>4s} {'mode':>9s} {'reconv':>7s} "
-        f"{'max_batch':>9s} {'ctl_p99':>8s} {'probe_f':>7s} {'hb_fo':>5s} "
-        f"{'snap':>4s} {'resur':>5s}",
-    ]
-    for r in rows:
-        rc = f"{r['reconverge_s']:.2f}s" if r["reconverge_s"] is not None else "never"
-        p99 = (f"{r['control_p99_ms']:.0f}ms"
-               if r["control_p99_ms"] is not None else "n/a")
-        lines.append(
-            f"  {r['config']:10s} {r['seed']:4d} {r['mode']:>9s} {rc:>7s} "
-            f"{r['max_sync_batch']:9d} {p99:>8s} {r['probe_failed']:7d} "
-            f"{r['hb_failovers']:5d} {r['snapshot_catchups']:4d} "
-            f"{r['resurrected']:5d}"
-        )
-    lines += [
-        "",
-        f"  largest sync payload: {s['max_batch_bounded']} vs "
-        f"{s['max_batch_unbounded']} records "
-        f"({s['payload_ratio']}x the bound's peak)",
-        f"  heal-window control p99: {s['control_p99_bounded_ms']}ms vs "
-        f"{s['control_p99_unbounded_ms']}ms "
-        f"({s['probe_failed_unbounded']} baseline probes failed outright)",
-        f"  heartbeat failovers during heal: {s['hb_failovers_bounded']} vs "
-        f"{s['hb_failovers_unbounded']}",
-        f"  blackout recovery: {s['blackout_restores']} durable restores, "
-        f"{s['blackout_resurrected']} resurrected deletes",
-    ]
-    return "\n".join(lines)

@@ -18,16 +18,17 @@ per-call deadline timers that dominate the kernel's timer traffic.
 
 Measured per scale: wall-clock seconds, kernel events processed, frames
 constructed, and events per wall-second. The shape assertions are
-feasibility (every call completes, no call fails) and throughput (the
-kernel sustains a sane event rate at 256 hosts); the absolute rates are
-recorded in ``BENCH_kernel_scale.json`` for ``obs diff`` tracking.
+feasibility (every call completes, no call fails) and linear event
+volume (same per-host workload at every scale); wall-clock and event
+rate are reported in the result's ``host`` block, not gated.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
+from repro.bench.table import Tables
 from repro.bench.topologies import wan_site
 from repro.rpc import RpcClient, RpcServer
 
@@ -109,10 +110,10 @@ def kernel_scale(
     scales: Sequence[int] = (256,),
     calls_per_host: int = 4,
     seed: int = 1,
-) -> List[Dict]:
+) -> Tables:
     """RPC echo traffic on wan_site topologies at each host count.
 
-    The default sweeps 256 hosts (the benchmark gate); pass
-    ``scales=(256, 512, 1024)`` for the full scaling curve.
+    Table ``scale``, one row per host count. The default is one
+    256-host site; the manifest's full profile runs (256, 512, 1024).
     """
-    return [_run_scale(n, calls_per_host, seed) for n in scales]
+    return {"scale": [_run_scale(n, calls_per_host, seed) for n in scales]}

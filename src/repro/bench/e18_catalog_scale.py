@@ -44,6 +44,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.table import Tables
 from repro.core.environment import SnipeEnvironment
 from repro.rcds.client import QUORUM, ConsistencyError
 from repro.rcds.records import Entry
@@ -245,14 +246,15 @@ def catalog_scale(
     n_client_hosts: int = 8,
     sessions_per_host: int = 4,
     seed: int = 1,
-) -> List[Dict]:
-    """The E18 matrix: one row per (config, name count)."""
+) -> Tables:
+    """The E18 matrix: table ``scale``, one row per (config, name count);
+    table ``summary``, the capacity headline across them."""
     rows: List[Dict] = []
     for n_names in name_counts:
         for config in ("sharded", "full-replication"):
             rows.append(_run_config(config, n_names, n_shards, window,
                                     n_client_hosts, sessions_per_host, seed))
-    return rows
+    return {"scale": rows, "summary": [_summary(rows)]}
 
 
 def split_under_load(
@@ -263,9 +265,9 @@ def split_under_load(
     n_client_hosts: int = 4,
     sessions_per_host: int = 2,
     n_shards: int = 4,
-    instrument=None,
-) -> Dict:
-    """One shard preloaded past its threshold splits under live load.
+) -> Tables:
+    """One shard preloaded past its threshold splits under live load;
+    table ``split`` holds the one row.
 
     ``n_shards`` here only shapes the *names* (the radix the split plan
     bites on); the catalog starts as a single ``app`` shard owning the
@@ -275,8 +277,6 @@ def split_under_load(
         split_threshold = (2 * n_names) // 3
     t_wall = time.perf_counter()
     env, placement, client_hosts = _site(seed, n_client_hosts)
-    if instrument is not None:
-        instrument(env.sim)  # e.g. capture sim for a metrics export
     env.add_rc_servers(["r0", "r1", "r2"], sharded=True,
                        service_time=SERVICE_TIME)
     mgr = env.enable_sharding(
@@ -310,7 +310,7 @@ def split_under_load(
     sim.process(monitor(), name="e18-split-monitor")
     sim.run(until=t1 + 3.0)
     clients = [env.rc_client(h) for h in client_hosts]
-    return {
+    return {"split": [{
         "names": n_names,
         "split_threshold": split_threshold,
         "splits": mgr.splits,
@@ -325,16 +325,17 @@ def split_under_load(
         "queries": len(state["query"]),
         "failed": state["failed"],
         "misses": state["misses"],
+        "miss_rate": round(state["misses"] / max(len(state["lookup"]), 1), 4),
         "lookup_p99_ms": _ms(_pct(state["lookup"], 0.99)),
         "redirects": sum(s.redirects for s in mgr.all_servers().values()),
         "redirect_retries": sum(c.redirect_retries for c in clients),
         "handoffs": sum(s.handoffs for s in parent_group),
         "wall_s": round(time.perf_counter() - t_wall, 2),
         "preload_s": round(preload_s, 2),
-    }
+    }]}
 
 
-def summarize(rows: List[Dict], split: Optional[Dict] = None) -> Dict:
+def _summary(rows: List[Dict]) -> Dict:
     """Cross-row aggregates: the capacity headline at the largest scale
     and the flat-latency claim across scales."""
     sharded = [r for r in rows if r["config"] == "sharded"]
@@ -356,47 +357,4 @@ def summarize(rows: List[Dict], split: Optional[Dict] = None) -> Dict:
             top_s["lookup_p99_ms"] is not None
             and lo["lookup_p99_ms"] is not None
             and top_s["lookup_p99_ms"] <= 3 * max(lo["lookup_p99_ms"], 1.0))
-    if split is not None:
-        out["split_drained"] = split["drain_s"] is not None
-        out["split_miss_rate"] = (round(split["misses"]
-                                        / max(split["lookups"], 1), 4))
     return out
-
-
-def format_catalog_bench(rows: List[Dict],
-                         split: Optional[Dict] = None) -> str:
-    """Human-readable E18 table for the CLI."""
-    s = summarize(rows, split)
-    lines = [
-        "== E18: catalog scale — sharded federation vs full replication ==",
-        f"  {'config':17s} {'names':>8s} {'srv':>4s} {'ops/s':>7s} "
-        f"{'look/s':>7s} {'p50':>7s} {'p99':>8s} {'upd p99':>8s} "
-        f"{'fail':>5s} {'miss':>5s}",
-    ]
-    for r in rows:
-        lines.append(
-            f"  {r['config']:17s} {r['names']:8d} {r['servers']:4d} "
-            f"{r['ops_per_s']:7.0f} {r['lookups_per_s']:7.0f} "
-            f"{r['lookup_p50_ms']:6.1f}m {r['lookup_p99_ms']:7.1f}m "
-            f"{r['update_p99_ms']:7.1f}m {r['failed']:5d} {r['misses']:5d}"
-        )
-    lines += [
-        "",
-        f"  at {s['max_names']} names: sharded serves "
-        f"{s['speedup_ops']}x the ops/s of full replication "
-        f"(p99 {s['sharded_p99_ms']}ms vs {s['baseline_p99_ms']}ms)",
-    ]
-    if split is not None:
-        drain = (f"handoff drained in {split['drain_s']}s"
-                 if split["drain_s"] is not None else "handoff NOT drained")
-        lines += [
-            "",
-            "  split under load: "
-            f"{split['splits']} split(s) at t={split['split_at_s']}s, {drain}",
-            f"    {split['handoffs']} names handed off, "
-            f"{split['redirects']} fenced redirects, "
-            f"{split['redirect_retries']} client re-routes, "
-            f"{split['misses']}/{split['lookups']} lookups missed "
-            f"mid-migration, p99 {split['lookup_p99_ms']}ms",
-        ]
-    return "\n".join(lines)

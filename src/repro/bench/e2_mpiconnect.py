@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.table import Tables
 from repro.bench.topologies import two_mpp_site
 from repro.mpi import MpiConnectBridge, MpiJob, PvmpiBridge
 
@@ -58,8 +59,9 @@ def _pingpong(site, bridges, size: int, n_msgs: int):
 
 def mpiconnect_vs_pvmpi(
     sizes: Optional[Sequence[int]] = None, n_msgs: int = 4, seed: int = 0
-) -> List[Dict]:
-    """Rows: {bridge, size, rtt_ms, bandwidth_mbps} for both systems."""
+) -> Tables:
+    """Table ``pingpong``, rows {bridge, size, rtt_ms, bandwidth_mbps} for
+    both systems; table ``speedup``, the per-size ratio."""
     sizes = list(sizes or DEFAULT_SIZES)
     rows: List[Dict] = []
     for size in sizes:
@@ -84,10 +86,10 @@ def mpiconnect_vs_pvmpi(
                     "bandwidth_mbps": size / (best / 2) / 1e6,
                 }
             )
-    return rows
+    return {"pingpong": rows, "speedup": _speedup(rows)}
 
 
-def summarize_speedup(rows: List[Dict]) -> List[Dict]:
+def _speedup(rows: List[Dict]) -> List[Dict]:
     """Per-size MPI_Connect/PVMPI speedup factors (should be >1, modest)."""
     by_size: Dict[int, Dict[str, float]] = {}
     for row in rows:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.bench.table import Tables
 from repro.net.failures import FailureInjector
 from repro.net.media import ETHERNET_100
 from repro.net.topology import Topology
@@ -31,8 +32,8 @@ def availability_vs_replicas(
     mttr: float = 30.0,
     lookup_interval: float = 1.0,
     seed: int = 0,
-) -> List[Dict]:
-    """Rows: {replicas, lookups, failures, availability, host_uptime}."""
+) -> Tables:
+    """Table ``availability``, rows {replicas, lookups, failures, availability, host_uptime}."""
     rows: List[Dict] = []
     for k in replica_counts:
         sim = Simulator(seed=seed + k)
@@ -87,4 +88,4 @@ def availability_vs_replicas(
                 "host_uptime": host_uptime,
             }
         )
-    return rows
+    return {"availability": rows}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.bench.table import Tables
 from repro.core.environment import SnipeEnvironment
 from repro.daemon.tasks import TaskSpec
 from repro.pvm.pvmd import Pvmd
@@ -145,8 +146,8 @@ def rm_scalability(
     window: float = 20.0,
     drain: float = 60.0,
     seed: int = 0,
-) -> List[Dict]:
-    """Rows for every (system, offered rate) pair.
+) -> Tables:
+    """Table ``spawn_load``: a row for every (system, offered rate) pair.
 
     One server's capacity is 1/SERVICE_TIME = 50 req/s: the middle rate
     approaches it, the top rate exceeds it. Load is offered for *window*
@@ -158,4 +159,4 @@ def rm_scalability(
         rows.append(_run_pvm(n_hosts, rate, window, drain, seed))
         for k in rm_counts:
             rows.append(_run_snipe(n_hosts, k, rate, window, drain, seed))
-    return rows
+    return {"spawn_load": rows}

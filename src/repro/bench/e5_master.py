@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.bench.table import Tables
 from repro.core.environment import SnipeEnvironment
 from repro.daemon.tasks import TaskSpec
 from repro.net.media import ETHERNET_100
@@ -124,6 +125,9 @@ def _rows(system: str, stats) -> List[Dict]:
     return out
 
 
-def master_failure(n_hosts: int = 8, ops_per_phase: int = 20, seed: int = 0) -> List[Dict]:
-    """Rows: success rate before/after the critical host dies, per system."""
-    return _run_pvm(n_hosts, ops_per_phase, seed) + _run_snipe(n_hosts, ops_per_phase, seed)
+def master_failure(n_hosts: int = 8, ops_per_phase: int = 20,
+                   seed: int = 0) -> Tables:
+    """Table ``success``: success rate before/after the critical host
+    dies, per system."""
+    return {"success": _run_pvm(n_hosts, ops_per_phase, seed)
+            + _run_snipe(n_hosts, ops_per_phase, seed)}

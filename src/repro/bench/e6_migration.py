@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.bench.table import Tables
 from repro.core.environment import SnipeEnvironment
 from repro.daemon.tasks import TaskSpec
 
@@ -27,8 +28,8 @@ def migration_loss(
     send_interval: float = 0.05,
     horizon: float = 600.0,
     seed: int = 0,
-) -> List[Dict]:
-    """Rows: {hops, sent, received, lost, duplicated, reordered,
+) -> Tables:
+    """Table ``migration``, rows {hops, sent, received, lost, duplicated, reordered,
     max_pause_ms} per hop count. *horizon* is how long each site runs
     (virtual seconds) — far past the stream's end, so a late message
     would still be counted."""
@@ -102,4 +103,4 @@ def migration_loss(
                 "max_pause_ms": max_pause * 1e3,
             }
         )
-    return rows
+    return {"migration": rows}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.bench.table import Tables
 from repro.core.environment import SnipeEnvironment
 from repro.daemon.mcast import MAJORITY, SINGLE
 from repro.daemon.tasks import TaskSpec
@@ -28,8 +29,9 @@ def mcast_fault_tolerance(
     n_members: int = 8,
     router_kills: Sequence[int] = (0, 1, 2),
     seed: int = 0,
-) -> List[Dict]:
-    """Rows: {mode, routers, killed, members_alive, delivered, delivery_rate}."""
+) -> Tables:
+    """Table ``delivery``, rows {mode, routers, killed, members_alive,
+    delivered, delivery_rate}."""
     rows: List[Dict] = []
     for mode in (MAJORITY, SINGLE):
         for kills in router_kills:
@@ -86,14 +88,14 @@ def mcast_fault_tolerance(
                     "delivery_rate": len(got) / len(alive_members) if alive_members else 0.0,
                 }
             )
-    return rows
+    return {"delivery": rows}
 
 
 def router_density_ablation(
     min_routers_options: Sequence[int] = (1, 3, 5),
     n_members: int = 10,
     seed: int = 0,
-) -> List[Dict]:
+) -> Tables:
     """Ablation: §5.4's election density. More routers ⇒ more relay
     traffic but survival of more simultaneous failures."""
     rows: List[Dict] = []
@@ -132,4 +134,4 @@ def router_density_ablation(
                 "relay_ops": relays,
             }
         )
-    return rows
+    return {"density": rows}

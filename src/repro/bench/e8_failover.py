@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.bench.table import Tables
 from repro.net.media import ATM_155, ETHERNET_100
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
@@ -28,12 +29,10 @@ def failover_timeline(
     cut_at: float = 0.15,
     window: float = 0.05,
     seed: int = 0,
-) -> Dict[str, List[Dict]]:
-    """Returns {"timeline": rows, "summary": rows}.
-
-    timeline rows: {policy, t, mbps}; summary rows: {policy, delivered,
-    completed, failover_gap_ms, route_switches}.
-    """
+) -> Tables:
+    """Table ``summary``, rows {policy, delivered_mb, completed,
+    failover_gap_ms (None when nothing arrived after the cut),
+    route_switches}; table ``timeline``, rows {policy, t, mbps}."""
     timelines: List[Dict] = []
     summaries: List[Dict] = []
     for policy, dual in (("snipe-multipath", True), ("single-interface", False)):
@@ -99,8 +98,8 @@ def failover_timeline(
                 "policy": policy,
                 "delivered_mb": delivered / 1e6,
                 "completed": state["done"] == n_msgs,
-                "failover_gap_ms": gap * 1e3 if times else float("inf"),
+                "failover_gap_ms": gap * 1e3 if times else None,
                 "route_switches": tx.paths.switches,
             }
         )
-    return {"timeline": timelines, "summary": summaries}
+    return {"summary": summaries, "timeline": timelines}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.bench.table import Tables
 from repro.net.media import ETHERNET_100
 from repro.net.topology import Topology
 from repro.rcds.client import MASTER, ONE, RCClient
@@ -37,8 +38,9 @@ def rc_update_scaling(
     window: float = 20.0,
     sync_interval: float = 0.5,
     seed: int = 0,
-) -> List[Dict]:
-    """Rows: {model, replicas, throughput, mean_latency_ms, propagation_ms}."""
+) -> Tables:
+    """Table ``scaling``, rows {model, replicas, throughput,
+    mean_latency_ms, propagation_ms}."""
     rows: List[Dict] = []
     for model in ("master-master", "single-master"):
         for k in replica_counts:
@@ -117,14 +119,14 @@ def rc_update_scaling(
                     "propagation_ms": (propagated_at - t_write[0]) * 1e3,
                 }
             )
-    return rows
+    return {"scaling": rows}
 
 
 def anti_entropy_ablation(
     sync_intervals: Sequence[float] = (0.2, 1.0, 5.0),
     k: int = 4,
     seed: int = 0,
-) -> List[Dict]:
+) -> Tables:
     """Ablation: anti-entropy period vs propagation delay and sync traffic."""
     rows: List[Dict] = []
     for interval in sync_intervals:
@@ -163,4 +165,4 @@ def anti_entropy_ablation(
                 "sync_rounds": syncs,
             }
         )
-    return rows
+    return {"anti_entropy": rows}

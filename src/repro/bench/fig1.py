@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.table import Tables
 from repro.net.media import ATM_155, ETHERNET_100, Medium
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
@@ -101,8 +102,8 @@ def fig1_bandwidth(
     media: Sequence[Medium] = (ETHERNET_100, ATM_155),
     n_mcast_receivers: int = 4,
     seed: int = 0,
-) -> List[Dict]:
-    """Regenerate every Fig. 1 series; returns rows
+) -> Tables:
+    """Regenerate every Fig. 1 series; table ``bandwidth``, rows
     {series, medium, protocol, size, mbps}."""
     sizes = list(sizes or DEFAULT_SIZES)
     rows: List[Dict] = []
@@ -130,14 +131,14 @@ def fig1_bandwidth(
                 "mbps": bps / 1e6,
             }
         )
-    return rows
+    return {"bandwidth": rows}
 
 
 def srudp_window_ablation(
     windows: Sequence[int] = (4, 16, 64, 256),
     size: int = 1_048_576,
     seed: int = 0,
-) -> List[Dict]:
+) -> Tables:
     """Ablation: SRUDP window size on a high bandwidth-delay medium.
 
     Small windows stall on the BDP; the curve should rise and flatten.
@@ -166,14 +167,14 @@ def srudp_window_ablation(
         sim.run(until=p)
         sim.run(until=sim.now + 2.0)
         rows.append({"window": window, "size": size, "mbps": size / done["t"] / 1e6})
-    return rows
+    return {"window": rows}
 
 
 def multicast_fanout_ablation(
     receiver_counts: Sequence[int] = (1, 2, 4, 8),
     size: int = 1_048_576,
     seed: int = 0,
-) -> List[Dict]:
+) -> Tables:
     """Ablation: group size vs the cost of multicast and of N unicasts.
 
     The experimental multicast's selling point: one serialisation reaches
@@ -220,4 +221,4 @@ def multicast_fanout_ablation(
                 "speedup": unicast_s / mcast_s,
             }
         )
-    return rows
+    return {"fanout": rows}

@@ -20,13 +20,11 @@ deterministic columns, so it can be re-run on a committed file.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import time
 import traceback
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.bench import e2_mpiconnect, e15_gray, e16_heal, e18_catalog_scale
 from repro.bench.e2_mpiconnect import mpiconnect_vs_pvmpi
 from repro.bench.e3_availability import availability_vs_replicas
 from repro.bench.e4_rm import rm_scalability
@@ -49,11 +47,10 @@ from repro.bench.fig1 import (
     multicast_fanout_ablation,
     srudp_window_ablation,
 )
-from repro.bench.table import print_table
+from repro.bench.table import Tables, print_table
 from repro.obs.report import write_bench_json
 
 Row = Dict[str, Any]
-Tables = Dict[str, List[Row]]
 Builder = Callable[..., Tables]
 
 
@@ -541,58 +538,13 @@ BY_ID: Dict[str, Experiment] = {e.id: e for e in EXPERIMENTS}
 # The runner
 # ---------------------------------------------------------------------------
 
-def _e8_tables(out: Dict) -> Tables:
-    for r in out["summary"]:
-        if r["failover_gap_ms"] == float("inf"):
-            r["failover_gap_ms"] = None
-    return {"summary": out["summary"], "timeline": out["timeline"]}
-
-
-def _e18_split(split: Row) -> Tables:
-    split["miss_rate"] = round(split["misses"] / max(split["lookups"], 1), 4)
-    return {"split": [split]}
-
-
-#: Until the builders return named tables themselves (next commit):
-#: builder -> how to shape what it returns today.
-_SHAPE: Dict[Builder, Callable[[Any], Tables]] = {
-    fig1_bandwidth: lambda rows: {"bandwidth": rows},
-    srudp_window_ablation: lambda rows: {"window": rows},
-    multicast_fanout_ablation: lambda rows: {"fanout": rows},
-    mpiconnect_vs_pvmpi: lambda rows: {
-        "pingpong": rows, "speedup": e2_mpiconnect.summarize_speedup(rows)},
-    availability_vs_replicas: lambda rows: {"availability": rows},
-    rm_scalability: lambda rows: {"spawn_load": rows},
-    master_failure: lambda rows: {"success": rows},
-    migration_loss: lambda rows: {"migration": rows},
-    mcast_fault_tolerance: lambda rows: {"delivery": rows},
-    router_density_ablation: lambda rows: {"density": rows},
-    failover_timeline: _e8_tables,
-    rc_update_scaling: lambda rows: {"scaling": rows},
-    anti_entropy_ablation: lambda rows: {"anti_entropy": rows},
-    media_selection: lambda rows: {"media": rows},
-    recovery_mttr: lambda rows: {"mttr": rows},
-    overload_goodput: lambda rows: {"overload": rows},
-    bulk_distribution: lambda rows: {"distribution": rows},
-    obs_overhead: lambda rows: {"overhead": rows},
-    gray_goodput: lambda rows: {
-        "runs": rows, "summary": [e15_gray.summarize(rows)]},
-    heal_reconvergence: lambda rows: {
-        "runs": rows, "summary": [e16_heal.summarize(rows)]},
-    kernel_scale: lambda rows: {"scale": rows},
-    catalog_scale: lambda rows: {
-        "scale": rows, "summary": [e18_catalog_scale.summarize(rows)]},
-    split_under_load: _e18_split,
-}
-
-
 def run_experiment(exp: Experiment, profile: str) -> Tuple[Tables, float]:
     """Build every table of *exp* at *profile*; returns them with the
     wall-clock seconds the builders took."""
     t0 = time.perf_counter()
     tables: Tables = {}
     for build, kwargs in getattr(exp, profile).items():
-        tables.update(_SHAPE[build](build(**kwargs)))
+        tables.update(build(**kwargs))
     return tables, time.perf_counter() - t0
 
 
@@ -624,14 +576,6 @@ def write_result(exp: Experiment, profile: str, tables: Tables,
         })
 
 
-def load_deterministic(path: str) -> str:
-    """The canonical text of a results file minus its ``host`` block."""
-    with open(path) as fh:
-        data = json.load(fh)
-    data.pop("host", None)
-    return json.dumps(data, indent=2, sort_keys=True)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro experiments",
@@ -647,7 +591,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     profile = "quick" if args.quick else "full"
     failed = []
-    for exp in (BY_ID[i] for i in args.ids) if args.ids else EXPERIMENTS:
+    for exp in [BY_ID[i] for i in args.ids or BY_ID]:
         tables, wall_s = run_experiment(exp, profile)
         for name, rows in tables.items():
             print_table(f"{exp.id} {exp.title} — {name}", rows)

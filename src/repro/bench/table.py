@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, List, Optional, Sequence
+
+#: What every experiment builder returns: named tables of dict-rows.
+Tables = Dict[str, List[Dict[str, Any]]]
+
+
+def mean(values: Sequence[Optional[float]]) -> Optional[float]:
+    """Mean of the values that are not None; None when there is none."""
+    values = [v for v in values if v is not None]
+    return sum(values) / len(values) if values else None
 
 
 def format_table(rows: Sequence[Dict[str, Any]], columns: Sequence[str] = ()) -> str:

@@ -1,50 +1,24 @@
 """``python -m repro bulk`` — drive the bulk-data distribution plane.
 
-Subcommands:
+One subcommand:
 
-* ``bench`` — experiment E13: one object to every member of a racked
-  site, naive root-unicast vs the pipelined relay tree (plus the
-  relay-crash case). Prints the table and writes
-  ``BENCH_bulk_distribution.json`` next to it (``--out DIR``).
 * ``tree`` — show the relay tree the distributor would build for a
   site (who pulls from whom), then run one tree distribution and print
   the per-destination outcome — a quick way to see the pipeline,
   swarm announcements, and digest verification at work.
+
+The unicast-vs-tree measurement is experiment E13:
+``python -m repro experiments E13``.
 """
 
 from __future__ import annotations
 
 import argparse
-import time
 from typing import List, Optional
 
-from repro.bench.e13_bulk import CHUNK, LAYOUTS, bulk_distribution
-from repro.bench.table import print_table
+from repro.bench.e13_bulk import CHUNK
 from repro.bulk.distribute import build_relay_tree
 from repro.bulk.testbed import build_bulk_site, make_payload
-
-
-def _cmd_bench(args) -> int:
-    import os
-
-    from repro.obs.report import write_bench_json
-
-    os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    rows = bulk_distribution(host_counts=tuple(args.hosts),
-                             object_kb=args.object_kb, seed=args.seed)
-    wall_s = time.perf_counter() - t0
-    print_table("E13: bulk distribution — unicast vs pipelined relay tree",
-                rows)
-    bad = [r for r in rows
-           if r["completed"] != r["hosts"] or not r["all_verified"]]
-    path = write_bench_json("bulk_distribution", rows, args.out, wall_s=wall_s,
-                            seed=args.seed, hosts=max(args.hosts))
-    print(f"\nwritten: {path}")
-    if bad:
-        print(f"FAILED: {len(bad)} configuration(s) incomplete or unverified")
-        return 1
-    return 0
 
 
 def _cmd_tree(args) -> int:
@@ -91,25 +65,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro bulk",
                                      description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
-    p_bench = sub.add_parser("bench", help="E13 goodput benchmark")
-    p_bench.add_argument("--hosts", type=int, nargs="+",
-                         default=[8, 16, 32], choices=sorted(LAYOUTS),
-                         help="site sizes to run (default: 8 16 32)")
-    p_bench.add_argument("--object-kb", type=int, default=1024,
-                         help="object size in KiB (default 1024)")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--out", default=".",
-                         help="directory for BENCH_bulk_distribution.json")
     p_tree = sub.add_parser("tree", help="show the relay tree, run one fan-out")
     p_tree.add_argument("--racks", type=int, default=4)
     p_tree.add_argument("--per-rack", type=int, default=4)
     p_tree.add_argument("--fanout", type=int, default=2)
     p_tree.add_argument("--object-kb", type=int, default=512)
     p_tree.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.cmd == "bench":
-        return _cmd_bench(args)
-    return _cmd_tree(args)
+    return _cmd_tree(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

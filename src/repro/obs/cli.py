@@ -19,21 +19,13 @@ Subcommands:
   kernel profiler; print the hot-subsystem table and write
   ``BENCH_profile_<scenario>.json`` (with a d3-flamegraph-style nested
   JSON under ``flame``; ``--flame PATH`` also writes it standalone).
-* ``overhead`` — measure the cost of the observability layer itself:
-  runs the E12 overload and E13 bulk workloads with tracing detached,
-  sampled (1-in-100), and always-on, and writes
-  ``BENCH_obs_overhead.json``.
 * ``slo`` — evaluate the declarative SLOs (control-RPC p99, heartbeat
   loss, recovery MTTR, shed rate) continuously over an overload run —
   or offline against a saved export (``--export FILE``) — and exit
   nonzero on violation.
-* ``perf-gate`` — measure the kernel's wall-clock cost on short E12
-  (overload) and E13 (bulk chaos) slices, normalised by a pure-Python
-  calibration loop so the numbers compare across machines, and write
-  them as an export (``perf.e12_norm`` / ``perf.e13_norm`` gauges).
-  CI diffs the file against ``baselines/perf-kernel.json`` with
-  ``obs diff --fail-over 20 --metrics 'perf.*' --direction up`` — the
-  kernel performance regression gate.
+
+The cost of the observability layer itself (tracing off / sampled /
+on) is experiment E14: ``python -m repro experiments E14``.
 """
 
 from __future__ import annotations
@@ -200,100 +192,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_overhead(args: argparse.Namespace) -> int:
-    from repro.bench.e14_obs import format_overhead, obs_overhead
-
-    rows = obs_overhead(seed=args.seed, repeats=args.repeats, quick=args.quick)
-    print(format_overhead(rows))
-    path = write_bench_json(
-        "obs_overhead", rows, args.out, seed=args.seed,
-        extra={"repeats": args.repeats, "quick": args.quick},
-    )
-    print(f"\nwritten to {path}")
-    return 0
-
-
-#: Iterations of the pure-Python calibration spin perf-gate divides by.
-#: Sized so the spin takes roughly as long as a workload slice (~0.3 s),
-#: so each spin samples the same instantaneous machine load as the
-#: workload it is paired with.
-CALIBRATION_LOOPS = 400_000
-
-
-def _calibration_spin() -> int:
-    # Allocation- and dispatch-heavy on purpose: the simulator's cost is
-    # dominated by object churn and method calls, so a spin with the
-    # same profile tracks allocator/GC pressure a pure-arithmetic loop
-    # would miss.
-    acc = []
-    n = 0
-    for i in range(CALIBRATION_LOOPS):
-        acc.append({"i": i, "t": (i, i & 7)})
-        if len(acc) >= 64:
-            n += sum(d["t"][1] for d in acc)
-            acc.clear()
-    return n
-
-
-def _cmd_perf_gate(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.bench.table import format_table
-    from repro.robust.chaos import run_bulk_chaos, run_overload
-
-    if args.quick:
-        workloads = [
-            ("e12", lambda: run_overload(args.seed, saturation=3.0, duration=4.0)),
-            ("e13", lambda: run_bulk_chaos(args.seed, object_kb=128, duration=20.0)),
-        ]
-    else:
-        workloads = [
-            ("e12", lambda: run_overload(args.seed, saturation=3.0, duration=16.0)),
-            ("e13", lambda: run_bulk_chaos(args.seed, object_kb=2048, duration=60.0)),
-        ]
-
-    def timed(fn) -> float:
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-
-    # Each repeat pairs a calibration spin with the workload run and
-    # normalises within the pair, so drifting background load (the CI
-    # runner's co-tenants) cancels instead of masquerading as a kernel
-    # change. The median pair-ratio is reported: the min would reward
-    # a pair whose spin ran slow, the max punish one whose workload did.
-    rows = []
-    gauges = []
-    calibs = []
-    for name, fn in workloads:
-        pairs = []
-        for _ in range(args.repeats):
-            calib = timed(_calibration_spin)
-            wall = timed(fn)
-            calibs.append(calib)
-            pairs.append((wall / calib, wall))
-        pairs.sort()
-        norm, wall = pairs[len(pairs) // 2]
-        rows.append({"workload": name, "wall_s": round(wall, 4),
-                     "norm": round(norm, 3)})
-        # Only the normalised costs live under perf.* — the gate's
-        # metric glob — because raw wall seconds differ across machines
-        # for reasons that are not regressions.
-        gauges.append({"name": f"perf.{name}_norm", "tags": {},
-                       "value": round(norm, 3)})
-        gauges.append({"name": f"info.{name}_wall_s", "tags": {},
-                       "value": round(wall, 4)})
-    gauges.append({"name": "info.calib_s", "tags": {},
-                   "value": round(min(calibs), 4)})
-    gauges.sort(key=lambda g: g["name"])
-    print(f"calibration spin: {min(calibs):.4f}s (best of "
-          f"{len(calibs)}; norm = workload wall / paired spin wall)")
-    print(format_table(rows))
-    save_export({"counters": [], "gauges": gauges, "histograms": []}, args.out)
-    print(f"\nwritten to {args.out}")
-    return 0
-
-
 def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.obs.slo import (
         DEFAULT_SLOS,
@@ -376,34 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_prof.add_argument("--flame", default=None, metavar="PATH",
                         help="also write the d3-flamegraph JSON standalone")
     p_prof.set_defaults(fn=_cmd_profile)
-
-    p_over = sub.add_parser("overhead",
-                            help="measure tracing overhead (off/sampled/on) "
-                                 "on the E12/E13 workloads")
-    p_over.add_argument("--seed", type=int, default=1)
-    p_over.add_argument("--repeats", type=int, default=3,
-                        help="wall-clock repeats per cell; min is reported "
-                             "(default 3)")
-    p_over.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI smoke)")
-    p_over.add_argument("--out", default=".", metavar="DIR",
-                        help="directory for BENCH_obs_overhead.json (default: .)")
-    p_over.set_defaults(fn=_cmd_overhead)
-
-    p_perf = sub.add_parser(
-        "perf-gate",
-        help="measure normalised kernel cost on E12/E13 slices "
-             "(diff the output against baselines/perf-kernel.json)",
-    )
-    p_perf.add_argument("--seed", type=int, default=1)
-    p_perf.add_argument("--repeats", type=int, default=5,
-                        help="spin+workload pairs per workload; the median "
-                             "pair-ratio is reported (default 5)")
-    p_perf.add_argument("--quick", action="store_true",
-                        help="smaller workload slices (smoke tests)")
-    p_perf.add_argument("--out", default="perf-kernel.json", metavar="PATH",
-                        help="export file to write (default perf-kernel.json)")
-    p_perf.set_defaults(fn=_cmd_perf_gate)
 
     p_slo = sub.add_parser("slo", help="evaluate SLOs over an overload run "
                                        "or a saved export")

@@ -177,17 +177,3 @@ class RCClient(CatalogClient, ReplicaClient):
             after=after, limit=limit,
         )
         return results[0][1]
-
-    def stats(self, lane: str = BULK):
-        """Replication-state stats from every reachable replica, as
-        ``{server_id: stats_dict}`` — the ops view of log sizes,
-        tombstone backlog, compaction horizons, and sync health."""
-        return self.sim.process(self._stats(lane), name="rc.stats")
-
-    def _stats(self, lane: str = BULK):
-        targets = self._candidate_order()
-        done, _ = yield from self.walk(
-            targets, "rc.stats", {"timeout": self.rpc_timeout, "lane": lane},
-            need=len(targets),
-        )
-        return {stats["server_id"]: stats for _, stats in done}

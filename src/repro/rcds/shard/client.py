@@ -1,7 +1,7 @@
 """The sharded catalog facade — drop-in for :class:`RCClient`.
 
 Callers keep the exact RCClient API (lookup/update/delete/query/get/
-set/stats, consistency levels, lanes); underneath, every operation is
+set, consistency levels, lanes); underneath, every operation is
 routed by the cached shard map to an :class:`RCClient` over the owning
 shard's replica group. The map is fetched from the root directory group
 (QUORUM when possible), cached for ``MAP_TTL`` seconds, and refreshed
@@ -148,20 +148,6 @@ class ShardedRCClient(CatalogClient):
                     break
                 after = page[-1]
         return sorted(found)
-
-    def stats(self, lane: str = BULK):
-        """Replication stats from every reachable replica of every shard,
-        keyed by server id (the RCClient.stats shape, federation-wide)."""
-        return self.sim.process(self._stats(lane), name="rc.stats")
-
-    def _stats(self, lane: str = BULK):
-        yield from self._ensure_map()
-        out: Dict[str, Dict[str, Any]] = {}
-        for _sid, info in sorted(self.map.shards.items()):
-            client = self._client_for(info.replicas)
-            stats = yield from client._stats(lane)
-            out.update(stats)
-        return out
 
     def close(self) -> None:
         for client in self._clients.values():

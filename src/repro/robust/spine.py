@@ -220,7 +220,7 @@ def scenario_runner(fn: Callable[..., Run]) -> Callable[..., Dict]:
     """Give a chaos-mode scenario function its public ``run_*`` form.
 
     The decorated name keeps the signature and returns ``Run.report`` —
-    the contract tests, benches and ``perf-gate`` import by name;
+    the contract tests and the experiment builders import by name;
     ``run_*.run`` is the function itself, for the callers (CLI
     ``--export``, the profiler, E14) that also want ``Run.sim``.
     """

@@ -1,164 +1,8 @@
-"""Fast smoke tests for every benchmark harness (small configurations).
+"""The pieces every experiment builder shares: the table formatter and
+the topology helpers. The builders themselves are exercised row by row
+in ``test_manifest.py``."""
 
-The real reproductions run under ``pytest benchmarks/ --benchmark-only``;
-these keep the harness code covered by the unit suite and pin the row
-schemas the benchmarks rely on.
-"""
-
-import pytest
-
-from repro.bench.e10_media import media_selection
-from repro.bench.e2_mpiconnect import mpiconnect_vs_pvmpi, summarize_speedup
-from repro.bench.e3_availability import availability_vs_replicas
-from repro.bench.e5_master import master_failure
-from repro.bench.e6_migration import migration_loss
-from repro.bench.e7_mcast import mcast_fault_tolerance
-from repro.bench.e8_failover import failover_timeline
-from repro.bench.e9_rc import anti_entropy_ablation, rc_update_scaling
-from repro.bench.fig1 import fig1_bandwidth
 from repro.bench.table import format_table
-
-
-def test_fig1_rows_schema():
-    rows = fig1_bandwidth(sizes=[16_384], n_mcast_receivers=2)
-    assert {r["series"] for r in rows} == {
-        "srudp/ethernet-100", "tcp/ethernet-100",
-        "srudp/atm-155", "tcp/atm-155", "mcast/ethernet-100",
-    }
-    assert all(r["mbps"] > 5.0 for r in rows)
-
-
-def test_e2_rows_and_speedup():
-    rows = mpiconnect_vs_pvmpi(sizes=[4_096], n_msgs=2)
-    speedups = summarize_speedup(rows)
-    assert len(rows) == 2 and len(speedups) == 1
-    assert speedups[0]["speedup"] > 1.0
-
-
-def test_e3_availability_small():
-    rows = availability_vs_replicas(replica_counts=(1, 3), horizon=120.0)
-    assert [r["replicas"] for r in rows] == [1, 3]
-    assert rows[1]["availability"] >= rows[0]["availability"]
-
-
-def test_e5_master_failure_small():
-    rows = master_failure(n_hosts=4, ops_per_phase=5)
-    by_key = {(r["system"], r["phase"]): r["success_rate"] for r in rows}
-    assert by_key[("pvm", "after")] == 0.0
-    assert by_key[("snipe", "after")] == 1.0
-
-
-def test_e6_migration_small():
-    rows = migration_loss(hop_counts=(1,), n_msgs=20)
-    assert rows[0]["lost"] == 0 and rows[0]["duplicated"] == 0
-
-
-def test_e7_mcast_small():
-    rows = mcast_fault_tolerance(n_members=5, router_kills=(1,))
-    by_mode = {r["mode"]: r["delivery_rate"] for r in rows}
-    assert by_mode["majority"] == 1.0
-    assert by_mode["single"] == 0.0
-
-
-def test_e8_failover_small():
-    result = failover_timeline(total_bytes=4_000_000, msg_size=200_000, cut_at=0.05)
-    summary = {r["policy"]: r for r in result["summary"]}
-    assert summary["snipe-multipath"]["completed"]
-    assert not summary["single-interface"]["completed"]
-    assert result["timeline"]  # the series exists for plotting
-
-
-def test_e9_small():
-    rows = rc_update_scaling(replica_counts=(1, 2), n_writers=4, window=4.0)
-    by_key = {(r["model"], r["replicas"]): r["throughput"] for r in rows}
-    assert by_key[("master-master", 2)] > by_key[("single-master", 2)]
-    ab = anti_entropy_ablation(sync_intervals=(0.2, 2.0), k=2)
-    assert ab[0]["propagation_s"] < ab[1]["propagation_s"]
-
-
-def test_e10_small():
-    rows = media_selection(size=2_000_000)
-    by_policy = {r["policy"]: r["segment_used"] for r in rows}
-    assert by_policy == {"snipe": "myr", "default-ip": "eth"}
-
-
-def test_e16_summary_and_formatting():
-    from repro.bench.e16_heal import format_heal_bench, summarize
-
-    def row(config, mode="partition", **kw):
-        base = dict(config=config, seed=1, mode=mode, reconverge_s=2.5,
-                    diverged_at_heal=40, max_sync_batch=64, bound=64,
-                    control_p99_ms=0.4, control_max_ms=1.2, probe_failed=0,
-                    hb_failed=0, hb_failovers=0, snapshot_catchups=6,
-                    writes_ok=500, retired=7, resurrected=0, restores=0,
-                    ok=True)
-        base.update(kw)
-        return base
-
-    rows = [
-        row("bounded"),
-        row("unbounded", bound=None, max_sync_batch=7500,
-            control_p99_ms=48.0, probe_failed=3, hb_failovers=17,
-            snapshot_catchups=0, ok=False),
-        row("blackout", mode="blackout", restores=3),
-    ]
-    s = summarize(rows)
-    assert s["bounded_all_ok"] and s["blackout_all_ok"]
-    assert s["baseline_breaches_bound"]
-    assert s["payload_ratio"] > 100
-    assert s["blackout_restores"] == 3 and s["blackout_resurrected"] == 0
-    text = format_heal_bench(rows)
-    assert "E16" in text and "7500" in text and "durable restores" in text
-
-
-def test_e17_kernel_scale_small():
-    from repro.bench.e17_kernel_scale import kernel_scale
-
-    rows = kernel_scale(scales=(16, 32), calls_per_host=2)
-    assert [r["hosts"] for r in rows] == [16, 32]
-    # Pin the row schema BENCH_kernel_scale.json archives.
-    assert set(rows[0]) == {
-        "hosts", "lans", "calls", "calls_ok", "calls_failed",
-        "virtual_s", "events", "frames", "wall_s", "events_per_s",
-    }
-    for r in rows:
-        assert r["calls_ok"] == r["calls"] and r["calls_failed"] == 0
-        assert r["events"] > 0 and r["frames"] > 0
-    # Wall-clock canary: these two tiny sites simulate in well under a
-    # second; a kernel regression big enough to trip a bound this
-    # generous is a bug no matter what the full benchmarks say.
-    assert all(r["wall_s"] < 5.0 for r in rows)
-
-
-def test_e18_catalog_scale_small():
-    from repro.bench.e18_catalog_scale import (
-        catalog_scale,
-        format_catalog_bench,
-        summarize,
-    )
-
-    rows = catalog_scale(name_counts=(400,), n_shards=2, window=4.0,
-                         n_client_hosts=2, sessions_per_host=2)
-    assert [r["config"] for r in rows] == ["sharded", "full-replication"]
-    # Pin the row schema BENCH_catalog_scale.json archives.
-    assert set(rows[0]) == {
-        "config", "names", "shards", "servers", "clients", "window_s",
-        "lookups", "updates", "creates", "queries", "failed", "misses",
-        "ops_per_s", "lookups_per_s", "updates_per_s", "lookup_p50_ms",
-        "lookup_p99_ms", "update_p99_ms", "query_p99_ms", "redirects",
-        "preload_s", "wall_s",
-    }
-    for r in rows:
-        # Steady state (no splits, no churned map): every preloaded name
-        # resolves and no quorum is ever lost.
-        assert r["misses"] == 0 and r["failed"] == 0
-        assert r["lookups"] > 0 and r["updates"] > 0
-    # Wall-clock canary, same spirit as E17's: tiny configs must stay
-    # interactive or the preload/anti-entropy fast paths regressed.
-    assert all(r["wall_s"] < 10.0 for r in rows)
-    s = summarize(rows)
-    assert s["max_names"] == 400 and s["speedup_ops"] is not None
-    assert "E18" in format_catalog_bench(rows)
 
 
 def test_format_table_alignment():

@@ -1,15 +1,20 @@
 """The experiment manifest is complete, its checks bite, and the
 committed ``results/`` are what the source tree produces today."""
 
+import importlib
+import inspect
 import json
 import pathlib
+import pkgutil
+import re
+import runpy
 
 import pytest
 
+import repro.bench
 from repro.bench.manifest import (
     EXPERIMENTS,
     deterministic,
-    load_deterministic,
     run_experiment,
     write_result,
 )
@@ -18,6 +23,30 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 RESULTS = ROOT / "results"
 
 by_id = pytest.mark.parametrize("exp", EXPERIMENTS, ids=lambda e: e.id)
+
+
+def load_deterministic(path) -> str:
+    """The canonical text of a results file minus its ``host`` block."""
+    data = json.loads(pathlib.Path(path).read_text())
+    del data["host"]
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def test_every_experiment_function_is_in_exactly_one_row():
+    public = set()
+    for info in pkgutil.iter_modules(repro.bench.__path__):
+        if not re.fullmatch(r"fig1|e\d+_\w+", info.name):
+            continue
+        mod = importlib.import_module(f"repro.bench.{info.name}")
+        public |= {fn for name, fn in inspect.getmembers(mod, inspect.isfunction)
+                   if fn.__module__ == mod.__name__ and not name.startswith("_")}
+    used = [fn for exp in EXPERIMENTS for fn in exp.full]
+    assert len(used) == len(set(used)), "a builder appears in two rows"
+    assert set(used) == public
+    for exp in EXPERIMENTS:
+        assert exp.full and list(exp.full) == list(exp.quick), exp.id
+        assert callable(exp.check), exp.id
+    assert [e.id for e in EXPERIMENTS] == [f"E{i}" for i in range(1, 19)]
 
 
 @by_id
@@ -29,7 +58,7 @@ def test_run_passes_its_check_and_regenerates_the_committed_result(
     exp.check(deterministic(exp, tables))
     fresh = write_result(exp, profile, tables, wall_s, str(tmp_path))
     committed = RESULTS / profile / f"{exp.id}.json"
-    assert load_deterministic(fresh) == load_deterministic(str(committed)), (
+    assert load_deterministic(fresh) == load_deterministic(committed), (
         f"{committed.relative_to(ROOT)} is stale: regenerate with "
         f"`python -m repro experiments {exp.id}"
         f"{' --quick' if profile == 'quick' else ''}`")
@@ -120,3 +149,9 @@ def test_cli_exits_nonzero_when_a_check_fails(tmp_path, monkeypatch, capsys):
                         manifest.BY_ID["E10"]._replace(check=never))
     assert manifest.main(argv) == 1
     assert "FAILED checks: E10" in capsys.readouterr().out
+
+
+def test_experiments_md_tables_are_rendered_from_results():
+    render = runpy.run_path(str(ROOT / "scripts" / "render_experiments.py"))["render"]
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    assert render(text) == text, "run `python scripts/render_experiments.py`"

@@ -160,6 +160,27 @@ def test_gate_diff_glob_and_bad_direction():
         gate_diff(rows, 1.0, direction="sideways")
 
 
+def test_diff_cli_exit_code_is_the_gate(tmp_path):
+    """``obs diff --fail-over`` exits 1 iff a gated metric moved too far
+    in the gated direction — what CI's drift gates rely on."""
+    from repro.obs.cli import main
+
+    def export(rate, info):
+        path = tmp_path / f"{rate}-{info}.json"
+        path.write_text(json.dumps({"counters": [], "histograms": [], "gauges": [
+            {"name": "perf.rate", "tags": {}, "value": rate},
+            {"name": "info.wall_s", "tags": {}, "value": info}]}))
+        return str(path)
+
+    gate = ["--fail-over", "20", "--metrics", "perf.*", "--direction", "up"]
+    base = export(1.0, 1.0)
+    assert main(["diff", base, base, *gate]) == 0
+    assert main(["diff", base, export(1.5, 1.0), *gate]) == 1
+    # A move in the other direction, or outside the glob, is not gated.
+    assert main(["diff", base, export(0.5, 1.0), *gate]) == 0
+    assert main(["diff", base, export(1.0, 10.0), *gate]) == 0
+
+
 def test_load_bench_dict_of_tables(tmp_path):
     """BENCH rows may be {table: [rows]}; each sub-table gets a table tag."""
     rows = {"summary": [{"policy": "multipath", "gap_ms": 85.0}]}
