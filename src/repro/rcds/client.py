@@ -34,14 +34,36 @@ class ConsistencyError(Exception):
     """Not enough replicas answered to satisfy the consistency level."""
 
 
+def _newest(replies: List[Dict[str, Dict[str, Any]]]) -> Dict[str, Dict[str, Any]]:
+    """One name's assertions merged across replica replies: per key, the
+    assertion with the newest ``wall`` stamp."""
+    if len(replies) == 1:
+        return replies[0]
+    merged: Dict[str, Dict[str, Any]] = {}
+    for assertions in replies:
+        for key, info in assertions.items():
+            if key not in merged or info["wall"] > merged[key]["wall"]:
+                merged[key] = info
+    return merged
+
+
 class CatalogClient:
     """The catalog API (every call returns a sim process; use with
     ``yield``), once for the plain and the sharded client: a subclass
-    supplies the ``_lookup``/``_update``/``_delete`` generators."""
+    supplies the ``_lookup``/``_lookup_many``/``_update``/``_delete``
+    generators."""
 
     def lookup(self, uri: str, consistency: str = ONE, lane: str = BULK):
         return self.sim.process(
             self._lookup(uri, consistency, lane), name=f"rc.lookup:{uri}"
+        )
+
+    def lookup_many(self, uris: List[str], consistency: str = ONE, lane: str = BULK):
+        """``{uri: assertions}`` for every name in *uris* (``{}`` for an
+        unknown one) in one request per replica — the verb for readers
+        that scan a whole prefix. ``[]`` sends nothing."""
+        return self.sim.process(
+            self._lookup_many(list(uris), consistency, lane), name="rc.lookup_many"
         )
 
     def update(self, uri: str, assertions: Dict[str, Any], consistency: str = ONE,
@@ -126,21 +148,24 @@ class RCClient(CatalogClient, ReplicaClient):
         return self.rounds(one_round, (ConsistencyError,), op=method)
 
     # -- the catalog verbs (generators; CatalogClient wraps them) -----------
-    def _lookup(self, uri: str, consistency: str, lane: str = BULK):
+    def _read(self, method: str, consistency: str, lane: str, **args):
+        """The replies of enough replicas to satisfy *consistency*."""
         need = self._required(consistency)
         targets = self._candidate_order()
         t0 = self.sim.now
-        results = yield from self._fanout("rc.lookup", need, targets, lane=lane, uri=uri)
+        results = yield from self._fanout(method, need, targets, lane=lane, **args)
         self._m_lookup_latency.observe(self.sim.now - t0)
-        if len(results) == 1:
-            return results[0][1]
-        # Merge: per key, keep the assertion with the newest timestamp.
-        merged: Dict[str, Dict[str, Any]] = {}
-        for _, assertions in results:
-            for key, info in assertions.items():
-                if key not in merged or info["wall"] > merged[key]["wall"]:
-                    merged[key] = info
-        return merged
+        return [reply for _, reply in results]
+
+    def _lookup(self, uri: str, consistency: str, lane: str = BULK):
+        replies = yield from self._read("rc.lookup", consistency, lane, uri=uri)
+        return _newest(replies)
+
+    def _lookup_many(self, uris: List[str], consistency: str, lane: str = BULK):
+        if not uris:
+            return {}
+        replies = yield from self._read("rc.lookup_many", consistency, lane, uris=uris)
+        return {uri: _newest([reply[uri] for reply in replies]) for uri in uris}
 
     def _update(self, uri: str, assertions: Dict[str, Any], consistency: str,
                 lane: str = BULK):

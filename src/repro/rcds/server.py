@@ -1,6 +1,6 @@
 """The RC/metadata server process (§3.1, §6).
 
-Serves authenticated lookup/update/delete/query RPCs against its
+Serves authenticated lookup/lookup_many/update/delete/query RPCs against its
 :class:`~repro.rcds.records.RCStore` and runs push-pull anti-entropy with
 its peer replicas. Any replica accepts writes — the "true master–master
 update data model" the paper contrasts with LDAP-based directories (§7).
@@ -139,6 +139,7 @@ class RCServer:
         self._snap_sessions: Dict[str, Tuple[list, Dict[str, int]]] = {}
         self.rpc = RpcServer(host, port, secret=secret, service_time=service_time)
         self.rpc.register("rc.lookup", self._h_lookup)
+        self.rpc.register("rc.lookup_many", self._h_lookup_many)
         self.rpc.register("rc.update", self._h_update)
         self.rpc.register("rc.delete", self._h_delete)
         self.rpc.register("rc.query", self._h_query)
@@ -147,7 +148,6 @@ class RCServer:
         self.rpc.register("rc.sync_pull", self._h_sync_pull)
         self.rpc.register("rc.sync_push", self._h_sync_push)
         self.rpc.register("rc.snapshot", self._h_snapshot)
-        self.rpc.register("rc.stats", self._h_stats)
         self._client = RpcClient(host, secret=secret)
         self.syncs_ok = 0
         self.syncs_failed = 0
@@ -214,6 +214,12 @@ class RCServer:
     def _h_lookup(self, args: Dict) -> Dict:
         self._m_lookups.inc()
         return self.store.lookup(args["uri"])
+
+    def _h_lookup_many(self, args: Dict) -> Dict:
+        """``{uri: assertions}`` for a whole scan in one request: one
+        ``service_time`` charge and one ``rcds.lookups`` count."""
+        self._m_lookups.inc()
+        return {uri: self.store.lookup(uri) for uri in args["uris"]}
 
     def _h_update(self, args: Dict) -> Dict:
         self._m_updates.inc()
@@ -317,8 +323,8 @@ class RCServer:
             self._snap_sessions.pop(who, None)
         return out
 
-    def _h_stats(self, args: Dict) -> Dict:
-        """Replication-state introspection for ops tooling and reports."""
+    def stats(self) -> Dict:
+        """Replication-state introspection for reports."""
         return {
             "server_id": self.store.server_id,
             "records": self.store.record_count(),

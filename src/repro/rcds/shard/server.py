@@ -159,6 +159,14 @@ class ShardRCServer(RCServer):
         self.lookups_served += 1
         return super()._h_lookup(args)
 
+    def _h_lookup_many(self, args: Dict) -> Dict:
+        # One name this shard may not serve redirects the whole batch;
+        # the client regroups it on the refreshed map.
+        for uri in args["uris"]:
+            self._fence(uri, read=True)
+        self.lookups_served += 1
+        return super()._h_lookup_many(args)
+
     def _h_update(self, args: Dict) -> Dict:
         self._fence(args["uri"])
         return super()._h_update(args)
@@ -167,8 +175,8 @@ class ShardRCServer(RCServer):
         self._fence(args["uri"])
         return super()._h_delete(args)
 
-    def _h_stats(self, args: Dict) -> Dict:
-        out = super()._h_stats(args)
+    def stats(self) -> Dict:
+        out = super().stats()
         out.update({
             "sid": self.sid,
             "epoch": self.epoch,

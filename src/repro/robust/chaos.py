@@ -1390,7 +1390,7 @@ def run_partition_heal(
         hb_failovers = int(sum(d.rc.failovers for d in env.daemons.values()))
         sync_failures = {k: int(v) for k, v in snap.items()
                          if k.startswith("rcds.sync_failures")}
-        replica_stats = {name: srv._h_stats({}) for name, srv in env.rc_servers.items()}
+        replica_stats = {name: srv.stats() for name, srv in env.rc_servers.items()}
         reconverge_s = (measures["reconverged_at"] - monitor_from
                         if measures["reconverged_at"] is not None else None)
 

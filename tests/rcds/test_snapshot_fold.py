@@ -92,7 +92,7 @@ def test_steady_state_fold_cost_is_independent_of_store_size(registers):
     entries = metrics.counter("rcds.snapshot_entries_folded").value - folded
     assert snapshots == 10
     assert entries <= snapshots * snapshot_every + collected
-    stats = server._h_stats({})
+    stats = server.stats()
     assert stats["snapshots_written"] == server.snapshots_written
     assert stats["snapshot_entries_folded"] == server.snapshot_entries_folded
 
