@@ -28,6 +28,7 @@ from repro.files.client import FileClient
 from repro.rcds.client import QUORUM
 from repro.rpc import RpcClient, payload_size
 from repro.security.hashes import content_hash
+from repro.sim.events import defuse
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.process import SnipeContext
@@ -195,7 +196,11 @@ def checkpoint_to_files(ctx: "SnipeContext", lifn: Optional[str] = None, replica
             ctx.enable_supervision()
         return lifn
 
-    return ctx.sim.process(go(), name=f"ckpt:{ctx.urn}")
+    # Defused: a task killed mid-checkpoint leaves the write running with
+    # nobody waiting on it. If that orphan then fails, recovery already
+    # falls back on the previous checkpoint, so the failure must not
+    # abort the run as an uncaught crash; a live caller still gets it.
+    return defuse(ctx.sim.process(go(), name=f"ckpt:{ctx.urn}"))
 
 
 def restart_from_files(host: "Host", rc: "RCClient", lifn: str, keep_urn: bool = True):

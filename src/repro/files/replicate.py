@@ -58,12 +58,26 @@ class ReplicationDaemon:
                 yield self.sim.timeout(self.interval * (0.5 + rng.random()))
                 if not self.server.host.up:
                     continue
-                for name in list(self.server.files):
-                    yield from self._consider(name, rng)
+                yield from self._pass(rng)
         except Interrupt:
             return
 
-    def _consider(self, name: str, rng):
+    def _pass(self, rng):
+        """One wakeup: read every local file's locations and the peer set
+        in two catalog requests, whatever the file count, then apply the
+        policy file by file. A failed read skips the whole pass."""
+        names = list(self.server.files)
+        if not names:
+            return
+        try:
+            locations = yield self.server.lifns.locations_many(names)
+            servers = yield from discover(self.server.rc, "fileserver")
+        except Exception:
+            return
+        for name in names:
+            yield from self._consider(name, rng, locations[name], servers)
+
+    def _consider(self, name: str, rng, locations, servers):
         vf = self.server.files.get(name)
         if vf is None:
             return
@@ -71,11 +85,6 @@ class ReplicationDaemon:
         prev = self._last_gets.get(name, 0)
         rate = (vf.gets - prev) / max(self.interval, 1e-9)
         self._last_gets[name] = vf.gets
-        try:
-            locations = yield self.server.lifns.locations(name)
-            servers = yield from discover(self.server.rc, "fileserver")
-        except Exception:
-            return
         target = self.redundancy
         if rate > self.hot_threshold:
             target = self.max_replicas  # demand-driven expansion

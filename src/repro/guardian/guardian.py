@@ -59,6 +59,11 @@ if TYPE_CHECKING:  # pragma: no cover
 GUARDIAN_PORT = 3700
 
 
+def _values(record: Dict) -> Dict:
+    """A looked-up record's assertions as ``{key: value}``."""
+    return {key: info["value"] for key, info in record.items()}
+
+
 class Guardian:
     """One guardian instance; run several (on different hosts) for redundancy."""
 
@@ -198,18 +203,18 @@ class Guardian:
         probe is what keeps that honest: a lapsed lease only says the
         daemon's heartbeat didn't reach the catalog, which a one-way
         partition or clock skew produces without anybody dying.
+
+        Every host record is read in one ``lookup_many``; if that batch
+        fails, so does the scan (the next tick retries it), exactly as
+        when the ``query`` before it fails.
         """
         urls = yield self.rc.query("snipe://", lane=CONTROL)
+        hosts = uri_mod.host_records(urls)
+        records = yield self.rc.lookup_many(list(hosts), lane=CONTROL)
         dead = {}
         now = self.host.clock()
-        for url in urls:
-            host_name = uri_mod.host_of(url)
-            if host_name is None or not url.endswith("/"):
-                continue  # sub-resources like snipe://h/fileserver
-            try:
-                lease = yield self.rc.get(url, "lease-expires", lane=CONTROL)
-            except Exception:
-                continue
+        for url, host_name in hosts.items():
+            lease = _values(records[url]).get("lease-expires")
             if lease is not None and lease + self.grace < now:
                 if (yield from self._confirm_dead(host_name)):
                     dead[host_name] = lease
@@ -296,18 +301,13 @@ class Guardian:
         dead = yield from self._dead_hosts()
         live_guardians = yield from self._live_guardians(dead)
         urns = yield self.rc.query("urn:snipe:proc:", lane=CONTROL)
+        records = yield self.rc.lookup_many(urns, lane=CONTROL)
         for urn in urns:
+            # Checked after the batch: the notify path may have started
+            # a recovery while it was out.
             if urn in self._recovering:
                 continue
-            try:
-                meta = yield self.rc.lookup(urn, lane=CONTROL)
-            except Exception:
-                continue
-
-            def val(key):
-                info = meta.get(key)
-                return info["value"] if info else None
-
+            val = _values(records[urn]).get
             if val("kind") == "guardian":
                 continue
             lifn = val("checkpoint-lifn")
@@ -370,11 +370,7 @@ class Guardian:
             meta = yield self.rc.lookup(urn, lane=CONTROL)
         except Exception:
             return
-
-        def val(key):
-            info = meta.get(key)
-            return info["value"] if info else None
-
+        val = _values(meta).get
         if val("kind") == "guardian":
             return
         lifn = val("checkpoint-lifn")
@@ -422,10 +418,7 @@ class Guardian:
             except Exception:
                 meta = None
             if meta is not None:
-                def val(key):
-                    info = meta.get(key)
-                    return info["value"] if info else None
-
+                val = _values(meta).get
                 dead = yield from self._dead_hosts()
                 if not self._is_dead(val("state"), val("exit-error"),
                                      val("host"), dead):

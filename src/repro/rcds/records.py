@@ -462,11 +462,6 @@ class RCStore:
             return None
         return entry.value
 
-    def freshest_wall(self, uri: str) -> float:
-        """Newest wall timestamp among *uri*'s visible assertions."""
-        walls = [e.wall for e in self.data.get(uri, {}).values() if not e.deleted]
-        return max(walls) if walls else -1.0
-
     def query(self, prefix: str, after: Optional[str] = None,
               limit: Optional[int] = None) -> List[str]:
         """URIs starting with *prefix* that have at least one live

@@ -69,6 +69,17 @@ def host_of(uri: str) -> Optional[str]:
     return None
 
 
+def host_records(urls: List[str]) -> Dict[str, str]:
+    """``{url: host}`` for the host records (``snipe://<host>/``) among
+    *urls*, skipping sub-resources like ``snipe://<host>/fileserver``."""
+    out = {}
+    for url in urls:
+        host = host_of(url)
+        if host is not None and url.endswith("/"):
+            out[url] = host
+    return out
+
+
 def urn_kind(uri: str) -> Optional[Tuple[str, str]]:
     """For urn:snipe:<kind>:<name>, return (kind, name); else None."""
     parts = uri.split(":", 3)

@@ -95,26 +95,15 @@ class ResourceManager:
         return sum(1 for a in self.allocations.values() if a["owner"] == owner)
 
     def _collect_host_metadata(self):
-        """Pull candidate host metadata from the catalog."""
+        """Pull candidate host metadata from the catalog: one ``query``
+        and one ``lookup_many``. A failed read fails the request, which
+        the requester's RM client then retries on another RM."""
         urls = yield self.rc.query("snipe://")
-        metadata = {}
-        for url in urls:
-            host_name = uri_mod.host_of(url)
-            if host_name is None or not url.endswith("/"):
-                continue  # skip sub-resources like snipe://h/fileserver
-            if self.managed_hosts is not None and host_name not in self.managed_hosts:
-                continue
-            try:
-                assertions = yield self.rc.lookup(url)
-            except Exception:
-                continue
-            if "daemon" in assertions:
-                metadata[host_name] = assertions
-        return metadata
-
-    def select_hosts(self, spec: TaskSpec):
-        """Ranked candidate hosts for *spec* (a process)."""
-        return self.sim.process(self._select(spec), name="rm-select")
+        hosts = {url: host for url, host in uri_mod.host_records(urls).items()
+                 if self.managed_hosts is None or host in self.managed_hosts}
+        records = yield self.rc.lookup_many(list(hosts))
+        return {host: records[url] for url, host in hosts.items()
+                if "daemon" in records[url]}
 
     def _select(self, spec: TaskSpec):
         metadata = yield from self._collect_host_metadata()

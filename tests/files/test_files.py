@@ -1,8 +1,10 @@
 """Tests for file servers, sinks/sources, replication, closest-replica reads."""
 
+import pytest
 
 from repro.files import FileClient, FileError, FileServer, ReplicationDaemon
 from repro.rcds import RCClient, RCServer
+from repro.rpc import RpcClient
 from repro.transport.srudp import SrudpEndpoint
 
 from ..transport.conftest import make_lan
@@ -163,6 +165,74 @@ def test_replication_survives_server_failure():
         return got["payload"]
 
     assert run_gen(sim, go(sim)) == b"keep-me"
+
+
+def replicated_file_site(n_servers, files):
+    """h0..h(n-1) file servers over a 3-replica catalog (h3-h5), with one
+    parked replication daemon each, and *files* ``{name: [server index]}``
+    stored where given. Returns (sim, servers, daemons, client)."""
+    sim, topo, hosts = make_lan(n_hosts=6)
+    replicas = [(f"h{i}", 385) for i in (3, 4, 5)]
+    for i in (3, 4, 5):
+        RCServer(hosts[i], peers=[r for r in replicas if r[0] != f"h{i}"])
+    servers = [FileServer(hosts[i], RCClient(hosts[i], replicas)) for i in range(n_servers)]
+    # An interval no wakeup reaches: the tests drive single passes.
+    daemons = [ReplicationDaemon(s, redundancy=2, interval=1e9) for s in servers]
+    client = FileClient(hosts[5], RCClient(hosts[5], replicas))
+
+    def store(sim):
+        yield sim.timeout(0.5)
+        for name, where in files.items():
+            for i in where:
+                yield client.write(name, b"bytes", 10, server=(f"h{i}", 2100))
+
+    run_gen(sim, store(sim))
+    return sim, servers, daemons, client
+
+
+def one_pass(sim, daemon):
+    run_gen(sim, daemon._pass(sim.rng.stream("test-pass")))
+    sim.run(until=sim.now + 2.0)   # let pushed replicas bind their locations
+
+
+@pytest.mark.parametrize("n_files", [1, 64])
+def test_replication_pass_catalog_rpcs_do_not_grow_with_files(n_files, monkeypatch):
+    # One server: every file is below redundancy but no peer can take it,
+    # so the pass does nothing but read the catalog.
+    sim, servers, daemons, _client = replicated_file_site(
+        1, {f"f{i}.dat": [0] for i in range(n_files)})
+    catalog = servers[0].rc.rpc
+    calls = []
+    real_call = RpcClient.call
+
+    def call(self, dst_host, dst_port, method, **kw):
+        if self is catalog:
+            calls.append(method)
+        return real_call(self, dst_host, dst_port, method, **kw)
+
+    monkeypatch.setattr(RpcClient, "call", call)
+    one_pass(sim, daemons[0])
+    # One QUORUM lookup_many (two replicas) and one discover at ONE.
+    assert sorted(calls) == ["rc.lookup", "rc.lookup_many", "rc.lookup_many"]
+
+
+def test_replication_pass_pushes_and_trims_from_one_batched_read():
+    sim, servers, daemons, client = replicated_file_site(
+        3, {"lonely.dat": [0], "crowded.dat": [0, 1, 2]})
+
+    def locations(sim):
+        got = yield client.lifns.locations_many(["lonely.dat", "crowded.dat"])
+        return got
+
+    one_pass(sim, daemons[0])
+    after = run_gen(sim, locations(sim))
+    # Under-replicated: pushed to a peer that lacked it.
+    assert daemons[0].replicas_created == 1
+    assert len(after["lonely.dat"]) == 2 and "file://h0/lonely.dat" in after["lonely.dat"]
+    # Cold and over target: h0 dropped its own replica, never below target.
+    assert daemons[0].replicas_deleted == 1
+    assert "crowded.dat" not in servers[0].files
+    assert after["crowded.dat"] == ["file://h1/crowded.dat", "file://h2/crowded.dat"]
 
 
 def test_serving_replica_crash_mid_object_fails_over_verified():

@@ -153,7 +153,7 @@ def test_query_lists_registered_processes():
     assert run_proc(sim, go(sim)) == ["urn:snipe:proc:a", "urn:snipe:proc:b"]
 
 
-def test_lifn_bind_resolve_closest():
+def test_lifn_bind_resolve():
     sim, topo, hosts, servers, replicas = cluster()
     client = RCClient(hosts[4], replicas)
     lifns = LifnRegistry(client)
@@ -162,13 +162,11 @@ def test_lifn_bind_resolve_closest():
         yield lifns.bind("data.bin", "file://h0/data.bin", content_hash="abc123")
         yield lifns.bind("data.bin", "file://h4/data.bin")
         locs = yield lifns.locations("data.bin")
-        closest = yield lifns.closest_location("data.bin")
         chash = yield lifns.content_hash("data.bin")
-        return locs, closest, chash
+        return locs, chash
 
-    locs, closest, chash = run_proc(sim, go(sim))
+    locs, chash = run_proc(sim, go(sim))
     assert locs == ["file://h0/data.bin", "file://h4/data.bin"]
-    assert closest == "file://h4/data.bin"  # local replica preferred
     assert chash == "abc123"
 
 
