@@ -9,8 +9,7 @@ A fenced block
 
 is replaced by the named tables of ``results/full/E3.json`` as markdown:
 every table of the file when none is named, every column when none is
-listed. Host-clock columns are merged back in from the file's ``host``
-block. Regenerate the files with ``python -m repro experiments``, then
+listed. Regenerate the files with ``python -m repro experiments``, then
 run this script; ``tests/bench/test_manifest.py`` fails while the
 document and the files disagree.
 """
@@ -47,10 +46,7 @@ def render(text: str, results: pathlib.Path = ROOT / "results" / "full") -> str:
             or [(name, "") for name in data["rows"]]
         parts = []
         for name, columns in wanted:
-            host = data["host"].get(name) or [{}] * len(data["rows"][name])
-            rows = [{**row, **extra}
-                    for row, extra in zip(data["rows"][name], host)]
-            table = _markdown(rows, columns.split(",") if columns else [])
+            table = _markdown(data["rows"][name], columns.split(",") if columns else [])
             parts.append(f"*{name}*\n\n{table}" if len(wanted) > 1 else table)
         return match[1] + "\n" + "\n\n".join(parts) + "\n\n" + match[4]
 

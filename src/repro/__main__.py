@@ -11,7 +11,7 @@ Commands:
 * ``info`` — package and inventory summary.
 * ``obs`` — observability: ``obs report [export.json]``, ``obs diff
   BASE NEW`` (with ``--fail-over PCT`` as a CI regression gate),
-  ``obs profile`` (kernel profiler + flamegraph JSON) and ``obs slo``
+  ``obs profile`` (kernel work counts) and ``obs slo``
   (declarative SLO gates over an overload run or a saved export)
   (see :mod:`repro.obs.cli`).
 * ``chaos`` — seeded fault injection with invariant checking:

@@ -1,9 +1,9 @@
-"""E14 — the observability layer's own overhead, quantified.
+"""E14 — what looking does to the system under study.
 
-Observability that taxes the system under study distorts every other
-experiment, so the zero-cost-when-off claim is itself benchmarked: the
-E12 overload workload and the E13 bulk-distribution workload each run
-three times over —
+Observability that changes the system under study distorts every other
+experiment, so the knob is itself an experiment: the E12 overload
+workload and the E13 bulk-distribution workload each run three times
+over —
 
 * **off** — tracer detached (the default every other experiment runs
   under): trace stamping allocates no ids, probe emission short-circuits;
@@ -12,20 +12,16 @@ three times over —
 * **on** — tracing enabled at full rate (``--obs-sample 1.0``).
 
 Measured per (workload, config): the simulated outcome (virtual end
-time, kernel events), wall-clock (minimum over ``repeats`` runs — the
-minimum is the right estimator for a deterministic workload whose only
-noise source is the machine), trace records kept, records
-thinned by sampling, and ring-buffer drops. ``overhead_pct`` is the
-wall-clock cost relative to the detached run of the same workload.
-What is asserted is what is deterministic: the simulated outcome is
-identical across configs, and records kept order 0 = off < sampled <
-on — the knob buys a real trade, not a placebo. The wall-clock columns
-are host measurements: reported, not gated.
+time, kernel events), trace records kept, records thinned by sampling,
+and ring-buffer drops. The check asserts that the simulated outcome is
+identical across configs, and that records kept order 0 = off <
+sampled < on — the knob buys a real trade, not a placebo. What tracing
+costs in host time is measured by perfbench, paired and gated
+(``probe.obs.tracing_on_ratio``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.table import Tables
@@ -71,8 +67,7 @@ def _bulk_workload(seed: int, obs_sample: Optional[float], quick: bool):
     return sim
 
 
-def obs_overhead(seed: int = 1, repeats: int = 3,
-                 quick: bool = False) -> Tables:
+def obs_overhead(seed: int = 1, quick: bool = False) -> Tables:
     """Off vs sampled vs always-on tracing on E12 and E13; table
     ``overhead``."""
     workloads = (
@@ -81,36 +76,17 @@ def obs_overhead(seed: int = 1, repeats: int = 3,
     )
     rows: List[Dict] = []
     for wname, workload in workloads:
-        workload(seed, None, quick)  # untimed warmup: imports, allocator
-        # Interleave repeats round-robin across configs: the process keeps
-        # warming (caches, allocator arenas, CPU clocks) as it runs, and
-        # sequential per-config blocks would hand later configs a warmer
-        # machine than "off" ever saw. Round-robin exposes every config to
-        # the same drift; min-of-repeats then discards the noise.
-        best: Dict[str, float] = {c: float("inf") for c, _ in CONFIGS}
-        sims: Dict = {}
-        for _ in range(max(1, repeats)):
-            for cname, rate in CONFIGS:
-                t0 = time.perf_counter()
-                sims[cname] = workload(seed, rate, quick)
-                best[cname] = min(best[cname], time.perf_counter() - t0)
-        base_ms = round(best["off"] * 1000, 2)
         for cname, rate in CONFIGS:
-            tracer = sims[cname].obs.tracer
-            wall_ms = round(best[cname] * 1000, 2)
+            sim = workload(seed, rate, quick)
+            tracer = sim.obs.tracer
             rows.append({
                 "workload": wname,
                 "config": cname,
                 "sample_rate": rate,
-                "virtual_s": round(sims[cname].now, 6),
-                "events": sims[cname]._eid,
-                "wall_ms": wall_ms,
+                "virtual_s": round(sim.now, 6),
+                "events": sim._eid,
                 "trace_records": len(tracer),
                 "trace_dropped": tracer.dropped,
                 "sampled_out": tracer.sampled_out,
-                "overhead_pct": (
-                    round((wall_ms - base_ms) / base_ms * 100, 1)
-                    if base_ms else 0.0
-                ),
             })
     return {"overhead": rows}

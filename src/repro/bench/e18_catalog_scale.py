@@ -41,7 +41,6 @@ moving a live namespace.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.table import Tables
@@ -171,8 +170,8 @@ def _sessions(env: SnipeEnvironment, client_hosts: List[str],
 
 
 def _row(config: str, n_names: int, n_shards: int, n_servers: int,
-         n_sessions: int, window: float, preload_s: float, wall_s: float,
-         state: Dict, redirects: int) -> Dict:
+         n_sessions: int, window: float, state: Dict,
+         redirects: int) -> Dict:
     served = sum(len(state[k]) for k in ("lookup", "update", "create", "query"))
     return {
         "config": config,
@@ -195,15 +194,12 @@ def _row(config: str, n_names: int, n_shards: int, n_servers: int,
         "update_p99_ms": _ms(_pct(state["update"], 0.99)),
         "query_p99_ms": _ms(_pct(state["query"], 0.99)),
         "redirects": redirects,
-        "preload_s": round(preload_s, 2),
-        "wall_s": round(wall_s, 2),
     }
 
 
 def _run_config(config: str, n_names: int, n_shards: int, window: float,
                 n_client_hosts: int, sessions_per_host: int,
                 seed: int) -> Dict:
-    t_wall = time.perf_counter()
     env, placement, client_hosts = _site(seed, n_client_hosts)
     if config == "sharded":
         env.add_rc_servers(["r0", "r1", "r2"], sharded=True,
@@ -215,7 +211,6 @@ def _run_config(config: str, n_names: int, n_shards: int, window: float,
             mgr.add_shard(f"g{k}", (f"snipe://app/g{k}/",))
         mgr.start()
         mgr.seed_map()
-        t_pre = time.perf_counter()
         for k in range(n_shards):
             stores = [s.store for s in mgr.servers[f"g{k}"].values()]
             _preload(stores, range(k, n_names, n_shards), n_shards)
@@ -224,10 +219,8 @@ def _run_config(config: str, n_names: int, n_shards: int, window: float,
         servers = env.add_rc_servers(["r0", "r1", "r2"],
                                      service_time=SERVICE_TIME)
         mgr = None
-        t_pre = time.perf_counter()
         _preload([s.store for s in servers], range(n_names), n_shards)
         n_servers = 3
-    preload_s = time.perf_counter() - t_pre
     t0, t1 = 1.0, 1.0 + window
     state = _sessions(env, client_hosts, sessions_per_host,
                       n_names, n_shards, t0, t1)
@@ -235,8 +228,7 @@ def _run_config(config: str, n_names: int, n_shards: int, window: float,
     redirects = (sum(s.redirects for s in mgr.all_servers().values())
                  if mgr is not None else 0)
     return _row(config, n_names, n_shards, n_servers,
-                n_client_hosts * sessions_per_host, window,
-                preload_s, time.perf_counter() - t_wall, state, redirects)
+                n_client_hosts * sessions_per_host, window, state, redirects)
 
 
 def catalog_scale(
@@ -275,7 +267,6 @@ def split_under_load(
     preload so one split suffices (children land under it)."""
     if split_threshold is None:
         split_threshold = (2 * n_names) // 3
-    t_wall = time.perf_counter()
     env, placement, client_hosts = _site(seed, n_client_hosts)
     env.add_rc_servers(["r0", "r1", "r2"], sharded=True,
                        service_time=SERVICE_TIME)
@@ -286,10 +277,8 @@ def split_under_load(
     mgr.add_shard("app", ("snipe://app/",))
     mgr.start()
     mgr.seed_map()
-    t_pre = time.perf_counter()
     parent_group = list(mgr.servers["app"].values())
     _preload([s.store for s in parent_group], range(n_names), n_shards)
-    preload_s = time.perf_counter() - t_pre
 
     sim = env.sim
     t0, t1 = 1.0, 1.0 + window
@@ -330,8 +319,6 @@ def split_under_load(
         "redirects": sum(s.redirects for s in mgr.all_servers().values()),
         "redirect_retries": sum(c.redirect_retries for c in clients),
         "handoffs": sum(s.handoffs for s in parent_group),
-        "wall_s": round(time.perf_counter() - t_wall, 2),
-        "preload_s": round(preload_s, 2),
     }]}
 
 

@@ -2,26 +2,25 @@
 
 Every experiment in EXPERIMENTS.md is one row of :data:`EXPERIMENTS`:
 the builder functions that produce its tables, their keyword arguments
-at paper scale (``full``) and at tier-1 scale (``quick``), the columns
-that are measured on the host clock, and a ``check`` holding the
-paper-shape assertion (who wins, by what factor, what must never
-happen). ``python -m repro experiments [ID ...] [--quick] [--out DIR]``
-is the only runner: it builds the tables, prints them, runs ``check``
-and writes ``<out>/<profile>/<id>.json``. The files under ``results/``
-are committed; everything in them except the ``host`` block is a pure
-function of the source tree, and tier-1 regenerates the quick profile
-and compares it byte for byte (``tests/bench/test_manifest.py``).
+at paper scale (``full``) and at tier-1 scale (``quick``), and a
+``check`` holding the paper-shape assertion (who wins, by what factor,
+what must never happen). ``python -m repro experiments [ID ...]
+[--quick] [--out DIR]`` is the only runner: it builds the tables,
+prints them, runs ``check`` and writes ``<out>/<profile>/<id>.json``.
+No column reads the host clock (host time is perfbench's), so each
+committed file under ``results/`` is a pure function of the source
+tree, and tier-1 regenerates the quick profile and compares it
+byte for byte (``tests/bench/test_manifest.py``).
 
 A builder returns named tables, ``{name: [row, ...]}``; an experiment's
-result is the union over its builders. ``check`` sees only the
-deterministic columns, so it can be re-run on a committed file.
+result is the union over its builders. ``check`` sees the same tables
+the file holds, so it can be re-run on a committed file.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import time
 import traceback
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -64,8 +63,6 @@ class Experiment(NamedTuple):
     quick: Dict[Builder, Dict[str, Any]]
     #: Raises AssertionError unless the tables have the paper's shape.
     check: Callable[[Tables], None]
-    #: Columns measured on the host clock: reported, never compared.
-    host: Tuple[str, ...] = ()
 
 
 def _by(rows: List[Row], *keys: str) -> Dict[Any, Row]:
@@ -323,8 +320,6 @@ def _check_e14(t: Tables) -> None:
         # thins, always-on keeps everything the ring holds.
         assert 0 == off["trace_records"] < sampled["trace_records"] < on["trace_records"]
         assert off["sampled_out"] == 0 == on["sampled_out"] < sampled["sampled_out"]
-    # ``wall_ms`` / ``overhead_pct`` are host-clock columns: reported in
-    # the host block (min of repeats), not gated here.
 
 
 def _check_e15(t: Tables) -> None:
@@ -502,9 +497,9 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         check=_check_e13),
     Experiment(
         "E14", "observability overhead: tracing off / sampled / on",
-        full={obs_overhead: dict(repeats=7)},
-        quick={obs_overhead: dict(repeats=1, quick=True)},
-        check=_check_e14, host=("wall_ms", "overhead_pct")),
+        full={obs_overhead: {}},
+        quick={obs_overhead: dict(quick=True)},
+        check=_check_e14),
     Experiment(
         "E15", "gray-failure detection: differential vs heartbeat-only",
         full={gray_goodput: {}},
@@ -520,7 +515,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "E17", "kernel scalability: wan_site RPC echo",
         full={kernel_scale: dict(scales=(256, 512, 1024))},
         quick={kernel_scale: dict(scales=(16, 32), calls_per_host=2)},
-        check=_check_e17, host=("wall_s", "events_per_s")),
+        check=_check_e17),
     Experiment(
         "E18", "catalog scale: sharded federation vs full replication",
         full={catalog_scale: {}, split_under_load: {}},
@@ -528,7 +523,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                                    n_client_hosts=2, sessions_per_host=2),
                split_under_load: dict(n_names=450, window=3.0,
                                       n_client_hosts=2, sessions_per_host=1)},
-        check=_check_e18, host=("wall_s", "preload_s")),
+        check=_check_e18),
 )
 
 BY_ID: Dict[str, Experiment] = {e.id: e for e in EXPERIMENTS}
@@ -538,41 +533,23 @@ BY_ID: Dict[str, Experiment] = {e.id: e for e in EXPERIMENTS}
 # The runner
 # ---------------------------------------------------------------------------
 
-def run_experiment(exp: Experiment, profile: str) -> Tuple[Tables, float]:
-    """Build every table of *exp* at *profile*; returns them with the
-    wall-clock seconds the builders took."""
-    t0 = time.perf_counter()
+def run_experiment(exp: Experiment, profile: str) -> Tables:
+    """Build every table of *exp* at *profile*."""
     tables: Tables = {}
     for build, kwargs in getattr(exp, profile).items():
         tables.update(build(**kwargs))
-    return tables, time.perf_counter() - t0
+    return tables
 
 
-def deterministic(exp: Experiment, tables: Tables) -> Tables:
-    """*tables* without the host-clock columns: what ``check`` sees and
-    what must regenerate byte for byte."""
-    return {name: [{k: v for k, v in row.items() if k not in exp.host}
-                   for row in rows]
-            for name, rows in tables.items()}
-
-
-def write_result(exp: Experiment, profile: str, tables: Tables,
-                 wall_s: float, out: str) -> str:
-    """Write ``<out>/<profile>/<id>.json``: the deterministic tables under
-    ``rows``, and everything host-dependent under ``host``."""
-    host: Dict[str, Any] = {"wall_s": round(wall_s, 2)}
-    for name, rows in tables.items():
-        cols = [{k: row[k] for k in exp.host if k in row} for row in rows]
-        if any(cols):
-            host[name] = cols
+def write_result(exp: Experiment, profile: str, tables: Tables, out: str) -> str:
+    """Write ``<out>/<profile>/<id>.json``: the tables under ``rows``."""
     return write_bench_json(
-        exp.id, deterministic(exp, tables), os.path.join(out, profile),
+        exp.id, tables, os.path.join(out, profile),
         filename=f"{exp.id}.json",
         extra={
             "title": exp.title,
             "profile": profile,
             "params": {b.__name__: kw for b, kw in getattr(exp, profile).items()},
-            "host": host,
         })
 
 
@@ -592,18 +569,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     profile = "quick" if args.quick else "full"
     failed = []
     for exp in [BY_ID[i] for i in args.ids or BY_ID]:
-        tables, wall_s = run_experiment(exp, profile)
+        tables = run_experiment(exp, profile)
         for name, rows in tables.items():
             print_table(f"{exp.id} {exp.title} — {name}", rows)
         try:
-            exp.check(deterministic(exp, tables))
+            exp.check(tables)
             verdict = "ok"
         except AssertionError as err:
             failed.append(exp.id)
             where = traceback.extract_tb(err.__traceback__)[-1]
             verdict = f"FAILED at `{where.line}` {err}".rstrip()
-        path = write_result(exp, profile, tables, wall_s, args.out)
-        print(f"\n{exp.id} check {verdict}  ({wall_s:.1f}s, {path})")
+        path = write_result(exp, profile, tables, args.out)
+        print(f"\n{exp.id} check {verdict}  ({path})")
     if failed:
         print(f"\nFAILED checks: {' '.join(failed)}")
     return 1 if failed else 0

@@ -38,12 +38,10 @@ class _TxDrain(Event):
     """The wire is free again: transmit the next queued frame.
 
     Exists only while the transmit queue is non-empty. Overrides
-    ``_process`` so no callback list is allocated; ``prof_owner`` hands
-    the profiler the (subsystem, host) attribution it would otherwise
-    parse from a process name.
+    ``_process`` so no callback list is allocated.
     """
 
-    __slots__ = ("nic", "prof_owner")
+    __slots__ = ("nic",)
 
     def __init__(self, nic: "NIC", delay: float) -> None:
         # Slot-inlined init (see segment._Arrival): one of these exists
@@ -54,7 +52,6 @@ class _TxDrain(Event):
         self._exc = None
         self._processed = False
         self.nic = nic
-        self.prof_owner = ("nic", nic.host.name)
         self.sim._schedule(self, delay)
 
     def _process(self) -> None:

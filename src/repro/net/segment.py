@@ -41,11 +41,10 @@ class _Arrival(Event):
 
     A lean kernel event (no callback list, no Timeout/lambda pair per
     delivered frame — the per-frame arrival path is the hottest event
-    producer in the wire profile). ``prof_owner`` gives the profiler the
-    attribution it would otherwise parse from a process name.
+    producer in the wire profile).
     """
 
-    __slots__ = ("nic", "frame", "prof_owner")
+    __slots__ = ("nic", "frame")
 
     def __init__(self, sim: "Simulator", nic: "NIC", frame: Frame,
                  delay: float) -> None:
@@ -59,7 +58,6 @@ class _Arrival(Event):
         self._processed = False
         self.nic = nic
         self.frame = frame
-        self.prof_owner = ("net", nic.host.name)
         sim._schedule(self, delay)
 
     def _process(self) -> None:

@@ -16,16 +16,17 @@ Subcommands:
   picks the gated direction).
 * ``profile`` — run a scenario (``demo``, or any chaos scenario in the
   scenario table, with its profile preset) under the deterministic
-  kernel profiler; print the hot-subsystem table and write
-  ``BENCH_profile_<scenario>.json`` (with a d3-flamegraph-style nested
-  JSON under ``flame``; ``--flame PATH`` also writes it standalone).
+  kernel profiler; print its event/heap/frame counts and write them to
+  ``BENCH_profile_<scenario>.json``.
 * ``slo`` — evaluate the declarative SLOs (control-RPC p99, heartbeat
   loss, recovery MTTR, shed rate) continuously over an overload run —
   or offline against a saved export (``--export FILE``) — and exit
   nonzero on violation.
 
-The cost of the observability layer itself (tracing off / sampled /
-on) is experiment E14: ``python -m repro experiments E14``.
+What tracing does to the simulated outcome (off / sampled / on) is
+experiment E14, ``python -m repro experiments E14``; what looking costs
+in host time is measured by perfbench (``probe.obs.tracing_on_ratio``
+for the tracer, ``obs.trace_overhead_ratio`` for its traced pass).
 """
 
 from __future__ import annotations
@@ -171,24 +172,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.prof import profile_scenario
 
     result = profile_scenario(args.scenario, seed=args.seed)
-    prof = result["profiler"]
-    print(prof.format_report(args.scenario))
+    print(result["profiler"].format_report(args.scenario))
     path = write_bench_json(
-        f"profile_{args.scenario}",
-        result["profile"]["by_subsystem"],
-        args.out,
-        wall_s=result["profile"]["wall_s"],
-        scenario=args.scenario,
-        seed=args.seed,
-        extra={"ok": result["ok"], "profile": result["profile"],
-               "flame": result["flame"]},
-    )
+        f"profile_{args.scenario}", [], args.out,
+        scenario=args.scenario, seed=args.seed,
+        extra={"ok": result["ok"], "profile": result["profile"]})
     print(f"\nprofile written to {path}")
-    if args.flame is not None:
-        with open(args.flame, "w") as fh:
-            json.dump(result["flame"], fh, indent=2)
-            fh.write("\n")
-        print(f"flamegraph JSON written to {args.flame}")
     return 0
 
 
@@ -271,8 +260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_prof.add_argument("--out", default=".", metavar="DIR",
                         help="directory for BENCH_profile_<scenario>.json "
                              "(default: .)")
-    p_prof.add_argument("--flame", default=None, metavar="PATH",
-                        help="also write the d3-flamegraph JSON standalone")
     p_prof.set_defaults(fn=_cmd_profile)
 
     p_slo = sub.add_parser("slo", help="evaluate SLOs over an overload run "

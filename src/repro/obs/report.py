@@ -171,8 +171,6 @@ def _bench_rows_to_export(data: Dict[str, Any]) -> Dict[str, Any]:
         for table, sub in rows.items():
             if isinstance(sub, list):
                 add_table(sub, {"table": str(table)})
-    if isinstance(data.get("wall_s"), (int, float)):
-        gauges.append({"name": f"bench.{bench}.wall_s", "tags": {}, "value": data["wall_s"]})
     return {"counters": [], "gauges": gauges, "histograms": []}
 
 
@@ -180,13 +178,9 @@ def load_export(path: str) -> Dict[str, Any]:
     """Read a metrics export (or a BENCH_*.json wrapper) from disk."""
     with open(path) as fh:
         data = json.load(fh)
-    if "counters" not in data:
-        # BENCH files either wrap an export under "metrics" or carry only
-        # a row table; synthesize gauges from the rows in the latter case.
-        if isinstance(data.get("metrics"), dict):
-            return data["metrics"]
-        if "rows" in data:
-            return _bench_rows_to_export(data)
+    if "counters" not in data and "rows" in data:
+        # A BENCH file carries a row table: synthesize gauges from it.
+        return _bench_rows_to_export(data)
     return data
 
 
@@ -205,11 +199,8 @@ def write_bench_json(
     name: str,
     rows: List[Dict[str, Any]],
     directory: str,
-    wall_s: Optional[float] = None,
-    metrics: Optional[Dict[str, Any]] = None,
     scenario: Optional[str] = None,
     seed: Optional[int] = None,
-    hosts: Optional[int] = None,
     extra: Optional[Dict[str, Any]] = None,
     filename: Optional[str] = None,
 ) -> str:
@@ -218,9 +209,8 @@ def write_bench_json(
 
     Every file carries a common envelope: ``schema`` (see
     :data:`BENCH_SCHEMA_VERSION`), ``scenario`` (defaults to *name*),
-    and — when the caller knows them — ``seed``, ``hosts`` (site size),
-    and ``wall_s``. *extra* merges additional payload keys (e.g. a
-    profiler export) without touching the envelope.
+    and ``seed`` when the caller knows it. *extra* merges additional
+    payload keys (e.g. a profiler export) without touching the envelope.
     """
     import os
 
@@ -232,12 +222,6 @@ def write_bench_json(
     }
     if seed is not None:
         payload["seed"] = seed
-    if hosts is not None:
-        payload["hosts"] = hosts
-    if wall_s is not None:
-        payload["wall_s"] = wall_s
-    if metrics is not None:
-        payload["metrics"] = metrics
     if extra:
         payload.update(extra)
     os.makedirs(directory or ".", exist_ok=True)

@@ -1,25 +1,16 @@
-"""The shard director: map publication, splits, and hot-shard widening.
+"""The shard director: map publication and splits.
 
 One :class:`ShardManager` owns the authoritative map for a site. Its
 control loop (a sim process anchored on a core host) watches every
-shard group's size and lookup demand:
-
-* **Split** — when a shard's live-name count crosses
-  ``split_threshold``, the director samples the names under the
-  heaviest owned prefix, plans deterministic child prefixes
-  (:func:`~repro.rcds.shard.map.plan_split`), creates the child replica
-  groups on the least-loaded placement hosts, and publishes the map at
-  ``epoch + 1``. Data movement is *not* the director's job: each parent
-  replica's janitor hands its misplaced names off to the children once
-  it adopts the new epoch, so a partitioned replica that misses the
-  push simply migrates later — no coordinator stall.
-
-* **Widen** — when a shard's served-lookup rate crosses
-  ``widen_lookup_rate`` (the Globus replica-selection move: replicate
-  what is hot), the director adds a replica on a fresh host and
-  publishes the widened group; the new replica catches up through the
-  existing anti-entropy/snapshot machinery, and clients fan over it as
-  soon as they see the new epoch.
+shard group's size: when a shard's live-name count crosses
+``split_threshold``, the director samples the names under the heaviest
+owned prefix, plans deterministic child prefixes
+(:func:`~repro.rcds.shard.map.plan_split`), creates the child replica
+groups on the least-loaded placement hosts, and publishes the map at
+``epoch + 1``. Data movement is *not* the director's job: each parent
+replica's janitor hands its misplaced names off to the children once it
+adopts the new epoch, so a partitioned replica that misses the push
+simply migrates later — no coordinator stall.
 
 Publication order is safety-first: the serialized map is written to the
 root directory group at QUORUM *before* the new config is pushed to the
@@ -31,7 +22,7 @@ the redirect. A failed publication leaves ``published_epoch`` behind
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.rcds.client import QUORUM, ConsistencyError, RCClient
 from repro.rcds.shard.map import MAP_KEY, MAP_URI, ROOT_SID, ShardMap, plan_split
@@ -61,8 +52,6 @@ class ShardManager:
         split_fanout: int = 2,
         split_sample: int = 512,
         split_cooldown: float = 15.0,
-        widen_lookup_rate: Optional[float] = None,
-        widen_max_replicas: int = 5,
         check_interval: float = 1.0,
         port_base: int = 1400,
         server_kw: Optional[Dict] = None,
@@ -79,19 +68,15 @@ class ShardManager:
         self.split_sample = split_sample
         self.split_cooldown = split_cooldown
         self._split_after: Dict[str, float] = {}
-        self.widen_lookup_rate = widen_lookup_rate
-        self.widen_max_replicas = widen_max_replicas
         self.check_interval = check_interval
         self.server_kw = dict(server_kw or {})
         self.map = ShardMap.initial(self.root_replicas)
         self.published_epoch = 0
         self.splits = 0
-        self.widenings = 0
         #: sid -> {server_id: ShardRCServer}, every group this manager
         #: created (root servers are registered by the environment).
         self.servers: Dict[str, Dict[str, ShardRCServer]] = {}
         self._next_port = port_base
-        self._lookup_marks: Dict[str, Tuple[float, int]] = {}
         director = director_host or self.root_replicas[0][0]
         self._host = hosts[director]
         self._rc: Optional[RCClient] = None
@@ -100,7 +85,6 @@ class ShardManager:
         obs = sim.obs
         self._g_shard_count = obs.metrics.gauge("rcds.shard_count")
         self._m_splits = obs.metrics.counter("rcds.shard_splits")
-        self._m_widenings = obs.metrics.counter("rcds.shard_widenings")
         self._g_records: Dict[str, object] = {}
 
     # -- group construction -------------------------------------------------
@@ -116,7 +100,7 @@ class ShardManager:
         """Carve an initial shard out of the namespace (pre-traffic):
         create its replica group and push the new map to every server
         directly — nothing to migrate yet, no races to respect."""
-        names = list(host_names or self._place(self.replicas_per_shard, set()))
+        names = list(host_names or self._place(self.replicas_per_shard))
         port = self._alloc_port()
         replicas = tuple((h, port) for h in names)
         self.map = self.map.with_shard(sid, prefixes, replicas, parent=ROOT_SID)
@@ -142,15 +126,14 @@ class ShardManager:
         self._next_port += 1
         return port
 
-    def _place(self, n: int, exclude: set) -> List[str]:
+    def _place(self, n: int) -> List[str]:
         """Least-loaded live placement hosts, deterministic tiebreak."""
         load: Dict[str, int] = {h: 0 for h in self.placement_hosts}
         for group in self.servers.values():
             for server in group.values():
                 if server.host.name in load:
                     load[server.host.name] += 1
-        candidates = [h for h in self.placement_hosts
-                      if h not in exclude and self.hosts[h].up]
+        candidates = [h for h in self.placement_hosts if self.hosts[h].up]
         candidates.sort(key=lambda h: (load[h], h))
         return candidates[:n]
 
@@ -187,10 +170,7 @@ class ShardManager:
                     yield from self._publish(self._changed_sids())
                     continue  # re-observe before changing the map again
                 if self.split_threshold is not None:
-                    if (yield from self._maybe_split()):
-                        continue
-                if self.widen_lookup_rate is not None:
-                    yield from self._maybe_widen()
+                    yield from self._maybe_split()
         except Interrupt:
             return
 
@@ -225,8 +205,7 @@ class ShardManager:
             if self._shard_size(sid) < self.split_threshold:
                 continue
             if (yield from self._split(sid)):
-                return True
-        return False
+                return
 
     def _split(self, sid: str):
         """Plan and publish one split. Name sampling reads the biggest
@@ -258,7 +237,7 @@ class ShardManager:
         children = []
         for i, child_prefixes in enumerate(groups):
             port = self._alloc_port()
-            hosts = self._place(self.replicas_per_shard, set())
+            hosts = self._place(self.replicas_per_shard)
             if not hosts:
                 return False
             replicas = tuple((h, port) for h in hosts)
@@ -282,43 +261,6 @@ class ShardManager:
                                  epoch=new_map.epoch)
         yield from self._publish([sid] + [c[0] for c in children])
         return True
-
-    # -- widening -----------------------------------------------------------
-    def _maybe_widen(self):
-        now = self.sim.now
-        for sid in sorted(self.servers):
-            group = self.servers[sid]
-            served = sum(s.lookups_served for s in group.values())
-            last_t, last_n = self._lookup_marks.get(sid, (now, served))
-            self._lookup_marks[sid] = (now, served)
-            dt = now - last_t
-            if dt <= 0:
-                continue
-            rate = (served - last_n) / dt
-            info = self.map.shards[sid]
-            if (rate < self.widen_lookup_rate
-                    or len(info.replicas) >= self.widen_max_replicas):
-                continue
-            used = {h for h, _ in info.replicas}
-            hosts = self._place(1, used)
-            if not hosts:
-                continue
-            port = info.replicas[0][1]
-            replicas = tuple(info.replicas) + ((hosts[0], port),)
-            server = ShardRCServer(
-                self.hosts[hosts[0]], sid, info.prefixes,
-                root_replicas=self.root_replicas,
-                port=port, peers=[tuple(r) for r in replicas],
-                secret=self.secret, **self.server_kw)
-            self.servers[sid][server.store.server_id] = server
-            self.map = self.map.with_replicas(sid, replicas)
-            self.widenings += 1
-            self._m_widenings.inc()
-            if self.sim.probes is not None:
-                self.sim.probes.emit("shard.widen", sid=sid, host=hosts[0],
-                                     replicas=len(replicas),
-                                     epoch=self.map.epoch)
-            yield from self._publish([sid])
 
     # -- publication --------------------------------------------------------
     def _publish(self, sids: Sequence[str]):

@@ -15,8 +15,8 @@ shard-aware behaviours:
 
 * **Config adoption.** The server adopts any newer map the director
   pushes (``rc.shard_config``) or that its periodic refresh reads from
-  the root group, updating its owned prefixes, its epoch, and — for
-  replica widening — its anti-entropy peer set. Adoption emits a
+  the root group, updating its owned prefixes, its epoch, and its
+  anti-entropy peer set. Adoption emits a
   ``shard.config`` probe, which is how the check oracle knows exactly
   what each server believed when it accepted a write.
 
@@ -194,9 +194,9 @@ class ShardRCServer(RCServer):
         return {"sid": self.sid, "epoch": self.epoch}
 
     def adopt_map(self, new_map: ShardMap) -> bool:
-        """Adopt a newer map: epoch, owned prefixes, and — when the group
-        was widened — the anti-entropy peer set. Older maps are ignored
-        (config pushes and periodic refreshes race freely)."""
+        """Adopt a newer map: epoch, owned prefixes, and the anti-entropy
+        peer set. Older maps are ignored (config pushes and periodic
+        refreshes race freely)."""
         if self.map is not None and new_map.epoch <= self.epoch:
             return False
         self.map = new_map

@@ -17,8 +17,7 @@ Determinism: entry keys are assigned when the timer is *scheduled*, and
 buckets are flushed into the heap strictly before any entry with an
 equal-or-later key can be popped, so the pop order — including
 same-timestamp tie sets seen by an exploration scheduler — is
-bit-identical to pushing every timer straight onto the heap.
-``Simulator(legacy_timers=True)`` does exactly that: it is the naive-heap
+bit-identical to pushing every timer straight onto the heap — the naive
 reference ``tests/sim/test_timer_wheel.py`` compares the wheel against.
 """
 
@@ -49,6 +48,12 @@ WHEEL_FANOUT = 32
 #: FANOUT**l`` seconds; with 4 levels the coarsest slot is ~65 s, wide
 #: enough for any lease/retry horizon in the tree.
 WHEEL_LEVELS = 4
+
+
+def _stop_run(ev: Event) -> None:
+    """The callback ``run(until=event)`` hangs on its event: ends the run
+    with the event's value (or failure)."""
+    raise StopSimulation(ev._value if ev._exc is None else ev._exc)
 
 
 class TimerHandle:
@@ -94,18 +99,9 @@ class Simulator:
         When True (default), an uncaught exception in any process aborts
         ``run()`` with that exception; this turns silent background crashes
         into loud test failures.
-    legacy_timers:
-        When True, ``schedule_timer`` bypasses the timer wheel and pushes
-        every timer straight onto the heap — the naive reference the
-        timer-wheel unit tests compare against; nothing else sets it.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        strict_process_errors: bool = True,
-        legacy_timers: bool = False,
-    ) -> None:
+    def __init__(self, seed: int = 0, strict_process_errors: bool = True) -> None:
         self.now: float = 0.0
         self.rng = RngRegistry(seed)
         self.strict_process_errors = strict_process_errors
@@ -125,9 +121,8 @@ class Simulator:
         #: read at each emit site.
         self.probes = None
         #: Optional kernel profiler (:class:`repro.obs.prof.KernelProfiler`):
-        #: when attached, every heap push is noted and every popped event is
-        #: dispatched through the profiler so callback wall-clock can be
-        #: attributed. None costs one attribute test per schedule/step.
+        #: when attached, every heap push and every popped event is
+        #: counted. None costs one attribute test per schedule/step.
         self._prof = None
         #: Optional flight recorder (:class:`repro.obs.flight.FlightRecorder`):
         #: when attached, hosts note delivered frames into its per-host
@@ -140,7 +135,6 @@ class Simulator:
         #: :meth:`sequence`, frame identity is per-sim state so replays
         #: cannot be perturbed by earlier simulations in the process.
         self.frames_constructed = 0
-        self._legacy_timers = legacy_timers
         # Timer wheel: per-level sparse calendar buckets (slot -> entry
         # list) plus a heap of (slot_start, level, slot) flush deadlines.
         self._wheel: List[Dict[int, List[Tuple[float, int, int, TimerHandle]]]] = [
@@ -247,8 +241,8 @@ class Simulator:
         an exploration scheduler's tie sets — and when cancelled before
         its wheel bucket flushes (the common case: the ACK beats the
         RTO) it never reaches the event heap at all. *owner* is a
-        process-style name (``srudp-send:h3``) the profiler uses to
-        attribute the firing.
+        process-style name (``srudp-send:h3``) by which a host-time
+        profiler can attribute the firing to a layer.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -257,7 +251,7 @@ class Simulator:
         self._eid += 1
         entry = (deadline, NORMAL, self._eid, handle)
         prof = self._prof
-        if self._legacy_timers or delay < WHEEL_GRANULARITY:
+        if delay < WHEEL_GRANULARITY:
             heapq.heappush(self._queue, entry)
             if prof is not None:
                 prof.note_schedule(handle, len(self._queue))
@@ -367,10 +361,9 @@ class Simulator:
         else:
             t, _prio, _eid, event = self._pop_scheduled()
         self.now = t
-        if self._prof is None:
-            event._process()
-        else:
-            self._prof.run_event(event)
+        if self._prof is not None:
+            self._prof.note_pop(event)
+        event._process()
         if self._crashed and self.strict_process_errors:
             _proc, exc = self._crashed[0]
             self._crashed.clear()
@@ -391,9 +384,9 @@ class Simulator:
         head = heapq.heappop(q)
         # A cancelled timer at the head must not seed the tie set: it
         # would widen the permutation set and burn a scheduler pick on an
-        # event the run loop discards — and since legacy mode keeps every
-        # cancelled timer on the heap while wheel mode drops most in
-        # their buckets, that pick-count skew would make the two kernels
+        # event the run loop discards — and since the naive heap reference
+        # keeps every cancelled timer on the heap while the wheel drops
+        # most in their buckets, that pick-count skew would make the two
         # consume the exploration RNG differently. Hand it straight back
         # (the run loop discards it without advancing the clock); popping
         # onward here would skip past the caller's stop_at check.
@@ -429,10 +422,7 @@ class Simulator:
             if until.sim is not self:
                 raise SimulationError("until-event belongs to another simulator")
 
-            def _stop(ev: Event) -> None:
-                raise StopSimulation(ev._value if ev._exc is None else ev._exc)
-
-            until.add_callback(_stop)
+            until.add_callback(_stop_run)
         elif isinstance(until, (int, float)):
             stop_at = float(until)
             if stop_at < self.now:
@@ -451,9 +441,9 @@ class Simulator:
         try:
             while True:
                 # Flush due wheel buckets only when one could actually
-                # precede the heap head; in legacy mode (and between
-                # timer deadlines) this is a single truthiness test
-                # instead of a _settle() call per event.
+                # precede the heap head; between timer deadlines this
+                # is a single truthiness test instead of a _settle()
+                # call per event.
                 if wheel_due and (not queue or wheel_due[0][0] <= queue[0][0]):
                     self._settle()
                 if not queue:
@@ -466,15 +456,14 @@ class Simulator:
                 else:
                     t, _prio, _eid, event = self._pop_scheduled()
                 if event.__class__ is TimerHandle and event.cancelled:
-                    # Dead timers are discarded unseen — they must not
-                    # advance the clock (legacy mode pushes every timer
-                    # on the heap, so both modes must agree on this).
+                    # Dead timers are discarded unseen — one cancelled
+                    # after its bucket flushed must not advance the clock
+                    # any more than one that died in its bucket.
                     continue
                 self.now = t
-                if self._prof is None:
-                    event._process()
-                else:
-                    self._prof.run_event(event)
+                if self._prof is not None:
+                    self._prof.note_pop(event)
+                event._process()
                 if crashed and self.strict_process_errors:
                     _proc, exc = crashed[0]
                     crashed.clear()

@@ -12,24 +12,12 @@ import runpy
 import pytest
 
 import repro.bench
-from repro.bench.manifest import (
-    EXPERIMENTS,
-    deterministic,
-    run_experiment,
-    write_result,
-)
+from repro.bench.manifest import EXPERIMENTS, run_experiment, write_result
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 RESULTS = ROOT / "results"
 
 by_id = pytest.mark.parametrize("exp", EXPERIMENTS, ids=lambda e: e.id)
-
-
-def load_deterministic(path) -> str:
-    """The canonical text of a results file minus its ``host`` block."""
-    data = json.loads(pathlib.Path(path).read_text())
-    del data["host"]
-    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def test_every_experiment_function_is_in_exactly_one_row():
@@ -54,11 +42,11 @@ def test_every_experiment_function_is_in_exactly_one_row():
     "profile", ["quick", pytest.param("full", marks=pytest.mark.slow)])
 def test_run_passes_its_check_and_regenerates_the_committed_result(
         exp, profile, tmp_path):
-    tables, wall_s = run_experiment(exp, profile)
-    exp.check(deterministic(exp, tables))
-    fresh = write_result(exp, profile, tables, wall_s, str(tmp_path))
+    tables = run_experiment(exp, profile)
+    exp.check(tables)
+    fresh = write_result(exp, profile, tables, str(tmp_path))
     committed = RESULTS / profile / f"{exp.id}.json"
-    assert load_deterministic(fresh) == load_deterministic(committed), (
+    assert pathlib.Path(fresh).read_bytes() == committed.read_bytes(), (
         f"{committed.relative_to(ROOT)} is stale: regenerate with "
         f"`python -m repro experiments {exp.id}"
         f"{' --quick' if profile == 'quick' else ''}`")

@@ -67,16 +67,13 @@ def test_save_and_load_export(tmp_path):
 
 def test_write_bench_json_and_load(tmp_path):
     rows = [{"series": "srudp", "mbps": 11.5}]
-    path = write_bench_json(
-        "fig1", rows, str(tmp_path), wall_s=1.25, metrics=sample_export()
-    )
+    path = write_bench_json("fig1", rows, str(tmp_path))
     assert path.endswith("BENCH_fig1.json")
     data = json.loads(open(path).read())
     assert data["name"] == "fig1"
     assert data["rows"] == rows
-    assert data["wall_s"] == 1.25
-    # load_export unwraps the metrics payload from a BENCH file.
-    assert load_export(path)["counters"]
+    # load_export turns the BENCH rows into gauges.
+    assert [g["value"] for g in load_export(path)["gauges"]] == [11.5]
 
 
 def test_load_bench_without_metrics_synthesizes_gauges(tmp_path):
@@ -86,20 +83,19 @@ def test_load_bench_without_metrics_synthesizes_gauges(tmp_path):
         {"series": "srudp", "size": 16384, "mbps": 11.5},
         {"series": "tcp", "size": 16384, "mbps": 9.8},
     ]
-    path = write_bench_json("fig1", rows, str(tmp_path), wall_s=2.0)
+    path = write_bench_json("fig1", rows, str(tmp_path))
     export = load_export(path)
     gauges = {(g["name"], g["tags"].get("row")): g for g in export["gauges"]}
     g = gauges[("bench.fig1.mbps", "0")]
     assert g["value"] == 11.5
     assert g["tags"]["series"] == "srudp"
     assert gauges[("bench.fig1.mbps", "1")]["value"] == 9.8
-    assert ("bench.fig1.wall_s", None) in gauges
     assert "bench.fig1.mbps" in render_report(export)
     # Two runs of the same benchmark diff by row index.
     new_dir = tmp_path / "new"
     new_dir.mkdir()
     rows2 = [dict(r, mbps=r["mbps"] + 1.0) for r in rows]
-    path2 = write_bench_json("fig1", rows2, str(new_dir), wall_s=2.0)
+    path2 = write_bench_json("fig1", rows2, str(new_dir))
     drows = diff_exports(load_export(path), load_export(path2))
     mbps = [r for r in drows if r["metric"] == "bench.fig1.mbps"]
     assert all(r["delta"] == 1.0 for r in mbps) and len(mbps) == 2
@@ -107,21 +103,21 @@ def test_load_bench_without_metrics_synthesizes_gauges(tmp_path):
 
 def test_bench_envelope_is_common_across_writers(tmp_path):
     """Every BENCH file carries the same envelope: schema version,
-    scenario (defaulting to the bench name), and seed/hosts/extra when
-    the caller knows them."""
+    scenario (defaulting to the bench name), and seed/extra when the
+    caller knows them."""
     path = write_bench_json(
-        "e14", [{"x": 1}], str(tmp_path), wall_s=0.5, scenario="overload",
-        seed=7, hosts=12, extra={"repeats": 3},
+        "e14", [{"x": 1}], str(tmp_path), scenario="overload",
+        seed=7, extra={"profile": "quick"},
     )
     data = json.loads(open(path).read())
     assert data["schema"] == BENCH_SCHEMA_VERSION
     assert data["scenario"] == "overload"
-    assert data["seed"] == 7 and data["hosts"] == 12
-    assert data["repeats"] == 3  # extra merged at the top level
+    assert data["seed"] == 7
+    assert data["profile"] == "quick"  # extra merged at the top level
     # Scenario defaults to the bench name; optional keys stay absent.
     bare = json.loads(open(write_bench_json("fig9", [], str(tmp_path))).read())
     assert bare["scenario"] == "fig9"
-    assert "seed" not in bare and "hosts" not in bare and "wall_s" not in bare
+    assert "seed" not in bare
 
 
 def gate_rows():

@@ -1,15 +1,15 @@
 """Property-based tests for the hierarchical timer wheel.
 
-The wheel (``Simulator.schedule_timer`` with ``legacy_timers=False``) is
-an optimisation over pushing every timer on the event heap; these tests
-pin the contract that makes it safe:
+The wheel (``Simulator.schedule_timer``) is an optimisation over
+pushing every timer on the event heap; these tests pin the contract
+that makes it safe:
 
 * a timer fires at *exactly* its deadline — never early, never twice;
 * fire order is nondecreasing in time;
 * a timer cancelled before its deadline never fires;
 * an arbitrary schedule/cancel/wait program produces the *identical*
   fire log under the wheel and under the naive all-on-the-heap
-  reference (``legacy_timers=True``).
+  reference (:class:`NaiveHeapSimulator`, defined here).
 
 Delays are drawn from three bands chosen to straddle the wheel's level
 spans (granularity 2 ms, fanout 32: level 0 covers ~64 ms, level 1
@@ -19,15 +19,30 @@ sub-granularity direct-to-heap path all get exercised.
 
 from __future__ import annotations
 
+import heapq
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.sim.kernel import (
+    NORMAL,
     WHEEL_FANOUT,
     WHEEL_GRANULARITY,
     WHEEL_LEVELS,
+    TimerHandle,
 )
+
+
+class NaiveHeapSimulator(Simulator):
+    """The reference the wheel must match: every timer is pushed straight
+    onto the event heap, keyed exactly as the wheel keys it."""
+
+    def schedule_timer(self, delay, fn, owner=""):
+        handle = TimerHandle(fn, self.now + delay, owner)
+        self._eid += 1
+        heapq.heappush(self._queue, (handle.deadline, NORMAL, self._eid, handle))
+        return handle
 
 #: Delay bands straddling the wheel level spans.
 _DELAYS = st.one_of(
@@ -91,9 +106,9 @@ def _execute(sim: Simulator, ops):
 def test_wheel_matches_naive_heap_reference(ops):
     """Differential: the wheel and the all-on-the-heap reference produce
     bit-identical fire logs and end at the same virtual time."""
-    wheel = Simulator(seed=1, legacy_timers=False)
+    wheel = Simulator(seed=1)
     w_fires, _, _ = _execute(wheel, ops)
-    heap = Simulator(seed=1, legacy_timers=True)
+    heap = NaiveHeapSimulator(seed=1)
     h_fires, _, _ = _execute(heap, ops)
     assert w_fires == h_fires
     assert wheel.now == heap.now
@@ -102,7 +117,7 @@ def test_wheel_matches_naive_heap_reference(ops):
 @settings(max_examples=150)
 @given(_OPS)
 def test_timers_fire_exactly_at_deadline_and_at_most_once(ops):
-    sim = Simulator(seed=1, legacy_timers=False)
+    sim = Simulator(seed=1)
     fires, deadlines, _ = _execute(sim, ops)
     seen = set()
     for i, t in fires:
@@ -116,7 +131,7 @@ def test_timers_fire_exactly_at_deadline_and_at_most_once(ops):
 @settings(max_examples=150)
 @given(_OPS)
 def test_fire_times_nondecreasing_and_run_drains_every_live_timer(ops):
-    sim = Simulator(seed=1, legacy_timers=False)
+    sim = Simulator(seed=1)
     fires, deadlines, cancels = _execute(sim, ops)
     times = [t for _, t in fires]
     assert times == sorted(times)
@@ -133,7 +148,7 @@ def test_fire_times_nondecreasing_and_run_drains_every_live_timer(ops):
 @settings(max_examples=150)
 @given(_OPS)
 def test_cancelled_before_deadline_never_fires(ops):
-    sim = Simulator(seed=1, legacy_timers=False)
+    sim = Simulator(seed=1)
     fires, deadlines, cancels = _execute(sim, ops)
     fired = {i for i, _ in fires}
     for i, cancel_time, already_fired in cancels:
@@ -153,13 +168,13 @@ def test_wheel_levels_cover_expected_spans():
 
 
 def test_wheel_mode_uses_the_wheel():
-    """The two modes really are different code paths: by default a long
-    timer lands in a wheel bucket, not on the heap; the naive reference
-    pushes it straight onto the heap."""
+    """The kernel and the reference really are different code paths: a
+    long timer lands in a wheel bucket, not on the heap; the naive
+    reference pushes it straight onto the heap."""
     sim = Simulator(seed=1)
     sim.schedule_timer(1.0, lambda: None)
     assert any(sim._wheel[lvl] for lvl in range(len(sim._wheel)))
-    legacy = Simulator(seed=1, legacy_timers=True)
-    baseline = len(legacy._queue)
-    legacy.schedule_timer(1.0, lambda: None)
-    assert len(legacy._queue) == baseline + 1
+    assert not sim._queue
+    naive = NaiveHeapSimulator(seed=1)
+    naive.schedule_timer(1.0, lambda: None)
+    assert len(naive._queue) == 1

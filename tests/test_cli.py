@@ -93,18 +93,28 @@ def test_shard_rejects_more_workers_than_its_site_has(cli):
 
 def _documented_commands(verb):
     """Every ``python -m repro <verb> run|sweep ...`` line in README.md and
-    ci.yml (CI's ``for s in ...`` loops are expanded over the table)."""
+    ci.yml (CI's loops are expanded over the table: ``"$s"`` over its
+    scenarios, ``"$s"``/``"$b"`` over its (scenario, seeded bug) pairs)."""
     from repro.check.scenarios import SCENARIOS
 
+    pairs = [(name, bug) for name, s in SCENARIOS.items() for bug in s.bugs]
     root = pathlib.Path(__file__).resolve().parents[1]
     text = (root / "README.md").read_text() + (
         root / ".github" / "workflows" / "ci.yml").read_text()
     text = re.sub(r"\s*\n\s+(?=--)", " ", text)  # ci.yml folds long commands
     found = set()
-    for m in re.finditer(rf"python -m repro {verb} ((?:run|sweep)[^\n#`;]*)", text):
-        line = m.group(1).rstrip('" ')  # `run: "! ... "` steps end in a quote
-        for name in (SCENARIOS if '"$s"' in line else [None]):
-            found.add(tuple(shlex.split(line.replace('"$s"', str(name)))))
+    for m in re.finditer(rf"python -m repro {verb} ((?:run|sweep)[^\n#`;|]*)", text):
+        line = m.group(1)
+        if '"$b"' in line:
+            subs = [{'"$s"': name, '"$b"': bug} for name, bug in pairs]
+        else:
+            subs = [{'"$s"': name} for name in SCENARIOS] if '"$s"' in line else [{}]
+        for sub in subs:
+            argv = line
+            for var, value in sub.items():
+                argv = argv.replace(var, value)
+            # `run: "! ... "` steps end in a quote
+            found.add(tuple(shlex.split(argv.rstrip('" '))))
     return sorted(found)
 
 
