@@ -60,18 +60,18 @@ KIND_WEIGHTS = {"rpc": 0.4, "srudp": 0.3, "digest": 0.2, "heartbeat": 0.1}
 APP_KINDS = frozenset({"rpc", "digest"})
 
 
-class _Rate:
-    """EWMA success rate with an optimistic prior of 1.0."""
+class _Cell:
+    """One (peer, iface) cell: an EWMA success rate per kind (optimistic
+    prior 1.0, kinds in first-seen order), the total sample count, and
+    ``clean`` — True until the first failure, so every rate is still
+    exactly 1.0 while it holds."""
 
-    __slots__ = ("value", "samples")
+    __slots__ = ("rates", "samples", "clean")
 
     def __init__(self) -> None:
-        self.value = 1.0
+        self.rates: Dict[str, float] = {}
         self.samples = 0
-
-    def note(self, ok: bool, alpha: float) -> None:
-        self.value += alpha * ((1.0 if ok else 0.0) - self.value)
-        self.samples += 1
+        self.clean = True
 
 
 class HealthBoard:
@@ -110,7 +110,7 @@ class HealthBoard:
         #: Instance-level switch: the E15 baseline runs with the board
         #: present but disabled (heartbeat-only detector).
         self.enabled = True
-        self._cells: Dict[Tuple[str, str], Dict[str, _Rate]] = {}
+        self._cells: Dict[Tuple[str, str], _Cell] = {}
         #: key -> quarantine entry time (hysteresis state).
         self._quarantined: Dict[Tuple[str, str], float] = {}
         #: (t, peer, iface, "quarantine"|"release") — E15 reads detection
@@ -123,19 +123,24 @@ class HealthBoard:
         """Record one application-level outcome against *peer*."""
         if not self._active():
             return
-        self._note_cell((peer, "*"), ok, kind)
-        if iface != "*":
-            self._note_cell((peer, iface), ok, kind)
-
-    def _note_cell(self, key: Tuple[str, str], ok: bool, kind: str) -> None:
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = {}
-        rate = cell.get(kind)
-        if rate is None:
-            rate = cell[kind] = _Rate()
-        rate.note(ok, self.alpha)
-        self._reconsider(key, cell)
+        cells = self._cells
+        for key in ((peer, "*"),) if iface == "*" else ((peer, "*"), (peer, iface)):
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = _Cell()
+            cell.samples += 1
+            if ok and cell.clean:
+                # A clean cell scores exactly 1.0, so it was never
+                # quarantined (that takes a score below the threshold)
+                # and a success keeps it so: only the counts move.
+                cell.rates[kind] = 1.0
+                continue
+            rates = cell.rates
+            value = rates.get(kind, 1.0)
+            rates[kind] = value + self.alpha * ((1.0 if ok else 0.0) - value)
+            if not ok:
+                cell.clean = False
+            self._reconsider(key, cell)
 
     # -- reading -----------------------------------------------------------
     def _active(self) -> bool:
@@ -148,23 +153,19 @@ class HealthBoard:
         cell = self._cells.get((peer, iface))
         if cell is None and iface != "*":
             cell = self._cells.get((peer, "*"))
-        if not cell:
+        if cell is None:
             return 1.0
-        return self._score_cell(cell)
+        return self._score_cell(cell.rates)
 
     @staticmethod
-    def _score_cell(cell: Dict[str, _Rate]) -> float:
-        has_app = any(
-            rate.samples and kind in APP_KINDS for kind, rate in cell.items()
-        )
+    def _score_cell(rates: Dict[str, float]) -> float:
+        has_app = any(kind in APP_KINDS for kind in rates)
         num = den = 0.0
-        for kind, rate in cell.items():
-            if rate.samples == 0:
-                continue
+        for kind, value in rates.items():
             if has_app and kind not in APP_KINDS:
                 continue
             w = KIND_WEIGHTS.get(kind, 0.1)
-            num += w * rate.value
+            num += w * value
             den += w
         return num / den if den else 1.0
 
@@ -201,19 +202,13 @@ class HealthBoard:
         t0 = self._quarantined.get((peer, iface))
         return t0 is not None and now - t0 < self.probation
 
-    def quarantined_peers(self) -> List[str]:
-        """Peers currently quarantined on their aggregate cell."""
-        return sorted({p for (p, i), t0 in self._quarantined.items()
-                       if self.is_quarantined(p, i if i != "*" else None)})
-
     # -- hysteresis --------------------------------------------------------
-    def _reconsider(self, key: Tuple[str, str], cell: Dict[str, _Rate]) -> None:
-        score = self._score_cell(cell)
+    def _reconsider(self, key: Tuple[str, str], cell: _Cell) -> None:
+        score = self._score_cell(cell.rates)
         now = self.sim.now if self.sim is not None else 0.0
         t0 = self._quarantined.get(key)
         if t0 is None:
-            samples = sum(r.samples for r in cell.values())
-            if score < self.quarantine_below and samples >= self.min_samples:
+            if score < self.quarantine_below and cell.samples >= self.min_samples:
                 self._quarantined[key] = now
                 self._transition(now, key, "quarantine", score)
         elif score > self.recover_above:

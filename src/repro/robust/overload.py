@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional
 
 from repro.sim.events import Event
 
@@ -186,6 +186,7 @@ class CircuitBreaker:
         "open_for",
         "opens",
         "_outcomes",
+        "_failures",
         "_probing",
         "on_transition",
     )
@@ -209,6 +210,7 @@ class CircuitBreaker:
         self.open_for = open_for
         self.opens = 0  # total times this breaker tripped
         self._outcomes: Deque[bool] = deque(maxlen=window)
+        self._failures = 0  # count of False in _outcomes
         self._probing = False
         self.on_transition = on_transition
 
@@ -234,11 +236,17 @@ class CircuitBreaker:
 
     def record(self, ok: bool, now: float) -> None:
         """Report the outcome of an admitted call."""
+        outcomes = self._outcomes
+        if ok and not self._failures and self.state == CLOSED:
+            # No failure in the window, so no trip (thresholds are
+            # positive): the success only joins the window.
+            outcomes.append(True)
+            return
         if self.state == HALF_OPEN:
             self._probing = False
             if ok:
+                # The window has been empty since the trip.
                 self.open_for = self.base_open_for
-                self._outcomes.clear()
                 self._move(CLOSED)
             else:
                 self._trip(now, redouble=True)
@@ -246,11 +254,14 @@ class CircuitBreaker:
         if self.state == OPEN:
             # A straggler from before the trip; the probe decides, not it.
             return
-        self._outcomes.append(ok)
-        if len(self._outcomes) < self.min_samples:
+        if len(outcomes) == self.window and not outcomes[0]:
+            self._failures -= 1  # the append below evicts a failure
+        outcomes.append(ok)
+        if not ok:
+            self._failures += 1
+        if len(outcomes) < self.min_samples:
             return
-        failures = sum(1 for o in self._outcomes if not o)
-        if failures / len(self._outcomes) >= self.failure_threshold:
+        if self._failures / len(outcomes) >= self.failure_threshold:
             self.open_for = self.base_open_for
             self._trip(now, redouble=False)
 
@@ -260,6 +271,7 @@ class CircuitBreaker:
         self.opened_at = now
         self.opens += 1
         self._outcomes.clear()
+        self._failures = 0
         self._probing = False
         self._move(OPEN)
 
@@ -277,6 +289,8 @@ class BreakerBoard:
         self.scope = scope
         self.kwargs = breaker_kwargs
         self._breakers: dict = {}
+        #: Optional ``(key, old, new)`` hook run on every state change.
+        self.on_transition: Optional[Callable[[Any, str, str], None]] = None
         metrics = sim.obs.metrics
         self._m_opened = metrics.counter("robust.breaker_opened", scope=scope)
         self._m_reclosed = metrics.counter("robust.breaker_reclosed", scope=scope)
@@ -291,9 +305,8 @@ class BreakerBoard:
                     self._m_opened.inc()
                 elif new == CLOSED:
                     self._m_reclosed.inc()
-                hook = getattr(self, "on_transition", None)
-                if hook is not None:
-                    hook(_key, old, new)
+                if self.on_transition is not None:
+                    self.on_transition(_key, old, new)
 
             br = CircuitBreaker(on_transition=transition, **self.kwargs)
             self._breakers[key] = br
@@ -411,27 +424,24 @@ class LaneStore:
         return ev
 
 
-def estimator_key(dst_host: str, dst_port: int, method: str) -> Tuple[str, int, str]:
-    """RPC latency is method-shaped (service time + payload), so adaptive
-    timeouts are learned per (destination, port, method), never pooled."""
-    return (dst_host, dst_port, method)
-
-
 @dataclass
 class AdaptiveTimeouts:
     """Per-destination call-timeout estimation for an RPC client.
 
     Wraps a family of :class:`RttEstimator` instances keyed by
-    :func:`estimator_key`. The *static* timeout (caller argument or the
-    :data:`repro.robust.TIMEOUTS` default) is both the cold-start value
-    and the anchor for the floor: an adaptive timeout lives in
-    ``[floor_factor·static, max_timeout]``.
+    (destination, port, method): RPC latency is method-shaped (service
+    time + payload), so estimates are never pooled across methods. The
+    *static* timeout (caller argument or the :data:`repro.robust.TIMEOUTS`
+    default) is both the cold-start value and the anchor for the floor:
+    an adaptive timeout lives in ``[floor_factor·static, max_timeout]``.
     """
 
     config: OverloadConfig
     estimators: dict = field(default_factory=dict)
 
-    def _est(self, key: Tuple[str, int, str], static: float) -> RttEstimator:
+    def _est(self, dst_host: str, dst_port: int, method: str,
+             static: float) -> RttEstimator:
+        key = (dst_host, dst_port, method)
         est = self.estimators.get(key)
         if est is None:
             est = self.estimators[key] = RttEstimator(
@@ -444,12 +454,12 @@ class AdaptiveTimeouts:
     def timeout_for(self, dst_host: str, dst_port: int, method: str, static: float) -> float:
         if not self.config.adaptive:
             return static
-        return self._est(estimator_key(dst_host, dst_port, method), static).rto()
+        return self._est(dst_host, dst_port, method, static).rto()
 
     def observe(self, dst_host: str, dst_port: int, method: str, static: float, rtt: float):
         if self.config.adaptive:
-            self._est(estimator_key(dst_host, dst_port, method), static).observe(rtt)
+            self._est(dst_host, dst_port, method, static).observe(rtt)
 
     def note_timeout(self, dst_host: str, dst_port: int, method: str, static: float):
         if self.config.adaptive:
-            self._est(estimator_key(dst_host, dst_port, method), static).backoff()
+            self._est(dst_host, dst_port, method, static).backoff()

@@ -10,8 +10,7 @@ arguments so metadata traffic has realistic weight on the wire.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Callable, Dict, Optional
 
@@ -22,8 +21,6 @@ from repro.sim.errors import Interrupt
 from repro.sim.events import defuse, waker
 from repro.transport.base import SendError
 from repro.transport.srudp import SrudpEndpoint
-
-_req_ids = itertools.count(1)
 
 #: Fixed per-call envelope overhead (method name, ids, tags).
 ENVELOPE_BYTES = 48
@@ -51,7 +48,9 @@ class Request:
     method: str
     args: Dict[str, Any]
     reply_port: int
-    req_id: int = field(default_factory=lambda: next(_req_ids))
+    #: Drawn from the simulator's ``rpc.req`` sequence by the client, so
+    #: same-seed runs see the same ids whatever else ran in the process.
+    req_id: int
     auth: Optional[str] = None
     #: Priority lane: control-plane requests (leases, fencing, probes)
     #: jump bulk data in every ingress queue between caller and handler.

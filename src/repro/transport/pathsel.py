@@ -75,14 +75,10 @@ class PathSelector:
         the differential health board so gray peers lose their place in
         every candidate ordering, not just this selector's."""
         last = self._last_choice.get(dst_host)
-        self.host.health.note_outcome(
-            dst_host, ok, kind="srudp", iface=last[0] if last else "*"
-        )
-        if not self.host.sim.overload.breakers:
-            return
-        if last is None:
-            return
-        self.breakers.record((dst_host, last[0]), ok)
+        iface = last[0] if last is not None else "*"
+        self.host.health.note_outcome(dst_host, ok, kind="srudp", iface=iface)
+        if last is not None and self.host.sim.overload.breakers:
+            self.breakers.record((dst_host, iface), ok)
 
     def _invalidate(self, dst_host: str) -> None:
         for key in [k for k in self._cache if k[0] == dst_host]:

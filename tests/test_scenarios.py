@@ -1,9 +1,13 @@
 """The scenario table is complete, and it is the only list of scenarios."""
 
 import argparse
+import ast
+from collections import Counter
+from pathlib import Path
 
 from repro.check import BUGS, SCENARIOS
 from repro.check import cli as check_cli
+from repro.check.explore import _BUG_HOOKS
 from repro.check.scenarios import CHAOS_FLAGS
 from repro.obs import cli as obs_cli
 from repro.robust import cli as chaos_cli
@@ -54,6 +58,37 @@ def test_cli_scenario_choices_are_the_tables_keys(monkeypatch):
 def test_every_seeded_bug_belongs_to_exactly_one_scenario():
     claimed = [bug for s in SCENARIOS.values() for bug in s.bugs]
     assert sorted(claimed) == sorted(BUGS)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def safety_switches():
+    """``(module, class, attr)`` for every class attribute in ``src/repro``
+    named ``*_enabled`` — the switches a seeded bug turns off."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                           else [])
+                for t in targets:
+                    if isinstance(t, ast.Name) and t.id.endswith("_enabled"):
+                        yield module, cls.name, t.id
+
+
+def test_every_safety_switch_is_a_seeded_bug_of_one_scenario():
+    """A new ``*_enabled`` switch must arrive with its seeded bug, and the
+    bug with the one scenario whose oracle catches it."""
+    hooks = {(cls.__module__, cls.__name__, attr): bug
+             for bug, (cls, attr) in _BUG_HOOKS.items()}
+    switches = set(safety_switches())
+    assert switches == set(hooks)
+    owners = Counter(bug for s in SCENARIOS.values() for bug in s.bugs)
+    assert all(owners[hooks[switch]] == 1 for switch in switches)
 
 
 def test_golden_digests_cover_every_scenario():

@@ -41,7 +41,7 @@ def test_srudp_control_lane_is_admitted_when_bulk_is_full(lan):
     # Bulk lane now full (capacity 1, nobody consuming). A control-plane
     # request (daemon.fence is in CONTROL_METHODS) still gets through
     # without displacing or waiting on the bulk item.
-    fence = Request(method="daemon.fence", args={}, reply_port=5000)
+    fence = Request(method="daemon.fence", args={}, reply_port=5000, req_id=1)
     sim.run(until=tx.send("h1", 5000, fence, 64))
     first = rx.recv()
     sim.run(until=1.0)
