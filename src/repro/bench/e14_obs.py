@@ -13,80 +13,50 @@ over —
 
 Measured per (workload, config): the simulated outcome (virtual end
 time, kernel events), trace records kept, records thinned by sampling,
-and ring-buffer drops. The check asserts that the simulated outcome is
-identical across configs, and that records kept order 0 = off <
-sampled < on — the knob buys a real trade, not a placebo. What tracing
-costs in host time is measured by perfbench, paired and gated
-(``probe.obs.tracing_on_ratio``).
+and ring-buffer drops. The overload half is a sweep of the ``overload``
+scenario in :mod:`repro.bench.manifest`; this module holds the configs,
+the columns both halves read off the finished simulator, and the bulk
+half. What tracing costs in host time is measured by perfbench, paired
+and gated (``probe.obs.tracing_on_ratio``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.bench.table import Tables
+from repro.bulk.testbed import build_bulk_site, make_payload
 
-#: (config name, sampling rate handed to the tracer; None = detached).
-CONFIGS: Tuple[Tuple[str, Optional[float]], ...] = (
-    ("off", None),
-    ("sampled", 0.01),
-    ("on", 1.0),
-)
+#: Config name -> sampling rate handed to the tracer (None = detached).
+TRACING: Dict[str, Optional[float]] = {"off": None, "sampled": 0.01, "on": 1.0}
 
-
-def _overload_workload(seed: int, obs_sample: Optional[float], quick: bool):
-    """The E12 overload scenario at 2x saturation; returns the sim."""
-    from repro.robust.chaos import run_overload
-
-    return run_overload.run(
-        seed,
-        saturation=2.0,
-        duration=10.0 if quick else 20.0,
-        obs_sample=obs_sample,
-        flight=False,  # isolate the tracing cost from the flight recorder's
-    ).sim
+#: E14's measured columns, read off the finished simulator.
+SIM_COLUMNS: Dict[str, Callable[[Any], Any]] = {
+    "virtual_s": lambda sim: round(sim.now, 6),
+    "events": lambda sim: sim._eid,
+    "trace_records": lambda sim: len(sim.obs.tracer),
+    "trace_dropped": lambda sim: sim.obs.tracer.dropped,
+    "sampled_out": lambda sim: sim.obs.tracer.sampled_out,
+}
 
 
-def _bulk_workload(seed: int, obs_sample: Optional[float], quick: bool):
-    """The E13 relay-tree distribution (4x2 racks); returns the sim."""
-    from repro.bulk.testbed import build_bulk_site, make_payload
-
-    env, root, dests = build_bulk_site(seed=seed, racks=4, per_rack=2)
-    sim = env.sim
-    if obs_sample is not None:
-        sim.obs.tracer.enabled = True
-        sim.obs.tracer.sample_rate = obs_sample
+def bulk_obs_overhead(seed: int = 1, object_kb: int = 512) -> Tables:
+    """The E13 relay-tree distribution (4x2 racks) under each tracing
+    config; table ``overhead``."""
     chunk_size = 16384
-    size = (256 if quick else 512) * 1024
-    payload = make_payload(size, chunk_size)
-    dist = env.bulk_distributor(root, fanout=2)
-    proc = dist.distribute("e14-obj", payload, dests,
-                           chunk_size=chunk_size, strategy="tree",
-                           deadline=60.0)
-    env.run(until=proc)
-    return sim
-
-
-def obs_overhead(seed: int = 1, quick: bool = False) -> Tables:
-    """Off vs sampled vs always-on tracing on E12 and E13; table
-    ``overhead``."""
-    workloads = (
-        ("overload-e12", _overload_workload),
-        ("bulk-e13", _bulk_workload),
-    )
-    rows: List[Dict] = []
-    for wname, workload in workloads:
-        for cname, rate in CONFIGS:
-            sim = workload(seed, rate, quick)
-            tracer = sim.obs.tracer
-            rows.append({
-                "workload": wname,
-                "config": cname,
-                "sample_rate": rate,
-                "virtual_s": round(sim.now, 6),
-                "events": sim._eid,
-                "trace_records": len(tracer),
-                "trace_dropped": tracer.dropped,
-                "sampled_out": tracer.sampled_out,
-            })
+    rows = []
+    for config, rate in TRACING.items():
+        env, root, dests = build_bulk_site(seed=seed, racks=4, per_rack=2)
+        sim = env.sim
+        if rate is not None:
+            sim.obs.tracer.enabled = True
+            sim.obs.tracer.sample_rate = rate
+        payload = make_payload(object_kb * 1024, chunk_size)
+        dist = env.bulk_distributor(root, fanout=2)
+        env.run(until=dist.distribute("e14-obj", payload, dests,
+                                      chunk_size=chunk_size, strategy="tree",
+                                      deadline=60.0))
+        rows.append({"workload": "bulk-e13", "config": config,
+                     "sample_rate": rate,
+                     **{name: f(sim) for name, f in SIM_COLUMNS.items()}})
     return {"overhead": rows}

@@ -13,13 +13,17 @@ tree, and tier-1 regenerates the quick profile and compares it
 byte for byte (``tests/bench/test_manifest.py``).
 
 A builder returns named tables, ``{name: [row, ...]}``; an experiment's
-result is the union over its builders. ``check`` sees the same tables
-the file holds, so it can be re-run on a committed file.
+result is the union over its builders, a table two of them return being
+their rows in row order. A :class:`Sweep` is a builder that is data: a
+scenario-backed experiment names its ``SCENARIOS`` entry, axes and
+columns instead of looping over a ``run_*`` runner. ``check`` sees the
+same tables the file holds, so it can be re-run on a committed file.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import traceback
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -34,11 +38,8 @@ from repro.bench.e8_failover import failover_timeline
 from repro.bench.e9_rc import anti_entropy_ablation, rc_update_scaling
 from repro.bench.e10_media import media_selection
 from repro.bench.e11_recovery import recovery_mttr
-from repro.bench.e12_overload import overload_goodput
 from repro.bench.e13_bulk import bulk_distribution
-from repro.bench.e14_obs import obs_overhead
-from repro.bench.e15_gray import gray_goodput
-from repro.bench.e16_heal import heal_reconvergence
+from repro.bench.e14_obs import SIM_COLUMNS, TRACING, bulk_obs_overhead
 from repro.bench.e17_kernel_scale import kernel_scale
 from repro.bench.e18_catalog_scale import catalog_scale, split_under_load
 from repro.bench.fig1 import (
@@ -46,7 +47,8 @@ from repro.bench.fig1 import (
     multicast_fanout_ablation,
     srudp_window_ablation,
 )
-from repro.bench.table import Tables, print_table
+from repro.bench.table import Tables, mean, print_table
+from repro.check.scenarios import SCENARIOS
 from repro.obs.report import write_bench_json
 
 Row = Dict[str, Any]
@@ -56,13 +58,69 @@ Builder = Callable[..., Tables]
 class Experiment(NamedTuple):
     id: str
     title: str
-    #: builder -> its kwargs at paper scale / at tier-1 scale. Both
-    #: profiles list the same builders; the builders of a row run in
-    #: order and their tables are merged.
+    #: builder (or :class:`Sweep`) -> its kwargs at paper scale / at
+    #: tier-1 scale. Both profiles list the same builders; the builders
+    #: of a row run in order and their tables are merged.
     full: Dict[Builder, Dict[str, Any]]
     quick: Dict[Builder, Dict[str, Any]]
     #: Raises AssertionError unless the tables have the paper's shape.
     check: Callable[[Tables], None]
+
+
+class Sweep:
+    """One table swept from a ``SCENARIOS`` entry's chaos runner.
+
+    A profile's kwargs give each of ``axes`` (outermost first) its
+    values; every other kwarg is a runner kwarg all runs share. The
+    ``config`` axis maps labels to the runner kwargs they set: the
+    chaos CLI's flag for a baseline, one label for the default. Every
+    other axis is a runner kwarg. Each point of the product is one
+    ``chaos.run(...)`` and one row of ``columns``: a string names an
+    axis or a report key, a callable is ``f(run, at)`` of the finished
+    :class:`~repro.robust.spine.Run` and the axis point. ``summary``, if
+    set, adds the table ``summary`` holding ``summary(rows)``.
+    """
+
+    def __init__(self, scenario: str, table: str, axes: Tuple[str, ...],
+                 columns: Dict[str, Any],
+                 summary: Optional[Callable[[List[Row]], Row]] = None) -> None:
+        self.scenario, self.table, self.axes = scenario, table, axes
+        self.columns, self.summary = columns, summary
+
+    def calls(self, **kwargs: Any) -> List[Tuple[Dict[str, Any], Dict[str, Any]]]:
+        """Every ``(axis point, runner kwargs)``, in row order."""
+        shared = {k: v for k, v in kwargs.items() if k not in self.axes}
+        out = []
+        for point in itertools.product(*(kwargs[a] for a in self.axes)):
+            at = dict(zip(self.axes, point))
+            call = {**shared, **at}
+            if "config" in call:
+                call.update(kwargs["config"][call.pop("config")])
+            out.append((at, call))
+        return out
+
+    def __call__(self, **kwargs: Any) -> Tables:
+        runner = SCENARIOS[self.scenario].chaos.run
+        rows = []
+        for at, call in self.calls(**kwargs):
+            run = runner(**call)
+            rows.append({
+                name: (col(run, at) if callable(col)
+                       else at[col] if col in at else run.report[col])
+                for name, col in self.columns.items()})
+        tables = {self.table: rows}
+        if self.summary is not None:
+            tables["summary"] = [self.summary(rows)]
+        return tables
+
+
+def _round(value: Optional[float], digits: int, scale: int = 1) -> Optional[float]:
+    return None if value is None else round(value * scale, digits)
+
+
+def _rounded(key: str, digits: int = 2, scale: int = 1) -> Callable:
+    """Sweep column: report *key* times *scale*, rounded; None stays None."""
+    return lambda run, at: _round(run.report[key], digits, scale)
 
 
 def _by(rows: List[Row], *keys: str) -> Dict[Any, Row]:
@@ -335,13 +393,31 @@ def _check_e15(t: Tables) -> None:
         assert r["false_lease_deaths"] == 0
         assert r["corrupt_delivered"] == 0
     # The headline: >= 2x the heartbeat-only goodput through the zombie
-    # window.
-    assert t["summary"][0]["goodput_ratio"] >= 2.0
+    # window (a baseline at zero goodput is the claim's best case).
+    s = t["summary"][0]
+    assert s["goodput_differential_ops_s"] >= 2 * s["goodput_heartbeat_only_ops_s"]
     # The baseline must exhibit the failure modes being fixed: it never
     # detects the zombie and turns lapsed leases into false deaths.
     for r in base:
         assert r["detection_s"] is None
         assert r["false_lease_deaths"] > 0
+
+
+def _summary_e15(rows: List[Row]) -> Row:
+    """E15's cross-seed aggregates and the headline goodput ratio."""
+    diff = [r for r in rows if r["config"] == "differential"]
+    base = [r for r in rows if r["config"] == "heartbeat-only"]
+    g_diff = mean([r["goodput_ops_s"] for r in diff])
+    g_base = mean([r["goodput_ops_s"] for r in base])
+    return {
+        "goodput_differential_ops_s": _round(g_diff, 2),
+        "goodput_heartbeat_only_ops_s": _round(g_base, 2),
+        "goodput_ratio": (round(g_diff / g_base, 2)
+                          if g_diff is not None and g_base else None),
+        "detection_s_mean": _round(mean([r["detection_s"] for r in diff]), 2),
+        "false_deaths_differential": sum(r["false_lease_deaths"] for r in diff),
+        "false_deaths_heartbeat_only": sum(r["false_lease_deaths"] for r in base),
+    }
 
 
 def _check_e16(t: Tables) -> None:
@@ -357,6 +433,36 @@ def _check_e16(t: Tables) -> None:
     for r in t["runs"]:
         if r["config"] != "unbounded":
             assert r["max_sync_batch"] <= r["bound"]
+
+
+def _summary_e16(rows: List[Row]) -> Row:
+    """E16's cross-seed aggregates and the headline payload/latency
+    contrast."""
+    by = {c: [r for r in rows if r["config"] == c]
+          for c in ("bounded", "unbounded", "blackout")}
+    bnd, base, blk = by["bounded"], by["unbounded"], by["blackout"]
+    peak_bnd = max((r["max_sync_batch"] for r in bnd), default=0)
+    peak_base = max((r["max_sync_batch"] for r in base), default=0)
+    return {
+        "reconverge_bounded_s": _round(mean([r["reconverge_s"] for r in bnd]), 2),
+        "reconverge_unbounded_s": _round(mean([r["reconverge_s"] for r in base]), 2),
+        "max_batch_bounded": peak_bnd,
+        "max_batch_unbounded": peak_base,
+        "payload_ratio": (round(peak_base / peak_bnd, 1) if peak_bnd else None),
+        "control_p99_bounded_ms": _round(
+            mean([r["control_p99_ms"] for r in bnd]), 1),
+        "control_p99_unbounded_ms": _round(
+            mean([r["control_p99_ms"] for r in base]), 1),
+        "hb_failovers_bounded": sum(r["hb_failovers"] for r in bnd),
+        "hb_failovers_unbounded": sum(r["hb_failovers"] for r in base),
+        "probe_failed_unbounded": sum(r["probe_failed"] for r in base),
+        "blackout_restores": sum(r["restores"] for r in blk),
+        "blackout_resurrected": sum(r["resurrected"] for r in blk),
+        "bounded_all_ok": all(r["ok"] for r in bnd),
+        "blackout_all_ok": all(r["ok"] for r in blk),
+        "baseline_breaches_bound": peak_base > max(
+            (r["bound"] or 0 for r in bnd), default=0),
+    }
 
 
 def _check_e17(t: Tables) -> None:
@@ -407,6 +513,71 @@ def _check_e18(t: Tables) -> None:
 # ---------------------------------------------------------------------------
 # The table
 # ---------------------------------------------------------------------------
+
+E12_SWEEP = Sweep(
+    "overload", "overload", axes=("saturation", "config"),
+    columns={
+        "config": "config",
+        "saturation_x": "saturation",
+        "goodput_ops_s": _rounded("goodput_ops_s"),
+        "control_p99_ms": _rounded("control_p99_s", 1, 1000),
+        "hb_failed": "heartbeats_failed",
+        "false_deaths": "deaths_declared",
+        "shed": "requests_shed",
+        "breaker_opens": "breaker_opens",
+        "ok": "ok",
+    })
+
+_TRACE_CONFIG = {rate: config for config, rate in TRACING.items()}
+
+E14_SWEEP = Sweep(
+    "overload", "overhead", axes=("obs_sample",),
+    columns={
+        "workload": lambda run, at: "overload-e12",
+        "config": lambda run, at: _TRACE_CONFIG[at["obs_sample"]],
+        "sample_rate": "obs_sample",
+        **{name: (lambda run, at, f=f: f(run.sim))
+           for name, f in SIM_COLUMNS.items()},
+    })
+
+E15_SWEEP = Sweep(
+    "gray", "runs", axes=("config", "seed"),
+    columns={
+        "config": "config", "seed": "seed",
+        "goodput_ops_s": _rounded("goodput_ops_s"),
+        "detection_s": _rounded("detection_s"),
+        "false_lease_deaths": "false_lease_deaths",
+        "deaths_declared": "deaths_declared", "probe_saved": "probe_saved",
+        "ckpt_rejected": "ckpt_rejected",
+        "corrupt_dropped": "rx_corrupt_dropped",
+        "corrupt_delivered": "corrupt_delivered",
+        "ops_ok": "ops_ok", "ops_failed": "ops_failed", "sessions": "sessions",
+        "completed_ok": lambda run, at: (run.report["ok"]
+                                         if run.report["differential"] else None),
+    },
+    summary=_summary_e15)
+
+E16_SWEEP = Sweep(
+    "heal", "runs", axes=("config", "seed"),
+    columns={
+        "config": "config", "seed": "seed", "mode": "mode",
+        "reconverge_s": _rounded("reconverge_s"),
+        "diverged_at_heal": "diverged_at_heal",
+        "max_sync_batch": lambda run, at: int(run.report["max_sync_batch"]),
+        "bound": "bound",
+        "control_p99_ms": _rounded("control_p99", 1, 1000),
+        "control_max_ms": _rounded("control_max", 1, 1000),
+        "probe_failed": "control_probe_failed",
+        "hb_failed": "heartbeats_failed",
+        "hb_failovers": "heartbeat_failovers",
+        "snapshot_catchups": "snapshot_catchups",
+        "writes_ok": "writes_ok", "retired": "retired",
+        "resurrected": lambda run, at: len(run.report["resurrected"]),
+        "restores": lambda run, at: sum(
+            s["restores"] for s in run.report["replica_stats"].values()),
+        "ok": "ok",
+    },
+    summary=_summary_e16)
 
 EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment(
@@ -487,8 +658,12 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         check=_check_e11),
     Experiment(
         "E12", "overload goodput and control-plane latency: static vs adaptive",
-        full={overload_goodput: {}},
-        quick={overload_goodput: dict(saturations=(5.0,))},
+        full={E12_SWEEP: dict(saturation=(2.0, 5.0), seed=1,
+                              config={"static": dict(adaptive=False),
+                                      "adaptive": {}})},
+        quick={E12_SWEEP: dict(saturation=(5.0,), seed=1,
+                               config={"static": dict(adaptive=False),
+                                       "adaptive": {}})},
         check=_check_e12),
     Experiment(
         "E13", "bulk distribution: unicast vs pipelined relay tree",
@@ -497,19 +672,35 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         check=_check_e13),
     Experiment(
         "E14", "observability overhead: tracing off / sampled / on",
-        full={obs_overhead: {}},
-        quick={obs_overhead: dict(quick=True)},
+        full={E14_SWEEP: dict(obs_sample=tuple(TRACING.values()), seed=1,
+                              saturation=2.0, duration=20.0),
+              bulk_obs_overhead: {}},
+        quick={E14_SWEEP: dict(obs_sample=tuple(TRACING.values()), seed=1,
+                               saturation=2.0, duration=10.0),
+               bulk_obs_overhead: dict(object_kb=256)},
         check=_check_e14),
     Experiment(
         "E15", "gray-failure detection: differential vs heartbeat-only",
-        full={gray_goodput: {}},
-        quick={gray_goodput: dict(seeds=(1,))},
+        full={E15_SWEEP: dict(seed=(1, 2, 3), config={
+            "differential": {}, "heartbeat-only": dict(differential=False)})},
+        quick={E15_SWEEP: dict(seed=(1,), config={
+            "differential": {}, "heartbeat-only": dict(differential=False)})},
         check=_check_e15),
+    # E16's 2 KiB values build a divergence big enough that the unbounded
+    # baseline's blob visibly storms while the bounded protocol stays at
+    # its per-RPC record bound; at paper scale the writers are 4x faster.
     Experiment(
         "E16", "heal reconvergence: bounded anti-entropy vs one blob",
-        full={heal_reconvergence: {}},
-        quick={heal_reconvergence: dict(seeds=(1,), duration=28.0,
-                                        part_for=10.0, interval=0.4)},
+        full={E16_SWEEP: dict(
+            seed=(1, 2, 3), interval=0.1, value_pad=2048, config={
+                "bounded": dict(duration=100.0),
+                "unbounded": dict(duration=100.0, bounded=False),
+                "blackout": dict(blackout=True)})},
+        quick={E16_SWEEP: dict(
+            seed=(1,), value_pad=2048, config={
+                "bounded": dict(duration=28.0, part_for=10.0),
+                "unbounded": dict(duration=28.0, part_for=10.0, bounded=False),
+                "blackout": dict(blackout=True)})},
         check=_check_e16),
     Experiment(
         "E17", "kernel scalability: wan_site RPC echo",
@@ -534,11 +725,21 @@ BY_ID: Dict[str, Experiment] = {e.id: e for e in EXPERIMENTS}
 # ---------------------------------------------------------------------------
 
 def run_experiment(exp: Experiment, profile: str) -> Tables:
-    """Build every table of *exp* at *profile*."""
+    """Build every table of *exp* at *profile*; a table two builders
+    return holds the first one's rows, then the second's."""
     tables: Tables = {}
     for build, kwargs in getattr(exp, profile).items():
-        tables.update(build(**kwargs))
+        for name, rows in build(**kwargs).items():
+            tables.setdefault(name, []).extend(rows)
     return tables
+
+
+def _params(build: Builder, kwargs: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    """A builder's ``params`` entry: its name and the kwargs it ran with;
+    a sweep's also names its scenario and axes."""
+    if isinstance(build, Sweep):
+        return "sweep", {"scenario": build.scenario, "axes": build.axes, **kwargs}
+    return build.__name__, kwargs
 
 
 def write_result(exp: Experiment, profile: str, tables: Tables, out: str) -> str:
@@ -549,7 +750,7 @@ def write_result(exp: Experiment, profile: str, tables: Tables, out: str) -> str
         extra={
             "title": exp.title,
             "profile": profile,
-            "params": {b.__name__: kw for b, kw in getattr(exp, profile).items()},
+            "params": dict(_params(b, kw) for b, kw in getattr(exp, profile).items()),
         })
 
 

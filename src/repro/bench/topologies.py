@@ -2,26 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from repro.net.media import ATM_155, ETHERNET_100, MYRINET, WAN_T3, Medium
+from repro.net.media import ETHERNET_100, MYRINET, WAN_T3, Medium
 from repro.net.topology import Topology
 from repro.pvm.pvmd import Pvmd
 from repro.rcds.server import RCServer
 from repro.sim.kernel import Simulator
-
-
-def dual_media_pair(seed: int = 0, media: Tuple[Medium, ...] = (ETHERNET_100, ATM_155)):
-    """Two hosts sharing one segment per medium (the Fig. 1 testbed)."""
-    sim = Simulator(seed=seed)
-    topo = Topology(sim)
-    a = topo.add_host("a")
-    b = topo.add_host("b")
-    for medium in media:
-        seg = topo.add_segment(medium.name, medium)
-        topo.connect(a, seg)
-        topo.connect(b, seg)
-    return sim, topo, a, b
 
 
 def wan_site(

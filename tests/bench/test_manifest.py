@@ -12,7 +12,9 @@ import runpy
 import pytest
 
 import repro.bench
-from repro.bench.manifest import EXPERIMENTS, run_experiment, write_result
+from repro.bench.manifest import (
+    BY_ID, E15_SWEEP, E16_SWEEP, EXPERIMENTS, Sweep, run_experiment, write_result)
+from repro.check.scenarios import CHAOS_FLAGS, SCENARIOS
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 RESULTS = ROOT / "results"
@@ -30,11 +32,47 @@ def test_every_experiment_function_is_in_exactly_one_row():
                    if fn.__module__ == mod.__name__ and not name.startswith("_")}
     used = [fn for exp in EXPERIMENTS for fn in exp.full]
     assert len(used) == len(set(used)), "a builder appears in two rows"
-    assert set(used) == public
+    assert {fn for fn in used if not isinstance(fn, Sweep)} == public
     for exp in EXPERIMENTS:
         assert exp.full and list(exp.full) == list(exp.quick), exp.id
         assert callable(exp.check), exp.id
     assert [e.id for e in EXPERIMENTS] == [f"E{i}" for i in range(1, 19)]
+    sweeps = [(exp, fn) for exp in EXPERIMENTS for fn in exp.full
+              if isinstance(fn, Sweep)]
+    assert [exp.id for exp, _ in sweeps] == ["E12", "E14", "E15", "E16"]
+    for exp, sweep in sweeps:
+        _assert_sweep_runs_its_scenario(exp, sweep)
+
+
+def _assert_sweep_runs_its_scenario(exp, sweep):
+    """Every config label is a baseline flag the scenario takes (setting
+    that flag's kwarg) or the one default; every run's kwargs bind to
+    the scenario's chaos runner; no kwarg restates the runner's default."""
+    entry = SCENARIOS[sweep.scenario]
+    runner = inspect.signature(entry.chaos)
+    switches = {CHAOS_FLAGS[f][0] for f in entry.flags
+                if isinstance(CHAOS_FLAGS[f][1], bool)}
+    for profile in ("full", "quick"):
+        where = (exp.id, profile)
+        kwargs = getattr(exp, profile)[sweep]
+        assert set(sweep.axes) <= set(kwargs), where
+        configs = kwargs.get("config", {})
+        assert ("config" in sweep.axes) == bool(configs), where
+        defaults = [label for label in configs if label not in CHAOS_FLAGS]
+        assert not configs or len(defaults) == 1, where
+        for label, overrides in configs.items():
+            if label in CHAOS_FLAGS:
+                assert label in entry.flags, (*where, label)
+                kwarg, value, _ = CHAOS_FLAGS[label]
+                assert overrides.get(kwarg) is value, (*where, label)
+            else:
+                assert not switches & set(overrides), (*where, label)
+        for _, call in sweep.calls(**kwargs):
+            runner.bind(**call)
+        stated = [(k, v) for k, v in kwargs.items() if k not in sweep.axes]
+        stated += [kv for overrides in configs.values() for kv in overrides.items()]
+        for k, v in stated:
+            assert runner.parameters[k].default != v, (*where, k)
 
 
 @by_id
@@ -121,6 +159,33 @@ def test_check_rejects_a_doctored_result(exp):
     DOCTOR[exp.id](committed["rows"])
     with pytest.raises(AssertionError):
         exp.check(committed["rows"])
+
+
+def test_e15_zero_baseline_goodput_is_the_claims_best_case():
+    """A heartbeat-only mean goodput of 0.0 is a measurement, not a
+    missing one: the summary keeps it and the check passes."""
+    rows = json.loads((RESULTS / "quick" / "E15.json").read_text())["rows"]["runs"]
+    for r in rows:
+        if r["config"] == "heartbeat-only":
+            r["goodput_ops_s"] = 0.0
+    summary = E15_SWEEP.summary(rows)
+    assert summary["goodput_heartbeat_only_ops_s"] == 0.0
+    assert summary["goodput_differential_ops_s"] > 0
+    BY_ID["E15"].check({"runs": rows, "summary": [summary]})
+
+
+def test_summaries_report_a_mean_of_nothing_as_none():
+    e15 = json.loads((RESULTS / "quick" / "E15.json").read_text())["rows"]["runs"]
+    for r in e15:
+        r["detection_s"] = None
+    assert E15_SWEEP.summary(e15)["detection_s_mean"] is None
+    e16 = json.loads((RESULTS / "quick" / "E16.json").read_text())["rows"]["runs"]
+    for r in e16:
+        r["reconverge_s"] = r["control_p99_ms"] = None
+    summary = E16_SWEEP.summary(e16)
+    for key in ("reconverge_bounded_s", "reconverge_unbounded_s",
+                "control_p99_bounded_ms", "control_p99_unbounded_ms"):
+        assert summary[key] is None, key
 
 
 def test_cli_exits_nonzero_when_a_check_fails(tmp_path, monkeypatch, capsys):
