@@ -30,10 +30,9 @@ from repro.check.explore import (
     BUGS,
     ExplorationScheduler,
     FaultEvent,
-    apply_fault_plan,
     seeded_bug,
 )
-from repro.check.oracles import (
+from repro.robust.oracles import (
     ConvergenceOracle,
     DeliveryOracle,
     LwwMap,
@@ -56,7 +55,6 @@ __all__ = [
     "SCENARIOS",
     "SingleOwnerOracle",
     "Violation",
-    "apply_fault_plan",
     "ddmin",
     "load_trace",
     "lww_merge",

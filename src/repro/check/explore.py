@@ -18,23 +18,10 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.bulk.fetch import BulkFetcher
 from repro.bulk.testbed import build_bulk_site, make_payload
-from repro.check.oracles import (
-    ChunkOracle,
-    CompactionOracle,
-    ConvergenceOracle,
-    CorruptionOracle,
-    DeliveryOracle,
-    FalseDeathOracle,
-    ResurrectionOracle,
-    ShardOracle,
-    SingleOwnerOracle,
-    Violation,
-)
 from repro.core.process import SnipeContext
 from repro.guardian.guardian import Guardian
 from repro.rcds.records import RCStore
@@ -49,7 +36,19 @@ from repro.robust.chaos import (
     start_shard_sessions,
 )
 from repro.robust.health import HealthBoard
-from repro.robust.spine import Run, run_spine
+from repro.robust.oracles import (
+    ChunkOracle,
+    CompactionOracle,
+    ConvergenceOracle,
+    CorruptionOracle,
+    DeliveryOracle,
+    FalseDeathOracle,
+    ResurrectionOracle,
+    ShardOracle,
+    SingleOwnerOracle,
+    Violation,
+)
+from repro.robust.spine import FaultEvent, Run, run_spine
 from repro.transport.srudp import SrudpEndpoint
 
 
@@ -82,88 +81,6 @@ class ExplorationScheduler:
 # ---------------------------------------------------------------------------
 # Explicit fault plans
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One scheduled fault, explicit and serializable (so shrinkable).
-
-    ``kind`` is one of ``crash`` (host down), ``partition`` (segment
-    down, host stays up — the zombie scenario), ``split`` (target
-    ``"a,b|c,d"``: a full two-sided cut between the host groups on a
-    shared segment — the heal scenario's replica-group partition),
-    ``congest`` (segment bandwidth/latency degraded by ``factor``),
-    ``slow`` (host CPU divided by ``factor``), or one of the gray
-    kinds: ``oneway``
-    (target ``"a->b"``, frames a→b eaten while b→a flow), ``impair``
-    (probabilistic loss/dup/reorder/corrupt on a segment, rates in
-    ``extra``), ``skew`` (host wall clock offset/drift in ``extra``)
-    and ``ckptrot`` (checkpoints written by the host are corrupted).
-    Every window heals after ``duration``. ``extra`` is a sorted tuple
-    of ``(key, value)`` pairs — hashable, so the event stays frozen,
-    and round-trips through ``to_dict`` for shrinking.
-    """
-
-    kind: str
-    target: str
-    t: float
-    duration: float
-    factor: float = 1.0
-    extra: tuple = ()
-
-    def to_dict(self) -> Dict:
-        d = {"kind": self.kind, "target": self.target, "t": self.t,
-             "duration": self.duration, "factor": self.factor}
-        if self.extra:
-            d["extra"] = dict(self.extra)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "FaultEvent":
-        return cls(kind=d["kind"], target=d["target"], t=d["t"],
-                   duration=d["duration"], factor=d.get("factor", 1.0),
-                   extra=tuple(sorted(d.get("extra", {}).items())))
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        extra = f" x{self.factor:g}" if self.kind in ("congest", "slow") else ""
-        if self.extra:
-            extra += " " + ",".join(f"{k}={v:g}" for k, v in self.extra)
-        return f"t={self.t:5.1f}s {self.kind} {self.target} for {self.duration:.1f}s{extra}"
-
-
-def apply_fault_plan(env, plan: List[FaultEvent]) -> None:
-    """Arm every event of *plan* on the environment's failure injector."""
-    for ev in plan:
-        if ev.kind == "crash":
-            env.failures.host_down_at(ev.t, ev.target, duration=ev.duration)
-        elif ev.kind == "partition":
-            env.failures.segment_down_at(ev.t, ev.target, duration=ev.duration)
-        elif ev.kind == "split":
-            a, b = ev.target.split("|", 1)
-            env.failures.partition_at(ev.t, a.split(","), b.split(","),
-                                      duration=ev.duration)
-        elif ev.kind == "congest":
-            env.failures.congest_segment_at(ev.t, ev.target, ev.factor,
-                                            duration=ev.duration)
-        elif ev.kind == "slow":
-            env.failures.slow_host_at(ev.t, ev.target, ev.factor,
-                                      duration=ev.duration)
-        elif ev.kind == "oneway":
-            a, b = ev.target.split("->", 1)
-            env.failures.partition_oneway_at(ev.t, [a], [b],
-                                             duration=ev.duration)
-        elif ev.kind == "impair":
-            env.failures.impair_link_at(ev.t, ev.target, symmetric=True,
-                                        duration=ev.duration,
-                                        **dict(ev.extra))
-        elif ev.kind == "skew":
-            env.failures.skew_clock_at(ev.t, ev.target, duration=ev.duration,
-                                       **dict(ev.extra))
-        elif ev.kind == "ckptrot":
-            env.failures.corrupt_checkpoints_at(ev.t, ev.target,
-                                                duration=ev.duration)
-        else:
-            raise ValueError(f"unknown fault kind {ev.kind!r}")
-
 
 def _r2(x: float) -> float:
     return round(x, 2)
@@ -417,20 +334,12 @@ def _check(scenario: str, seed: int, plan_for: Callable, explore: bool,
     as a ``process-crash`` violation.
     """
     scheduler = ExplorationScheduler(seed) if explore else None
-
-    def planned(run: Run, *site):
-        # The hosts faults may hit: the last thing every site builder returns.
-        run.plan = plan_for(site[-1])
-        return (yield from body(run, *site))
-
-    run = run_spine(seed, build, planned, settle=settle,
+    run = run_spine(seed, build, body, settle=settle, plan=plan_for,
                     supervise=p["duration"], scheduler=scheduler,
                     obs_sample=p["obs_sample"])
     run.report.update(
         scenario=scenario,
         explore=explore,
-        plan=[e.to_dict() for e in run.plan],
-        violations=[v.to_dict() for v in run.violations],
         schedule_picks=scheduler.picks if scheduler else 0,
         schedule_reordered=scheduler.reordered if scheduler else 0,
     )
@@ -475,7 +384,7 @@ def _check_star(scenario: str, seed: int, plan_for: Callable, explore: bool,
         work = CheckpointWorkload(env, workers, "check", p["total"], 3,
                                   p["step"], program=program)
         quiet_after = (load(run, workers) if load is not None else 0.0) or 0.0
-        apply_fault_plan(env, run.plan)
+        run.arm()
         quiet_after = max(quiet_after, max(
             (e.t + e.duration for e in run.plan), default=0.0))
         yield lambda: (liveness and work.all_reported()
@@ -656,7 +565,7 @@ def check_shard(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
         load = start_shard_sessions(
             env, workers, 3.0, fault_stop + 10.0, n_keys=48, interval=0.25,
             retire_window=(fault_stop * 0.5, fault_stop * 0.9))
-        apply_fault_plan(env, run.plan)
+        run.arm()
         yield
 
         mgr = env.shard_manager
@@ -726,7 +635,7 @@ def check_bulk(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
 
         run.bus.subscribe(poisoner)
 
-        apply_fault_plan(env, run.plan)
+        run.arm()
         payload = make_payload(object_kb * 1024, chunk_size)
         proc = env.bulk_distributor(root).distribute(
             "check-obj", payload, dests, chunk_size=chunk_size,

@@ -29,7 +29,9 @@ the refcounted injector one-shots, so overlapping fault windows compose.
 Every ``run_*`` here is one scenario's chaos mode: a generator body
 handed to :func:`repro.robust.spine.run_spine`, which owns the phases
 the scenarios share (instrumentation, probe bus, flight recorder, the
-run itself, the verdict/flight tail). They are looked up by name through
+run itself, the verdict/flight tail). Its seeded fault schedule is a
+:class:`~repro.robust.spine.FaultEvent` plan (the report's ``plan``),
+and the scenario's oracles watch the run (the report's ``violations``). They are looked up by name through
 :data:`repro.check.scenarios.SCENARIOS`; each returns its report dict,
 and ``run_*.run(...)`` the whole :class:`~repro.robust.spine.Run`.
 
@@ -47,6 +49,8 @@ per chunk (experiment E13's crash case).
 
 from __future__ import annotations
 
+import heapq
+import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bulk.testbed import build_bulk_site, make_payload
@@ -60,8 +64,20 @@ from repro.rcds.records import MOVED
 from repro.rcds.server import RC_PORT
 from repro.robust import TIMEOUTS
 from repro.robust.health import HealthBoard
+from repro.robust.oracles import (
+    ChunkOracle,
+    CompactionOracle,
+    ConvergenceOracle,
+    CorruptionOracle,
+    DeliveryOracle,
+    FalseDeathOracle,
+    ResurrectionOracle,
+    ShardOracle,
+    SingleOwnerOracle,
+    Violation,
+)
 from repro.robust.overload import CONTROL
-from repro.robust.spine import Run, Verdict, run_spine, scenario_runner
+from repro.robust.spine import FaultEvent, Run, Verdict, run_spine, scenario_runner
 from repro.rpc import RpcClient, RpcError
 
 #: Seeds the CI smoke and the pytest suite pin.
@@ -211,6 +227,24 @@ def install_chaos_programs(env: SnipeEnvironment, acked: Dict[str, int], coll_st
                 coll_state["progress"].setdefault(urn, set()).add(p["i"])
 
 
+def watch_star(run: Run) -> Tuple[ConvergenceOracle, DeliveryOracle]:
+    """Attach the five oracles every star-site run carries (convergence,
+    delivery, single-owner, chunk-integrity, corruption) as
+    ``run.oracles``; returns the two a body reads back. Attach before
+    any workload: ``ConvergenceOracle.attach`` takes the stores'
+    ``on_apply`` slot first, a scenario's own oracles chain onto it."""
+    sim, bus = run.sim, run.bus
+    convergence = ConvergenceOracle(sim)
+    convergence.attach(run.env)
+    bus.subscribe(convergence.on_probe)
+    delivery = DeliveryOracle(sim)
+    run.oracles = [convergence, delivery, SingleOwnerOracle(sim),
+                   ChunkOracle(sim), CorruptionOracle(sim)]
+    for oracle in run.oracles[1:]:
+        bus.subscribe(oracle.on_probe)
+    return convergence, delivery
+
+
 class CheckpointWorkload:
     """The chaos-collector on c0 plus one checkpointing *program* task per
     worker host, started on a settled site — the workload the faults,
@@ -246,46 +280,61 @@ class CheckpointWorkload:
         return [u for u in self.urns if self.state["done"].get(u) == self.total]
 
 
-def _schedule_faults(
-    env: SnipeEnvironment,
-    workers: List[str],
-    fault_stop: float,
-    churn: bool,
-    partitions: bool,
-) -> List[str]:
-    """Seeded fault plan. All faults start after t=3 (first checkpoints
-    are durable by then) and end by *fault_stop* so the system can
-    quiesce; every window has a recovery."""
+def churn_plan(rng: random.Random, hosts: List[str], mtbf: float,
+               mttr: float, start: float, stop_at: float) -> List[FaultEvent]:
+    """Poisson host churn expanded up front into crash events.
+
+    Each host alternates Exp(*mtbf*) up and Exp(*mttr*) down phases from
+    *start* until *stop_at*. The draws come from *rng* in the order the
+    per-host processes of ``FailureInjector.churn_hosts`` make them —
+    by virtual time, hosts in order at a tie — so the plan lands the
+    same crashes the live churn would."""
+    plan: List[FaultEvent] = []
+    wake = [(start, i, True) for i in range(len(hosts))]  # (t, host, up?)
+    while wake:
+        now, i, up = heapq.heappop(wake)
+        if not up:
+            down = rng.expovariate(1.0 / mttr)
+            plan.append(FaultEvent("crash", hosts[i], now, down))
+            heapq.heappush(wake, (now + down, i, True))
+        elif now < stop_at:
+            crash_at = now + rng.expovariate(1.0 / mtbf)
+            if crash_at < stop_at:
+                heapq.heappush(wake, (crash_at, i, False))
+    return plan
+
+
+def faults_chaos_plan(env: SnipeEnvironment, workers: List[str], fault_stop: float,
+                      churn: bool, partitions: bool
+                      ) -> Tuple[List[FaultEvent], List[str]]:
+    """The faults scenario's seeded chaos plan and its timeline text. All
+    faults start after t=3 (first checkpoints are durable by then) and
+    by *fault_stop*; every window has a recovery."""
     rng = env.sim.rng.stream("chaos.schedule")
+    plan: List[FaultEvent] = []
     events: List[str] = []
     if churn:
         # Scheduled crash/repair windows (refcount-safe when overlapping).
-        n_crashes = max(2, len(workers))
-        for _ in range(n_crashes):
+        for _ in range(max(2, len(workers))):
             w = workers[rng.randrange(len(workers))]
             t = rng.uniform(3.0, fault_stop * 0.8)
             d = rng.uniform(1.5, 6.0)
-            env.failures.host_down_at(t, w, duration=d)
+            plan.append(FaultEvent("crash", w, t, d))
             events.append(f"t={t:5.1f}s crash {w} for {d:.1f}s")
         # Plus Poisson churn on half the fleet for good measure.
         victims = workers[::2]
-
-        def start_churn():
-            yield env.sim.timeout(3.0)
-            env.failures.churn_hosts(victims, mtbf=15.0, mttr=2.0,
-                                     stop_at=fault_stop)
-
-        env.sim.process(start_churn(), name="chaos:churn-start")
+        plan += churn_plan(env.sim.rng.stream("failures"), victims, 15.0, 2.0,
+                           env.sim.now + 3.0, fault_stop)
         events.append(f"t=  3.0s churn mtbf=15s mttr=2s on {victims} until t={fault_stop:.0f}s")
     if partitions:
         for _ in range(max(1, len(workers) // 2)):
             w = workers[rng.randrange(len(workers))]
             t = rng.uniform(4.0, fault_stop * 0.8)
             d = rng.uniform(5.0, 10.0)
-            env.failures.segment_down_at(t, f"s-{w}", duration=d)
+            plan.append(FaultEvent("partition", f"s-{w}", t, d))
             events.append(f"t={t:5.1f}s partition {w} for {d:.1f}s (host stays up: zombie)")
     events.sort()
-    return events
+    return plan, events
 
 
 def _check_catalogs(env: SnipeEnvironment, urns: List[str]):
@@ -325,10 +374,13 @@ def run_chaos(
     """One seeded chaos run; returns a report dict (``report["ok"]``)."""
     def scenario(run: Run, workers: List[str]):
         env = run.env
+        convergence, delivery = watch_star(run)
         work = CheckpointWorkload(env, workers, "chaos", total, ckpt_every, step)
         acked, coll_state, urns = work.acked, work.state, work.urns
         fault_stop = min(duration * 0.45, 45.0)
-        events = _schedule_faults(env, workers, fault_stop, churn, partitions)
+        run.plan, events = faults_chaos_plan(env, workers, fault_stop, churn,
+                                             partitions)
+        run.arm()
 
         # Run to quiescence: everyone done, or the duration budget spent.
         deadline = env.sim.now + duration
@@ -338,6 +390,16 @@ def run_chaos(
                 break
         yield None  # driven above; the spine only settles
 
+        completed = work.completed()
+        if not run.violations:
+            if len(completed) == len(urns):
+                convergence.check_quiescent(urns)
+            else:
+                run.violations.append(Violation(
+                    "liveness", env.sim.now,
+                    f"only {len(completed)}/{len(urns)} workers completed "
+                    f"within the {duration:.0f}s budget"))
+            run.sweep()
         recoveries = [r for g in env.guardians.values() for r in g.recoveries]
         unrecoverable: Dict[str, str] = {}
         for g in env.guardians.values():
@@ -346,7 +408,6 @@ def run_chaos(
 
         invariants: List[Verdict] = []
         # 1. Every task completed exactly once.
-        completed = work.completed()
         dups = sum(coll_state["dup_done"].values())
         invariants.append((
             "completed-exactly-once",
@@ -395,6 +456,8 @@ def run_chaos(
         latencies = [r["recovered_at"] - r["detected_at"] for r in recoveries]
         return {
             "workers": n_workers,
+            "completed": len(completed),
+            "delivered": delivery.delivered,
             "total": total,
             "events": events,
             "fault_log": list(env.failures.log),
@@ -610,6 +673,7 @@ def run_overload(
     def scenario(run: Run, workers: List[str]):
         env = run.env
         install_overload_worker(env, wstats)
+        watch_star(run)
         # Enough steps that every worker is still mid-run (lease live,
         # reports flowing) for the whole overload window.
         CheckpointWorkload(env, workers, "ovl", total=400, ckpt_every=8,
@@ -621,9 +685,10 @@ def run_overload(
                                      t_load0, t_load1)
 
         # -- degradation window inside the load window -----------------------
-        env.failures.congest_segment_at(8.0, "core-lan", congest_factor, duration=12.0)
-        for w in workers[: max(1, len(workers) // 2)]:
-            env.failures.slow_host_at(10.0, w, slow_factor, duration=8.0)
+        run.plan = [FaultEvent("congest", "core-lan", 8.0, 12.0, congest_factor)] + [
+            FaultEvent("slow", w, 10.0, 8.0, slow_factor)
+            for w in workers[: max(1, len(workers) // 2)]]
+        run.arm()
         yield duration
 
         metrics = env.sim.obs.metrics
@@ -681,6 +746,31 @@ def run_overload(
         instrument=instrument, obs_sample=obs_sample, flight=flight)
 
 
+def bulk_chaos_plan(sim, racks: int, dests: List[str], nchunks: int
+                    ) -> Tuple[List[FaultEvent], List[str]]:
+    """The bulk scenario's seeded chaos plan and its timeline text: one
+    rack's relay head and one leaf each crash once they have committed
+    a quarter and a half of the object.
+
+    Triggered by *progress* rather than wall time: a pipelined tree
+    finishes everywhere almost simultaneously, so a timer race would
+    often fire after the victim is already done. A progress trigger
+    lands mid-transfer, every seed."""
+    rng = sim.rng.stream("bulk-chaos.schedule")
+    heads = [f"m{r}-0" for r in range(racks)]
+    head = heads[rng.randrange(len(heads))]
+    leaves = [m for m in dests if m not in heads]
+    leaf = leaves[rng.randrange(len(leaves))]
+    plan = [FaultEvent("crash", head, 0.0, rng.uniform(0.5, 1.5),
+                       extra=(("after_chunks", max(1, nchunks // 4)),)),
+            FaultEvent("crash", leaf, 0.0, rng.uniform(0.3, 1.0),
+                       extra=(("after_chunks", max(2, nchunks // 2)),))]
+    events = [f"kill {role} {ev.target} at {dict(ev.extra)['after_chunks']}/"
+              f"{nchunks} chunks for {ev.duration:.1f}s"
+              for role, ev in zip(("relay head", "leaf"), plan)]
+    return plan, events
+
+
 @scenario_runner
 def run_bulk_chaos(
     seed: int,
@@ -713,17 +803,11 @@ def run_bulk_chaos(
     """
     commits: Dict[Tuple[str, int], int] = {}
     evicts: Dict[Tuple[str, int], int] = {}
-    commits_by_host: Dict[str, int] = {}
-    events: List[str] = []
-    killed: Dict[str, float] = {}
 
     def counter(kind: str, fields: Dict) -> None:
         if kind == "bulk.chunk":
             key = (fields["host"], fields["seq"])
             commits[key] = commits.get(key, 0) + 1
-            commits_by_host[fields["host"]] = (
-                commits_by_host.get(fields["host"], 0) + 1
-            )
         elif kind == "bulk.evict":
             key = (fields["host"], fields["seq"])
             evicts[key] = evicts.get(key, 0) + 1
@@ -731,41 +815,12 @@ def run_bulk_chaos(
     def scenario(run: Run, root: str, dests: List[str]):
         env, sim = run.env, run.sim
         run.bus.subscribe(counter)
-
-        # Seeded kills, triggered by *progress* rather than wall time: a
-        # pipelined tree finishes everywhere almost simultaneously, so a
-        # timer race would often fire after the victim is already done. The
-        # assassin watches the commit stream and crashes each victim the
-        # moment it has committed its target fraction of the object —
-        # guaranteed mid-transfer, every seed.
-        rng = sim.rng.stream("bulk-chaos.schedule")
-        heads = [f"m{r}-0" for r in range(racks)]
-        head = heads[rng.randrange(len(heads))]
-        leaves = [m for m in dests if m not in heads]
-        leaf = leaves[rng.randrange(len(leaves))]
+        chunks = ChunkOracle(sim)
+        run.bus.subscribe(chunks.on_probe)
+        run.oracles = [chunks]
         nchunks = (object_kb * 1024 + chunk_size - 1) // chunk_size
-        outage = {
-            head: rng.uniform(0.5, 1.5),
-            leaf: rng.uniform(0.3, 1.0),
-        }
-        kill_at = {head: max(1, nchunks // 4), leaf: max(2, nchunks // 2)}
-        events.append(f"kill relay head {head} at {kill_at[head]}/{nchunks} "
-                      f"chunks for {outage[head]:.1f}s")
-        events.append(f"kill leaf {leaf} at {kill_at[leaf]}/{nchunks} "
-                      f"chunks for {outage[leaf]:.1f}s")
-
-        def assassin(kind: str, fields: Dict) -> None:
-            if kind != "bulk.chunk":
-                return
-            h = fields["host"]
-            target = kill_at.get(h)
-            if target is None or h in killed:
-                return
-            if commits_by_host.get(h, 0) >= target:
-                killed[h] = sim.now
-                env.failures.host_down_at(sim.now, h, duration=outage[h])
-
-        run.bus.subscribe(assassin)
+        run.plan, events = bulk_chaos_plan(sim, racks, dests, nchunks)
+        run.arm()
 
         payload = make_payload(object_kb * 1024, chunk_size)
         dist = env.bulk_distributor(root, fanout=2)
@@ -775,6 +830,21 @@ def run_bulk_chaos(
         yield proc
 
         report = proc.value
+        if not run.violations:
+            if report["completed"] != len(dests):
+                run.violations.append(Violation(
+                    "liveness", sim.now,
+                    f"only {report['completed']}/{len(dests)} hosts completed "
+                    f"(failed: {report['failed']})"))
+            elif not report["all_verified"]:
+                run.violations.append(Violation(
+                    "chunk-integrity", sim.now,
+                    "a completed host's whole-object hash did not verify"))
+            run.sweep()
+        killed: Dict[str, float] = {}
+        for t, what, host in env.failures.log:
+            if what == "host_down":
+                killed.setdefault(host, t)
         crashes = sum(r.get("crashes", 0) for r in report["per_dest"].values())
         dups = sorted(
             f"{host}#{seq}"
@@ -815,6 +885,7 @@ def run_bulk_chaos(
             "chunk_commits": sum(commits.values()),
             "chunk_retries": report["chunk_retries"],
             "crashes": crashes,
+            "poisoned": [],
             "invariants": run.verdicts("invariant", invariants),
         }
 
@@ -1000,18 +1071,24 @@ def run_gray(
                     (round(env.sim.now, 2), f.get("host"), f.get("reason")))
 
         run.bus.subscribe(watch)
+        convergence, delivery = watch_star(run)
+        falsedeath = FalseDeathOracle(run.sim)  # nothing crashes
+        run.bus.subscribe(falsedeath.on_probe)
+        run.oracles.append(falsedeath)
         work = CheckpointWorkload(env, workers, "gray", total, 4, step)
         load = start_gray_sessions(env, workers, 4.0, duration - 2.0)
 
         # -- the gray fault schedule ----------------------------------------
-        env.failures.slow_host_at(zombie_at, zombie, zombie_factor,
-                                  duration=zombie_for)
-        skewed = workers[-1]
-        env.failures.skew_clock_at(6.0, skewed, offset=-30.0, duration=duration - 10.0)
-        env.failures.impair_link_at(10.0, f"s-{workers[0]}", corrupt=0.15,
-                                    symmetric=True, duration=8.0)
-        env.failures.impair_link_at(12.0, "core-lan", src="c1", dst="c0",
-                                    loss=1.0, duration=6.0)
+        run.plan = [
+            FaultEvent("slow", zombie, zombie_at, zombie_for, zombie_factor),
+            FaultEvent("skew", workers[-1], 6.0, duration - 10.0,
+                       extra=(("offset", -30.0),)),
+            FaultEvent("impair", f"s-{workers[0]}", 10.0, 8.0,
+                       extra=(("corrupt", 0.15),)),
+            FaultEvent("impair", "core-lan:c1->c0", 12.0, 6.0,
+                       extra=(("loss", 1.0),)),
+        ]
+        run.arm()
         yield duration
 
         z_end = zombie_at + zombie_for
@@ -1321,6 +1398,13 @@ def run_partition_heal(
 
     def scenario(run: Run, workers: List[str]):
         env = run.env
+        watch_star(run)
+        resurrection = ResurrectionOracle(run.sim)
+        resurrection.attach(env)
+        run.bus.subscribe(resurrection.on_probe)
+        compaction = CompactionOracle(run.sim)
+        compaction.attach(env)
+        run.oracles += [resurrection, compaction]
         env.settle(2.0)
         load = start_heal_sessions(
             env, workers, 3.0, monitor_from, n_keys=n_keys, interval=interval,
@@ -1329,11 +1413,11 @@ def run_partition_heal(
         sessions = start_gray_sessions(env, workers, 4.0, duration - 2.0)
 
         if blackout:
-            for h in ("c0", "c1", "c2"):
-                env.failures.host_down_at(blackout_at, h, duration=blackout_for)
+            run.plan = [FaultEvent("crash", h, blackout_at, blackout_for)
+                        for h in ("c0", "c1", "c2")]
         else:
-            env.failures.partition_at(part_at, ["c2"], ["c0", "c1"],
-                                      duration=part_for)
+            run.plan = [FaultEvent("split", "c2|c0,c1", part_at, part_for)]
+        run.arm()
 
         stores = {name: srv.store for name, srv in env.rc_servers.items()}
 
@@ -1380,6 +1464,10 @@ def run_partition_heal(
         env.sim.process(monitor(), name="heal-monitor")
         yield duration
 
+        if not run.violations:
+            resurrection.check_quiescent()
+            compaction.check_quiescent(prefix="snipe://heal/")
+            run.sweep()
         export = env.sim.obs.metrics.export()
         snap = env.sim.obs.metrics.snapshot()
         max_batch = _metric_value(export, "rcds.sync_batch_records", "max")
@@ -1571,6 +1659,26 @@ def start_shard_sessions(
         ConsistencyError)
 
 
+def shard_chaos_plan(env: SnipeEnvironment, workers: List[str], fault_stop: float
+                     ) -> Tuple[List[FaultEvent], List[str]]:
+    """The shard scenario's seeded chaos plan and its timeline text: a
+    core host carrying shard replicas crashes, a worker is cut off."""
+    rng = env.sim.rng.stream("shard-chaos.schedule")
+    core = ["c1", "c2"]  # c0 carries the director's RC client: keep it up
+    victim = core[rng.randrange(len(core))]
+    t_crash = rng.uniform(8.0, fault_stop * 0.6)
+    d_crash = rng.uniform(4.0, 8.0)
+    w = workers[rng.randrange(len(workers))]
+    t_part = rng.uniform(8.0, fault_stop * 0.7)
+    d_part = rng.uniform(4.0, 8.0)
+    plan = [FaultEvent("crash", victim, t_crash, d_crash),
+            FaultEvent("partition", f"s-{w}", t_part, d_part)]
+    events = sorted([
+        f"t={t_crash:5.1f}s crash {victim} (shard replicas) for {d_crash:.1f}s",
+        f"t={t_part:5.1f}s partition {w} for {d_part:.1f}s"])
+    return plan, events
+
+
 @scenario_runner
 def run_shard_chaos(
     seed: int,
@@ -1609,30 +1717,32 @@ def run_shard_chaos(
 
     def scenario(run: Run, workers: List[str]):
         env = run.env
-        events: List[str] = []
+        convergence = ConvergenceOracle(run.sim)
+        convergence.attach(env)
+        run.bus.subscribe(convergence.on_probe)
+        shard = ShardOracle(run.sim)
+        shard.attach(env)
+        run.bus.subscribe(shard.on_probe)
+        run.oracles = [convergence, shard]
         env.settle(2.0)
         load = start_shard_sessions(
             env, workers, t0, t1, n_keys=n_keys, interval=interval,
             retire_window=(fault_stop * 0.5, fault_stop * 0.9))
-
-        rng = env.sim.rng.stream("shard-chaos.schedule")
-        core = ["c1", "c2"]  # c0 carries the director's RC client: keep it up
-        victim = core[rng.randrange(len(core))]
-        t_crash = rng.uniform(8.0, fault_stop * 0.6)
-        d_crash = rng.uniform(4.0, 8.0)
-        env.failures.host_down_at(t_crash, victim, duration=d_crash)
-        events.append(f"t={t_crash:5.1f}s crash {victim} (shard replicas) "
-                      f"for {d_crash:.1f}s")
-        w = workers[rng.randrange(len(workers))]
-        t_part = rng.uniform(8.0, fault_stop * 0.7)
-        d_part = rng.uniform(4.0, 8.0)
-        env.failures.segment_down_at(t_part, f"s-{w}", duration=d_part)
-        events.append(f"t={t_part:5.1f}s partition {w} for {d_part:.1f}s")
-        events.sort()
+        run.plan, events = shard_chaos_plan(env, workers, fault_stop)
+        run.arm()
         yield duration
 
         # -- quiescent checks -----------------------------------------------
         mgr = env.shard_manager
+        if not run.violations:
+            if mgr.splits < 1:
+                run.violations.append(Violation(
+                    "liveness", run.sim.now,
+                    f"the load never forced a split (threshold "
+                    f"{split_threshold}, {load['writes_ok']} writes acked) — "
+                    f"the scenario exercised no migration"))
+            shard.check_quiescent(mgr)
+            run.sweep()
         final_map = mgr.map
         groups = {sid: grp for sid, grp in mgr.servers.items()}
         tracked_set = set(load["keys"])

@@ -216,6 +216,11 @@ class ResurrectionOracle:
     tombstone was garbage-collected before every peer acked past it
     (the seeded ``early-gc`` bug), letting a partitioned peer's stale
     pre-delete write resurrect the key on heal.
+
+    Subscribe :meth:`on_probe` when replicas can crash: a rebuilt store
+    replays its journal, so a key's old write lands before its
+    tombstone again — the oracle forgets the replica's tombstones at the
+    ``rcds.wipe`` and relearns them from the replay.
     """
 
     name = "no-resurrection"
@@ -231,6 +236,14 @@ class ResurrectionOracle:
         for host_name, server in env.rc_servers.items():
             self._stores[host_name] = server.store
             chain_on_apply(server.store, self._hook(host_name, server.store))
+
+    def on_probe(self, kind: str, f: Dict[str, Any]) -> None:
+        if kind != "rcds.wipe":
+            return
+        wiped = {r for r, store in self._stores.items()
+                 if store.server_id == f["server"]}
+        self._tombs = {slot: t for slot, t in self._tombs.items()
+                       if slot[0] not in wiped}
 
     def _hook(self, replica: str, store):
         def on_apply(uri: str, key: str, entry) -> None:

@@ -14,17 +14,19 @@ A scenario plugs in a site builder and one generator function; it gets
 back the :class:`Run` — the report *and* the simulator it came from, so
 no caller has to smuggle the sim out through the ``instrument`` hook.
 
-:class:`ProbeBus` and :class:`Violation` live here because the spine is
-their lowest user: chaos scenarios emit and watch probes without any
-oracle, and :mod:`repro.check.oracles` (which re-exports both) sits
-above this module.
+Every fault a run injects is a :class:`FaultEvent` of ``run.plan``,
+armed by :meth:`Run.arm` — one plan language for the seeded chaos
+schedules and the model checker's sampled or shrunk plans alike, and
+the report's ``plan`` lists it. :class:`ProbeBus` and :class:`Violation`
+live here because the spine is their lowest user;
+:mod:`repro.robust.oracles` sits on top of this module.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.obs.flight import FlightRecorder
 
@@ -48,6 +50,61 @@ class Violation:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.oracle}] t={self.time:.3f}s {self.detail}"
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """One scheduled fault, explicit and serializable (so shrinkable).
+
+    ``kind`` is one of ``crash`` (host down), ``partition`` (segment
+    down, host stays up — the zombie scenario), ``split`` (target
+    ``"a,b|c,d"``: a full two-sided cut between the host groups on a
+    shared segment — the heal scenario's replica-group partition),
+    ``congest`` (segment bandwidth/latency degraded by ``factor``),
+    ``slow`` (host CPU divided by ``factor``), or one of the gray
+    kinds: ``oneway`` (target ``"a->b"``, frames a→b eaten while b→a
+    flow), ``impair`` (probabilistic loss/dup/reorder/corrupt, rates in
+    ``extra``, on a whole segment or — target ``"seg:a->b"`` — on one
+    direction of it), ``skew`` (host wall clock offset/drift in
+    ``extra``) and ``ckptrot`` (checkpoints written by the host are
+    corrupted). Every window heals after ``duration``. A crash whose
+    ``extra`` holds ``after_chunks=n`` is progress-triggered: it lands
+    the instant its host has committed *n* bulk chunks after ``t``.
+    ``extra`` is a sorted tuple of ``(key, value)`` pairs — hashable, so
+    the event stays frozen, and round-trips through ``to_dict``.
+    """
+
+    kind: str
+    target: str
+    t: float
+    duration: float
+    factor: float = 1.0
+    extra: tuple = ()
+
+    def to_dict(self) -> Dict:
+        d = {"kind": self.kind, "target": self.target, "t": self.t,
+             "duration": self.duration, "factor": self.factor}
+        if self.extra:
+            d["extra"] = dict(self.extra)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: Dict) -> "FaultEvent":
+        return cls(kind=d["kind"], target=d["target"], t=d["t"],
+                   duration=d["duration"], factor=d.get("factor", 1.0),
+                   extra=tuple(sorted(d.get("extra", {}).items())))
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        extra = f" x{self.factor:g}" if self.kind in ("congest", "slow") else ""
+        if self.extra:
+            extra += " " + ",".join(f"{k}={v:g}" for k, v in self.extra)
+        return f"t={self.t:5.1f}s {self.kind} {self.target} for {self.duration:.1f}s{extra}"
+
+
+#: A run's fault plan as a runner takes it: the events themselves, or a
+#: sampler of them over the hosts faults may hit (the last thing a site
+#: builder returns); None lets the scenario draw its own chaos plan.
+Plan = Union[None, List[FaultEvent], Callable[[List[str]], List[FaultEvent]]]
 
 
 class ProbeBus:
@@ -82,12 +139,71 @@ class Run:
         self.env = env
         self.sim = env.sim
         self.bus = bus
-        #: Check mode: the explicit fault plan, and the oracles the
-        #: supervised loop sweeps. The scenario body sets both.
-        self.plan: List = []
+        #: The fault plan (:meth:`arm` injects it), and the oracles swept
+        #: into :attr:`violations`. A scenario body draws its own chaos
+        #: plan when the caller gave none.
+        self.plan: Optional[List[FaultEvent]] = None
         self.oracles: List = []
         self.violations: List[Violation] = []
         self.report: Dict = {}
+
+    def arm(self) -> None:
+        """Arm every event of the plan on the site's failure injector,
+        in plan order (arming order is part of the replay contract)."""
+        failures = self.env.failures
+        for ev in self.plan:
+            extra = dict(ev.extra)
+            if ev.kind == "crash" and "after_chunks" in extra:
+                self._crash_on_progress(ev, extra["after_chunks"])
+            elif ev.kind == "crash":
+                failures.host_down_at(ev.t, ev.target, duration=ev.duration)
+            elif ev.kind == "partition":
+                failures.segment_down_at(ev.t, ev.target, duration=ev.duration)
+            elif ev.kind == "split":
+                a, b = ev.target.split("|", 1)
+                failures.partition_at(ev.t, a.split(","), b.split(","),
+                                      duration=ev.duration)
+            elif ev.kind == "congest":
+                failures.congest_segment_at(ev.t, ev.target, ev.factor,
+                                            duration=ev.duration)
+            elif ev.kind == "slow":
+                failures.slow_host_at(ev.t, ev.target, ev.factor,
+                                      duration=ev.duration)
+            elif ev.kind == "oneway":
+                a, b = ev.target.split("->", 1)
+                failures.partition_oneway_at(ev.t, [a], [b], duration=ev.duration)
+            elif ev.kind == "impair":
+                segment, _, link = ev.target.partition(":")
+                if link:
+                    src, dst = link.split("->", 1)
+                    failures.impair_link_at(ev.t, segment, src=src, dst=dst,
+                                            duration=ev.duration, **extra)
+                else:
+                    failures.impair_link_at(ev.t, segment, symmetric=True,
+                                            duration=ev.duration, **extra)
+            elif ev.kind == "skew":
+                failures.skew_clock_at(ev.t, ev.target, duration=ev.duration, **extra)
+            elif ev.kind == "ckptrot":
+                failures.corrupt_checkpoints_at(ev.t, ev.target, duration=ev.duration)
+            else:
+                raise ValueError(f"unknown fault kind {ev.kind!r}")
+
+    def _crash_on_progress(self, ev: FaultEvent, chunks: int) -> None:
+        """Crash ``ev.target`` the moment it has committed *chunks* bulk
+        chunks since ``ev.t`` — synchronously, from the commit probe, so
+        the kill always lands mid-transfer."""
+        seen = [0]
+
+        def watch(kind: str, f: Dict[str, Any]) -> None:
+            if (kind != "bulk.chunk" or f["host"] != ev.target
+                    or seen[0] >= chunks or self.sim.now < ev.t):
+                return
+            seen[0] += 1
+            if seen[0] >= chunks:
+                self.env.failures.host_down_at(self.sim.now, ev.target,
+                                               duration=ev.duration)
+
+        self.bus.subscribe(watch)
 
     def sweep(self) -> None:
         """Move what the oracles found so far into ``self.violations``."""
@@ -124,6 +240,7 @@ def run_spine(
     scenario: Callable[..., Generator],
     *,
     settle: float = 0.0,
+    plan: Plan = None,
     supervise: Optional[float] = None,
     scheduler=None,
     instrument: Optional[Callable] = None,
@@ -173,6 +290,7 @@ def run_spine(
     sim.probes = bus
     recorder = FlightRecorder(sim).attach(bus) if flight else None
     run = Run(env, bus)
+    run.plan = plan(site[-1]) if callable(plan) else plan
     if scheduler is not None:
         sim.set_scheduler(scheduler)
     body = scenario(run, *site)
@@ -183,6 +301,7 @@ def run_spine(
             env.run(until=until)
         if settle:
             env.settle(settle)
+        run.sweep()  # the oracles watched; the run was not theirs to stop
     else:
         while sim.now < supervise:
             if not run.guarded(
@@ -209,6 +328,8 @@ def run_spine(
     run.report = {
         "seed": seed,
         **fields,
+        "plan": [e.to_dict() for e in run.plan or ()],
+        "violations": [v.to_dict() for v in run.violations],
         "flight": flight_records,
         "ok": not run.violations,
         "finished_at": sim.now,

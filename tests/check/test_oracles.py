@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.check.oracles import (
+from repro.robust.oracles import (
     ConvergenceOracle,
     DeliveryOracle,
     ProbeBus,
@@ -219,7 +219,7 @@ def test_convergence_quiescence_requires_terminal_agreement():
 # -- ChunkOracle ------------------------------------------------------------
 
 def _chunks():
-    from repro.check.oracles import ChunkOracle
+    from repro.robust.oracles import ChunkOracle
     sim = Simulator()
     return sim, ChunkOracle(sim)
 

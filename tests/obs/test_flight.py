@@ -81,7 +81,7 @@ def test_attach_detach_sets_sim_flight():
 
 
 def test_attach_subscribes_to_probe_bus():
-    from repro.check.oracles import ProbeBus
+    from repro.robust.oracles import ProbeBus
 
     rec, sim = make_recorder()
     bus = ProbeBus()

@@ -1,7 +1,7 @@
 """Property tests: LWW merge is a join, so replicas converge.
 
-The convergence oracle in :mod:`repro.check.oracles` mirrors every
-replica through :func:`repro.check.oracles.lww_merge` — these tests
+The convergence oracle in :mod:`repro.robust.oracles` mirrors every
+replica through :func:`repro.robust.oracles.lww_merge` — these tests
 prove that shared specification is a commutative, associative,
 idempotent join over entries with distinct stamps, and that the real
 :class:`~repro.rcds.records.RCStore` computes the same fold no matter
@@ -16,7 +16,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check.oracles import LwwMap, lww_merge
+from repro.robust.oracles import LwwMap, lww_merge
 from repro.rcds.records import Entry, RCStore
 
 walls = st.floats(min_value=0.0, max_value=100.0,

@@ -29,7 +29,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check.oracles import LwwMap, lww_merge
+from repro.robust.oracles import LwwMap, lww_merge
 from repro.rcds.records import Entry
 
 #: Maximum clock error ("±D") used by the staleness-bound property —

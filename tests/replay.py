@@ -92,7 +92,7 @@ def recording() -> Iterator[List]:
     plain ``subscribe`` can't see them) and tracks the most recently
     created Simulator to timestamp each emission in virtual time.
     """
-    from repro.check.oracles import ProbeBus
+    from repro.robust.spine import ProbeBus
     from repro.sim.kernel import Simulator
 
     records: List = []
