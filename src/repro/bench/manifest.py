@@ -68,14 +68,14 @@ class Experiment(NamedTuple):
 
 
 class Sweep:
-    """One table swept from a ``SCENARIOS`` entry's chaos runner.
+    """One table swept from a ``SCENARIOS`` entry's runner (chaos runs).
 
     A profile's kwargs give each of ``axes`` (outermost first) its
     values; every other kwarg is a runner kwarg all runs share. The
     ``config`` axis maps labels to the runner kwargs they set: the
     chaos CLI's flag for a baseline, one label for the default. Every
     other axis is a runner kwarg. Each point of the product is one
-    ``chaos.run(...)`` and one row of ``columns``: a string names an
+    ``runner.run(...)`` and one row of ``columns``: a string names an
     axis or a report key, a callable is ``f(run, at)`` of the finished
     :class:`~repro.robust.spine.Run` and the axis point. ``summary``, if
     set, adds the table ``summary`` holding ``summary(rows)``.
@@ -100,7 +100,7 @@ class Sweep:
         return out
 
     def __call__(self, **kwargs: Any) -> Tables:
-        runner = SCENARIOS[self.scenario].chaos.run
+        runner = SCENARIOS[self.scenario].runner.run
         rows = []
         for at, call in self.calls(**kwargs):
             run = runner(**call)

@@ -2,9 +2,13 @@
 
 Subcommands:
 
-* ``run`` — one check run: seeded fault plan + explored schedule +
-  continuous oracles. ``--bug NAME`` disables a safety mechanism to
-  prove the oracles catch it. On violation the failing run is shrunk
+* ``run`` — one check run of a scenario: its runner under the entry's
+  check profile, a fault plan sampled from the seed, an explored
+  schedule and continuous oracles. The scenario-specific flags are the
+  ``chaos`` CLI's (one catalogue, ``CHAOS_FLAGS``): they override the
+  check profile, and one the scenario does not take is a usage error
+  (exit 2). ``--bug NAME`` disables a safety mechanism to prove the
+  oracles catch it. On violation the failing run is shrunk
   (``--no-shrink`` to skip) and a minimized trace is written.
 * ``sweep`` — seeds 1..N (``--seeds N``) of a scenario; first
   violation is shrunk, written as a trace, and fails the sweep.
@@ -15,35 +19,16 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import inspect
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.check.explore import BUGS, FaultEvent
-from repro.check.scenarios import (
-    SCENARIOS,
-    bug_help,
-    reject_workers,
-    run_check,
-    scenario_help,
-)
+from repro.check.explore import BUGS
+from repro.check.scenarios import add_chaos_flags, bug_help, chaos_kwargs, run_check, summary
 from repro.check.shrink import load_trace, minimize, replay_trace, write_trace
-
-
-#: The workload defaults are :func:`run_check`'s own.
-DEFAULT_PARAMS = {name: param.default for name, param
-                  in inspect.signature(run_check).parameters.items()}
+from repro.robust.spine import FaultEvent
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", choices=list(SCENARIOS), default="faults",
-                   help=scenario_help())
-    p.add_argument("--workers", type=int, default=DEFAULT_PARAMS["n_workers"],
-                   help=f"worker hosts (default {DEFAULT_PARAMS['n_workers']})")
-    p.add_argument("--steps", type=int, default=DEFAULT_PARAMS["total"],
-                   help=f"work units per task (default {DEFAULT_PARAMS['total']})")
-    p.add_argument("--duration", type=float, default=DEFAULT_PARAMS["duration"],
-                   help="simulated-seconds budget per run "
-                        f"(default {DEFAULT_PARAMS['duration']:.0f})")
+    add_chaos_flags(p, check=True)
     p.add_argument("--no-explore", action="store_true",
                    help="keep the kernel's FIFO tie-breaking (fault timing "
                         "is still the seeded plan)")
@@ -55,28 +40,16 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", default=None,
                    help="where to write the minimized failing trace "
                         "(default: check-<scenario>-seed<N>.json)")
-    p.add_argument("--obs-sample", type=float, default=None, metavar="RATE",
-                   help="enable tracing at this sampling rate (1.0 = every "
-                        "record, 0.01 = 1-in-100; default: tracing off)")
-
-
-def _params(args) -> dict:
-    return {
-        "n_workers": args.workers,
-        "total": args.steps,
-        "duration": args.duration,
-        "obs_sample": args.obs_sample,
-    }
 
 
 def _describe(report: dict) -> str:
     extra = (f" reorders={report['schedule_reordered']}"
              if report["explore"] else " (FIFO schedule)")
-    return (f"{SCENARIOS[report['scenario']].check_line(report)}{extra} "
+    return (f"{summary(report['scenario'], report)}{extra} "
             f"t={report['finished_at']:.1f}s")
 
 
-def _handle_failure(report: dict, args, params: dict) -> None:
+def _handle_failure(report: dict, args, params: Dict) -> None:
     """Print the violation, shrink it, write the trace."""
     for v in report["violations"]:
         print(f"  VIOLATION [{v['oracle']}] t={v['time']:.3f}s: {v['detail']}")
@@ -106,8 +79,9 @@ def _handle_failure(report: dict, args, params: dict) -> None:
         print(f"  flight recorder: {n} records dumped to {fpath}")
 
 
-def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
-    """Parse and validate a ``check`` command line."""
+def parse_args(argv: Optional[List[str]]) -> Tuple[argparse.Namespace, Dict]:
+    """Parse and validate a ``check`` command line; returns the namespace
+    and the runner kwargs the given flags set (empty for ``replay``)."""
     parser = argparse.ArgumentParser(prog="python -m repro check",
                                      description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -121,13 +95,13 @@ def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     p_replay = sub.add_parser("replay", help="re-run a minimized trace")
     p_replay.add_argument("trace", help="trace file from run/sweep")
     args = parser.parse_args(argv)
-    if args.cmd != "replay":
-        reject_workers(sub.choices[args.cmd], args.scenario, args.workers)
-    return args
+    if args.cmd == "replay":
+        return args, {}
+    return args, chaos_kwargs(sub.choices[args.cmd], args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = parse_args(argv)
+    args, params = parse_args(argv)
     if args.cmd == "replay":
         trace = load_trace(args.trace)
         expected = trace.get("violations") or []
@@ -149,7 +123,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("REPRODUCED")
         return 0
 
-    params = _params(args)
     # run: the one seed; sweep: seeds 1..N, stopping at the first violation
     sweep = args.cmd == "sweep"
     for seed in (range(1, args.seeds + 1) if sweep else [args.seed]):

@@ -1,17 +1,16 @@
-"""Schedule exploration: seeded tie-breaking, explicit fault plans, and
-the scenarios' check mode — each workload under oracle supervision.
+"""Schedule exploration: seeded tie-breaking, sampled fault plans, and
+the seeded bugs the oracles must catch.
 
-One integer — the seed — fully determines a run: it picks the fault
-plan (an explicit, replayable list of :class:`FaultEvent`), seeds every
-workload RNG stream, and seeds the :class:`ExplorationScheduler` that
-permutes same-timestamp event ties inside the kernel. Replaying the
-same (scenario, seed, plan, bug) tuple therefore reproduces the same
-execution bit-for-bit, which is what makes shrinking
-(:mod:`repro.check.shrink`) possible.
-
-The per-scenario ``check_*`` runners and ``plan_*`` samplers below are
-named by the scenario table (:mod:`repro.check.scenarios`), which is
-also where the name-keyed ``run_check`` and ``sample_fault_plan`` live.
+One integer — the seed — fully determines a check run: it picks the
+fault plan (an explicit, replayable list of
+:class:`~repro.robust.spine.FaultEvent`, from the scenario's ``plan_*``
+sampler below), seeds every workload RNG stream, and seeds the
+:class:`ExplorationScheduler` that permutes same-timestamp event ties
+inside the kernel. Replaying the same (scenario, seed, plan, bug) tuple
+therefore reproduces the same execution bit-for-bit, which is what
+makes shrinking (:mod:`repro.check.shrink`) possible. The run itself is
+the scenario's one runner (:mod:`repro.robust.chaos`), reached by name
+through :func:`repro.check.scenarios.run_check`.
 """
 
 from __future__ import annotations
@@ -21,34 +20,12 @@ from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
 from repro.bulk.fetch import BulkFetcher
-from repro.bulk.testbed import build_bulk_site, make_payload
 from repro.core.process import SnipeContext
 from repro.guardian.guardian import Guardian
 from repro.rcds.records import RCStore
 from repro.rcds.shard.server import ShardRCServer
-from repro.robust.chaos import (
-    CheckpointWorkload,
-    build_chaos_env,
-    build_shard_env,
-    install_overload_worker,
-    start_heal_sessions,
-    start_load_generators,
-    start_shard_sessions,
-)
 from repro.robust.health import HealthBoard
-from repro.robust.oracles import (
-    ChunkOracle,
-    CompactionOracle,
-    ConvergenceOracle,
-    CorruptionOracle,
-    DeliveryOracle,
-    FalseDeathOracle,
-    ResurrectionOracle,
-    ShardOracle,
-    SingleOwnerOracle,
-    Violation,
-)
-from repro.robust.spine import FaultEvent, Run, run_spine
+from repro.robust.spine import FaultEvent
 from repro.transport.srudp import SrudpEndpoint
 
 
@@ -310,381 +287,3 @@ def seeded_bug(name: Optional[str]):
         yield
     finally:
         setattr(cls, attr, saved)
-
-
-# ---------------------------------------------------------------------------
-# The check harness
-# ---------------------------------------------------------------------------
-
-def _check(scenario: str, seed: int, plan_for: Callable, explore: bool,
-           p: Dict, build: Callable, body: Callable, settle: float = 0.0) -> Run:
-    """One model-checking run of a scenario through the spine.
-
-    *plan_for(hosts)* yields the explicit fault plan (the caller's, or
-    one sampled from the seed) once the site exists; *body* — the
-    scenario generator, see :func:`repro.robust.spine.run_spine` — sets
-    ``run.oracles`` and arms ``run.plan``. With *explore* the seed also
-    permutes same-timestamp ties. The run stops at the first violation —
-    everything after it is noise for shrinking purposes.
-
-    Violations are *recorded*, never raised: several components
-    legitimately wrap their loops in broad ``except`` clauses, so an
-    oracle exception could be swallowed at the point of detection. A
-    process crash escaping the kernel (strict mode) is itself recorded
-    as a ``process-crash`` violation.
-    """
-    scheduler = ExplorationScheduler(seed) if explore else None
-    run = run_spine(seed, build, body, settle=settle, plan=plan_for,
-                    supervise=p["duration"], scheduler=scheduler,
-                    obs_sample=p["obs_sample"])
-    run.report.update(
-        scenario=scenario,
-        explore=explore,
-        schedule_picks=scheduler.picks if scheduler else 0,
-        schedule_reordered=scheduler.reordered if scheduler else 0,
-    )
-    return run
-
-
-def _check_star(scenario: str, seed: int, plan_for: Callable, explore: bool,
-                p: Dict, build: Optional[Callable] = None,
-                program: str = "chaos-worker", liveness: bool = True,
-                oracles: Optional[Callable] = None,
-                load: Optional[Callable] = None,
-                quiesce: Optional[Callable] = None) -> Run:
-    """Model-check the checkpointing workload on the chaos star site —
-    the run the faults, overload, gray and heal scenarios share.
-
-    Five oracles always watch (convergence, delivery, single-owner,
-    chunk-integrity, corruption); a scenario adds its own through
-    *oracles(run)*, extra load through *load(run, workers)* (may return
-    the time its load ends, which the early stop then waits out), and
-    quiescent checks through *quiesce(run)*. With *liveness* every
-    worker must complete within the budget, and the run may stop early
-    once all have and the faults are over.
-    """
-    def body(run: Run, workers: List[str]):
-        sim, env, bus = run.sim, run.env, run.bus
-        convergence = ConvergenceOracle(sim)
-        convergence.attach(env)
-        bus.subscribe(convergence.on_probe)
-        delivery = DeliveryOracle(sim)
-        owner = SingleOwnerOracle(sim)
-        chunks = ChunkOracle(sim)  # inert unless something moves bulk data
-        corruption = CorruptionOracle(sim)
-        bus.subscribe(delivery.on_probe)
-        bus.subscribe(owner.on_probe)
-        bus.subscribe(chunks.on_probe)
-        bus.subscribe(corruption.on_probe)
-        # Attach order matters: ConvergenceOracle.attach *sets* the
-        # stores' on_apply slot; a scenario's oracles chain onto it.
-        run.oracles = [convergence, delivery, owner, chunks, corruption] + (
-            oracles(run) if oracles is not None else [])
-
-        work = CheckpointWorkload(env, workers, "check", p["total"], 3,
-                                  p["step"], program=program)
-        quiet_after = (load(run, workers) if load is not None else 0.0) or 0.0
-        run.arm()
-        quiet_after = max(quiet_after, max(
-            (e.t + e.duration for e in run.plan), default=0.0))
-        yield lambda: (liveness and work.all_reported()
-                       and sim.now > quiet_after + 6.0)
-
-        urns, completed = work.urns, len(work.completed())
-        if liveness and not run.violations:
-            if completed == len(urns):
-                convergence.check_quiescent(urns)
-            else:
-                run.violations.append(Violation(
-                    "liveness", sim.now,
-                    f"only {completed}/{len(urns)} workers completed within "
-                    f"the {p['duration']:.0f}s budget",
-                ))
-            run.sweep()
-        if quiesce is not None and not run.violations:
-            quiesce(run)
-            run.sweep()
-        return {
-            "completed": completed,
-            "workers": len(urns),
-            "recoveries": sum(len(g.recoveries) for g in env.guardians.values()),
-            "delivered": delivery.delivered,
-            "heal": None,
-        }
-
-    return _check(scenario, seed, plan_for, explore, p,
-                  build or (lambda: build_chaos_env(seed, p["n_workers"])),
-                  body, settle=4.0)  # drain queues, let anti-entropy converge
-
-
-def check_faults(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
-    """Crash/partition plans over the checkpointing workload."""
-    return _check_star("faults", seed, plan_for, explore, p).report
-
-
-def check_overload(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
-    """Saturating lookup load plus degradation windows; nothing crashes,
-    and nothing has to finish — the oracles check safety, not the
-    overload treatment."""
-    def configure(sim):
-        # Bounded server queues small enough that overload actually
-        # bites (cf. run_overload); the adaptive controls stay on.
-        sim.overload.server_bulk_capacity = 128
-
-    def build():
-        env, workers = build_chaos_env(
-            seed, p["n_workers"], rc_service_time=p["service_time"],
-            configure=configure)
-        install_overload_worker(
-            env, {"steps": 0, "send_failures": 0, "ckpt_failures": 0})
-        return env, workers
-
-    def load(run: Run, workers: List[str]) -> None:
-        capacity = len(run.env.rc_replicas) / p["service_time"]
-        start_load_generators(run.env, workers, p["saturation"] * capacity,
-                              4.0, p["duration"] - 6.0)
-
-    return _check_star("overload", seed, plan_for, explore, p, build=build,
-                       program="overload-worker", liveness=False,
-                       load=load).report
-
-
-def check_gray(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
-    """Gray plans, plus the no-false-death oracle."""
-    def oracles(run: Run) -> List:
-        # Only gray plans promise every non-crashed host stays reachable
-        # over *some* path; a full partition (faults scenario) makes a
-        # lease-inferred death legitimate, so the oracle stays out there.
-        spans = [(e.target, e.t, e.t + e.duration + 20.0)
-                 for e in run.plan if e.kind == "crash"]
-        falsedeath = FalseDeathOracle(
-            run.sim, crashed=lambda h, t: any(
-                h == c and a <= t <= b for c, a, b in spans),
-        )
-        run.bus.subscribe(falsedeath.on_probe)
-        return [falsedeath]
-
-    return _check_star("gray", seed, plan_for, explore, p,
-                       oracles=oracles).report
-
-
-def check_heal(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
-    """A replica group split past the compaction horizon under pinned
-    write/delete load, with the resurrection and compaction oracles."""
-    duration = p["duration"]
-    resurrection = compaction = None
-    tracked: Dict = {}
-
-    def oracles(run: Run) -> List:
-        nonlocal resurrection, compaction
-        resurrection = ResurrectionOracle(run.sim)
-        resurrection.attach(run.env)
-        compaction = CompactionOracle(run.sim)
-        compaction.attach(run.env)
-        return [resurrection, compaction]
-
-    def load(run: Run, workers: List[str]) -> float:
-        nonlocal tracked
-        # Per-key write/delete load pinned to fixed replicas, with the
-        # retirements (write-here/delete-there pairs) seeded *inside*
-        # the split window so the tombstone and the stale live write
-        # land on opposite sides of the cut.
-        splits = [e for e in run.plan if e.kind == "split"]
-        if splits:
-            retire_window = (splits[0].t + 0.35 * splits[0].duration,
-                             splits[0].t + 0.65 * splits[0].duration)
-        else:  # a shrunk plan may have dropped the split entirely
-            retire_window = (duration * 0.2, duration * 0.3)
-        heal_end = duration * 0.55
-        tracked = start_heal_sessions(
-            run.env, workers, 3.0, heal_end, n_keys=18, interval=0.35,
-            value_pad=256, retire_frac=0.3, retire_window=retire_window)
-        return heal_end
-
-    def quiesce(run: Run) -> None:
-        resurrection.check_quiescent()
-        compaction.check_quiescent(prefix="snipe://heal/")
-        for uri in sorted(tracked["retired"]):
-            holders = sorted(r for r, srv in run.env.rc_servers.items()
-                             if srv.store.lookup(uri))
-            if holders:
-                run.violations.append(Violation(
-                    "no-resurrection", run.sim.now,
-                    f"retired key {uri} still visible on "
-                    f"{', '.join(holders)} after its delete was "
-                    f"acknowledged",
-                ))
-
-    # Aggressive compaction, so the horizon provably moves while one
-    # replica is cut off and anti-entropy must heal across it (via
-    # gap-refusing batches and snapshot catch-up) rather than replay
-    # a complete log.
-    run = _check_star(
-        "heal", seed, plan_for, explore, p,
-        build=lambda: build_chaos_env(seed, p["n_workers"], rc_server_kw=dict(
-            compact_interval=1.0, peer_stale_after=6.0, max_sync_records=32,
-            snapshot_every=64, log_keep_tail=8)),
-        oracles=oracles, load=load, quiesce=quiesce)
-    servers = run.env.rc_servers.values()
-    run.report["heal"] = {
-        "writes_ok": tracked["writes_ok"],
-        "writes_failed": tracked["writes_failed"],
-        "deletes_ok": tracked["deletes_ok"],
-        "deletes_failed": tracked["deletes_failed"],
-        "retired": len(tracked["retired"]),
-        "compactions": sum(s.store.compactions for s in servers),
-        "tombstones_collected": sum(
-            s.store.tombstones_collected for s in servers),
-        "snapshot_catchups": sum(s.snapshot_catchups for s in servers),
-    }
-    return run.report
-
-
-def check_shard(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
-    """Model-check the sharded catalog: write/delete load through the
-    facade forces splits while a core host crashes and a worker segment
-    is cut, with the shard-ownership oracle judging every locally
-    accepted record against the replica's own adopted map and the
-    convergence oracle mirroring every replica (root and shard groups
-    alike). At quiescence the final map must place every live name in
-    exactly one group — in particular no name on both sides of a split
-    boundary — with each group internally converged."""
-    fault_stop = p["duration"] * 0.5
-
-    def body(run: Run, workers: List[str]):
-        env = run.env
-        convergence = ConvergenceOracle(run.sim)
-        convergence.attach(env)
-        run.bus.subscribe(convergence.on_probe)
-        shard = ShardOracle(run.sim)
-        shard.attach(env)
-        run.bus.subscribe(shard.on_probe)
-        run.oracles = [convergence, shard]
-
-        env.settle(2.0)
-        load = start_shard_sessions(
-            env, workers, 3.0, fault_stop + 10.0, n_keys=48, interval=0.25,
-            retire_window=(fault_stop * 0.5, fault_stop * 0.9))
-        run.arm()
-        yield
-
-        mgr = env.shard_manager
-        if not run.violations:
-            if mgr.splits < 1:
-                run.violations.append(Violation(
-                    "liveness", run.sim.now,
-                    f"the load never forced a split (threshold 24, "
-                    f"{load['writes_ok']} writes acked) — the scenario "
-                    f"exercised no migration",
-                ))
-            shard.check_quiescent(mgr)
-            run.sweep()
-        return {
-            "completed": len(load["retired"]),
-            "workers": len(workers),
-            "recoveries": 0,
-            "delivered": load["writes_ok"],
-            "splits": mgr.splits,
-            "epoch": mgr.map.epoch,
-            "shards": sorted(mgr.map.shards),
-            "local_accepts": shard.local_accepts,
-        }
-
-    return _check(
-        "shard", seed, plan_for, explore, p,
-        lambda: build_shard_env(seed, n_workers=min(p["n_workers"], 3),
-                                split_threshold=24),
-        body, settle=12.0,  # anti-entropy + handoff janitors drain
-    ).report
-
-
-def check_bulk(seed: int, plan_for: Callable, explore: bool, p: Dict) -> Dict:
-    """Model-check the bulk data plane: a relay-tree distribution under
-    crashing fetchers and one poisoned source, with the chunk-integrity
-    oracle watching every commit.
-
-    The poisoner corrupts one chunk in the first relay's store the
-    instant that relay commits it (synchronously, from the probe), so
-    every run exercises the per-chunk verification path: a correct
-    fetcher quarantines the poisoned source and re-pulls the chunk from
-    a clean one; under the seeded ``no-chunk-verify`` bug the corrupt
-    bytes are committed and the oracle flags the commit."""
-    chunk_size = 16384
-    object_kb = 512
-    duration = p["duration"]
-
-    def body(run: Run, root: str, dests: List[str]):
-        env, sim = run.env, run.sim
-        chunks = ChunkOracle(sim)
-        run.bus.subscribe(chunks.on_probe)
-        run.oracles = [chunks]
-
-        # Poison the first fetched commit, synchronously at commit time —
-        # before the committing host can have served that chunk onward.
-        poisoned: Dict = {}
-
-        def poisoner(kind, f):
-            if kind != "bulk.chunk" or poisoned:
-                return
-            svc = env.bulk_services.get(f["host"])
-            if svc is None:
-                return
-            data = svc.store.get(f["name"], f["seq"])
-            svc.store._chunks[f["name"]][f["seq"]] = b"\x00poison\x00" + data[8:]
-            poisoned[(f["host"], f["seq"])] = sim.now
-
-        run.bus.subscribe(poisoner)
-
-        run.arm()
-        payload = make_payload(object_kb * 1024, chunk_size)
-        proc = env.bulk_distributor(root).distribute(
-            "check-obj", payload, dests, chunk_size=chunk_size,
-            strategy="tree", deadline=duration)
-        yield lambda: proc.triggered
-
-        report = proc.value if proc.triggered and proc.ok else None
-        if not run.violations:
-            if report is None:
-                run.violations.append(Violation(
-                    "liveness", sim.now,
-                    f"distribution did not finish within the "
-                    f"{duration:.0f}s budget",
-                ))
-            elif report["completed"] != len(dests):
-                run.violations.append(Violation(
-                    "liveness", sim.now,
-                    f"only {report['completed']}/{len(dests)} hosts completed "
-                    f"(failed: {report['failed']})",
-                ))
-            elif not report["all_verified"]:
-                run.violations.append(Violation(
-                    "chunk-integrity", sim.now,
-                    "a completed host's whole-object hash did not verify",
-                ))
-            run.sweep()
-        return {
-            "completed": report["completed"] if report else 0,
-            "workers": len(dests),
-            "recoveries": sum(
-                r.get("crashes", 0)
-                for r in (report or {}).get("per_dest", {}).values()),
-            "delivered": chunks.committed,
-            "poisoned": sorted(f"{h}#{s}" for h, s in poisoned),
-            "chunk_retries": report["chunk_retries"] if report else 0,
-        }
-
-    return _check(
-        "bulk", seed, plan_for, explore, p,
-        lambda: build_bulk_site(seed=seed, racks=2, per_rack=3), body).report
-
-
-def describe_check(report: Dict) -> str:
-    """One-line summary of a check run (the default ``check_line``)."""
-    return (f"completed={report['completed']}/{report['workers']} "
-            f"recoveries={report['recoveries']} delivered={report['delivered']}")
-
-
-def describe_shard_check(report: Dict) -> str:
-    return (f"splits={report['splits']} epoch={report['epoch']} "
-            f"shards={len(report['shards'])} writes={report['delivered']} "
-            f"retired={report['completed']}")

@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.check.explore import FaultEvent
 from repro.check.scenarios import run_check
+from repro.robust.spine import FaultEvent
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 def ddmin(items: Sequence, failing: Callable[[List], bool]) -> List:

@@ -195,17 +195,15 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         results = evaluate_slos(load_export(args.export), slos)
         title = f"SLO evaluation: {args.export}"
     else:
-        from repro.robust.chaos import run_overload
-
         holder = {}
 
         def instrument(sim):
             holder["monitor"] = SloMonitor(sim, slos,
                                            interval=args.interval).attach()
 
-        run_overload(args.seed, saturation=args.saturation,
-                     adaptive=not args.static, duration=args.duration,
-                     instrument=instrument)
+        SCENARIOS["overload"].runner(
+            args.seed, saturation=args.saturation, adaptive=not args.static,
+            duration=args.duration, instrument=instrument)
         results = holder["monitor"].results()
         mode = "static baseline" if args.static else "adaptive"
         title = (f"SLO evaluation: overload seed={args.seed} "

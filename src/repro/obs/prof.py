@@ -131,7 +131,7 @@ def profile_scenario(scenario: str, seed: int = 1, **kw: Any) -> Dict[str, Any]:
     ok = True
     entry = SCENARIOS.get(scenario)
     if entry is not None:
-        run = entry.chaos.run(seed, instrument=prof.attach,
+        run = entry.runner.run(seed, instrument=prof.attach,
                               **{**entry.profile, **kw})
         prof.detach(run.sim)
         ok = run.report["ok"]

@@ -11,9 +11,12 @@ that adjective rather than assert it:
   circuit breakers, and two-lane bounded ingress queues, so congestion
   and slow hosts degrade throughput instead of triggering false death
   declarations and respawn storms.
-* :mod:`repro.robust.chaos` — a seeded fault-injection harness that runs
-  a checkpointing workload under host churn, link cuts, partitions, and
-  overload, and checks end-to-end invariants after quiescence.
+* :mod:`repro.robust.chaos` — one runner per fault scenario (host
+  churn, partitions, overload, gray faults, partition heal, shard
+  splits), run through :mod:`repro.robust.spine` under a seeded
+  ``FaultEvent`` plan, watched by :mod:`repro.robust.oracles` and judged
+  by end-to-end invariants after quiescence; the sites and loads it
+  drives are :mod:`repro.robust.workloads`.
 """
 
 from repro.robust.retry import RetryError, RetryPolicy

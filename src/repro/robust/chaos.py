@@ -1,50 +1,28 @@
-"""Seeded chaos harness: faults + self-healing + invariant checking.
+"""Scenario runners: each fault scenario as one body, run chaos or checked.
 
-Builds a star site (a stable service core, plus workers that are each
-alone on a private segment behind a gateway), runs a checkpointing
-workload across the workers, and drives a seeded schedule of host
-crashes and partitions against them while the Guardians repair the
-damage. After quiescence it checks the system-wide invariants that
-self-healing must preserve:
+Every ``run_*`` here is one scenario's single runner — star or rack
+site, workload, fault plan, watching oracles, quiescent verdicts — as a
+generator body handed to :func:`repro.robust.spine.run_spine`, which
+owns the phases all scenarios share. A *chaos* run is the body plus the
+scenario's seeded chaos plan (drawn by its ``*_chaos_plan`` below, or
+built from its kwargs); the oracles watch without stopping it and its
+invariants/criteria judge the quiescent state. A *check* run
+(:func:`repro.check.scenarios.run_check`) is the same body under the
+runner kwargs of the entry's check profile, with a sampled, shrunk or
+replayed plan, the exploration scheduler and the supervised loop
+passed in. Either way every fault is a
+:class:`~repro.robust.spine.FaultEvent` of the report's ``plan``, and
+the oracles' findings are its ``violations``.
 
-* **completed-exactly-once** — every submitted task reports exactly one
-  effective completion (duplicate reports are deduplicated and counted,
-  and must agree on the result);
-* **no-incarnation-regression** — the incarnations a receiver accepts
-  per task never decrease, and every Guardian recovery strictly raised
-  the incarnation;
-* **catalogs-converged** — after anti-entropy settles, every RC replica
-  independently reports the same terminal state for every task;
-* **no-silent-loss** — every unit of work was reported (restart suffix
-  re-reports are fine, gaps are not), no envelope is still parked in a
-  reorder buffer, and everything the workers got an ack for was either
-  delivered, deduplicated, or deliberately fenced at the receiver.
-
-Worker segments go down *without* the worker host crashing — that is the
-zombie scenario: the Guardian (correctly, per its lease evidence)
-declares the worker dead and respawns it, and the fencing machinery must
-then keep the surviving original from double-executing. Host crashes use
-the refcounted injector one-shots, so overlapping fault windows compose.
-
-Every ``run_*`` here is one scenario's chaos mode: a generator body
-handed to :func:`repro.robust.spine.run_spine`, which owns the phases
-the scenarios share (instrumentation, probe bus, flight recorder, the
-run itself, the verdict/flight tail). Its seeded fault schedule is a
-:class:`~repro.robust.spine.FaultEvent` plan (the report's ``plan``),
-and the scenario's oracles watch the run (the report's ``violations``). They are looked up by name through
-:data:`repro.check.scenarios.SCENARIOS`; each returns its report dict,
-and ``run_*.run(...)`` the whole :class:`~repro.robust.spine.Run`.
-
-Entry points: :func:`run_chaos` (one seed -> report dict), used by
-``python -m repro chaos run --seed N`` and the parametrized pytest
-suite in ``tests/robust/test_chaos.py``; and :func:`run_overload`
-(``--scenario overload``), which saturates the same site with bulk
-traffic instead of killing hosts and checks that the control plane —
-lease heartbeats, Guardian probes — stays live and that no false
-death is declared (experiment E12); and :func:`run_bulk_chaos`
-(``--scenario bulk``), which kills a relay head mid-distribution and
-checks the bulk plane completes everywhere, verified, exactly once
-per chunk (experiment E13's crash case).
+The runners are looked up by name through
+:data:`repro.check.scenarios.SCENARIOS`: :func:`run_chaos` (``faults``),
+:func:`run_overload` (E12), :func:`run_bulk_chaos` (E13's crash case),
+:func:`run_gray` (E15), :func:`run_partition_heal` (E16) and
+:func:`run_shard_chaos` (E18's fault case). Each returns its report
+dict and ``run_*.run(...)`` the whole :class:`~repro.robust.spine.Run`;
+``**spine`` passes the spine's harness kwargs through (``plan``,
+``supervise``, ``scheduler``, ``instrument``, ``obs_sample``,
+``flight``).
 """
 
 from __future__ import annotations
@@ -54,12 +32,10 @@ import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bulk.testbed import build_bulk_site, make_payload
-from repro.core.checkpoint import checkpoint_to_files
 from repro.core.environment import SnipeEnvironment
-from repro.daemon.tasks import TaskSpec, TaskState
+from repro.daemon.tasks import TaskState
 from repro.obs.slo import _metric_value
 from repro.rcds import uri as uri_mod
-from repro.rcds.client import QUORUM, ConsistencyError, RCClient
 from repro.rcds.records import MOVED
 from repro.rcds.server import RC_PORT
 from repro.robust import TIMEOUTS
@@ -78,153 +54,20 @@ from repro.robust.oracles import (
 )
 from repro.robust.overload import CONTROL
 from repro.robust.spine import FaultEvent, Run, Verdict, run_spine, scenario_runner
+from repro.robust.workloads import (
+    CheckpointWorkload,
+    build_chaos_env,
+    build_shard_env,
+    start_gray_sessions,
+    start_heal_sessions,
+    start_load_generators,
+    start_shard_sessions,
+    visible_state,
+)
 from repro.rpc import RpcClient, RpcError
 
 #: Seeds the CI smoke and the pytest suite pin.
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
-
-
-def _star_site(
-    seed: int,
-    n_workers: int,
-    configure: Optional[Callable] = None,
-    backup_core: bool = False,
-) -> Tuple[SnipeEnvironment, List[str]]:
-    """Hosts and wires of the star site, nothing running on them yet:
-    c0-c2 and a forwarding gateway on the core LAN(s), each worker alone
-    on its own segment behind the gateway so it can be isolated."""
-    env = SnipeEnvironment(seed=seed)
-    if configure is not None:
-        configure(env.sim)
-    env.add_segment("core-lan")
-    core_segments = ["core-lan"]
-    if backup_core:
-        env.add_segment("core-lan2")
-        core_segments.append("core-lan2")
-    for name in ("c0", "c1", "c2"):
-        env.add_host(name, segments=core_segments)
-    gw = env.add_host("gw", segments=core_segments, forwarding=True)
-    workers = []
-    for i in range(n_workers):
-        seg = env.add_segment(f"s-w{i}")
-        env.topology.connect(gw, seg)
-        env.add_host(f"w{i}", segments=[f"s-w{i}"], arch="worker")
-        workers.append(f"w{i}")
-    return env, workers
-
-
-def build_chaos_env(
-    seed: int,
-    n_workers: int = 4,
-    rc_service_time: Optional[float] = None,
-    configure: Optional[Callable] = None,
-    backup_core: bool = False,
-    rc_server_kw: Optional[Dict] = None,
-) -> Tuple[SnipeEnvironment, List[str]]:
-    """The chaos site: stable core (RC x3, RM, files, guardians) behind a
-    gateway, each worker alone on its own segment so it can be isolated.
-
-    ``rc_service_time`` makes the RC replicas single-threaded bottleneck
-    servers (the overload scenario saturates them); ``configure(sim)``
-    runs before any endpoint exists, so it can set
-    :class:`repro.robust.overload.OverloadConfig` fields that are read at
-    queue-construction time. ``backup_core`` adds a second core segment
-    (every core host dual-homed), so a one-way fault on one core link has
-    a healthy alternate path — the gray scenario's per-interface health
-    scoring steers around the sick link instead of timing out forever.
-    """
-    env, workers = _star_site(seed, n_workers, configure, backup_core)
-    server_kw = dict(rc_server_kw or {})
-    if rc_service_time is not None:
-        server_kw["service_time"] = rc_service_time
-    env.add_rc_servers(["c0", "c1", "c2"], **server_kw)
-    for name in ("c0", "c1", "c2", "gw", *workers):
-        env.boot_daemon(name)
-    env.add_rm("c0")
-    env.add_file_server("c0")
-    env.add_file_server("c1")
-    env.add_guardian("c1")
-    env.add_guardian("c2")
-    return env, workers
-
-
-def new_coll_state() -> Dict:
-    """Fresh collector-side bookkeeping for :func:`install_chaos_programs`."""
-    return {"done": {}, "dup_done": {}, "progress": {}, "incs": {}, "mismatch": []}
-
-
-def install_chaos_programs(env: SnipeEnvironment, acked: Dict[str, int], coll_state: Dict):
-    """Register the chaos-worker / chaos-collector programs on *env*.
-
-    Shared by the chaos harness and the model-checking scenarios in
-    :mod:`repro.check`, which run the same workload under explored
-    schedules.
-    """
-    @env.program("chaos-worker")
-    def chaos_worker(ctx, total, ckpt_every, collector_urn, step):
-        def take_checkpoint():
-            # Checkpointing is durability, not progress: when every file
-            # server is briefly unreachable (gray quorum loss, one-way
-            # cuts) the task keeps computing and retries at the next
-            # boundary — dying here would turn a storage degradation
-            # into the very failure checkpoints exist to survive. The
-            # cost is bounded: recovery resumes from the last checkpoint
-            # that *did* land, and the output-commit discipline below
-            # makes the redone steps duplicates the collector dedups.
-            try:
-                yield checkpoint_to_files(ctx)
-            except Exception:
-                coll_state["ckpt_skipped"] = coll_state.get("ckpt_skipped", 0) + 1
-                ctx.sim.obs.metrics.counter("ckpt.skipped").inc()
-
-        i = ctx.checkpoint_state.get("i", 0)
-        # Checkpoint immediately: from the first instant there is a
-        # durable state for the Guardian to restart from.
-        yield from take_checkpoint()
-        while i < total:
-            yield ctx.compute(step)
-            i += 1
-            ctx.checkpoint_state["i"] = i
-            yield ctx.send(collector_urn,
-                           {"urn": ctx.urn, "i": i, "inc": ctx.incarnation},
-                           tag="progress")
-            acked[ctx.urn] = acked.get(ctx.urn, 0) + 1
-            # Output-commit discipline: checkpoint only after the report
-            # for this step was acknowledged. A checkpoint that ran ahead
-            # of unacknowledged output would let a crash lose the report
-            # for work the successor (resuming past it) never redoes.
-            if i % ckpt_every == 0:
-                yield from take_checkpoint()
-        # App-level fence check before claiming completion: a superseded
-        # incarnation leaves the completion report to its successor.
-        try:
-            fence = yield ctx.rc.get(ctx.urn, "fenced-below")
-        except Exception:
-            fence = None
-        if fence is not None and ctx.incarnation < fence:
-            return i
-        yield ctx.send(collector_urn,
-                       {"urn": ctx.urn, "result": i, "inc": ctx.incarnation},
-                       tag="done")
-        acked[ctx.urn] = acked.get(ctx.urn, 0) + 1
-        return i
-
-    @env.program("chaos-collector")
-    def chaos_collector(ctx):
-        while True:
-            msg = yield ctx.recv()
-            p = msg.payload
-            urn = p["urn"]
-            coll_state["incs"].setdefault(urn, []).append(msg.src_inc)
-            if msg.tag == "done":
-                if urn in coll_state["done"]:
-                    coll_state["dup_done"][urn] = coll_state["dup_done"].get(urn, 0) + 1
-                    if coll_state["done"][urn] != p["result"]:
-                        coll_state["mismatch"].append(urn)
-                else:
-                    coll_state["done"][urn] = p["result"]
-            else:
-                coll_state["progress"].setdefault(urn, set()).add(p["i"])
 
 
 def watch_star(run: Run) -> Tuple[ConvergenceOracle, DeliveryOracle]:
@@ -245,39 +88,34 @@ def watch_star(run: Run) -> Tuple[ConvergenceOracle, DeliveryOracle]:
     return convergence, delivery
 
 
-class CheckpointWorkload:
-    """The chaos-collector on c0 plus one checkpointing *program* task per
-    worker host, started on a settled site — the workload the faults,
-    overload and gray scenarios and their model-checking twins share.
-    Task names (``<prefix>-coll``, ``<prefix>-w<i>``) are part of the
-    replay contract."""
+def judge_star(run: Run, work: CheckpointWorkload, convergence: ConvergenceOracle,
+               duration: float) -> List[str]:
+    """The star workload's quiescent oracle checks, unless something was
+    found already: every task completed within the *duration* budget,
+    and then the catalog replicas agree on a terminal state for each.
+    Returns the completed URNs."""
+    completed = work.completed()
+    if not run.violations:
+        if len(completed) == len(work.urns):
+            convergence.check_quiescent(work.urns)
+        else:
+            run.violations.append(Violation(
+                "liveness", run.sim.now,
+                f"only {len(completed)}/{len(work.urns)} workers completed "
+                f"within the {duration:.0f}s budget"))
+        run.sweep()
+    return completed
 
-    def __init__(self, env: SnipeEnvironment, workers: List[str], prefix: str,
-                 total: int, ckpt_every: int, step: float,
-                 program: str = "chaos-worker") -> None:
-        self.total = total
-        self.acked: Dict[str, int] = {}
-        self.state = new_coll_state()
-        install_chaos_programs(env, self.acked, self.state)
-        env.settle(2.0)
-        self.coll = env.spawn(
-            TaskSpec(program="chaos-collector", name=f"{prefix}-coll"), on="c0")
-        self.urns: List[str] = []
-        for i, w in enumerate(workers):
-            spec = TaskSpec(
-                program=program,
-                arch="worker",  # keep (re)placement on the worker fleet
-                name=f"{prefix}-w{i}",
-                params={"total": total, "ckpt_every": ckpt_every,
-                        "collector_urn": self.coll.urn, "step": step},
-            )
-            self.urns.append(env.spawn(spec, on=w).urn)
 
-    def all_reported(self) -> bool:
-        return len(self.state["done"]) == len(self.urns)
-
-    def completed(self) -> List[str]:
-        return [u for u in self.urns if self.state["done"].get(u) == self.total]
+def chaos_events(run: Run, draw: Callable[[], Tuple[List[FaultEvent], List[str]]]
+                 ) -> List[str]:
+    """Make ``run.plan`` the scenario's seeded chaos plan, *draw()*, unless
+    the caller handed a plan in; returns the fault timeline text the
+    report carries."""
+    if run.plan is None:
+        run.plan, events = draw()
+        return events
+    return [str(e) for e in run.plan]
 
 
 def churn_plan(rng: random.Random, hosts: List[str], mtbf: float,
@@ -367,39 +205,47 @@ def run_chaos(
     churn: bool = True,
     partitions: bool = True,
     step: float = 0.3,
-    instrument: Optional[Callable] = None,
-    obs_sample: Optional[float] = None,
-    flight: bool = True,
+    **spine,
 ) -> Run:
-    """One seeded chaos run; returns a report dict (``report["ok"]``)."""
+    """One seeded faults run; returns a report dict (``report["ok"]``).
+
+    A checkpointing workload runs across the workers while seeded host
+    crashes, Poisson churn and partitions hit them and the Guardians
+    repair the damage. Worker segments go down *without* the worker host
+    crashing — the zombie case: the Guardian (correctly, per its lease
+    evidence) declares the worker dead and respawns it, and the fencing
+    machinery must keep the surviving original from double-executing.
+    After quiescence the invariants self-healing must preserve:
+
+    * **completed-exactly-once** — every task reports exactly one
+      effective completion (duplicates are deduplicated and must agree);
+    * **no-incarnation-regression** — the incarnations a receiver
+      accepts per task never decrease, and every recovery raised it;
+    * **catalogs-converged** — every RC replica independently reports
+      the same terminal state for every task;
+    * **no-silent-loss** — every unit of work was reported, nothing is
+      parked in a reorder buffer, and every acked send was delivered,
+      deduplicated, or deliberately fenced at the receiver.
+    """
+    fault_stop = min(duration * 0.45, 45.0)
+
     def scenario(run: Run, workers: List[str]):
         env = run.env
         convergence, delivery = watch_star(run)
         work = CheckpointWorkload(env, workers, "chaos", total, ckpt_every, step)
         acked, coll_state, urns = work.acked, work.state, work.urns
-        fault_stop = min(duration * 0.45, 45.0)
-        run.plan, events = faults_chaos_plan(env, workers, fault_stop, churn,
-                                             partitions)
+        given = run.plan is not None
+        events = chaos_events(run, lambda: faults_chaos_plan(
+            env, workers, fault_stop, churn, partitions))
         run.arm()
+        # Done once everyone reported and the faults are long over: past
+        # the seeded plan's horizon, or a given plan's last heal.
+        heals = max((e.t + e.duration for e in run.plan), default=0.0)
+        quiet = (heals if given else fault_stop) + 12.0
+        run.done = lambda: work.all_reported() and env.sim.now > quiet
+        yield env.sim.now + duration
 
-        # Run to quiescence: everyone done, or the duration budget spent.
-        deadline = env.sim.now + duration
-        while env.sim.now < deadline:
-            env.run(until=min(env.sim.now + 5.0, deadline))
-            if work.all_reported() and env.sim.now > fault_stop + 12.0:
-                break
-        yield None  # driven above; the spine only settles
-
-        completed = work.completed()
-        if not run.violations:
-            if len(completed) == len(urns):
-                convergence.check_quiescent(urns)
-            else:
-                run.violations.append(Violation(
-                    "liveness", env.sim.now,
-                    f"only {len(completed)}/{len(urns)} workers completed "
-                    f"within the {duration:.0f}s budget"))
-            run.sweep()
+        completed = judge_star(run, work, convergence, duration)
         recoveries = [r for g in env.guardians.values() for r in g.recoveries]
         unrecoverable: Dict[str, str] = {}
         for g in env.guardians.values():
@@ -460,7 +306,6 @@ def run_chaos(
             "delivered": delivery.delivered,
             "total": total,
             "events": events,
-            "fault_log": list(env.failures.log),
             "recoveries": recoveries,
             "unrecoverable": unrecoverable,
             "msgs_fenced": coll_ctx.msgs_fenced,
@@ -475,150 +320,7 @@ def run_chaos(
     return run_spine(
         seed, lambda: build_chaos_env(seed, n_workers), scenario,
         settle=3.0,  # let anti-entropy converge the catalogs
-        instrument=instrument, obs_sample=obs_sample, flight=flight)
-
-
-def verdicts_of(report: Dict) -> Tuple[str, List[Verdict]]:
-    """A chaos report's quiescent verdicts and the key they sit under
-    (safety scenarios report ``invariants``, measured ones ``criteria``)."""
-    kind = "invariants" if "invariants" in report else "criteria"
-    return kind, report[kind]
-
-
-def _verdict_table(report: Dict, lines: List[str]) -> str:
-    """Close a scenario report: the verdict table and the RESULT line."""
-    kind, verdicts = verdicts_of(report)
-    lines += ["", f"{kind}:"]
-    lines += [f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}"
-              for name, ok, detail in verdicts]
-    lines += ["", f"RESULT: {'OK' if report['ok'] else 'FAILED'} "
-                  f"(simulated {report['finished_at']:.1f}s)"]
-    return "\n".join(lines)
-
-
-def _fault_schedule(report: Dict) -> List[str]:
-    return ["", "fault schedule:",
-            *([f"  {e}" for e in report["events"]] or ["  (none)"]), ""]
-
-
-def format_report(report: Dict) -> str:
-    """Human-readable chaos report for the CLI."""
-    lines = [
-        f"chaos run: seed={report['seed']} workers={report['workers']} "
-        f"x {report['total']} steps",
-        *_fault_schedule(report),
-        f"recoveries: {len(report['recoveries'])}",
-    ]
-    for r in report["recoveries"]:
-        lines.append(
-            f"  {r['urn']}: {r['from']} -> {r['to']} "
-            f"inc {r['old_inc']}->{r['new_inc']} "
-            f"(detected t={r['detected_at']:.1f}s, recovered t={r['recovered_at']:.1f}s)"
-        )
-    if report["unrecoverable"]:
-        lines.append(f"unrecoverable (no checkpoint): {report['unrecoverable']}")
-    rl = report["recovery_latency"]
-    if rl["count"]:
-        lines.append(f"recovery latency: mean {rl['mean']:.2f}s, max {rl['max']:.2f}s")
-    lines.append(f"fenced messages dropped at collector: {report['msgs_fenced']}")
-    return _verdict_table(report, lines)
-
-
-def sweep_faults(report: Dict) -> str:
-    return (f"recoveries={len(report['recoveries'])} "
-            f"fenced={report['msgs_fenced']}")
-
-
-# ---------------------------------------------------------------------------
-# Overload scenario (experiment E12)
-# ---------------------------------------------------------------------------
-
-def install_overload_worker(env: SnipeEnvironment, wstats: Dict):
-    """Register the overload-hardened worker program on *env*.
-
-    The chaos-worker, hardened for overload: progress reports and
-    checkpoints are best-effort, because bulk-plane failures are
-    *expected* under saturation and a program crash would read as a
-    (true) death, drowning the false-death signal the scenario measures.
-    """
-
-    @env.program("overload-worker")
-    def overload_worker(ctx, total, ckpt_every, collector_urn, step):
-        i = 0
-        while i < total:
-            yield ctx.compute(step)
-            i += 1
-            wstats["steps"] += 1
-            try:
-                yield ctx.send(collector_urn,
-                               {"urn": ctx.urn, "i": i, "inc": ctx.incarnation},
-                               tag="progress")
-            except Exception:
-                wstats["send_failures"] += 1
-            if i % ckpt_every == 0:
-                try:
-                    yield checkpoint_to_files(ctx)
-                except Exception:
-                    wstats["ckpt_failures"] += 1
-        return i
-
-
-def start_load_generators(
-    env: SnipeEnvironment,
-    workers: List[str],
-    offered_rate: float,
-    t_load0: float,
-    t_load1: float,
-    max_outstanding: int = 48,
-) -> Dict:
-    """Open-loop Poisson ``rc.lookup`` generators on the worker hosts.
-
-    Offers *offered_rate* lookups/s site-wide between ``t_load0`` and
-    ``t_load1`` (outstanding calls capped per host, so the sim stays
-    bounded). Returns the shared load-counters dict.
-    """
-    replicas = list(env.rc_replicas)
-    load = {"offered": 0, "issued": 0, "ok": 0, "failed": 0, "ok_in_window": 0}
-
-    def _load_gen(host_name: str):
-        client = RpcClient(env.topology.hosts[host_name])
-        rng = env.sim.rng.stream(f"overload.load.{host_name}")
-        state = {"outstanding": 0, "rr": 0}
-
-        def one_call(rhost: str, rport: int):
-            try:
-                yield client.call(rhost, rport, "rc.lookup",
-                                  timeout=TIMEOUTS["rc.call"],
-                                  uri=f"snipe://host/{rhost}")
-                load["ok"] += 1
-                if t_load0 <= env.sim.now <= t_load1:
-                    load["ok_in_window"] += 1
-            except RpcError:
-                load["failed"] += 1
-            finally:
-                state["outstanding"] -= 1
-
-        def gen():
-            yield env.sim.timeout(max(0.0, t_load0 - env.sim.now))
-            rate = offered_rate / len(workers)
-            while env.sim.now < t_load1:
-                yield env.sim.timeout(rng.expovariate(rate))
-                load["offered"] += 1
-                if state["outstanding"] >= max_outstanding:
-                    load["failed"] += 1  # client-side shed: site hopeless
-                    continue
-                state["outstanding"] += 1
-                load["issued"] += 1
-                rhost, rport = replicas[state["rr"] % len(replicas)]
-                state["rr"] += 1
-                env.sim.process(one_call(rhost, rport),
-                                name=f"ovl-call:{host_name}")
-
-        env.sim.process(gen(), name=f"ovl-load:{host_name}")
-
-    for w in workers:
-        _load_gen(w)
-    return load
+        **spine)
 
 
 @scenario_runner
@@ -632,9 +334,7 @@ def run_overload(
     congest_factor: float = 3.0,
     slow_factor: float = 4.0,
     control_p99_bound: float = 0.5,
-    instrument: Optional[Callable] = None,
-    obs_sample: Optional[float] = None,
-    flight: bool = True,
+    **spine,
 ) -> Run:
     """One seeded overload run; returns a report dict (``report["ok"]``).
 
@@ -667,17 +367,15 @@ def run_overload(
         # queue behind that backlog or get shed with it.
         cfg.server_bulk_capacity = 128
 
-    wstats = {"steps": 0, "send_failures": 0, "ckpt_failures": 0}
     t_load0, t_load1 = 4.0, duration - 8.0
 
     def scenario(run: Run, workers: List[str]):
         env = run.env
-        install_overload_worker(env, wstats)
         watch_star(run)
         # Enough steps that every worker is still mid-run (lease live,
         # reports flowing) for the whole overload window.
-        CheckpointWorkload(env, workers, "ovl", total=400, ckpt_every=8,
-                           step=0.25, program="overload-worker")
+        work = CheckpointWorkload(env, workers, "ovl", total=400, ckpt_every=8,
+                                  step=0.25, program="overload-worker")
 
         # -- bulk load: open-loop Poisson rc.lookup generators ---------------
         capacity = len(env.rc_replicas) / service_time
@@ -685,9 +383,10 @@ def run_overload(
                                      t_load0, t_load1)
 
         # -- degradation window inside the load window -----------------------
-        run.plan = [FaultEvent("congest", "core-lan", 8.0, 12.0, congest_factor)] + [
-            FaultEvent("slow", w, 10.0, 8.0, slow_factor)
-            for w in workers[: max(1, len(workers) // 2)]]
+        if run.plan is None:
+            run.plan = [FaultEvent("congest", "core-lan", 8.0, 12.0, congest_factor)] + [
+                FaultEvent("slow", w, 10.0, 8.0, slow_factor)
+                for w in workers[: max(1, len(workers) // 2)]]
         run.arm()
         yield duration
 
@@ -733,7 +432,7 @@ def run_overload(
                                 if k.startswith("transport.rx_drops"))),
             "breaker_opens": int(sum(v for k, v in snap.items()
                                      if k.startswith("robust.breaker_opened"))),
-            "worker_stats": dict(wstats),
+            "worker_stats": dict(work.wstats),
             "criteria": run.verdicts("criterion", criteria),
         }
 
@@ -743,7 +442,7 @@ def run_overload(
                                 configure=configure),
         scenario,
         settle=4.0,  # drain queues; late false deaths would show up here
-        instrument=instrument, obs_sample=obs_sample, flight=flight)
+        **spine)
 
 
 def bulk_chaos_plan(sim, racks: int, dests: List[str], nchunks: int
@@ -779,11 +478,10 @@ def run_bulk_chaos(
     object_kb: int = 2048,
     chunk_size: int = 32768,
     duration: float = 60.0,
-    instrument: Optional[Callable] = None,
-    obs_sample: Optional[float] = None,
-    flight: bool = True,
+    poison: bool = False,
+    **spine,
 ) -> Run:
-    """One seeded bulk-distribution chaos run; returns a report dict.
+    """One seeded bulk-distribution run; returns a report dict.
 
     Builds the rack site, starts a relay-tree distribution of a
     ``object_kb`` object to every member host, and kills one rack's
@@ -800,6 +498,13 @@ def run_bulk_chaos(
     * **failover-exercised** — the kills actually landed mid-transfer
       (at least one destination's fetch was interrupted and resumed),
       so the run proves recovery rather than a quiet fair-weather pass.
+
+    With *poison* one chunk is corrupted in the first relay's store the
+    instant that relay commits it (synchronously, from the probe, before
+    it can serve the chunk onward), so the run exercises per-chunk
+    verification: a correct fetcher quarantines the poisoned source and
+    re-pulls from a clean one, and the chunk-integrity oracle flags any
+    corrupt commit (the seeded ``no-chunk-verify`` bug).
     """
     commits: Dict[Tuple[str, int], int] = {}
     evicts: Dict[Tuple[str, int], int] = {}
@@ -818,8 +523,22 @@ def run_bulk_chaos(
         chunks = ChunkOracle(sim)
         run.bus.subscribe(chunks.on_probe)
         run.oracles = [chunks]
+        poisoned: Dict[Tuple[str, int], float] = {}
+
+        def poisoner(kind, f):
+            if kind != "bulk.chunk" or poisoned:
+                return
+            svc = env.bulk_services.get(f["host"])
+            if svc is None:
+                return
+            data = svc.store.get(f["name"], f["seq"])
+            svc.store._chunks[f["name"]][f["seq"]] = b"\x00poison\x00" + data[8:]
+            poisoned[(f["host"], f["seq"])] = sim.now
+
+        if poison:
+            run.bus.subscribe(poisoner)
         nchunks = (object_kb * 1024 + chunk_size - 1) // chunk_size
-        run.plan, events = bulk_chaos_plan(sim, racks, dests, nchunks)
+        events = chaos_events(run, lambda: bulk_chaos_plan(sim, racks, dests, nchunks))
         run.arm()
 
         payload = make_payload(object_kb * 1024, chunk_size)
@@ -829,7 +548,11 @@ def run_bulk_chaos(
                                deadline=duration)
         yield proc
 
-        report = proc.value
+        report = proc.value if proc.triggered and proc.ok else {
+            "completed": 0, "failed": "unfinished within the budget",
+            "all_verified": False, "per_dest": {}, "bytes": len(payload),
+            "nchunks": nchunks, "elapsed": None, "aggregate_goodput": 0.0,
+            "chunk_retries": 0}
         if not run.violations:
             if report["completed"] != len(dests):
                 run.violations.append(Violation(
@@ -877,7 +600,6 @@ def run_bulk_chaos(
             "nchunks": report["nchunks"],
             "events": events,
             "killed": {h: round(t, 3) for h, t in killed.items()},
-            "fault_log": list(env.failures.log),
             "completed": report["completed"],
             "hosts": len(dests),
             "elapsed": report["elapsed"],
@@ -885,135 +607,13 @@ def run_bulk_chaos(
             "chunk_commits": sum(commits.values()),
             "chunk_retries": report["chunk_retries"],
             "crashes": crashes,
-            "poisoned": [],
+            "poisoned": sorted(f"{h}#{q}" for h, q in poisoned),
             "invariants": run.verdicts("invariant", invariants),
         }
 
     return run_spine(
         seed, lambda: build_bulk_site(seed=seed, racks=racks, per_rack=per_rack),
-        scenario, settle=1.0,
-        instrument=instrument, obs_sample=obs_sample, flight=flight)
-
-
-def format_bulk_report(report: Dict) -> str:
-    """Human-readable bulk-chaos report for the CLI."""
-    lines = [
-        f"bulk chaos run: seed={report['seed']} "
-        f"{report['racks']} racks x {report['per_rack']} hosts, "
-        f"{report['bytes'] / 1024:.0f} KiB in {report['nchunks']} chunks",
-        *_fault_schedule(report),
-        f"distribution : {report['completed']}/{report['hosts']} hosts in "
-        f"{report['elapsed']:.2f}s "
-        f"({report['aggregate_goodput'] / 1e6:.2f} MB/s aggregate)",
-        f"chunk traffic: {report['chunk_commits']} commits, "
-        f"{report['chunk_retries']} retries, "
-        f"{report['crashes']} fetches crashed mid-object",
-    ]
-    return _verdict_table(report, lines)
-
-
-def sweep_bulk(report: Dict) -> str:
-    return (f"completed={report['completed']}/{report['hosts']} "
-            f"crashes={report['crashes']} "
-            f"retries={report['chunk_retries']} "
-            f"goodput={report['aggregate_goodput'] / 1e6:.1f}MB/s")
-
-
-def format_overload_report(report: Dict) -> str:
-    """Human-readable overload report for the CLI."""
-    mode = "adaptive" if report["adaptive"] else "static baseline"
-    lines = [
-        f"overload run: seed={report['seed']} "
-        f"saturation={report['saturation']:.1f}x ({mode})",
-        "",
-        f"site capacity : {report['capacity_ops_s']:.0f} lookups/s "
-        f"(3 RC replicas, {report['service_time'] * 1000:.0f}ms service time)",
-        f"offered load  : {report['offered_rate_ops_s']:.0f} lookups/s "
-        f"({report['load']['offered']} offered, {report['load']['issued']} issued)",
-        f"bulk goodput  : {report['goodput_ops_s']:.1f} lookups/s "
-        f"({report['load']['ok']} ok / {report['load']['failed']} failed)",
-        f"shedding      : {report['requests_shed']} server-shed, "
-        f"{report['rx_drops']} transport backpressure drops, "
-        f"{report['breaker_opens']} breaker opens",
-        f"control plane : p99 {report['control_p99_s'] * 1000:.1f}ms "
-        f"over {report['control_calls']} calls; "
-        f"heartbeats {report['heartbeats_ok']} ok / "
-        f"{report['heartbeats_failed']} failed",
-        f"guardian      : {report['deaths_declared']} deaths declared, "
-        f"{report['recoveries']} recoveries (expected: 0 — no host crashed)",
-        f"workload      : {report['worker_stats']['steps']} steps, "
-        f"{report['worker_stats']['send_failures']} report failures, "
-        f"{report['worker_stats']['ckpt_failures']} checkpoint failures "
-        f"(best-effort bulk)",
-    ]
-    return _verdict_table(report, lines)
-
-
-def sweep_overload(report: Dict) -> str:
-    return (f"goodput={report['goodput_ops_s']:.1f}/s "
-            f"control_p99={report['control_p99_s'] * 1000:.0f}ms "
-            f"deaths={report['deaths_declared']} "
-            f"hb_failed={report['heartbeats_failed']}")
-
-
-# ---------------------------------------------------------------------------
-# Gray-failure scenario (experiment E15)
-# ---------------------------------------------------------------------------
-
-def start_gray_sessions(
-    env: SnipeEnvironment,
-    workers: List[str],
-    t0: float,
-    t1: float,
-    ops_per_session: int = 8,
-    think: float = 0.05,
-) -> Dict:
-    """Closed-loop, short-lived catalog sessions on the worker hosts.
-
-    Each session is a *fresh* :class:`RCClient` (fresh circuit breakers,
-    fresh RTT estimates — the state a short-lived task starts with) doing
-    ``ops_per_session`` sequential lookups, then closing. Closed-loop on
-    purpose: a zombie replica's timeouts stall the session, so goodput
-    reflects detection quality instead of hiding it the way open-loop
-    fire-and-forget would. What persists across sessions is only the
-    *host's* health board — exactly the differential-detector state the
-    gray scenario measures.
-    """
-    stats = {"sessions": 0, "ops_ok": 0, "ops_failed": 0,
-             "window": (t0, t1), "in_window": {}}
-
-    def _driver(host_name: str):
-        host = env.topology.hosts[host_name]
-        rng = env.sim.rng.stream(f"gray.load.{host_name}")
-
-        def session():
-            client = RCClient(host, list(env.rc_replicas), secret=env.secret)
-            try:
-                for _ in range(ops_per_session):
-                    target = env.rc_replicas[rng.randrange(len(env.rc_replicas))][0]
-                    try:
-                        yield client.lookup(f"snipe://host/{target}")
-                        stats["ops_ok"] += 1
-                        key = int(env.sim.now)
-                        stats["in_window"][key] = stats["in_window"].get(key, 0) + 1
-                    except Exception:
-                        stats["ops_failed"] += 1
-                    yield env.sim.timeout(think)
-            finally:
-                client.close()
-
-        def gen():
-            yield env.sim.timeout(max(0.0, t0 - env.sim.now))
-            while env.sim.now < t1:
-                stats["sessions"] += 1
-                yield env.sim.process(session(), name=f"gray-sess:{host_name}")
-                yield env.sim.timeout(think)
-
-        env.sim.process(gen(), name=f"gray-load:{host_name}")
-
-    for w in workers:
-        _driver(w)
-    return stats
+        scenario, settle=1.0, **spine)
 
 
 @scenario_runner
@@ -1029,9 +629,7 @@ def run_gray(
     zombie_factor: float = 100.0,
     rc_service_time: float = 0.02,
     differential: bool = True,
-    instrument: Optional[Callable] = None,
-    obs_sample: Optional[float] = None,
-    flight: bool = True,
+    **spine,
 ) -> Run:
     """One seeded gray-failure run; returns a report dict (``report["ok"]``).
 
@@ -1071,25 +669,32 @@ def run_gray(
                     (round(env.sim.now, 2), f.get("host"), f.get("reason")))
 
         run.bus.subscribe(watch)
+        if run.plan is None:  # the gray fault schedule
+            run.plan = [
+                FaultEvent("slow", zombie, zombie_at, zombie_for, zombie_factor),
+                FaultEvent("skew", workers[-1], 6.0, duration - 10.0,
+                           extra=(("offset", -30.0),)),
+                FaultEvent("impair", f"s-{workers[0]}", 10.0, 8.0,
+                           extra=(("corrupt", 0.15),)),
+                FaultEvent("impair", "core-lan:c1->c0", 12.0, 6.0,
+                           extra=(("loss", 1.0),)),
+            ]
         convergence, delivery = watch_star(run)
-        falsedeath = FalseDeathOracle(run.sim)  # nothing crashes
+        # A host-lease death is false unless the plan crashed that host
+        # (recovery included); a full partition would make one legitimate,
+        # which is why no gray plan cuts a host off entirely.
+        spans = [(e.target, e.t, e.t + e.duration + 20.0)
+                 for e in run.plan if e.kind == "crash"]
+        falsedeath = FalseDeathOracle(run.sim, crashed=lambda h, t: any(
+            h == c and a <= t <= b for c, a, b in spans))
         run.bus.subscribe(falsedeath.on_probe)
         run.oracles.append(falsedeath)
         work = CheckpointWorkload(env, workers, "gray", total, 4, step)
         load = start_gray_sessions(env, workers, 4.0, duration - 2.0)
-
-        # -- the gray fault schedule ----------------------------------------
-        run.plan = [
-            FaultEvent("slow", zombie, zombie_at, zombie_for, zombie_factor),
-            FaultEvent("skew", workers[-1], 6.0, duration - 10.0,
-                       extra=(("offset", -30.0),)),
-            FaultEvent("impair", f"s-{workers[0]}", 10.0, 8.0,
-                       extra=(("corrupt", 0.15),)),
-            FaultEvent("impair", "core-lan:c1->c0", 12.0, 6.0,
-                       extra=(("loss", 1.0),)),
-        ]
         run.arm()
         yield duration
+
+        judge_star(run, work, convergence, duration)
 
         z_end = zombie_at + zombie_for
         in_zombie = sum(n for t, n in load["in_window"].items()
@@ -1150,181 +755,16 @@ def run_gray(
         }
 
     saved = HealthBoard.differential_enabled
-    HealthBoard.differential_enabled = differential
+    # Only ever switched off: a seeded naive-health bug stays in force.
+    HealthBoard.differential_enabled = saved and differential
     try:
         return run_spine(
             seed,
             lambda: build_chaos_env(seed, n_workers, rc_service_time=rc_service_time,
                                     backup_core=True),
-            scenario, settle=4.0,
-            instrument=instrument, obs_sample=obs_sample, flight=flight)
+            scenario, settle=4.0, **spine)
     finally:
         HealthBoard.differential_enabled = saved
-
-
-def format_gray_report(report: Dict) -> str:
-    """Human-readable gray-failure report for the CLI."""
-    det = report["detection_s"]
-    lines = [
-        f"gray run: seed={report['seed']} workers={report['workers']} "
-        f"differential={'on' if report['differential'] else 'off (baseline)'}",
-        "",
-        f"zombie {report['zombie']} (heartbeat-alive, work-dead) "
-        f"t={report['zombie_window'][0]:.0f}..{report['zombie_window'][1]:.0f}s:",
-        f"  detection latency: "
-        + (f"{det:.2f}s" if det is not None else "never detected"),
-        f"  goodput in zombie window: {report['goodput_ops_s']:.1f} ops/s "
-        f"({report['ops_ok']} ok / {report['ops_failed']} failed over "
-        f"{report['sessions']} sessions)",
-        "",
-        f"false deaths: {report['false_lease_deaths']} declared, "
-        f"{report['probe_saved']} averted by probe-before-death",
-        f"corruption: {report['corrupt_delivered']} delivered, "
-        f"{report['rx_corrupt_dropped']} dropped at receivers",
-        f"checkpoints rejected on digest: {report['ckpt_rejected']}",
-    ]
-    return _verdict_table(report, lines)
-
-
-def sweep_gray(report: Dict) -> str:
-    det = report["detection_s"]
-    return (f"goodput={report['goodput_ops_s']:.1f}/s "
-            f"detect={'%.2fs' % det if det is not None else 'never'} "
-            f"false_deaths={report['false_lease_deaths']} "
-            f"saved={report['probe_saved']}")
-
-
-# ---------------------------------------------------------------------------
-# Partition-heal scenario (experiment E16)
-# ---------------------------------------------------------------------------
-
-def _start_keyed_load(env: SnipeEnvironment, workers: List[str], t0: float,
-                      t1: float, n_keys: int, interval: float,
-                      retire_frac: float, retire_window: Tuple[float, float],
-                      stream: str, uri_of: Callable[[int], str],
-                      ops_of: Callable, failure: type,
-                      delete_delay: float = 0.0) -> Dict:
-    """Per-key write, then retire, then delete load — what both the heal
-    and the shard sessions are.
-
-    Key *i* (``uri_of(i)``) gets a writer process on worker ``i mod n``
-    writing a monotonic sequence number every ~*interval* (jitter from
-    ``<stream>.k<i>``) from *t0* to *t1*. The first ``retire_frac`` of
-    the keys instead stop at a time drawn from *stream* inside
-    *retire_window*, wait *delete_delay*, and are deleted (up to five
-    tries). ``ops_of(i, worker)`` binds a key's ``(write(uri, n),
-    delete(uri))``; each returns the event to wait on and fails with
-    *failure*. ``tracked["acked"][uri]`` is the last acknowledged
-    ``(n, time)``; a deleted key moves to ``tracked["retired"]``.
-    """
-    rng = env.sim.rng.stream(stream)
-    n_retire = int(n_keys * retire_frac)
-    tracked: Dict = {
-        "writes_ok": 0, "writes_failed": 0,
-        "deletes_ok": 0, "deletes_failed": 0,
-        "acked": {}, "retired": {}, "keys": [],
-    }
-
-    def _driver(i: int) -> None:
-        uri = uri_of(i)
-        tracked["keys"].append(uri)
-        write, delete = ops_of(i, workers[i % len(workers)])
-        jitter = env.sim.rng.stream(f"{stream}.k{i}")
-        retire_t = rng.uniform(*retire_window) if i < n_retire else None
-
-        def writer():
-            yield env.sim.timeout(max(0.0, t0 - env.sim.now))
-            n = 0
-            stop = retire_t if retire_t is not None else t1
-            while env.sim.now < stop:
-                n += 1
-                try:
-                    yield write(uri, n)
-                    tracked["writes_ok"] += 1
-                    tracked["acked"][uri] = (n, env.sim.now)
-                except failure:
-                    tracked["writes_failed"] += 1
-                yield env.sim.timeout(interval * (0.75 + 0.5 * jitter.random()))
-            if retire_t is None:
-                return
-            if delete_delay:
-                yield env.sim.timeout(delete_delay)
-            for _ in range(5):
-                try:
-                    yield delete(uri)
-                    tracked["deletes_ok"] += 1
-                    tracked["retired"][uri] = env.sim.now
-                    tracked["acked"].pop(uri, None)
-                    return
-                except failure:
-                    yield env.sim.timeout(0.5)
-            tracked["deletes_failed"] += 1
-
-        env.sim.process(writer(), name=f"{stream.replace('.', '-')}:k{i}")
-
-    for i in range(n_keys):
-        _driver(i)
-    return tracked
-
-
-def start_heal_sessions(
-    env: SnipeEnvironment,
-    workers: List[str],
-    t0: float,
-    t1: float,
-    n_keys: int = 24,
-    interval: float = 0.4,
-    value_pad: int = 1024,
-    retire_frac: float = 0.25,
-    retire_window: Tuple[float, float] = (0.0, 0.0),
-) -> Dict:
-    """Sustained per-key write/delete load against *pinned* replicas.
-
-    Each key is written by one worker to one fixed replica (a direct
-    :class:`RpcClient`, deliberately *without* failover) so that during
-    a partition both sides keep accepting divergent writes — the worst
-    case anti-entropy has to heal. The first ``retire_frac`` of the keys
-    stop being written at a seeded time inside *retire_window* and are
-    then deleted through the *next* replica in the ring, which during
-    the partition usually sits on the other side of the cut: exactly the
-    write-here/delete-there pair that tombstone resurrection bugs need.
-
-    Values carry ``value_pad`` bytes of padding and a monotonic sequence
-    prefix (``"<n>:xxx..."``), so the report can check that what the
-    replicas converge on is at least as new as the last acknowledged
-    write per key.
-    """
-    replicas = list(env.rc_replicas)
-    clients: Dict[str, RpcClient] = {}
-
-    def ops_of(i: int, wname: str):
-        pin = replicas[i % len(replicas)]
-        deleter = replicas[(i + 1) % len(replicas)]
-        rpc = clients.setdefault(
-            wname, RpcClient(env.topology.hosts[wname], secret=env.secret))
-        return (
-            lambda uri, n: rpc.call(
-                pin[0], pin[1], "rc.update", timeout=TIMEOUTS["rc.call"],
-                uri=uri, assertions={"v": f"{n}:" + "x" * value_pad}),
-            lambda uri: rpc.call(
-                deleter[0], deleter[1], "rc.delete", timeout=TIMEOUTS["rc.call"],
-                uri=uri, keys=None),
-        )
-
-    return _start_keyed_load(
-        env, workers, t0, t1, n_keys, interval, retire_frac, retire_window,
-        "heal.load", lambda i: f"snipe://heal/k{i}", ops_of, RpcError,
-        delete_delay=0.5)
-
-
-def _visible_state(store, uri: str) -> Dict[str, Tuple]:
-    """One replica's visible (non-deleted) assertions for *uri*, keyed by
-    assertion name, as comparable ``(stamp, value)`` tuples."""
-    out: Dict[str, Tuple] = {}
-    for key, entry in store.data.get(uri, {}).items():
-        if not entry.deleted:
-            out[key] = (entry.wall, entry.lamport, entry.origin, entry.value)
-    return out
 
 
 @scenario_runner
@@ -1342,9 +782,8 @@ def run_partition_heal(
     blackout: bool = False,
     blackout_at: float = 10.0,
     blackout_for: float = 6.0,
-    instrument: Optional[Callable] = None,
-    obs_sample: Optional[float] = None,
-    flight: bool = True,
+    rc_server_kw: Optional[Dict] = None,
+    **spine,
 ) -> Run:
     """One seeded partition-heal run; returns a report dict (``report["ok"]``).
 
@@ -1368,25 +807,20 @@ def run_partition_heal(
     ``bounded=False`` is the experiment-E16 baseline: compaction off and
     the legacy single-blob ``rc.sync`` exchange, whose payload grows
     with the whole divergence and ships on the control lane.
+    *rc_server_kw* replaces the replicas' compaction settings outright
+    (the checked run's aggressive ones). A given plan's first ``split``
+    is the partition the load, the heal probe and the monitor time
+    themselves by.
     """
     if duration is None:
         duration = 40.0 if blackout else 100.0
-    if bounded:
+    if rc_server_kw is None and bounded:
         rc_server_kw = dict(
             max_sync_records=max_sync_records, compact_interval=1.0,
             peer_stale_after=8.0, log_keep_tail=16, snapshot_every=128,
         )
-    else:
+    elif rc_server_kw is None:
         rc_server_kw = dict(max_sync_records=None)
-
-    heal_t = (blackout_at + blackout_for) if blackout else (part_at + part_for)
-    # After a blackout the writers keep going for a while: the post-crash
-    # writes prove the restored store still accepts and replicates work.
-    monitor_from = heal_t + (6.0 if blackout else 0.0)
-    if blackout:
-        retire_window = (max(4.0, blackout_at - 6.0), blackout_at - 2.0)
-    else:
-        retire_window = (part_at + 0.3 * part_for, part_at + 0.6 * part_for)
 
     measures: Dict = {"reconverged_at": None, "diverged_at_heal": None}
     # Control-plane experience *during the heal window*, measured
@@ -1405,18 +839,30 @@ def run_partition_heal(
         compaction = CompactionOracle(run.sim)
         compaction.attach(env)
         run.oracles += [resurrection, compaction]
+        if run.plan is None and blackout:
+            run.plan = [FaultEvent("crash", h, blackout_at, blackout_for)
+                        for h in ("c0", "c1", "c2")]
+        elif run.plan is None:
+            run.plan = [FaultEvent("split", "c2|c0,c1", part_at, part_for)]
+        # A split-less plan (shrunk, say) times the load by a notional
+        # quarter-budget cut, so the writers still stop well in time.
+        cut = next((e for e in run.plan if e.kind == "split"), None)
+        cut_at, cut_for = (cut.t, cut.duration) if cut else (part_at, duration / 4)
+        heal_t = (blackout_at + blackout_for) if blackout else (cut_at + cut_for)
+        # After a blackout the writers keep going for a while: the
+        # post-crash writes prove the restored store still accepts and
+        # replicates work.
+        monitor_from = heal_t + (6.0 if blackout else 0.0)
+        if blackout:
+            retire_window = (max(4.0, blackout_at - 6.0), blackout_at - 2.0)
+        else:
+            retire_window = (cut_at + 0.3 * cut_for, cut_at + 0.6 * cut_for)
         env.settle(2.0)
         load = start_heal_sessions(
             env, workers, 3.0, monitor_from, n_keys=n_keys, interval=interval,
             value_pad=value_pad, retire_window=retire_window,
         )
         sessions = start_gray_sessions(env, workers, 4.0, duration - 2.0)
-
-        if blackout:
-            run.plan = [FaultEvent("crash", h, blackout_at, blackout_for)
-                        for h in ("c0", "c1", "c2")]
-        else:
-            run.plan = [FaultEvent("split", "c2|c0,c1", part_at, part_for)]
         run.arm()
 
         stores = {name: srv.store for name, srv in env.rc_servers.items()}
@@ -1443,7 +889,7 @@ def run_partition_heal(
             """Number of tracked keys the three replicas disagree on."""
             bad = 0
             for uri in load["keys"]:
-                views = [_visible_state(s, uri) for s in stores.values()]
+                views = [visible_state(s, uri) for s in stores.values()]
                 want_empty = uri in load["retired"]
                 if want_empty:
                     if any(views):
@@ -1485,12 +931,12 @@ def run_partition_heal(
         resurrected = []
         for uri in load["retired"]:
             for name, store in stores.items():
-                if _visible_state(store, uri):
+                if visible_state(store, uri):
                     resurrected.append((uri, name))
         stale = []
         for uri, (n_acked, _t) in load["acked"].items():
             for name, store in stores.items():
-                view = _visible_state(store, uri)
+                view = visible_state(store, uri)
                 got = view.get("v")
                 n_got = int(got[3].split(":")[0]) if got else None
                 if n_got is None or n_got < n_acked:
@@ -1556,7 +1002,7 @@ def run_partition_heal(
             "n_keys": n_keys,
             "value_pad": value_pad,
             "fault_window": ((blackout_at, heal_t) if blackout
-                             else (part_at, heal_t)),
+                             else (cut_at, heal_t)),
             "heal_t": heal_t,
             "reconverge_s": reconverge_s,
             "diverged_at_heal": measures["diverged_at_heal"],
@@ -1584,79 +1030,7 @@ def run_partition_heal(
 
     return run_spine(
         seed, lambda: build_chaos_env(seed, n_workers, rc_server_kw=rc_server_kw),
-        scenario, settle=4.0,
-        instrument=instrument, obs_sample=obs_sample, flight=flight)
-
-
-# ---------------------------------------------------------------------------
-# Sharded-catalog scenario (experiment E18's fault case)
-# ---------------------------------------------------------------------------
-
-def build_shard_env(
-    seed: int,
-    n_workers: int = 3,
-    split_threshold: int = 24,
-    replicas_per_shard: int = 3,
-    rc_server_kw: Optional[Dict] = None,
-    manager_kw: Optional[Dict] = None,
-) -> Tuple[SnipeEnvironment, List[str]]:
-    """The shard chaos site: a sharded catalog on the core hosts, workers
-    each alone behind the gateway so they can be isolated.
-
-    The root directory group sits at the usual RC port on c0/c1/c2; one
-    initial ``app`` shard owns ``snipe://app/`` with its replica group on
-    the same core hosts (different port). The director runs on the
-    gateway — deliberately off the core hosts, so a core crash stresses
-    the shard groups without also beheading map publication."""
-    env, workers = _star_site(seed, n_workers)
-    env.add_rc_servers(["c0", "c1", "c2"], sharded=True,
-                       **dict(rc_server_kw or {}))
-    mgr = env.enable_sharding(
-        split_threshold=split_threshold,
-        replicas_per_shard=replicas_per_shard,
-        director_host="gw",
-        **dict(manager_kw or {}))
-    mgr.add_shard("app", ("snipe://app/",))
-    mgr.start()
-    mgr.seed_map()
-    return env, workers
-
-
-def start_shard_sessions(
-    env: SnipeEnvironment,
-    workers: List[str],
-    t0: float,
-    t1: float,
-    n_keys: int = 48,
-    interval: float = 0.25,
-    retire_frac: float = 0.2,
-    retire_window: Tuple[float, float] = (0.0, 0.0),
-) -> Dict:
-    """Closed-loop write/delete load through the sharded facade.
-
-    Every key is written at QUORUM through a :class:`ShardedRCClient`
-    (each worker host gets one), with a monotonic sequence number as the
-    value — an ack means a majority of the *owning* group at that epoch
-    accepted it, which is exactly the durability the quiescent checks
-    hold the federation to while splits move the ownership under the
-    writers. The first ``retire_frac`` keys stop at a seeded time inside
-    *retire_window* and are deleted; a retired key reappearing after
-    migration with a stamp *older* than its delete is a resurrection
-    across the split boundary. (A strictly newer stamp is not: an
-    abandoned write kept alive by transport retransmission can land
-    after the delete and win LWW — base-catalog semantics the shard
-    layer must preserve, not mask.)"""
-
-    def ops_of(_i: int, wname: str):
-        client = env.rc_client(wname)
-        return (lambda uri, n: client.update(uri, {"v": n}, consistency=QUORUM),
-                lambda uri: client.delete(uri, consistency=QUORUM))
-
-    return _start_keyed_load(
-        env, workers, t0, t1, n_keys, interval, retire_frac, retire_window,
-        # Structured names so splits have a radix to bite on.
-        "shard.load", lambda i: f"snipe://app/g{i % 4}/k{i:03d}", ops_of,
-        ConsistencyError)
+        scenario, settle=4.0, **spine)
 
 
 def shard_chaos_plan(env: SnipeEnvironment, workers: List[str], fault_stop: float
@@ -1687,11 +1061,9 @@ def run_shard_chaos(
     duration: float = 90.0,
     interval: float = 0.25,
     split_threshold: int = 24,
-    instrument: Optional[Callable] = None,
-    obs_sample: Optional[float] = None,
-    flight: bool = True,
+    **spine,
 ) -> Run:
-    """One seeded sharded-catalog chaos run; returns a report dict.
+    """One seeded sharded-catalog run; returns a report dict.
 
     Write/delete load through the facade drives the ``app`` shard past
     its split threshold while seeded faults land mid-migration: a core
@@ -1728,7 +1100,7 @@ def run_shard_chaos(
         load = start_shard_sessions(
             env, workers, t0, t1, n_keys=n_keys, interval=interval,
             retire_window=(fault_stop * 0.5, fault_stop * 0.9))
-        run.plan, events = shard_chaos_plan(env, workers, fault_stop)
+        events = chaos_events(run, lambda: shard_chaos_plan(env, workers, fault_stop))
         run.arm()
         yield duration
 
@@ -1754,7 +1126,7 @@ def run_shard_chaos(
             owner_sid = final_map.route(uri)
             visible_in: List[str] = []
             for sid, grp in groups.items():
-                views = [_visible_state(s.store, uri) for s in grp.values()]
+                views = [visible_state(s.store, uri) for s in grp.values()]
                 if any(v != views[0] for v in views[1:]):
                     diverged.append((uri, sid))
                 if any(views):
@@ -1773,7 +1145,7 @@ def run_shard_chaos(
         stale: List[Tuple[str, str, Optional[int], int]] = []
         for uri, (n_acked, t_acked) in load["acked"].items():
             grp = groups[final_map.route(uri)]
-            views = [_visible_state(s.store, uri) for s in grp.values()]
+            views = [visible_state(s.store, uri) for s in grp.values()]
             got = views[0].get("v") if views and views[0] else None
             if got is None:
                 stale.append((uri, final_map.route(uri), None, n_acked))
@@ -1783,7 +1155,7 @@ def run_shard_chaos(
         zombie_revived = 0
         for uri, t_deleted in load["retired"].items():
             for sid, grp in groups.items():
-                views = [v for v in (_visible_state(s.store, uri)
+                views = [v for v in (visible_state(s.store, uri)
                                      for s in grp.values()) if v]
                 if not views:
                     continue
@@ -1797,7 +1169,7 @@ def run_shard_chaos(
         # actually hold live at quiescence (acked state modulo zombies).
         truth = sorted(
             uri for uri in tracked_set
-            if any(_visible_state(s.store, uri)
+            if any(visible_state(s.store, uri)
                    for s in groups[final_map.route(uri)].values()))
         client = env.rc_client(workers[0])
         queried = [u for u in env.run(until=client.query("snipe://app/"))
@@ -1845,7 +1217,6 @@ def run_shard_chaos(
             "n_keys": n_keys,
             "split_threshold": split_threshold,
             "events": events,
-            "fault_log": list(env.failures.log),
             "splits": mgr.splits,
             "epoch": final_map.epoch,
             "shards": sorted(final_map.shards),
@@ -1866,69 +1237,4 @@ def run_shard_chaos(
         lambda: build_shard_env(seed, n_workers, split_threshold=split_threshold),
         scenario,
         settle=12.0,  # anti-entropy + handoff janitors drain
-        instrument=instrument, obs_sample=obs_sample, flight=flight)
-
-
-def format_shard_report(report: Dict) -> str:
-    """Human-readable sharded-catalog chaos report for the CLI."""
-    lines = [
-        f"shard chaos run: seed={report['seed']} workers={report['workers']} "
-        f"keys={report['n_keys']} split_threshold={report['split_threshold']}",
-        *_fault_schedule(report),
-        f"federation  : {len(report['shards'])} shards at epoch "
-        f"{report['epoch']} after {report['splits']} splits: "
-        f"{', '.join(report['shards'])}",
-        f"migration   : {report['handoffs']} records handed off, "
-        f"{report['redirects']} stale-epoch redirects fenced, "
-        f"{report['redirect_retries']} client re-routes",
-        f"load        : {report['writes_ok']} writes ok / "
-        f"{report['writes_failed']} failed, {report['deletes_ok']} deletes "
-        f"({report['retired']} keys retired)",
-    ]
-    return _verdict_table(report, lines)
-
-
-def sweep_shard(report: Dict) -> str:
-    return (f"splits={report['splits']} epoch={report['epoch']} "
-            f"redirects={report['redirects']} "
-            f"handoffs={report['handoffs']}")
-
-
-def format_heal_report(report: Dict) -> str:
-    """Human-readable partition-heal report for the CLI."""
-    rc = report["reconverge_s"]
-    lines = [
-        f"heal run: seed={report['seed']} mode={report['mode']} "
-        f"sync={'bounded<=' + str(report['bound']) if report['bounded'] else 'unbounded (baseline)'}",
-        "",
-        f"fault window t={report['fault_window'][0]:.0f}.."
-        f"{report['fault_window'][1]:.0f}s, {report['n_keys']} keys, "
-        f"{report['writes_ok']} writes ok / {report['writes_failed']} failed, "
-        f"{report['deletes_ok']} deletes ({report['retired']} keys retired)",
-        f"  reconvergence: "
-        + (f"{rc:.2f}s after heal ({report['diverged_at_heal']} keys diverged)"
-           if rc is not None else "NEVER"),
-        f"  largest sync payload: {report['max_sync_batch']:.0f} records"
-        + (f" (bound {report['bound']})" if report["bounded"] else ""),
-        f"  heal-window control p99 "
-        + (f"{report['control_p99'] * 1000:.0f}ms" if report["control_p99"]
-           is not None else "n/a")
-        + (f" (max {report['control_max'] * 1000:.0f}ms, "
-           f"{report['control_probe_failed']} probe failures)"
-           if report["control_max"] is not None else "")
-        + f", heartbeats lost {report['heartbeats_failed']} "
-        f"(failovers {report['heartbeat_failovers']}), "
-        f"snapshot catch-ups {report['snapshot_catchups']}",
-        f"  sync failures by cause: {report['sync_failures'] or '{}'}",
-    ]
-    return _verdict_table(report, lines)
-
-
-def sweep_heal(report: Dict) -> str:
-    rc = report["reconverge_s"]
-    p99 = report["control_p99"]
-    return (f"reconverge={'%.2fs' % rc if rc is not None else 'never'} "
-            f"max_batch={report['max_sync_batch']:.0f} "
-            f"ctl_p99={'%.0fms' % (p99 * 1000) if p99 is not None else 'n/a'} "
-            f"hb_fo={report['heartbeat_failovers']} "
-            f"resurrected={len(report['resurrected'])}")
+        **spine)

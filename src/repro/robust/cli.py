@@ -1,23 +1,26 @@
-"""``python -m repro chaos`` — run the seeded chaos harness.
+"""``python -m repro chaos`` — run a scenario under its seeded chaos plan.
 
 Subcommands:
 
-* ``run`` — one run of a scenario (``--scenario``, default ``faults``;
-  ``--help`` lists them with a one-line description each, generated
-  from :data:`repro.check.scenarios.SCENARIOS`). Prints the scenario's
-  report — fault timeline, measurements, and the invariant/criteria
-  table. Exit status 0 iff every invariant/criterion holds. ``--seed N``
-  picks the schedule; same seed, same run. Scenario-specific flags are
-  tagged ``[scenario, ...]`` in ``--help``; passing one to a scenario
-  that does not take it is a usage error (exit 2), never ignored. The
-  baselines the experiments compare against are such flags:
-  ``--static`` (overload), ``--heartbeat-only`` (gray), ``--unbounded``
-  and ``--blackout`` (heal).
+* ``run`` — one chaos run of a scenario (``--scenario``, default
+  ``faults``; ``--help`` lists them with a one-line description each,
+  generated from :data:`repro.check.scenarios.SCENARIOS`). Prints the
+  report: the fault plan the run armed, the scenario's declared
+  columns, the invariant/criteria table and what the oracles found.
+  Exit status 0 iff every invariant/criterion holds and no oracle
+  fired. ``--seed N`` picks the plan; same seed, same run.
+  Scenario-specific flags are tagged ``[scenario, ...]`` in ``--help``;
+  passing one to a scenario that does not take it is a usage error
+  (exit 2), never ignored. The baselines the experiments compare
+  against are such flags: ``--static`` (overload), ``--heartbeat-only``
+  (gray), ``--unbounded`` and ``--blackout`` (heal).
 * ``sweep`` — run several seeds back to back (default: the CI seeds)
-  and print one summary line each; exit non-zero if any seed fails.
+  and print one summary line each (the same columns); exit non-zero if
+  any seed fails.
 
-The experiments built on these scenarios (E12, E15, E16, E18) are rows
-of :mod:`repro.bench.manifest`: ``python -m repro experiments``.
+``python -m repro check`` runs the same scenarios under the model
+checker, and the experiments built on them (E12, E14–E16) are rows of
+:mod:`repro.bench.manifest`: ``python -m repro experiments``.
 """
 
 from __future__ import annotations
@@ -25,25 +28,48 @@ from __future__ import annotations
 import argparse
 from typing import Dict, List, Optional, Tuple
 
-from repro.check.scenarios import SCENARIOS, add_chaos_flags, chaos_kwargs
+from repro.check.scenarios import (
+    SCENARIOS,
+    add_chaos_flags,
+    chaos_kwargs,
+    columns,
+    show,
+    summary,
+)
 from repro.obs.flight import dump_flight_records
 from repro.obs.report import save_export
-from repro.robust.chaos import DEFAULT_SEEDS, verdicts_of
+from repro.robust.chaos import DEFAULT_SEEDS
+from repro.robust.spine import FaultEvent, Verdict
 
 
-def _add_run_args(p: argparse.ArgumentParser) -> None:
-    add_chaos_flags(p)
-    p.add_argument("--obs-sample", type=float, default=None, metavar="RATE",
-                   help="enable tracing at this sampling rate (1.0 = every "
-                        "record, 0.01 = 1-in-100; default: tracing off)")
-    p.add_argument("--export", default=None, metavar="PATH",
-                   help="save the run's observability metrics export as "
-                        "JSON (diffable with `python -m repro obs diff`)")
+def verdicts_of(report: Dict) -> Tuple[str, List[Verdict]]:
+    """A report's quiescent verdicts and the key they sit under (safety
+    scenarios report ``invariants``, measured ones ``criteria``)."""
+    kind = "invariants" if "invariants" in report else "criteria"
+    return kind, report[kind]
+
+
+def render(name: str, report: Dict) -> str:
+    """The full chaos report of scenario *name* for the CLI."""
+    kind, verdicts = verdicts_of(report)
+    plan = [f"  {FaultEvent.from_dict(d)}" for d in report["plan"]]
+    found = [v for v in report["violations"]
+             if not v["oracle"].startswith(("invariant:", "criterion:"))]
+    lines = [f"{name} run: seed={report['seed']}", "", "fault plan:",
+             *(plan or ["  (none)"]), ""]
+    lines += [f"{col}: {show(value)}" for col, value in columns(name, report)]
+    lines += ["", f"{kind}:"]
+    lines += [f"  [{'PASS' if ok else 'FAIL'}] {v}: {detail}"
+              for v, ok, detail in verdicts]
+    lines += ["", "oracles: " + ("nothing found" if not found else "")]
+    lines += [f"  [{v['oracle']}] t={v['time']:.3f}s {v['detail']}" for v in found]
+    lines += ["", f"RESULT: {'OK' if report['ok'] else 'FAILED'} "
+                  f"(simulated {report['finished_at']:.1f}s)"]
+    return "\n".join(lines)
 
 
 def _run_one(seed: int, args, kwargs: Dict) -> dict:
-    run = SCENARIOS[args.scenario].chaos.run(
-        seed, obs_sample=args.obs_sample, **kwargs)
+    run = SCENARIOS[args.scenario].runner.run(seed, **kwargs)
     report = run.report
     if args.export:
         save_export(run.sim.obs.export(), args.export)
@@ -63,27 +89,29 @@ def parse_args(argv: Optional[List[str]]) -> Tuple[argparse.Namespace, Dict]:
     sub = parser.add_subparsers(dest="cmd", required=True)
     p_run = sub.add_parser("run", help="one seeded chaos run")
     p_run.add_argument("--seed", type=int, default=1)
-    _add_run_args(p_run)
     p_sweep = sub.add_parser("sweep", help="run a set of seeds")
     p_sweep.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
-    _add_run_args(p_sweep)
+    for p in (p_run, p_sweep):
+        add_chaos_flags(p)
+        p.add_argument("--export", default=None, metavar="PATH",
+                       help="save the run's observability metrics export as "
+                            "JSON (diffable with `python -m repro obs diff`)")
     args = parser.parse_args(argv)
     return args, chaos_kwargs(sub.choices[args.cmd], args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args, kwargs = parse_args(argv)
-    entry = SCENARIOS[args.scenario]
     if args.cmd == "run":
         report = _run_one(args.seed, args, kwargs)
-        print(entry.render(report))
+        print(render(args.scenario, report))
         return 0 if report["ok"] else 1
     failures = 0
     for seed in args.seeds:
         report = _run_one(seed, args, kwargs)
-        bad = [name for name, ok, _ in verdicts_of(report)[1] if not ok]
+        bad = [v["oracle"] for v in report["violations"]]
         print(f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-              f"{entry.sweep_line(report)} "
+              f"{summary(args.scenario, report)} "
               + (f"failed: {bad}" if bad else ""))
         failures += 0 if report["ok"] else 1
     return 0 if failures == 0 else 1

@@ -33,6 +33,9 @@ from repro.obs.flight import FlightRecorder
 #: Virtual seconds between oracle sweeps of the supervised run loop.
 CHUNK = 0.5
 
+#: Virtual seconds between ``run.done`` checks of an unsupervised run.
+STEP = 5.0
+
 #: One quiescent verdict: ``(name, ok, detail)``.
 Verdict = Tuple[str, bool, str]
 
@@ -94,7 +97,7 @@ class FaultEvent:
                    duration=d["duration"], factor=d.get("factor", 1.0),
                    extra=tuple(sorted(d.get("extra", {}).items())))
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         extra = f" x{self.factor:g}" if self.kind in ("congest", "slow") else ""
         if self.extra:
             extra += " " + ",".join(f"{k}={v:g}" for k, v in self.extra)
@@ -144,6 +147,11 @@ class Run:
         #: plan when the caller gave none.
         self.plan: Optional[List[FaultEvent]] = None
         self.oracles: List = []
+        #: True under the model checker's supervised loop.
+        self.checking = False
+        #: Optional "the workload is done" predicate a body may set: the
+        #: run then stops at the first step boundary where it holds.
+        self.done: Optional[Callable[[], bool]] = None
         self.violations: List[Violation] = []
         self.report: Dict = {}
 
@@ -224,11 +232,13 @@ class Run:
         return True
 
     def verdicts(self, kind: str, verdicts: List[Verdict]) -> List[Verdict]:
-        """File every failed quiescent verdict as a ``<kind>:<name>``
-        violation (which fails the run and lands on the flight tape);
-        returns *verdicts* for the report."""
+        """In a chaos run, file every failed quiescent verdict as a
+        ``<kind>:<name>`` violation (which fails the run and lands on the
+        flight tape); returns *verdicts* for the report. A check run is
+        judged by its oracles alone: under an arbitrary plan a measured
+        criterion is a number, not a safety property."""
         for name, ok, detail in verdicts:
-            if not ok:
+            if not ok and not self.checking:
                 self.violations.append(
                     Violation(f"{kind}:{name}", self.sim.now, detail))
         return verdicts
@@ -251,22 +261,27 @@ def run_spine(
 
     *build* is a site builder (``() -> (env, *site)``); *scenario* is a
     generator function ``scenario(run, *site)`` that yields exactly
-    once. Up to the ``yield`` it arranges the run — watchers or oracles,
-    workload, faults, in the order its replay contract fixes; after it,
-    it judges the quiescent state and returns its report fields. In
-    between the spine runs the simulation, in one of two forms:
+    once. Up to the ``yield`` it arranges the run — oracles, workload,
+    the fault plan (*plan*, or its own chaos plan when *plan* is None),
+    in the order its replay contract fixes; it yields the virtual time
+    or the event the run lasts until. After it, it judges the quiescent
+    state and returns its report fields. In between the spine runs the
+    simulation, in one of two forms:
 
     * **chaos** (*supervise* is None): run until what the scenario
-      yielded — a virtual time or an event; ``None`` if it already drove
-      the simulation itself — then *settle*. A process crash propagates.
-    * **check** (*supervise* = the duration): *scheduler* permutes
+      yielded — in :data:`STEP`-sized steps, stopping early once
+      ``run.done()`` holds, if the body set it — then *settle* and
+      sweep the oracles, which watched without stopping anything. A
+      process crash propagates.
+    * **check** (*supervise* = the budget): *scheduler* permutes
       same-timestamp ties and the run is the supervised loop —
-      :data:`CHUNK`-sized steps, ``run.oracles`` swept after each, over
-      at the first violation (what follows one is noise for shrinking)
-      or once the predicate the scenario yielded (if any) says the
-      workload is done. The settle is guarded the same way and skipped
-      once something was found; the scenario's second half still runs
-      (the report needs its fields) and guards its own checks.
+      :data:`CHUNK`-sized steps up to the yielded time (or the budget,
+      for an event), ``run.oracles`` swept after each, over at the
+      first violation (what follows one is noise for shrinking) or once
+      ``run.done()`` — or the yielded event — says the workload is
+      done. The settle is guarded the same way and skipped once
+      something was found; the scenario's second half still runs (the
+      report needs its fields) and guards its own checks.
 
     *obs_sample* enables tracing at that sampling rate (None: the
     tracer stays detached, the zero-cost default); *instrument(sim)* is
@@ -291,24 +306,35 @@ def run_spine(
     recorder = FlightRecorder(sim).attach(bus) if flight else None
     run = Run(env, bus)
     run.plan = plan(site[-1]) if callable(plan) else plan
+    run.checking = supervise is not None
     if scheduler is not None:
         sim.set_scheduler(scheduler)
     body = scenario(run, *site)
     until = next(body)
 
     if supervise is None:
-        if until is not None:
+        if run.done is None:
             env.run(until=until)
+        else:
+            while sim.now < until:
+                env.run(until=min(sim.now + STEP, until))
+                if run.done():
+                    break
         if settle:
             env.settle(settle)
         run.sweep()  # the oracles watched; the run was not theirs to stop
     else:
-        while sim.now < supervise:
+        done, deadline = run.done, supervise
+        if isinstance(until, (int, float)):
+            deadline = min(until, supervise)
+        else:
+            done = lambda: until.triggered
+        while sim.now < deadline:
             if not run.guarded(
-                    lambda: env.run(until=min(sim.now + CHUNK, supervise))):
+                    lambda: env.run(until=min(sim.now + CHUNK, deadline))):
                 break
             run.sweep()
-            if run.violations or (until is not None and until()):
+            if run.violations or (done is not None and done()):
                 break
         if settle and not run.violations:
             run.guarded(lambda: env.settle(settle))
@@ -329,6 +355,7 @@ def run_spine(
         "seed": seed,
         **fields,
         "plan": [e.to_dict() for e in run.plan or ()],
+        "fault_log": list(env.failures.log),
         "violations": [v.to_dict() for v in run.violations],
         "flight": flight_records,
         "ok": not run.violations,
@@ -338,7 +365,7 @@ def run_spine(
 
 
 def scenario_runner(fn: Callable[..., Run]) -> Callable[..., Dict]:
-    """Give a chaos-mode scenario function its public ``run_*`` form.
+    """Give a scenario runner its public ``run_*`` form.
 
     The decorated name keeps the signature and returns ``Run.report`` —
     the contract tests and the experiment builders import by name;

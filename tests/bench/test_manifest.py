@@ -15,6 +15,7 @@ import repro.bench
 from repro.bench.manifest import (
     BY_ID, E15_SWEEP, E16_SWEEP, EXPERIMENTS, Sweep, run_experiment, write_result)
 from repro.check.scenarios import CHAOS_FLAGS, SCENARIOS
+from repro.robust.spine import run_spine
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 RESULTS = ROOT / "results"
@@ -46,10 +47,13 @@ def test_every_experiment_function_is_in_exactly_one_row():
 
 def _assert_sweep_runs_its_scenario(exp, sweep):
     """Every config label is a baseline flag the scenario takes (setting
-    that flag's kwarg) or the one default; every run's kwargs bind to
-    the scenario's chaos runner; no kwarg restates the runner's default."""
+    that flag's kwarg) or the one default; every run's kwargs name a
+    parameter of the scenario's runner or a spine harness kwarg it
+    passes through; no kwarg restates the default."""
     entry = SCENARIOS[sweep.scenario]
-    runner = inspect.signature(entry.chaos)
+    runner = inspect.signature(entry.runner)
+    params = {**inspect.signature(run_spine).parameters, **runner.parameters}
+    named = {k for k, p in params.items() if p.kind is not p.VAR_KEYWORD}
     switches = {CHAOS_FLAGS[f][0] for f in entry.flags
                 if isinstance(CHAOS_FLAGS[f][1], bool)}
     for profile in ("full", "quick"):
@@ -69,10 +73,11 @@ def _assert_sweep_runs_its_scenario(exp, sweep):
                 assert not switches & set(overrides), (*where, label)
         for _, call in sweep.calls(**kwargs):
             runner.bind(**call)
+            assert set(call) <= named, (*where, set(call) - named)
         stated = [(k, v) for k, v in kwargs.items() if k not in sweep.axes]
         stated += [kv for overrides in configs.values() for kv in overrides.items()]
         for k, v in stated:
-            assert runner.parameters[k].default != v, (*where, k)
+            assert params[k].default != v, (*where, k)
 
 
 @by_id

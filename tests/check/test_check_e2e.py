@@ -11,14 +11,13 @@ from repro.check import FaultEvent, minimize, run_check
 from repro.check.shrink import load_trace, replay_trace, write_trace
 
 #: Small workload: 2 workers, 8 steps — a run takes well under a second.
-QUICK = {"n_workers": 2, "total": 8, "step": 0.2, "duration": 45.0,
-         "saturation": 3.0, "service_time": 0.05}
+#: Runner kwargs over the check profile.
+QUICK = {"n_workers": 2, "total": 8, "step": 0.2, "duration": 45.0}
 
 #: Bug hunts need the full 3-worker site: fewer workers leave the
 #: Guardian no cross-host respawn target, and the seeded bugs only
 #: manifest when a zombie's successor lands elsewhere.
-BUGGY = {"n_workers": 3, "total": 16, "step": 0.2, "duration": 60.0,
-         "saturation": 3.0, "service_time": 0.05}
+BUGGY = {"n_workers": 3, "total": 16, "step": 0.2, "duration": 60.0}
 
 
 def test_clean_run_has_no_violations_and_explores():
@@ -48,7 +47,7 @@ def test_fifo_schedule_still_checked():
 
 @pytest.mark.slow
 def test_overload_scenario_runs_clean():
-    report = run_check(scenario="overload", seed=1, **QUICK)
+    report = run_check(scenario="overload", seed=1, n_workers=2, duration=45.0)
     assert report["ok"], report["violations"]
 
 
@@ -102,7 +101,7 @@ def test_minimize_rejects_a_passing_configuration():
 def test_bulk_scenario_runs_clean_and_quarantines_the_poison():
     report = run_check(scenario="bulk", seed=1, duration=30.0)
     assert report["ok"], report["violations"]
-    assert report["completed"] == report["workers"] == 6
+    assert report["completed"] == report["hosts"] == 6
     assert report["poisoned"], "the scenario must poison one source"
     assert report["plan"], "seeded plan must crash at least one fetcher"
 
@@ -110,7 +109,7 @@ def test_bulk_scenario_runs_clean_and_quarantines_the_poison():
 def test_bulk_scenario_same_seed_same_run():
     a = run_check(scenario="bulk", seed=3, duration=30.0)
     b = run_check(scenario="bulk", seed=3, duration=30.0)
-    for key in ("plan", "violations", "completed", "delivered", "poisoned",
+    for key in ("plan", "violations", "completed", "chunk_commits", "poisoned",
                 "chunk_retries", "schedule_picks", "schedule_reordered",
                 "finished_at"):
         assert a[key] == b[key], key

@@ -16,18 +16,16 @@ from repro.check.shrink import load_trace, replay_trace, write_trace
 
 pytestmark = pytest.mark.slow
 
-HEAL = {"n_workers": 3, "total": 12, "step": 0.2, "duration": 60.0,
-        "saturation": 3.0, "service_time": 0.05}
+HEAL = {"n_workers": 3, "duration": 60.0}
 
 
 def test_heal_clean_run_compacts_and_passes():
     report = run_check(scenario="heal", seed=1, **HEAL)
     assert report["ok"], report["violations"]
-    heal = report["heal"]
-    assert heal["writes_ok"] > 0 and heal["retired"] > 0
+    assert report["writes_ok"] > 0 and report["retired"] > 0
     # The scenario is only a real test if logs compacted while a replica
     # was cut off — otherwise the bugs have nothing to bite on.
-    assert heal["compactions"] > 0
+    assert sum(s["compactions"] for s in report["replica_stats"].values()) > 0
     assert any(e["kind"] == "split" for e in report["plan"])
 
 

@@ -27,7 +27,7 @@ def test_shard_clean_run_splits_and_passes():
     # (ownership moved under the load) and writes kept landing.
     assert report["splits"] >= 1
     assert report["epoch"] >= 2
-    assert report["delivered"] > 0 and report["completed"] > 0
+    assert report["writes_ok"] > 0 and report["retired"] > 0
 
 
 def _find_failing_seed(bug, max_seed=6):

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.robust.chaos import DEFAULT_SEEDS, format_bulk_report, run_bulk_chaos
+from repro.robust.chaos import DEFAULT_SEEDS, run_bulk_chaos
+from repro.robust.cli import render
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS[:2])
 def test_bulk_chaos_invariants_hold(seed):
     report = run_bulk_chaos(seed)
-    assert report["ok"], format_bulk_report(report)
+    assert report["ok"], render("bulk", report)
     # The run must actually have exercised failover, not just idled: the
     # assassin kills both victims strictly mid-object (progress-triggered,
     # so this holds on every seed), and their fetches must resume.
@@ -21,7 +22,7 @@ def test_bulk_chaos_invariants_hold(seed):
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS[2:])
 def test_bulk_chaos_invariants_hold_slow(seed):
     report = run_bulk_chaos(seed)
-    assert report["ok"], format_bulk_report(report)
+    assert report["ok"], render("bulk", report)
 
 
 def test_bulk_chaos_is_seed_deterministic():

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.robust.chaos import DEFAULT_SEEDS, format_report, run_chaos
+from repro.robust.chaos import DEFAULT_SEEDS, run_chaos
+from repro.robust.cli import render
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
 def test_chaos_invariants_hold(seed):
     report = run_chaos(seed)
-    assert report["ok"], format_report(report)
+    assert report["ok"], render("faults", report)
     # The run must actually have exercised self-healing, not just idled.
     assert report["recoveries"], "fault schedule produced no recoveries"
     for rec in report["recoveries"]:
@@ -43,6 +44,6 @@ def test_chaos_mttr_bounded_by_detection_window():
     retries) + RM placement + up to 5 s polling for the successor's
     registration — comfortably under 8 s even mid-churn."""
     report = run_chaos(1)
-    assert report["ok"], format_report(report)
+    assert report["ok"], render("faults", report)
     for rec in report["recoveries"]:
         assert rec["recovered_at"] - rec["detected_at"] < 8.0

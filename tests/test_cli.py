@@ -84,6 +84,21 @@ def test_chaos_rejects_flags_the_scenario_does_not_take():
     assert "overload" in result.stderr  # names the scenarios that take them
 
 
+def test_check_rejects_flags_the_scenario_does_not_take():
+    """``check`` builds its flags from the same table as ``chaos``; it
+    used to run bulk with ``--workers 7 --steps 99`` ignored and exit 0."""
+    result = run_cli("check", "run", "--scenario", "bulk", "--seed", "1",
+                     "--workers", "7", "--steps", "99")
+    assert result.returncode == 2
+    for flag in ("--workers", "--steps"):
+        assert flag in result.stderr
+    assert "faults" in result.stderr  # names the scenarios that take them
+    # A check run's plan is sampled, so flags that only shape the seeded
+    # chaos plan are not check flags at all.
+    result = run_cli("check", "run", "--scenario", "faults", "--no-churn")
+    assert result.returncode == 2 and "--no-churn" in result.stderr
+
+
 @pytest.mark.parametrize("cli", ["chaos", "check"])
 def test_shard_rejects_more_workers_than_its_site_has(cli):
     result = run_cli(cli, "run", "--scenario", "shard", "--workers", "4")

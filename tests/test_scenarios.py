@@ -2,27 +2,56 @@
 
 import argparse
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
-from repro.check import BUGS, SCENARIOS
+import pytest
+
+from repro.check import BUGS, SCENARIOS, run_check
 from repro.check import cli as check_cli
 from repro.check.explore import _BUG_HOOKS
-from repro.check.scenarios import CHAOS_FLAGS
+from repro.check.scenarios import CHAOS_FLAGS, Scenario, columns
 from repro.obs import cli as obs_cli
 from repro.robust import cli as chaos_cli
-from repro.robust.spine import Run
+from repro.robust.spine import FaultEvent, Run
 from tests.replay import SCENARIOS as GOLDEN_SCENARIOS
 
 
 def test_every_entry_declares_every_role():
+    callables = [f.name for f in Scenario.__dataclass_fields__.values()
+                 if "Callable" in str(f.type)]
+    assert callables == ["runner", "plan"]  # one runner, one plan sampler
     for name, s in SCENARIOS.items():
-        for role in (s.chaos, s.chaos.run, s.check, s.plan, s.render,
-                     s.sweep_line, s.check_line):
+        for role in (s.runner, s.runner.run, s.plan):
             assert callable(role), name
-        assert s.blurb and s.flags, name
+        assert s.blurb and s.flags and s.columns, name
         assert set(s.flags) <= set(CHAOS_FLAGS), name
         assert "duration" in s.flags, name  # every run has a time budget
+        # The check profile is runner kwargs, budget included.
+        params = inspect.signature(s.runner).parameters
+        assert set(s.check) <= set(params) and "duration" in s.check, name
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_chaos_plan_is_what_a_check_run_arms(name):
+    """A chaos run's plan names every fault it injected, round-trips
+    through ``FaultEvent.from_dict``, and handed to ``run_check`` (same
+    workload — the check profile's — and the FIFO schedule) arms the
+    same faults up to the check run's stop time."""
+    entry = SCENARIOS[name]
+    chaos = entry.runner(1, flight=False, **entry.check)
+    plan = [FaultEvent.from_dict(d) for d in chaos["plan"]]
+    assert plan and [e.to_dict() for e in plan] == chaos["plan"]
+    assert chaos["fault_log"]  # something landed
+    checked = run_check(name, seed=1, plan=plan, explore=False)
+    assert checked["plan"] == chaos["plan"]
+    stop = checked["finished_at"]
+    assert checked["fault_log"] == [e for e in chaos["fault_log"] if e[0] <= stop]
+    assert columns(name, checked)
+    # Nothing is injected outside the plan: handed none, a run has none.
+    empty = run_check(name, seed=1, plan=[], explore=False, duration=20.0)
+    assert empty["fault_log"] == []
 
 
 def _scenario_choices(parser, *path):
@@ -98,7 +127,7 @@ def test_golden_digests_cover_every_scenario():
 def test_run_hands_back_the_sim_next_to_the_report():
     """``run_*`` returns the report; ``run_*.run`` the whole Run — what
     replaced the ``holder`` sim-capture idiom."""
-    run = SCENARIOS["bulk"].chaos.run(1, object_kb=128, flight=False)
+    run = SCENARIOS["bulk"].runner.run(1, object_kb=128, flight=False)
     assert isinstance(run, Run) and run.report["ok"]
     assert run.sim.now == run.report["finished_at"]
     assert run.sim.obs.metrics.export()["counters"]
