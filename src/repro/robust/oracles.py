@@ -452,18 +452,21 @@ class DeliveryOracle:
 # ---------------------------------------------------------------------------
 
 class SingleOwnerOracle:
-    """Never two live incarnations of one URN with the older unfenced.
+    """Never two live incarnations of one URN with the lower unfenced.
 
-    Whenever a context starts as incarnation *N* of a URN, every older
-    incarnation that is still running must already be fence-covered: a
-    successful ``fenced-below`` quorum write with fence > its
-    incarnation (the zombie will then terminate itself and receivers
-    will drop its stragglers — that *is* single ownership in an
-    asynchronous system; killing the zombie instantaneously is
-    impossible). An *equal* incarnation is a live-migration handoff
-    (the URN and incarnation move together) and is legitimate overlap.
-    An older incarnation on the *same host* as the newcomer is also
-    covered: the shared daemon fences it synchronously during spawn.
+    Whenever a context starts as incarnation *N* of a URN, each other
+    incarnation of it that is still running is judged with *N* by one
+    symmetric rule: the lower of the two must already be fence-covered —
+    a successful ``fenced-below`` quorum write with fence > it (that
+    instance will then terminate itself and receivers will drop its
+    stragglers — that *is* single ownership in an asynchronous system;
+    killing a zombie instantaneously is impossible). The newcomer may be
+    the lower one: successors launch as the incarnation their fence
+    reserved, so one that drew earlier can start after a sibling that
+    drew later. An *equal* incarnation is a live-migration handoff (the
+    URN and incarnation move together) and is legitimate overlap. An
+    instance on the *same host* as the newcomer is also covered: the
+    shared daemon fences it synchronously during spawn.
 
     This is the oracle that catches the seeded ``no-fence-write`` bug:
     a Guardian that respawns without fencing leaves a merely-partitioned
@@ -491,20 +494,20 @@ class SingleOwnerOracle:
         urn, inc, info = f["urn"], f["inc"], f["info"]
         fence = self.fences.get(urn, 0)
         for old_inc, old_info in self.instances.get(urn, []):
-            if old_inc >= inc:
-                continue  # equal = migration handoff; newer = stale probe order
+            if old_inc == inc:
+                continue  # migration handoff
             # The TaskInfo reference is live: the owning daemon mutates
             # its state in place, so this reads the zombie's state *now*.
             if old_info.state in TaskState.TERMINAL or old_info.fenced:
                 continue
-            if fence > old_inc:
-                continue  # covered: the old incarnation is fenced below
+            if fence > min(old_inc, inc):
+                continue  # covered: the lower incarnation is fenced below
             if old_info.host == f["host"]:
                 # Same daemon: spawn() fences a stale non-terminal task of
                 # the same URN synchronously in _launch(), with no yield
                 # between this probe and the fence (see
                 # SnipeDaemon._launch). A duplicate spawn landing on the
-                # host that still runs the old incarnation is therefore
+                # host that still runs the other incarnation is therefore
                 # resolved locally, without a quorum fence write.
                 continue
             self.violations.append(Violation(

@@ -137,6 +137,23 @@ def test_single_owner_terminal_or_fenced_old_incarnation_is_fine():
     assert not o2.violations
 
 
+def test_single_owner_judges_a_lower_newcomer_too():
+    """Successors launch as the incarnation their fence reserved, so one
+    that drew earlier can start after a sibling that drew later. The
+    rule is symmetric: the lower of the two live instances must be
+    below the highest fence, whichever of them started last."""
+    o = SingleOwnerOracle(Simulator())
+    start(o, 5, "a", FakeInfo("a"))
+    start(o, 4, "b", FakeInfo("b"))  # drew earlier, launched later, unfenced
+    assert len(o.violations) == 1
+    assert "incarnation 5" in o.violations[0].detail
+    o2 = SingleOwnerOracle(Simulator())
+    start(o2, 5, "a", FakeInfo("a"))
+    o2.on_probe("guardian.fence", {"urn": "urn:p:x", "fence": 5})
+    start(o2, 4, "b", FakeInfo("b"))  # below the fence: it stops itself
+    assert not o2.violations
+
+
 def test_single_owner_equal_incarnation_is_migration_handoff():
     o = SingleOwnerOracle(Simulator())
     start(o, 3, "a", FakeInfo("a"))
