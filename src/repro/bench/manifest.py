@@ -401,6 +401,9 @@ def _check_e15(t: Tables) -> None:
     for r in base:
         assert r["detection_s"] is None
         assert r["false_lease_deaths"] > 0
+    # Fencing keeps a wrong death verdict safe: one owner per URN, always.
+    for r in diff + base:
+        assert r["single_owner_violations"] == 0
 
 
 def _summary_e15(rows: List[Row]) -> Row:
@@ -554,6 +557,8 @@ E15_SWEEP = Sweep(
         "ops_ok": "ops_ok", "ops_failed": "ops_failed", "sessions": "sessions",
         "completed_ok": lambda run, at: (run.report["ok"]
                                          if run.report["differential"] else None),
+        "single_owner_violations": lambda run, at: sum(
+            v["oracle"] == "single-owner" for v in run.report["violations"]),
     },
     summary=_summary_e15)
 

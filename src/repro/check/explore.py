@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.bulk.fetch import BulkFetcher
 from repro.core.process import SnipeContext
-from repro.guardian.guardian import Guardian
+from repro.daemon.daemon import SnipeDaemon
 from repro.rcds.records import RCStore
 from repro.rcds.shard.server import ShardRCServer
 from repro.robust.health import HealthBoard
@@ -228,8 +228,9 @@ def plan_gray(rng: random.Random, workers: List[str],
 
 #: name -> (what it breaks, which oracle must catch it).
 BUGS: Dict[str, str] = {
-    "no-fence-write": "Guardian skips the fenced-below quorum writes during "
-                      "recovery (caught by the single-owner oracle)",
+    "no-fence-write": "the daemon spawning a Guardian's respawn skips the "
+                      "fenced-below quorum write, so the original is never "
+                      "superseded (caught by the single-owner oracle)",
     "no-rx-fencing": "receivers accept envelopes from superseded incarnations "
                      "(caught by the delivery oracle)",
     "no-lww": "catalog replicas apply entries without the last-writer-wins "
@@ -260,7 +261,7 @@ BUGS: Dict[str, str] = {
 }
 
 _BUG_HOOKS = {
-    "no-fence-write": (Guardian, "fence_writes_enabled"),
+    "no-fence-write": (SnipeDaemon, "fence_writes_enabled"),
     "no-rx-fencing": (SnipeContext, "rx_fencing_enabled"),
     "no-lww": (RCStore, "lww_enabled"),
     "no-chunk-verify": (BulkFetcher, "verify_enabled"),

@@ -98,10 +98,10 @@ class SnipeContext(TaskContext):
         #: restarted a task, the zombie original's late messages must not
         #: interleave with the successor's stream.
         self._max_inc: Dict[str, int] = {}
-        #: This context's incarnation (carried across live migration,
-        #: fresh after a checkpoint restart). Allocated per simulation so
-        #: identical runs assign identical incarnations (replayability).
-        self.incarnation = self.sim.sequence("incarnation")
+        #: This context's incarnation (carried across live migration, the
+        #: daemon's fence after a checkpoint restart, else fresh). Drawn
+        #: per simulation so identical runs assign identical ones.
+        self.incarnation = info.incarnation or self.sim.sequence("incarnation")
         self._resolve_cache: Dict[str, Tuple[float, Any]] = {}
         self._redirect: Optional[Tuple[str, int]] = None
         #: Set while a migration is capturing state: arrivals in this

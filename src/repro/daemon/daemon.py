@@ -55,6 +55,12 @@ class SpawnError(Exception):
 class SnipeDaemon:
     """One host's daemon; every SNIPE host runs exactly one."""
 
+    #: Test hook for the model checker (:mod:`repro.check`): when False,
+    #: a fenced respawn skips its ``fenced-below`` quorum write — the
+    #: deliberately seeded bug that the single-owner oracle must catch
+    #: (a respawned task's zombie original is never superseded).
+    fence_writes_enabled = True
+
     def __init__(
         self,
         host: "Host",
@@ -219,11 +225,12 @@ class SnipeDaemon:
             return f"unknown program {spec.program!r}"
         return None
 
-    def spawn(self, spec: TaskSpec) -> TaskInfo:
+    def spawn(self, spec: TaskSpec, incarnation: Optional[int] = None) -> TaskInfo:
         """Start a task on this host (direct API; RPC wraps this).
 
         Raises :class:`SpawnError` if requirements fail. The returned
         TaskInfo is live — its ``state`` field tracks the task.
+        *incarnation*, when given, is the one a fence reserved for it.
         """
         reason = self.check_requirements(spec)
         if reason is not None:
@@ -233,7 +240,8 @@ class SnipeDaemon:
                 raise SpawnError(f"{self.host.name}: no playground for mobile code")
             return self.playground.spawn_mobile(spec)
         info = TaskInfo(urn=new_task_urn(spec, self.host.name, sim=self.sim), spec=spec,
-                        host=self.host.name, started_at=self.sim.now)
+                        host=self.host.name, started_at=self.sim.now,
+                        incarnation=incarnation)
         ctx = self.context_factory(self, info)
         fn = self.programs.get(spec.program)
         self._launch(info, ctx, fn(ctx, **spec.params))
@@ -518,29 +526,31 @@ class SnipeDaemon:
         return {"urn": info.urn, "state": info.state}
 
     def _spawn_fenced(self, spec: TaskSpec):
-        """Guardian respawn: prove the fence *before* the successor exists.
-
-        Spawn requests are retried across RM replicas and across candidate
-        hosts when a reply is lost, so a single recovery can start two
-        successors — and the Guardian's own fence, written once before the
-        first attempt, covers neither against the other. Each start
-        therefore draws a fresh value from the incarnation sequence and
-        quorum-writes it as ``fenced-below`` before launching anything:
-        the value postdates every incarnation already in existence (the
-        corpse and any sibling successor a retried request started), so
-        whichever successor launches last has provably fenced all the
-        others, and the fence watch converges the siblings to one owner.
-        A daemon that cannot complete the quorum write refuses to spawn:
-        an unprovably-fenced duplicate inside a partition is a future
-        zombie, and the requester's retry will land somewhere that can.
-        """
+        """Guardian respawn, the one writer of ``fenced-below`` (a max
+        register): draw N, quorum-write it as the URN's fence, and launch
+        the successor *as incarnation N* unless a quorum read-back finds
+        a higher fence — a sibling a retried request started, which the
+        record's last writer must be; the reply carries the incarnation
+        the URN runs on. No quorum, no spawn: an unprovably-fenced
+        duplicate inside a partition is a future zombie."""
         urn = spec.urn_override
-        fence = self.sim.sequence("incarnation")
-        yield self.rc.update(urn, {"fenced-below": fence}, consistency="quorum")
-        if self.sim.probes is not None:
-            self.sim.probes.emit("guardian.fence", urn=urn, fence=fence)
-        info = self.spawn(spec)
-        return {"urn": info.urn, "state": info.state}
+        fence = highest = self.sim.sequence("incarnation")
+        if self.fence_writes_enabled:
+            yield self.rc.update(urn, {"fenced-below": fence}, consistency="quorum")
+            if self.sim.probes is not None:
+                self.sim.probes.emit("guardian.fence", urn=urn, fence=fence)
+            highest = (yield self.rc.get(urn, "fenced-below",
+                                         consistency="quorum")) or fence
+        sibling = self.tasks.get(urn)
+        if sibling and sibling.state not in TaskState.TERMINAL:
+            # A later-drawn successor runs here: launching ours would fence
+            # it locally, and ours would then stop itself, leaving no owner.
+            highest = max(highest, sibling.incarnation or 0)
+        if highest > fence:
+            # The URN runs on as the higher incarnation, here or elsewhere.
+            return {"urn": urn, "state": TaskState.RUNNING, "incarnation": highest}
+        info = self.spawn(spec, incarnation=fence)
+        return {"urn": info.urn, "state": info.state, "incarnation": fence}
 
     def _refer_to_broker(self, args: Dict):
         spec = args["spec"]

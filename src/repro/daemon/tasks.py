@@ -66,16 +66,10 @@ class TaskSpec:
     #: Keep this URN across a migration instead of minting a new one —
     #: the paper's processes keep their distinguished URN when they move.
     urn_override: Optional[str] = None
-    #: Guardian respawn: before starting the task, the daemon draws a
-    #: fresh incarnation-sequence value and quorum-writes it as the
-    #: URN's ``fenced-below``. Spawn requests are retried by RMs and
-    #: clients whose reply was lost, so two successors can be started
-    #: under one recovery; with this set, whichever starts later has
-    #: provably fenced every predecessor first (the fence value postdates
-    #: their incarnations), and a daemon that cannot prove the fence
-    #: (no quorum) refuses to start what would be a future zombie.
-    #: Never set for migration — the moved task keeps its incarnation,
-    #: which predates any fence drawn at spawn time.
+    #: Guardian respawn: the spawning daemon quorum-writes a fresh
+    #: ``fenced-below: N`` and starts the task *as incarnation N*, unless
+    #: a sibling drew higher (``SnipeDaemon._spawn_fenced``). Never set
+    #: for migration — the moved task keeps its incarnation.
     fence_predecessors: bool = False
 
 
@@ -99,6 +93,8 @@ class TaskInfo:
     #: from the corpse would win the last-writer-wins race and advertise a
     #: dead location.
     fenced: bool = False
+    #: The incarnation a fenced respawn reserved (its fence), else None.
+    incarnation: Optional[int] = None
 
 
 def new_task_urn(spec: TaskSpec, host: str, sim: Optional["Simulator"] = None) -> str:

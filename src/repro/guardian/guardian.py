@@ -14,16 +14,20 @@ whoever was watching. The Guardian closes that loop as a SNIPE service:
   Guardian subscribes itself to every checkpointed task it owns.
 * **Recovery** — the dead task's latest checkpoint LIFN is read from the
   replicated file service, and the task is respawned through a resource
-  manager (whose lease-aware placement avoids dead hosts). Because the
-  incarnation counter is monotonic, the restarted instance always has a
-  higher incarnation than the corpse.
-* **Fencing** — *before* respawning, the Guardian writes a
-  ``fenced-below: N`` assertion (quorum write) into the task's record.
-  Receivers drop envelopes from incarnations below the highest they have
-  seen, and a supervised zombie that was merely partitioned polls its
-  own record and terminates itself (quietly — no RC write) when it finds
-  itself below the fence. A restarted task therefore executes its role
-  exactly once even when the "dead" original is still running.
+  manager (whose lease-aware placement avoids dead hosts) with a spec
+  that asks for fencing.
+* **Fencing** — the Guardian writes no fence itself. The daemon that
+  spawns the successor draws N from the monotonic incarnation sequence,
+  quorum-writes ``fenced-below: N`` into the task's record (a max
+  register: it only ever rises), and launches the successor *as
+  incarnation N* unless it reads a higher fence back
+  (``SnipeDaemon._spawn_fenced``); the RM relays the reply's
+  incarnation. Receivers drop envelopes from incarnations below the
+  highest they have seen, and a supervised zombie that was merely
+  partitioned polls its own record and terminates itself (quietly — no
+  RC write) when it finds itself below the fence. A restarted task
+  therefore executes its role exactly once even when the "dead"
+  original is still running.
 
 Guardians are replicable exactly like RMs: they register under
 ``urn:snipe:svc:guardian``, share no private state, and shard recovery
@@ -66,12 +70,6 @@ def _values(record: Dict) -> Dict:
 
 class Guardian:
     """One guardian instance; run several (on different hosts) for redundancy."""
-
-    #: Test hook for the model checker (:mod:`repro.check`): when False,
-    #: recovery skips the ``fenced-below`` quorum writes entirely — the
-    #: deliberately seeded bug that the single-owner oracle must catch
-    #: (a respawned task's zombie original is never superseded).
-    fence_writes_enabled = True
 
     def __init__(
         self,
@@ -324,19 +322,11 @@ class Guardian:
             if not self._is_dead(state, val("exit-error"), task_host, dead):
                 self._detected.pop(urn, None)
                 continue
-            if urn not in self._detected:
-                self._detected[urn] = self.sim.now
-                self.deaths_declared += 1
-                self._m_deaths.inc()
-                if self.sim.probes is not None:
-                    self.sim.probes.emit("guardian.death", urn=urn,
-                                         host=task_host or "",
-                                         guardian=self.host.name,
-                                         reason=self._death_reason(state))
-                if state == TaskState.RUNNING and task_host in dead:
-                    # Detect latency relative to the lease lapsing — the
-                    # bound the harness checks is lease_ttl + scan + grace.
-                    self._m_detect.observe(self.sim.now - dead[task_host])
+            if self._declare(urn, task_host, state) and task_host in dead \
+                    and state == TaskState.RUNNING:
+                # Detect latency relative to the lease lapsing — the
+                # bound the harness checks is lease_ttl + scan + grace.
+                self._m_detect.observe(self.sim.now - dead[task_host])
             if lifn is None:
                 if urn not in self.unrecoverable:
                     self.unrecoverable[urn] = task_host
@@ -382,16 +372,21 @@ class Guardian:
         live_guardians = yield from self._live_guardians(dead)
         if not self._owns(urn, live_guardians):
             return
-        if urn not in self._detected:
-            self._detected[urn] = self.sim.now
-            self.deaths_declared += 1
-            self._m_deaths.inc()
-            if self.sim.probes is not None:
-                self.sim.probes.emit("guardian.death", urn=urn,
-                                     host=val("host") or "",
-                                     guardian=self.host.name,
-                                     reason=self._death_reason(val("state")))
+        self._declare(urn, val("host"), val("state"))
         self._start_recovery(urn, lifn, val("host"), val("incarnation"))
+
+    def _declare(self, urn: str, host: Optional[str], state) -> bool:
+        """Count *urn*'s first death verdict (the detect anchor); True if new."""
+        if urn in self._detected:
+            return False
+        self._detected[urn] = self.sim.now
+        self.deaths_declared += 1
+        self._m_deaths.inc()
+        if self.sim.probes is not None:
+            self.sim.probes.emit("guardian.death", urn=urn, host=host or "",
+                                 guardian=self.host.name,
+                                 reason=self._death_reason(state))
+        return True
 
     # -- recovery --------------------------------------------------------------
     def _start_recovery(self, urn, lifn, from_host, old_inc) -> None:
@@ -430,23 +425,7 @@ class Guardian:
                 from_host = val("host") or from_host
                 lifn = val("checkpoint-lifn") or lifn
                 prev_lifn = val("checkpoint-prev-lifn")
-            # 1. Fence the corpse *before* the successor exists: from this
-            #    point a zombie below the fence will terminate itself, and
-            #    receivers will drop its stragglers once the successor
-            #    (whose incarnation is necessarily >= the fence) speaks.
-            #    The fence is drawn from the global incarnation sequence,
-            #    not computed as old_inc + 1: the record we read may be
-            #    stale (a partitioned quorum can lag behind a successor
-            #    another recovery already started), and a fence below that
-            #    live successor would leave it running next to ours. A
-            #    fresh sequence value is greater than every incarnation in
-            #    existence, known to us or not.
-            fence = self.sim.sequence("incarnation")
-            if self.fence_writes_enabled:
-                yield self.rc.update(urn, {"fenced-below": fence}, consistency=QUORUM)
-                if self.sim.probes is not None:
-                    self.sim.probes.emit("guardian.fence", urn=urn, fence=fence)
-            # 2. Latest durable state — digest-verified. A checkpoint
+            # 1. Latest durable state — digest-verified. A checkpoint
             #    corrupted on its way to disk is rejected here, and the
             #    previous good version (kept by the writer's LIFN
             #    rotation) is respawned instead: stale state beats
@@ -476,33 +455,13 @@ class Guardian:
                         f"checkpoints {lifn!r} and {prev_lifn!r} both corrupt"
                     )
             spec = spec_from_record(record, keep_urn=True)
-            # The spawning daemon re-fences under a fresh sequence value
-            # immediately before launch (see Daemon._spawn_fenced): RM
-            # retries after a lost reply can start two successors from
-            # this one request, and only a fence drawn at launch time
-            # postdates the sibling. Carries the same kill-switch as our
-            # own fence writes so the seeded bug disables both layers.
-            spec.fence_predecessors = self.fence_writes_enabled
-            # 3. Respawn through an RM; lease-aware placement steers the
-            #    task away from dead (and merely-partitioned) hosts.
+            spec.fence_predecessors = True
+            # 2. Respawn through an RM; lease-aware placement steers the
+            #    task away from dead (and merely-partitioned) hosts. The
+            #    spawning daemon fences every earlier incarnation and
+            #    replies with the incarnation the task runs on.
             result = yield self.rm.request(spec, owner="guardian")
-            new_host = result.get("host")
-            # 4. Wait for the new incarnation to register, then raise the
-            #    fence to exactly exclude everything before it.
-            new_inc = None
-            for _ in range(50):
-                try:
-                    inc = yield self.rc.get(urn, "incarnation")
-                except Exception:
-                    inc = None
-                if inc is not None and inc >= fence:
-                    new_inc = inc
-                    break
-                yield self.sim.timeout(0.1)
-            if new_inc is not None and new_inc > fence and self.fence_writes_enabled:
-                yield self.rc.update(urn, {"fenced-below": new_inc}, consistency=QUORUM)
-                if self.sim.probes is not None:
-                    self.sim.probes.emit("guardian.fence", urn=urn, fence=new_inc)
+            new_host, new_inc = result.get("host"), result.get("incarnation")
             recovered_at = self.sim.now
             self._m_recoveries.inc()
             self._m_recover.observe(recovered_at - detected_at)

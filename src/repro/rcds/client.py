@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.rcds.records import MAX_KEYS
 from repro.robust import TIMEOUTS
 from repro.robust.overload import BULK
 from repro.robust.replicas import ReplicaClient
@@ -36,13 +37,16 @@ class ConsistencyError(Exception):
 
 def _newest(replies: List[Dict[str, Dict[str, Any]]]) -> Dict[str, Dict[str, Any]]:
     """One name's assertions merged across replica replies: per key, the
-    assertion with the newest ``wall`` stamp."""
+    assertion with the newest ``wall`` stamp — the highest value for a
+    max register (:data:`~repro.rcds.records.MAX_KEYS`)."""
     if len(replies) == 1:
         return replies[0]
     merged: Dict[str, Dict[str, Any]] = {}
     for assertions in replies:
         for key, info in assertions.items():
-            if key not in merged or info["wall"] > merged[key]["wall"]:
+            cur = merged.get(key)
+            if cur is None or (info["value"] > cur["value"] if key in MAX_KEYS
+                               else info["wall"] > cur["wall"]):
                 merged[key] = info
     return merged
 

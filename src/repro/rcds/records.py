@@ -8,7 +8,8 @@ number; a replica's knowledge is summarised by a version vector
 ``{origin: max_seq}``, so a sync ships exactly the records the peer
 lacks. Conflicting writes to the same (uri, key) resolve last-writer-wins
 on a Lamport clock (ties broken by origin id) — deterministic and
-convergent on every replica.
+convergent on every replica. The one exception is a max register
+(:data:`MAX_KEYS`), which keeps its highest value instead.
 
 Deletions are tombstones; "automatic time stamping of metadata by the RC
 servers" (§3.1) is the ``wall`` field, stamped with the accepting
@@ -38,6 +39,20 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 #: Tombstone value recording "migrated to the owning shard" rather than
 #: "deleted by a client" — see :meth:`RCStore.mark_moved`.
 MOVED = "__moved__"
+
+#: Keys merged as *max registers*: the highest value ever written wins
+#: whatever its stamp, so a late, lower fence write never lowers one; a
+#: deletion loses to any value, a shard handoff's moved marker beats all.
+MAX_KEYS = frozenset({"fenced-below"})
+
+
+def _rank(key: str, entry: "Entry") -> Tuple:
+    """Merge order of one register's entries: the greater rank wins."""
+    if key not in MAX_KEYS:
+        return entry.stamp()
+    if entry.deleted:
+        return (2 if entry.value == MOVED else 0,) + entry.stamp()
+    return (1, entry.value) + entry.stamp()
 
 
 @dataclass(frozen=True)
@@ -297,11 +312,12 @@ class RCStore:
         server's origin id — while its LWW stamp (wall, lamport) is
         preserved so a client write racing the migration still orders
         against the migrated value. Returns ``None`` when the local
-        register already covers an equal-or-newer stamp (idempotent:
+        register already ranks equal or higher, origin aside (idempotent:
         every parent replica hands off the same names independently).
         """
         current = self.data.get(uri, {}).get(key)
-        if current is not None and (current.wall, current.lamport) >= (entry.wall, entry.lamport):
+        # The rank's last component is the origin, which import rewrites.
+        if current is not None and _rank(key, current)[:-1] >= _rank(key, entry)[:-1]:
             return None
         if entry.lamport > self.lamport:
             self.lamport = entry.lamport
@@ -425,7 +441,9 @@ class RCStore:
             bucket = self.data[uri] = {}
             insort(self._index, uri)
         current = bucket.get(key)
-        if current is None or not self.lww_enabled or entry.stamp() > current.stamp():
+        if current is None or not self.lww_enabled or (
+                entry.stamp() > current.stamp() if key not in MAX_KEYS  # the hot path
+                else _rank(key, entry) > _rank(key, current)):
             was_live = current is not None and not current.deleted
             now_live = not entry.deleted
             if was_live != now_live:

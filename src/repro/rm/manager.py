@@ -154,6 +154,8 @@ class ResourceManager:
                 return {
                     "token": token, "host": candidate,
                     "urn": result["urn"], "mode": ACTIVE,
+                    # A fenced respawn's incarnation, which is its fence.
+                    "incarnation": result.get("incarnation"),
                 }
             except RpcError as exc:
                 errors.append(f"{candidate}: {exc}")

@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.daemon.tasks import TaskState
+from repro.rcds.records import MOVED
 # Both live with the run spine (their lowest user); every oracle here
 # files the one and subscribes to the other.
 from repro.robust.spine import ProbeBus, Violation  # noqa: F401
@@ -61,8 +62,24 @@ def lww_merge(a, b):
     return a if a.stamp() >= b.stamp() else b
 
 
+#: Keys modelled as max registers rather than LWW: the incarnation fence.
+MAX_REGISTERS = frozenset({"fenced-below"})
+
+
+def max_merge(a, b):
+    """Winner of two entries of a max register: a shard handoff's moved
+    marker, else the higher value, any value over a deletion, the stamp
+    only to break a tie — a join like :func:`lww_merge`."""
+    def rank(e):
+        if e.deleted:
+            return (2 if e.value == MOVED else 0, 0, e.stamp())
+        return (1, e.value, e.stamp())
+    return a if rank(a) >= rank(b) else b
+
+
 class LwwMap:
-    """Reference model of a replica: (uri, key) -> LWW-winning entry.
+    """Reference model of a replica: (uri, key) -> winning entry, by
+    :func:`lww_merge` (:func:`max_merge` for :data:`MAX_REGISTERS`).
 
     Folding any permutation of the same entry set through ``apply``
     yields the same map — that is the convergence argument, and the
@@ -75,7 +92,8 @@ class LwwMap:
     def apply(self, uri: str, key: str, entry) -> Any:
         """Fold one entry in; returns the register's winning entry."""
         cur = self.regs.get((uri, key))
-        win = entry if cur is None else lww_merge(cur, entry)
+        merge = max_merge if key in MAX_REGISTERS else lww_merge
+        win = entry if cur is None else merge(cur, entry)
         self.regs[(uri, key)] = win
         return win
 
@@ -454,19 +472,17 @@ class DeliveryOracle:
 class SingleOwnerOracle:
     """Never two live incarnations of one URN with the lower unfenced.
 
-    Whenever a context starts as incarnation *N* of a URN, each other
-    incarnation of it that is still running is judged with *N* by one
-    symmetric rule: the lower of the two must already be fence-covered —
-    a successful ``fenced-below`` quorum write with fence > it (that
-    instance will then terminate itself and receivers will drop its
-    stragglers — that *is* single ownership in an asynchronous system;
-    killing a zombie instantaneously is impossible). The newcomer may be
-    the lower one: successors launch as the incarnation their fence
-    reserved, so one that drew earlier can start after a sibling that
-    drew later. An *equal* incarnation is a live-migration handoff (the
-    URN and incarnation move together) and is legitimate overlap. An
-    instance on the *same host* as the newcomer is also covered: the
-    shared daemon fences it synchronously during spawn.
+    Whenever a context starts as incarnation *N* of a URN, it and each
+    other running incarnation are judged by one symmetric rule: the lower
+    of the two must already be fence-covered — a successful
+    ``fenced-below`` quorum write with fence > it (that instance will
+    then terminate itself and receivers will drop its stragglers — that
+    *is* single ownership in an asynchronous system). The newcomer may be
+    the lower one: a successor launches as the incarnation its fence
+    reserved, so one that drew earlier can start after one that drew
+    later. An *equal* incarnation is a live-migration handoff (the URN
+    and incarnation move together). An instance on the *same host* as
+    the newcomer is also covered: the daemon fences it during spawn.
 
     This is the oracle that catches the seeded ``no-fence-write`` bug:
     a Guardian that respawns without fencing leaves a merely-partitioned
@@ -514,8 +530,8 @@ class SingleOwnerOracle:
                 self.name, self.sim.now,
                 f"{urn} started incarnation {inc} on {f['host']} while "
                 f"incarnation {old_inc} is still {old_info.state} on "
-                f"{old_info.host} and unfenced (fence={fence}) — "
-                f"two live owners of one URN",
+                f"{old_info.host} and incarnation {min(old_inc, inc)} is "
+                f"unfenced (fence={fence}) — two live owners of one URN",
             ))
         self.instances.setdefault(urn, []).append((inc, info))
 
@@ -848,16 +864,12 @@ class FalseDeathOracle:
         #: (host, sim-time) -> True if the host was genuinely down around
         #: then. Defaults to "nothing ever crashed".
         self.crashed = crashed or (lambda host, t: False)
-        self.false_deaths = 0
-        self.lease_deaths = 0
 
     def on_probe(self, kind: str, f: Dict[str, Any]) -> None:
         if kind != "guardian.death" or f.get("reason") != "host-lease":
             return
-        self.lease_deaths += 1
         host = f.get("host") or ""
         if host and not self.crashed(host, self.sim.now):
-            self.false_deaths += 1
             self.violations.append(Violation(
                 self.name, self.sim.now,
                 f"guardian {f.get('guardian', '?')} declared live host "

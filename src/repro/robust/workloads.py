@@ -107,8 +107,8 @@ class CheckpointWorkload:
                  program: str = "chaos-worker") -> None:
         self.total = total
         self.acked: Dict[str, int] = {}
-        self.state: Dict = {"done": {}, "dup_done": {}, "progress": {},
-                            "incs": {}, "mismatch": []}
+        self.state: Dict = {"done": {}, "done_at": {}, "dup_done": {},
+                            "progress": {}, "incs": {}, "mismatch": []}
         self.wstats = {"steps": 0, "send_failures": 0, "ckpt_failures": 0}
         self._install(env)
         env.settle(2.0)
@@ -218,6 +218,7 @@ class CheckpointWorkload:
                             coll_state["mismatch"].append(urn)
                     else:
                         coll_state["done"][urn] = p["result"]
+                        coll_state["done_at"][urn] = ctx.sim.now
                 else:
                     coll_state["progress"].setdefault(urn, set()).add(p["i"])
 

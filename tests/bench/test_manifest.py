@@ -179,6 +179,15 @@ def test_e15_zero_baseline_goodput_is_the_claims_best_case():
     BY_ID["E15"].check({"runs": rows, "summary": [summary]})
 
 
+@pytest.mark.parametrize("config", ["differential", "heartbeat-only"])
+def test_e15_check_rejects_a_second_owner_in_either_config(config):
+    """Fencing must keep even the baseline's wrong death verdicts safe."""
+    rows = json.loads((RESULTS / "quick" / "E15.json").read_text())["rows"]
+    next(r for r in rows["runs"] if r["config"] == config)["single_owner_violations"] = 1
+    with pytest.raises(AssertionError):
+        BY_ID["E15"].check(rows)
+
+
 def test_summaries_report_a_mean_of_nothing_as_none():
     e15 = json.loads((RESULTS / "quick" / "E15.json").read_text())["rows"]["runs"]
     for r in e15:

@@ -8,7 +8,7 @@ from repro.check import (
     sample_fault_plan,
     seeded_bug,
 )
-from repro.guardian.guardian import Guardian
+from repro.daemon.daemon import SnipeDaemon
 from repro.sim import Simulator
 from repro.sim.kernel import URGENT
 
@@ -109,10 +109,10 @@ def test_fault_plans_are_seeded_and_serializable():
 
 
 def test_seeded_bug_flips_and_restores_the_hook():
-    assert Guardian.fence_writes_enabled
+    assert SnipeDaemon.fence_writes_enabled
     with seeded_bug("no-fence-write"):
-        assert not Guardian.fence_writes_enabled
-    assert Guardian.fence_writes_enabled
+        assert not SnipeDaemon.fence_writes_enabled
+    assert SnipeDaemon.fence_writes_enabled
     with pytest.raises(ValueError):
         with seeded_bug("no-such-bug"):
             pass

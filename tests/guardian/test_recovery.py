@@ -168,10 +168,21 @@ def test_zombie_incarnation_is_fenced_after_partition():
 
 def test_duplicate_fenced_respawns_converge_to_one_owner():
     """A spawn whose reply is lost gets retried by the RM layers on another
-    host, so one recovery can start two successors. Fenced respawns
-    quorum-write a fresh fence *before* launching, so whichever successor
-    starts last supersedes every earlier incarnation — the original and
-    the sibling duplicate — and exactly one owner finishes."""
+    host, so one recovery can start two successors. A fenced respawn
+    quorum-writes the incarnation it drew as the fence *before*
+    launching, and launches as that incarnation: the sibling that drew
+    later is the higher incarnation and fences every other one. When the
+    two spawns overlap and the first-drawn fence write lands last (its
+    frames are held up on the wire, as a slow replica holds gray's
+    writes up), the lower one reads the higher fence back and never
+    launches — else its record would land last and name a corpse.
+    Either way the catalog names the owner while it runs, and exactly
+    one owner finishes."""
+    for overlap in (False, True):
+        _one_owner_after_duplicate_respawns(overlap)
+
+
+def _one_owner_after_duplicate_respawns(overlap):
     env, received = healing_env(seed=7)
     coll = env.spawn(TaskSpec(program="collector"), on="h0")
     work = env.spawn(
@@ -189,23 +200,82 @@ def test_duplicate_fenced_respawns_converge_to_one_owner():
 
     def duplicate_spawns(sim):
         # What the retry race produces: the same recovery's spec landing
-        # on two daemons, back to back.
-        yield sim.process(env.daemons["h4"]._spawn_fenced(respawn()))
-        yield sim.process(env.daemons["h2"]._spawn_fenced(respawn()))
+        # on two daemons — back to back, or overlapping with the first
+        # one's fence write delayed past the second one's launch.
+        if overlap:
+            env.failures.impair_link_at(sim.now, "lan", src="h4", loss=1.0,
+                                        duration=0.4)
+        first = sim.process(env.daemons["h4"]._spawn_fenced(respawn()))
+        if not overlap:
+            yield first
+        second = sim.process(env.daemons["h2"]._spawn_fenced(respawn()))
+        yield sim.all_of([first, second])
+        return first.value, second.value
 
-    env.run(until=env.sim.process(duplicate_spawns(env.sim)))
-    inc_first = env.daemons["h4"].contexts[work.urn].incarnation
-    inc_last = env.daemons["h2"].contexts[work.urn].incarnation
-    assert inc_last > inc_first
+    first, second = env.run(until=env.sim.process(duplicate_spawns(env.sim)))
+    owner = env.daemons["h2"].contexts[work.urn].incarnation
+    # Each launched successor is the incarnation its own fence reserved;
+    # the overlapped one stood down and reports the owner's.
+    assert second["incarnation"] == owner
+    if overlap:
+        assert first["incarnation"] == owner
+        assert work.urn not in env.daemons["h4"].tasks
+    else:
+        assert first["incarnation"] == env.daemons["h4"].contexts[work.urn].incarnation
+        assert first["incarnation"] < owner
+
+    def catalog(sim):
+        meta = yield env.rc_client("h0").lookup(work.urn, consistency="quorum")
+        return {k: (meta.get(k) or {}).get("value")
+                for k in ("host", "state", "incarnation")}
+
+    env.run(until=env.sim.now + 3.0)
+    assert env.daemons["h2"].tasks[work.urn].state == TaskState.RUNNING
+    assert env.run(until=env.sim.process(catalog(env.sim))) == {
+        "host": "h2", "state": TaskState.RUNNING, "incarnation": owner}
     env.run(until=60.0)
 
-    # The last starter owns the URN; everyone earlier was fenced, quietly.
+    # The highest incarnation owns the URN; every other was fenced, quietly.
     assert env.daemons["h2"].tasks[work.urn].state == TaskState.EXITED
-    for loser in ("h3", "h4"):
+    for loser in ("h3",) if overlap else ("h3", "h4"):
         info = env.daemons[loser].tasks[work.urn]
         assert info.fenced and info.state == TaskState.KILLED
     dones = [inc for tag, _, inc in received if tag == "done"]
-    assert dones == [inc_last]
+    assert dones == [owner]
+
+
+def test_a_fenced_respawn_never_displaces_a_higher_sibling_on_its_host():
+    """Two fenced respawns of one URN on the *same* daemon, where the
+    one that drew later launches first: the earlier one, resuming after
+    its fence write and a read-back that predates the sibling's write,
+    must not launch — the daemon would fence the higher sibling to make
+    room, and its own fence watch would then stop it, leaving no owner
+    at all. It reports the sibling instead."""
+    env, received = healing_env(seed=7)
+    coll = env.spawn(TaskSpec(program="collector"), on="h0")
+    spec = TaskSpec(program="worker",
+                    params={"total": 10, "ckpt_every": 5, "collector_urn": coll.urn},
+                    urn_override="urn:snipe:proc:twin", fence_predecessors=True)
+    daemon = env.daemons["h4"]
+
+    def overlapping(sim):
+        stalled = daemon._spawn_fenced(spec)
+        write = next(stalled)      # drew the lower incarnation
+        yield write
+        read_back = stalled.send(write.value)
+        yield read_back            # sees only its own fence
+        later = yield sim.process(daemon._spawn_fenced(spec))
+        try:
+            stalled.send(read_back.value)
+        except StopIteration as done:
+            return done.value, later
+
+    earlier, later = env.run(until=env.sim.process(overlapping(env.sim)))
+    assert earlier == later
+    assert earlier["incarnation"] == daemon.contexts[spec.urn_override].incarnation
+    env.run(until=40.0)
+    assert daemon.tasks[spec.urn_override].state == TaskState.EXITED
+    assert [inc for tag, _, inc in received if tag == "done"] == [later["incarnation"]]
 
 
 def test_crash_recovery_inside_partition_eventually_publishes_deaths():

@@ -1,14 +1,16 @@
-"""Property tests: LWW merge is a join, so replicas converge.
+"""Property tests: register merges are joins, so replicas converge.
 
 The convergence oracle in :mod:`repro.robust.oracles` mirrors every
-replica through :func:`repro.robust.oracles.lww_merge` — these tests
-prove that shared specification is a commutative, associative,
-idempotent join over entries with distinct stamps, and that the real
-:class:`~repro.rcds.records.RCStore` computes the same fold no matter
-what order records arrive in. Stamps are unique by construction (the
-origin id is the final tiebreak and every generated entry gets a
-distinct one), matching production where two replicas can never mint
-the same stamp.
+replica through :func:`repro.robust.oracles.lww_merge` — or, for the
+``fenced-below`` max register, :func:`repro.robust.oracles.max_merge` —
+and these tests prove that both specifications are commutative,
+associative, idempotent joins over entries with distinct stamps, and
+that the real :class:`~repro.rcds.records.RCStore` computes the same
+fold, tombstones and shard-handoff moved markers included, no matter
+what order records arrive in.
+Stamps are unique by construction (the origin id is the final tiebreak
+and every generated entry gets a distinct one), matching production
+where two replicas can never mint the same stamp.
 """
 
 import random
@@ -16,8 +18,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.robust.oracles import LwwMap, lww_merge
-from repro.rcds.records import Entry, RCStore
+from repro.robust.oracles import LwwMap, lww_merge, max_merge
+from repro.rcds.client import _newest
+from repro.rcds.records import MOVED, Entry, RCStore
+
+FENCE = "fenced-below"
+MERGES = (lww_merge, max_merge)
 
 walls = st.floats(min_value=0.0, max_value=100.0,
                   allow_nan=False, allow_infinity=False)
@@ -28,12 +34,14 @@ def entries(n: int):
 
     Distinctness comes for free from unique origin ids — the stamp's
     final component — while walls and lamports are free to collide,
-    which is exactly where a broken comparator would slip.
+    which is exactly where a broken comparator would slip. A tombstone
+    is a deletion or, one time in two, a shard handoff's moved marker.
     """
     one = st.tuples(walls, st.integers(min_value=0, max_value=20),
-                    st.integers(), st.booleans())
+                    st.integers(), st.sampled_from(("live", "deleted", "moved")))
     return st.lists(one, min_size=n, max_size=n).map(lambda rows: [
-        Entry(value=v, lamport=l, origin=f"s{i}", wall=w, deleted=d)
+        Entry(value=MOVED if d == "moved" else v, lamport=l, origin=f"s{i}",
+              wall=w, deleted=d != "live")
         for i, (w, l, v, d) in enumerate(rows)
     ])
 
@@ -41,34 +49,50 @@ def entries(n: int):
 @given(entries(2))
 def test_merge_commutative(es):
     a, b = es
-    assert lww_merge(a, b) == lww_merge(b, a)
+    for merge in MERGES:
+        assert merge(a, b) == merge(b, a)
 
 
 @given(entries(3))
 def test_merge_associative(es):
     a, b, c = es
-    assert lww_merge(lww_merge(a, b), c) == lww_merge(a, lww_merge(b, c))
+    for merge in MERGES:
+        assert merge(merge(a, b), c) == merge(a, merge(b, c))
 
 
 @given(entries(1))
 def test_merge_idempotent(es):
     (a,) = es
-    assert lww_merge(a, a) == a
+    for merge in MERGES:
+        assert merge(a, a) == a
 
 
 @given(entries(6), st.integers())
 def test_lwwmap_fold_is_order_independent(es, shuffle_seed):
     """Folding any permutation of the same entries into the reference
-    model yields the same register value — convergence, in miniature."""
-    forward, shuffled = LwwMap(), LwwMap()
+    model yields the same register value — convergence, in miniature.
+    An LWW register keeps the latest stamp; the fence keeps its highest
+    value, which no deletion and no later, lower write can undo — only
+    a handoff's moved marker, the register having left for its shard."""
     perm = list(es)
     random.Random(shuffle_seed).shuffle(perm)
-    for e in es:
-        forward.apply("uri", "k", e)
-    for e in perm:
-        shuffled.apply("uri", "k", e)
-    assert forward.get("uri", "k") == shuffled.get("uri", "k")
-    assert forward.get("uri", "k") == max(es, key=lambda e: e.stamp())
+    for key in ("k", FENCE):
+        forward, shuffled = LwwMap(), LwwMap()
+        for e in es:
+            forward.apply("uri", key, e)
+        for e in perm:
+            shuffled.apply("uri", key, e)
+        win = forward.get("uri", key)
+        assert win == shuffled.get("uri", key)
+        live = [e for e in es if not e.deleted]
+        moved = [e for e in es if e.deleted and e.value == MOVED]
+        if key == FENCE and moved:
+            assert win == max(moved, key=lambda e: e.stamp())
+        elif key == FENCE and live:
+            assert not win.deleted
+            assert win.value == max(e.value for e in live)
+        else:
+            assert win == max(es, key=lambda e: e.stamp())
 
 
 # -- the real store against the model --------------------------------------
@@ -77,9 +101,10 @@ writes = st.lists(
     st.tuples(
         st.sampled_from(("rc-a", "rc-b", "rc-c")),     # accepting origin
         st.sampled_from(("uri:x", "uri:y")),           # register uri
-        st.sampled_from(("state", "host")),            # register key
+        st.sampled_from(("state", "host", FENCE)),     # register key
         st.integers(min_value=0, max_value=99),        # value
         walls,                                         # accept timestamp
+        st.sampled_from(("update", "delete", "move")),  # the operation
     ),
     min_size=1, max_size=30,
 )
@@ -89,8 +114,13 @@ def _accept_all(ws):
     """Run each write at its origin replica; return (origins, records)."""
     origins = {o: RCStore(o) for o in ("rc-a", "rc-b", "rc-c")}
     records = []
-    for origin, uri, key, value, wall in ws:
-        records.extend(origins[origin].local_update(uri, {key: value}, wall))
+    for origin, uri, key, value, wall, op in ws:
+        store = origins[origin]
+        if op == "move":
+            records.append(store.mark_moved(uri, key, wall))
+        else:
+            records.extend(store.local_delete(uri, [key], wall) if op == "delete"
+                           else store.local_update(uri, {key: value}, wall))
     return origins, records
 
 
@@ -135,3 +165,29 @@ def test_store_resync_is_idempotent(ws):
     before = {u: dict(b) for u, b in store.data.items()}
     assert store.apply_remote(records) == 0
     assert store.data == before
+
+
+def test_import_keeps_a_higher_fence_with_an_older_stamp():
+    """Shard handoff re-originates entries and orders them by stamp —
+    except the fence, a max register: a higher fence stamped earlier
+    still wins the import, and a lower one stamped later is refused."""
+    store = RCStore("rc-a")
+    store.local_update("urn:x", {FENCE: 5}, wall=10.0)
+    high = Entry(value=9, lamport=1, origin="rc-z", wall=1.0)
+    assert store.import_entry("urn:x", FENCE, high) is not None
+    assert store.get("urn:x", FENCE) == 9
+    low = Entry(value=7, lamport=50, origin="rc-z", wall=50.0)
+    assert store.import_entry("urn:x", FENCE, low) is None
+    assert store.get("urn:x", FENCE) == 9
+
+
+def test_quorum_read_keeps_the_highest_fence():
+    """A quorum read merges replica replies per key by the newest stamp,
+    except the fence: a replica that has only a lower fence, written
+    later, must not hide the higher one another replica holds."""
+    high = {FENCE: {"value": 9, "wall": 1.0}, "state": {"value": "old", "wall": 1.0}}
+    low = {FENCE: {"value": 7, "wall": 2.0}, "state": {"value": "new", "wall": 2.0}}
+    for replies in ([high, low], [low, high]):
+        merged = _newest(replies)
+        assert merged[FENCE]["value"] == 9
+        assert merged["state"]["value"] == "new"

@@ -129,5 +129,38 @@ def test_threshold_split_fires_and_moved_names_stay_readable():
     assert reads["miss"] < reads["ok"] * 0.15
 
 
+def test_a_handed_off_fence_is_marked_moved_once():
+    """``fenced-below`` is a max register, yet a handoff's moved marker
+    must still win over it: a live fence that outranked the marker would
+    look misplaced on every janitor pass and be re-installed forever,
+    and the moved name would stay live (and count toward a split)."""
+    env, mgr, parent, hosts = _federation(80)
+    sim = env.sim
+    uri = "snipe://app/g1/d00000/n000000013"
+    marked = []
+    for server in parent:
+        def mark_moved(u, key, wall, _store=server.store, _mark=server.store.mark_moved):
+            if (u, key) == (uri, "fenced-below"):
+                marked.append(_store.server_id)
+            return _mark(u, key, wall)
+        server.store.mark_moved = mark_moved
+
+    def trigger():
+        yield env.rc_client(hosts[0]).update(uri, {"fenced-below": 7},
+                                             consistency=QUORUM)
+        yield sim.timeout(1.0)
+        assert (yield from mgr._split("app"))
+
+    sim.process(trigger(), name="trigger")
+    sim.run(until=20.0)
+    assert all(s.store.live_uri_count() == 0 for s in parent)
+    assert marked and len(marked) == len(set(marked))
+    handoffs = sum(s.handoffs for s in parent)
+    sim.run(until=30.0)
+    assert sum(s.handoffs for s in parent) == handoffs
+    got = env.run(until=env.rc_client(hosts[0]).get(uri, "fenced-below"))
+    assert got == 7
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-x", "-q"]))
