@@ -258,21 +258,21 @@ class FailureInjector:
 
             yield self.sim.timeout(max(0.0, t - self.sim.now))
             seg = self.topology.segments[segment]
-            seg.medium = dataclasses.replace(
+            self.topology.set_medium(segment, dataclasses.replace(
                 seg.medium,
                 bandwidth=seg.medium.bandwidth / factor,
                 latency=seg.medium.latency * factor,
-            )
+            ))
             self.log.append((self.sim.now, "segment_congested", segment))
             self._m_congested.inc()
             self._trace("segment_congested", segment)
             if duration is not None:
                 yield self.sim.timeout(duration)
-                seg.medium = dataclasses.replace(
+                self.topology.set_medium(segment, dataclasses.replace(
                     seg.medium,
                     bandwidth=seg.medium.bandwidth * factor,
                     latency=seg.medium.latency / factor,
-                )
+                ))
                 self.log.append((self.sim.now, "segment_decongested", segment))
                 self._m_decongested.inc()
                 self._trace("segment_decongested", segment)

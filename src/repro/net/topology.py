@@ -1,10 +1,13 @@
 """Topology: the registry of hosts and segments, plus IP-style routing.
 
-Routing runs Dijkstra over the bipartite host–segment graph; only hosts
-flagged ``forwarding`` may appear in a path's interior (gateways). Route
-computations respect link/host health and are cached against a topology
-version counter that failure events bump, so routes recompute after every
-failure or repair — this is what E8 (failover) exercises.
+Routing keeps one shortest-path tree per source over the routing core:
+the source, the segments and the hosts flagged ``forwarding`` (gateways),
+the only hosts that may appear in a path's interior. Any other host is a
+leaf, resolved on lookup through the cheapest segment of it the tree
+reached. Trees and routes respect link/host health and live until the
+topology version counter that failure events bump moves, so routes
+recompute after every failure or repair — this is what E8 (failover)
+exercises.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from repro.net.segment import Segment
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.nic import NIC
     from repro.sim.kernel import Simulator
+
+
+#: A routing-graph node: ("h", host name) or ("s", segment name).
+Node = Tuple[str, str]
+_INF = float("inf")
 
 
 def _segment_cost(medium: Medium) -> float:
@@ -36,7 +44,11 @@ class Topology:
         self._ip_to_host: Dict[str, str] = {}
         self._next_seg_id = 1
         self._version = 0
-        self._route_cache: Dict[Tuple[str, str, int], Optional[List[str]]] = {}
+        # Valid until the next bump_version(): routes per (src, dst), one
+        # shortest-path tree per source, and each segment's half-cost.
+        self._route_cache: Dict[Tuple[str, str], Optional[List[str]]] = {}
+        self._trees: Dict[str, Tuple[Dict[Node, float], Dict[Node, Node]]] = {}
+        self._half: Dict[str, float] = {}
 
     # -- construction -----------------------------------------------------
     def add_segment(self, name: str, medium: Medium) -> Segment:
@@ -78,8 +90,20 @@ class Topology:
     def bump_version(self) -> None:
         """Invalidate cached routes (called on any topology/health change)."""
         self._version += 1
-        if len(self._route_cache) > 100_000:
-            self._route_cache.clear()
+        self._route_cache.clear()
+        self._trees.clear()
+        self._half.clear()
+
+    def set_medium(self, segment: str, medium: Medium) -> None:
+        """Swap *segment*'s medium (congestion) without a version bump.
+
+        A congested link is neither down nor repaired, so routes already
+        cached keep their path; one computed afterwards prices the new
+        medium, which is why the trees and half-costs go.
+        """
+        self.segments[segment].medium = medium
+        self._trees.clear()
+        self._half.clear()
 
     # -- media selection (§5.3) --------------------------------------------
     def shared_segments(self, a: str, b: str) -> List[Segment]:
@@ -99,10 +123,10 @@ class Topology:
     # -- routing ------------------------------------------------------------
     def route(self, src_host: str, dst_host: str) -> Optional[List[str]]:
         """Alternating [host, segment, host, ...] path, or None if cut off."""
-        key = (src_host, dst_host, self._version)
+        key = (src_host, dst_host)
         if key in self._route_cache:
             return self._route_cache[key]
-        path = self._dijkstra(src_host, dst_host)
+        path = self._path(src_host, dst_host)
         self._route_cache[key] = path
         return path
 
@@ -126,57 +150,44 @@ class Topology:
             return None
         return nic, nh_ip
 
-    def _dijkstra(self, src: str, dst: str) -> Optional[List[str]]:
-        if src not in self.hosts or dst not in self.hosts:
+    def _path(self, src: str, dst: str) -> Optional[List[str]]:
+        hosts = self.hosts
+        if src not in hosts or dst not in hosts:
             return None
-        if not self.hosts[src].up or not self.hosts[dst].up:
+        if not hosts[src].up or not hosts[dst].up:
             return None
-        # Nodes: ("h", host) and ("s", segment). Edges exist where an up NIC
-        # joins an up host to an up segment. Interior hosts must forward.
-        dist: Dict[Tuple[str, str], float] = {("h", src): 0.0}
-        prev: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        pq: List[Tuple[float, Tuple[str, str]]] = [(0.0, ("h", src))]
-        target = ("h", dst)
-        while pq:
-            d, node = heapq.heappop(pq)
-            if d > dist.get(node, float("inf")):
-                continue
-            if node == target:
-                break
-            kind, name = node
-            if kind == "h":
-                host = self.hosts[name]
-                if not host.up:
+        if src == dst:
+            return [src]
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = self._trees[src] = self._tree(src)
+        dist, prev = tree
+        dst_host = hosts[dst]
+        if dst_host.forwarding:
+            node = ("h", dst)
+            if node not in dist:
+                return None
+            path: List[str] = []
+        else:
+            # A leaf: of the up NICs whose segment the tree reached, take
+            # the one a single-pair Dijkstra would have pushed first at
+            # the least cost. Segments pop in (dist, name) order (every
+            # cost is positive), and only a strictly cheaper push replaces
+            # an earlier one.
+            half = self._half_costs()
+            best = None
+            for nic in dst_host.nics.values():
+                seg = nic.segment.name
+                d = dist.get(("s", seg))
+                if d is None or not nic.up:
                     continue
-                if name != src and name != dst and not host.forwarding:
-                    continue  # cannot route *through* a non-gateway
-                for nic in host.nics.values():
-                    if not nic.up or not nic.segment.up:
-                        continue
-                    nxt = ("s", nic.segment.name)
-                    nd = d + _segment_cost(nic.segment.medium) / 2
-                    if nd < dist.get(nxt, float("inf")):
-                        dist[nxt] = nd
-                        prev[nxt] = node
-                        heapq.heappush(pq, (nd, nxt))
-            else:
-                seg = self.segments[name]
-                if not seg.up:
-                    continue
-                for nic in seg.nics.values():
-                    if not nic.up or not nic.host.up:
-                        continue
-                    nxt = ("h", nic.host.name)
-                    nd = d + _segment_cost(seg.medium) / 2
-                    if nd < dist.get(nxt, float("inf")):
-                        dist[nxt] = nd
-                        prev[nxt] = node
-                        heapq.heappush(pq, (nd, nxt))
-        if target not in dist:
-            return None
-        # Reconstruct the alternating path.
-        path: List[str] = []
-        node = target
+                rank = (d + half[seg], d, seg)
+                if best is None or rank < best:
+                    best = rank
+            if best is None:
+                return None
+            node = ("s", best[2])
+            path = [dst]
         while True:
             path.append(node[1])
             if node == ("h", src):
@@ -184,6 +195,55 @@ class Topology:
             node = prev[node]
         path.reverse()
         return path
+
+    def _half_costs(self) -> Dict[str, float]:
+        """Each segment's edge weight: half its routing cost per side."""
+        if not self._half:
+            self._half = {name: _segment_cost(seg.medium) / 2
+                          for name, seg in self.segments.items()}
+        return self._half
+
+    def _tree(self, src: str) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
+        """Shortest-path tree (dist, prev) from *src* over the routing core.
+
+        Nodes: ("h", host) and ("s", segment). Edges exist where an up NIC
+        joins an up host to an up segment. Interior hosts must forward, so
+        the core is *src*, the segments and the forwarding hosts; any
+        other host is a leaf that :meth:`_path` resolves on lookup.
+        """
+        half = self._half_costs()
+        root = ("h", src)
+        dist: Dict[Node, float] = {root: 0.0}
+        prev: Dict[Node, Node] = {}
+        pq: List[Tuple[float, Node]] = [(0.0, root)]
+        while pq:
+            d, node = heapq.heappop(pq)
+            if d > dist[node]:
+                continue
+            kind, name = node
+            if kind == "h":
+                for nic in self.hosts[name].nics.values():
+                    seg = nic.segment
+                    if not nic.up or not seg.up:
+                        continue
+                    nxt = ("s", seg.name)
+                    nd = d + half[seg.name]
+                    if nd < dist.get(nxt, _INF):
+                        dist[nxt] = nd
+                        prev[nxt] = node
+                        heapq.heappush(pq, (nd, nxt))
+            else:
+                nd = d + half[name]
+                for nic in self.segments[name].nics.values():
+                    host = nic.host
+                    if not nic.up or not host.up or not host.forwarding:
+                        continue
+                    nxt = ("h", host.name)
+                    if nd < dist.get(nxt, _INF):
+                        dist[nxt] = nd
+                        prev[nxt] = node
+                        heapq.heappush(pq, (nd, nxt))
+        return dist, prev
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Topology hosts={len(self.hosts)} segments={len(self.segments)}>"
