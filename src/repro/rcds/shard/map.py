@@ -7,6 +7,12 @@ Because any two prefixes of the same string are nested, the matching
 prefixes always form a chain — uniqueness of the longest match is
 structural, not a tiebreak (the Hypothesis suite pins this).
 
+The router is a prefix index: one dict from owned prefix to shard id,
+plus the distinct prefix lengths sorted longest first. ``route`` probes
+the name's head at each length and returns the first hit, so a name
+costs O(distinct prefix lengths) dict probes however many shards the
+map holds. The probe at length 0 always hits, because root owns ``""``.
+
 The map is immutable and versioned by a monotonically increasing
 *epoch*. Every change — a split, a replica-set change — produces a new
 map at ``epoch + 1``, published to the root replica group under
@@ -56,15 +62,19 @@ class ShardMap:
     def __init__(self, epoch: int, shards: Iterable[ShardInfo]) -> None:
         self.epoch = epoch
         self.shards: Dict[str, ShardInfo] = {s.sid: s for s in shards}
-        seen: Dict[str, str] = {}
+        owner_of: Dict[str, str] = {}
         for info in self.shards.values():
             for p in info.prefixes:
-                if p in seen:
+                if p in owner_of:
                     raise ValueError(
-                        f"prefix {p!r} owned by both {seen[p]!r} and {info.sid!r}")
-                seen[p] = info.sid
-        if ROOT_SID not in self.shards or "" not in self.shards[ROOT_SID].prefixes:
+                        f"prefix {p!r} owned by both {owner_of[p]!r} and {info.sid!r}")
+                owner_of[p] = info.sid
+        if owner_of.get("") != ROOT_SID:
             raise ValueError("shard map needs a root shard owning the empty prefix")
+        # The routing index. The map is never mutated after construction
+        # (every evolution builds a new one), so the index cannot go stale.
+        self._owner_of = owner_of
+        self._lengths = sorted({len(p) for p in owner_of}, reverse=True)
 
     @classmethod
     def initial(cls, root_replicas: Sequence[Tuple[str, int]]) -> "ShardMap":
@@ -76,12 +86,14 @@ class ShardMap:
     # -- routing ------------------------------------------------------------
     def route(self, uri: str) -> str:
         """Shard id owning *uri*: the longest matching prefix wins."""
-        best_sid, best_len = ROOT_SID, -1
-        for sid, info in self.shards.items():
-            for p in info.prefixes:
-                if len(p) > best_len and uri.startswith(p):
-                    best_sid, best_len = sid, len(p)
-        return best_sid
+        owner_of = self._owner_of
+        # A name shorter than n probes itself, which hits only if the name
+        # is an owned prefix — and then it is its own longest match.
+        for n in self._lengths:
+            sid = owner_of.get(uri[:n])
+            if sid is not None:
+                return sid
+        raise AssertionError("unreachable: root owns the empty prefix")
 
     def owner(self, uri: str) -> ShardInfo:
         return self.shards[self.route(uri)]

@@ -105,7 +105,9 @@ class ShardRCServer(RCServer):
         def _watch_apply(uri: str, key: str, entry: Entry) -> None:
             if prev_on_apply is not None:
                 prev_on_apply(uri, key, entry)
-            if self.map is not None and not self.owns(uri):
+            # A due scan will find this name anyway: route nothing.
+            if (not self._handoff_dirty and self.map is not None
+                    and not self.owns(uri)):
                 self._handoff_dirty = True
 
         self.store.on_apply = _watch_apply

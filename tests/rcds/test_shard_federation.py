@@ -15,8 +15,10 @@ stores) cannot see:
 
 import pytest
 
-from repro.bench.e18_catalog_scale import _preload, _site
+from repro.bench.e18_catalog_scale import PRELOAD_ORIGIN, _preload, _site
 from repro.rcds.client import QUORUM
+from repro.rcds.records import Entry
+from repro.rcds.shard.map import ShardMap
 
 
 def _federation(n_names, n_branches=4, split_threshold=None):
@@ -160,6 +162,39 @@ def test_a_handed_off_fence_is_marked_moved_once():
     assert sum(s.handoffs for s in parent) == handoffs
     got = env.run(until=env.rc_client(hosts[0]).get(uri, "fenced-below"))
     assert got == 7
+
+
+def test_apply_watcher_routes_nothing_while_a_handoff_scan_is_due(monkeypatch):
+    """The apply watcher only raises the handoff flag, so while the flag
+    is up it must not route the applied name at all: a preload of 1 000
+    owned names into a replica that just adopted a map makes no
+    ``route`` call. Once a clean scan lowers the flag, an owned apply
+    leaves it down and a foreign-owned apply raises it."""
+    env, placement, _ = _site(1, 1)
+    env.add_rc_servers(["r0", "r1", "r2"], sharded=True, service_time=0.0002)
+    mgr = env.enable_sharding(placement_hosts=placement, replicas_per_shard=3,
+                              server_kw=dict(service_time=0.0002))
+    mgr.add_shard("app", ("snipe://app/",))
+    server = next(iter(mgr.servers["app"].values()))
+    assert server.map is not None and server._handoff_dirty
+    routed = []
+    route = ShardMap.route
+    monkeypatch.setattr(ShardMap, "route",
+                        lambda m, uri: routed.append(uri) or route(m, uri))
+    _preload([server.store], range(1000), 4)
+    assert routed == []
+
+    env.sim.run(until=1.0)  # a janitor tick finds nothing misplaced
+    assert not server._handoff_dirty
+
+    def apply(uri):
+        server.store.install_entries(
+            [(uri, "v", Entry(value=1, lamport=2, origin=PRELOAD_ORIGIN, wall=0.0))])
+
+    apply("snipe://app/g0/owned")
+    assert not server._handoff_dirty
+    apply("snipe://elsewhere/x")
+    assert server._handoff_dirty
 
 
 if __name__ == "__main__":

@@ -13,6 +13,9 @@ oracles and the client facade assume without re-checking:
 * **Deterministic router** — routing is a pure function of the
   serialized map: any replica or client that deserializes the same
   epoch routes every name identically.
+* **Same owner as the linear scan** — the prefix-index router returns,
+  for every name, the shard the plain scan over every prefix of every
+  shard picks (kept here verbatim as the reference).
 
 Maps are generated the way production evolves them — an initial carve
 plus a random sequence of ``plan_split``/``with_split`` steps over
@@ -23,7 +26,7 @@ maps, not arbitrary prefix soups.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rcds.shard.map import ROOT_SID, ShardMap, plan_split
+from repro.rcds.shard.map import ROOT_SID, ShardInfo, ShardMap, plan_split
 
 #: Small alphabet so generated names collide into shared prefixes often
 #: (the interesting case for a radix router).
@@ -136,3 +139,55 @@ def test_plan_split_buckets_partition_the_branching_names(prefix, names):
         covered = sum(1 for n in set(names)
                       if any(n.startswith(p) for p in child_prefixes))
         assert covered >= 2  # both sides of the branch are populated
+
+
+def reference_route(m, uri):
+    """The router as a linear scan: every prefix of every shard, the
+    longest match wins."""
+    best_sid, best_len = ROOT_SID, -1
+    for sid, info in m.shards.items():
+        for p in info.prefixes:
+            if len(p) > best_len and uri.startswith(p):
+                best_sid, best_len = sid, len(p)
+    return best_sid
+
+
+def _probe_names(m, names):
+    """The given names plus the edge cases of every owned prefix: the
+    prefix itself, the prefix cut one short, one longer, and ``""``."""
+    out = set(names) | {""}
+    for info in m.shards.values():
+        for p in info.prefixes:
+            out.update((p, p[:-1], p + "a", p + "/"))
+    return sorted(out)
+
+
+@given(evolutions())
+def test_prefix_index_routes_like_the_linear_scan_on_evolved_maps(ev):
+    _steps, names, m = ev
+    for uri in _probe_names(m, names):
+        assert m.route(uri) == reference_route(m, uri), uri
+
+
+@st.composite
+def wide_maps(draw):
+    """Flat maps of up to 64 shards whose prefixes have many different
+    lengths — nested ones included — so the router probes several lengths
+    and must keep the longest hit."""
+    prefixes = draw(st.lists(st.text(alphabet="abc/", min_size=1, max_size=6),
+                             min_size=0, max_size=96, unique=True))
+    n_shards = draw(st.integers(min_value=1, max_value=64))
+    owned = {}
+    for i, p in enumerate(prefixes):
+        owned.setdefault(f"s{i % n_shards}", []).append(p)
+    shards = [ShardInfo(ROOT_SID, ("",), (("r0", 385),))]
+    shards += [ShardInfo(sid, tuple(ps), (("n0", 1400),))
+               for sid, ps in owned.items()]
+    return ShardMap(1, shards)
+
+
+@given(wide_maps(), st.lists(st.text(alphabet="abc/", max_size=8),
+                             max_size=32))
+def test_prefix_index_routes_like_the_linear_scan_on_wide_maps(m, names):
+    for uri in _probe_names(m, names):
+        assert m.route(uri) == reference_route(m, uri), uri
