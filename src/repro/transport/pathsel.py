@@ -40,7 +40,9 @@ class PathSelector:
         self.host = host
         self.topology: "Topology" = host.topology
         self.policy = policy
+        #: Choices per destination, valid for one topology version only.
         self._cache: dict = {}
+        self._cache_version = self.topology._version
         self.switches = 0  # route changes observed (E8 metric)
         self._last_choice: dict = {}
         self._obs = host.sim.obs
@@ -81,8 +83,7 @@ class PathSelector:
             self.breakers.record((dst_host, iface), ok)
 
     def _invalidate(self, dst_host: str) -> None:
-        for key in [k for k in self._cache if k[0] == dst_host]:
-            del self._cache[key]
+        self._cache.pop(dst_host, None)
 
     def select(self, dst_host: str) -> Optional[Tuple["NIC", str, Optional[str]]]:
         """Path to *dst_host*: (nic, dst_ip, l2_next_hop_ip_or_None).
@@ -90,8 +91,10 @@ class PathSelector:
         Returns None when the destination is unreachable (caller buffers
         or fails). Results are cached per topology version.
         """
-        key = (dst_host, self.topology._version, self.policy)
-        cached = self._cache.get(key)
+        if self._cache_version != self.topology._version:
+            self._cache.clear()
+            self._cache_version = self.topology._version
+        cached = self._cache.get(dst_host)
         if cached is not None and self.host.sim.now < cached[1]:
             if cached[0] is None or not self.host.health.iface_quarantined(
                 dst_host, cached[0][0].iface
@@ -102,9 +105,9 @@ class PathSelector:
             # selector (it doesn't know them), and gray link faults never
             # bump the topology version — so without this check a choice
             # cached before the fault would ride the sick path forever.
-            del self._cache[key]
+            del self._cache[dst_host]
         choice, expires = self._compute(dst_host)
-        self._cache[key] = (choice, expires)
+        self._cache[dst_host] = (choice, expires)
         prev = self._last_choice.get(dst_host)
         if choice is not None:
             sig = (choice[0].iface, choice[2])
@@ -120,8 +123,6 @@ class PathSelector:
                     net=choice[0].segment.name,
                 )
             self._last_choice[dst_host] = sig
-        if len(self._cache) > 50_000:
-            self._cache.clear()
         return choice
 
     def _compute(

@@ -58,6 +58,21 @@ def test_failover_cascade_and_switch_count():
     assert sel.switches == 2
 
 
+def test_cache_holds_only_the_current_topology_version():
+    """A topology bump retires every cached choice: across 100 bumps,
+    one selector over three destinations never holds more than one
+    entry per destination."""
+    sim, topo, a, b, _segs = dual_homed()
+    sel = PathSelector(a)
+    dests = ("b", "gw", "nowhere")
+    for _ in range(100):
+        topo.bump_version()
+        for dst in dests:
+            sel.select(dst)
+    assert len(sel._cache) <= len(dests)
+    assert sel.select("b")[0].segment.name == "myr"
+
+
 def test_unreachable_returns_none():
     sim, topo, a, b, segs = dual_homed()
     for seg in segs:
