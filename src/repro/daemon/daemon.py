@@ -538,7 +538,7 @@ class SnipeDaemon:
         if self.fence_writes_enabled:
             yield self.rc.update(urn, {"fenced-below": fence}, consistency="quorum")
             if self.sim.probes is not None:
-                self.sim.probes.emit("guardian.fence", urn=urn, fence=fence)
+                self.sim.probes.emit("daemon.fence", urn=urn, fence=fence)
             highest = (yield self.rc.get(urn, "fenced-below",
                                          consistency="quorum")) or fence
         sibling = self.tasks.get(urn)

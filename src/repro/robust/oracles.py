@@ -9,24 +9,32 @@ than at its downstream wreckage.
 
 Probe vocabulary (emitted only when ``sim.probes`` is set):
 
-========================  ====================================================
-``ctx.start``             a :class:`~repro.core.process.SnipeContext` came up
-                          (``urn, inc, host, info``)
-``ctx.send``              an envelope was assigned its stream sequence number
-                          (``src, inc, dst, seq, tag``)
-``ctx.deliver``           an envelope was admitted to the application
-                          (``dst, dst_inc, src, src_inc, seq, tag``)
-``guardian.fence``        a ``fenced-below`` quorum write succeeded
-                          (``urn, fence``)
-``bulk.map``              a chunk map was sealed at the seeding host
-                          (``name, size, chunk_size, digests, hash``)
-``bulk.chunk``            a fetched chunk was committed to a chunk store
-                          (``host, name, seq, digest, source``)
-``bulk.evict``            a corrupt chunk was evicted for refetch
-                          (``host, name, seq``)
-``bulk.complete``         a host reassembled and verified a whole object
-                          (``host, name, hash``)
-========================  ====================================================
+=========================  ===================================================
+``ctx.start``              a :class:`~repro.core.process.SnipeContext` came up
+                           (``urn, inc, host, info``)
+``ctx.send``               an envelope was assigned its stream sequence number
+                           (``src, inc, dst, seq, tag``)
+``ctx.deliver``            an envelope was admitted to the application
+                           (``dst, dst_inc, src, src_inc, seq, tag``)
+``daemon.fence``           a spawning daemon's ``fenced-below`` quorum write
+                           succeeded (``urn, fence``)
+``guardian.death``         a Guardian declared a task dead
+                           (``urn, host, guardian, reason``)
+``bulk.map``               a chunk map was sealed at the seeding host
+                           (``name, size, chunk_size, digests, hash``)
+``bulk.chunk``             a fetched chunk was committed to a chunk store
+                           (``host, name, seq, digest, source``)
+``bulk.evict``             a corrupt chunk was evicted for refetch
+                           (``host, name, seq``)
+``bulk.complete``          a host reassembled and verified a whole object
+                           (``host, name, hash``)
+``srudp.corrupt_deliver``  a corrupted message reached an application
+                           (``src, dst, msg``)
+``rcds.wipe``              a durable catalog replica lost its store in a crash
+                           (``server``)
+``shard.config``           a shard replica adopted a shard map
+                           (``sid, server, epoch, prefixes``)
+=========================  ===================================================
 
 plus the per-replica :attr:`repro.rcds.records.RCStore.on_apply` hook,
 which the convergence oracle uses instead of a probe (it needs the
@@ -500,7 +508,7 @@ class SingleOwnerOracle:
         self.fences: Dict[str, int] = {}
 
     def on_probe(self, kind: str, f: Dict[str, Any]) -> None:
-        if kind == "guardian.fence":
+        if kind == "daemon.fence":
             urn = f["urn"]
             self.fences[urn] = max(self.fences.get(urn, 0), f["fence"])
         elif kind == "ctx.start":

@@ -119,7 +119,7 @@ def test_single_owner_flags_unfenced_zombie():
 def test_single_owner_fence_write_covers_the_zombie():
     o = SingleOwnerOracle(Simulator())
     start(o, 1, "a", FakeInfo("a"))
-    o.on_probe("guardian.fence", {"urn": "urn:p:x", "fence": 2})
+    o.on_probe("daemon.fence", {"urn": "urn:p:x", "fence": 2})
     start(o, 2, "b", FakeInfo("b"))
     assert not o.violations
 
@@ -149,7 +149,7 @@ def test_single_owner_judges_a_lower_newcomer_too():
     assert "incarnation 5" in o.violations[0].detail
     o2 = SingleOwnerOracle(Simulator())
     start(o2, 5, "a", FakeInfo("a"))
-    o2.on_probe("guardian.fence", {"urn": "urn:p:x", "fence": 5})
+    o2.on_probe("daemon.fence", {"urn": "urn:p:x", "fence": 5})
     start(o2, 4, "b", FakeInfo("b"))  # below the fence: it stops itself
     assert not o2.violations
 

@@ -86,9 +86,9 @@ def test_attach_subscribes_to_probe_bus():
     rec, sim = make_recorder()
     bus = ProbeBus()
     rec.attach(bus)
-    bus.emit("guardian.fence", host="h3", inc=2)
+    bus.emit("daemon.fence", host="h3", inc=2)
     (r,) = rec.snapshot(host="h3")
-    assert r["kind"] == "guardian.fence" and r["inc"] == 2
+    assert r["kind"] == "daemon.fence" and r["inc"] == 2
 
 
 def test_dump_jsonl_round_trip(tmp_path):
