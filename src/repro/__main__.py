@@ -14,7 +14,7 @@ Commands:
   ``obs profile`` (kernel work counts) and ``obs slo``
   (declarative SLO gates over an overload run or a saved export)
   (see :mod:`repro.obs.cli`).
-* ``chaos`` — seeded fault injection with invariant checking:
+* ``chaos`` — seeded fault injection judged by the oracles:
   ``chaos run --seed N`` and ``chaos sweep`` (see :mod:`repro.robust.cli`).
 * ``check`` — model checking: explored schedules, reference-model
   oracles, failing-schedule shrinking: ``check run``, ``check sweep``,

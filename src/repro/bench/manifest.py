@@ -48,7 +48,7 @@ from repro.bench.fig1 import (
     srudp_window_ablation,
 )
 from repro.bench.table import Tables, mean, print_table
-from repro.check.scenarios import SCENARIOS
+from repro.check.scenarios import SCENARIOS, found
 from repro.obs.report import write_bench_json
 
 Row = Dict[str, Any]
@@ -328,11 +328,13 @@ def _check_e12(t: Tables) -> None:
         adaptive, static = rows[("adaptive", sat)], rows[("static", sat)]
         # The robustness claim: under overload the adaptive stack keeps
         # the control plane clean — zero false death declarations, zero
-        # dropped lease heartbeats, bounded p99 — and does not pay for
-        # it with bulk goodput.
+        # dropped lease heartbeats, p99 within 500 ms — and does not pay
+        # for it with bulk goodput. Both configs pass every oracle: the
+        # static baseline is slow, not unsafe.
         assert adaptive["false_deaths"] == 0
         assert adaptive["hb_failed"] == 0
-        assert adaptive["ok"]
+        assert adaptive["control_p99_ms"] <= 500
+        assert adaptive["ok"] and static["ok"]
         assert adaptive["goodput_ops_s"] >= static["goodput_ops_s"]
     # The baseline must actually exhibit the failure mode being fixed,
     # or the comparison is vacuous: at heavy saturation fixed timeouts
@@ -425,17 +427,23 @@ def _summary_e15(rows: List[Row]) -> Row:
 
 def _check_e16(t: Tables) -> None:
     s = t["summary"][0]
-    # Every bounded run passes all six heal criteria with payloads at
-    # the configured bound and no heartbeat failover; the one-blob
-    # baseline breaches the bound; blackout recovery is from disk alone
-    # with no delete resurrected.
+    # Every bounded run passes every heal check, with payloads at the
+    # configured bound, the control lane responsive through the heal
+    # and no heartbeat lost or failed over; the one-blob baseline
+    # breaches the bound; blackout recovery is from disk alone with no
+    # delete resurrected. Every run reconverges.
     assert s["bounded_all_ok"] and s["blackout_all_ok"]
     assert s["baseline_breaches_bound"]
     assert s["hb_failovers_bounded"] == 0
     assert s["blackout_restores"] > 0 and s["blackout_resurrected"] == 0
     for r in t["runs"]:
+        assert r["reconverge_s"] is not None
         if r["config"] != "unbounded":
             assert r["max_sync_batch"] <= r["bound"]
+            assert r["control_p99_ms"] is not None and r["control_p99_ms"] <= 500
+            assert r["probe_failed"] == 0
+        if r["config"] == "bounded":
+            assert r["hb_failed"] == 0
 
 
 def _summary_e16(rows: List[Row]) -> Row:
@@ -557,8 +565,7 @@ E15_SWEEP = Sweep(
         "ops_ok": "ops_ok", "ops_failed": "ops_failed", "sessions": "sessions",
         "completed_ok": lambda run, at: (run.report["ok"]
                                          if run.report["differential"] else None),
-        "single_owner_violations": lambda run, at: sum(
-            v["oracle"] == "single-owner" for v in run.report["violations"]),
+        "single_owner_violations": lambda run, at: found("single-owner")(run.report),
     },
     summary=_summary_e15)
 
@@ -577,7 +584,7 @@ E16_SWEEP = Sweep(
         "hb_failovers": "heartbeat_failovers",
         "snapshot_catchups": "snapshot_catchups",
         "writes_ok": "writes_ok", "retired": "retired",
-        "resurrected": lambda run, at: len(run.report["resurrected"]),
+        "resurrected": lambda run, at: found("no-resurrection")(run.report),
         "restores": lambda run, at: sum(
             s["restores"] for s in run.report["replica_stats"].values()),
         "ok": "ok",

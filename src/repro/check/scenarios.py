@@ -7,7 +7,7 @@ name. An entry is a record of plain data and plain functions:
 
 * ``runner`` — the scenario's one runner, the public ``run_*`` function
   of :mod:`repro.robust.chaos` (site, workload, fault plan, oracles,
-  quiescent verdicts, all through :func:`repro.robust.spine.run_spine`).
+  quiescent checks, all through :func:`repro.robust.spine.run_spine`).
   Called, it returns the report; ``runner.run(...)`` returns the whole
   :class:`~repro.robust.spine.Run` (report + sim). Without a ``plan``
   it is a chaos run: the scenario's own seeded chaos plan.
@@ -100,6 +100,11 @@ def _count(key: str) -> Callable[[Dict], int]:
     return lambda r: len(r[key])
 
 
+def found(oracle: str) -> Callable[[Dict], int]:
+    """Column: how many violations *oracle* filed in a report."""
+    return lambda r: sum(v["oracle"] == oracle for v in r["violations"])
+
+
 #: Every check profile's time budget, the old ``check --duration`` default.
 CHECK_DURATION = 60.0
 
@@ -172,7 +177,7 @@ SCENARIOS: Dict[str, Scenario] = {
                  "max_batch": "max_sync_batch",
                  "control_p99_ms": _ms("control_p99"),
                  "hb_failovers": "heartbeat_failovers",
-                 "resurrected": _count("resurrected"),
+                 "resurrected": found("no-resurrection"),
                  "writes_ok": "writes_ok", "retired": "retired"},
         flags=("workers", "duration", "unbounded", "blackout"),
         # Aggressive compaction, so the horizon provably moves while a

@@ -5,8 +5,8 @@ it keeps a bounded ring of the recent past and survives the crash. This
 is the simulator's equivalent: a :class:`FlightRecorder` subscribes to
 the semantic probe bus (``sim.probes``) and — via ``sim.flight`` — to
 every locally delivered frame, keeping a bounded per-host ring of recent
-records. When a :mod:`repro.check` oracle fires or a chaos invariant
-fails, the harness stamps the violation into the ring and snapshots it
+records. When an oracle fires or a scenario's own safety check fails
+(chaos and check runs alike), the harness stamps the violation into the ring and snapshots it
 into the failure report; the CLIs dump it as JSONL next to the
 ddmin-minimized trace, so a failure ships with its last-N-events context
 instead of demanding a re-run under full tracing.

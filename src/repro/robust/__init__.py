@@ -15,7 +15,7 @@ that adjective rather than assert it:
   churn, partitions, overload, gray faults, partition heal, shard
   splits), run through :mod:`repro.robust.spine` under a seeded
   ``FaultEvent`` plan, watched by :mod:`repro.robust.oracles` and judged
-  by end-to-end invariants after quiescence; the sites and loads it
+  by their end-to-end checks after quiescence; the sites and loads it
   drives are :mod:`repro.robust.workloads`.
 """
 

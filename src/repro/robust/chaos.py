@@ -1,18 +1,22 @@
 """Scenario runners: each fault scenario as one body, run chaos or checked.
 
 Every ``run_*`` here is one scenario's single runner — star or rack
-site, workload, fault plan, watching oracles, quiescent verdicts — as a
+site, workload, fault plan, watching oracles, quiescent checks — as a
 generator body handed to :func:`repro.robust.spine.run_spine`, which
 owns the phases all scenarios share. A *chaos* run is the body plus the
 scenario's seeded chaos plan (drawn by its ``*_chaos_plan`` below, or
-built from its kwargs); the oracles watch without stopping it and its
-invariants/criteria judge the quiescent state. A *check* run
-(:func:`repro.check.scenarios.run_check`) is the same body under the
-runner kwargs of the entry's check profile, with a sampled, shrunk or
-replayed plan, the exploration scheduler and the supervised loop
-passed in. Either way every fault is a
+built from its kwargs); the oracles watch without stopping it. A
+*check* run (:func:`repro.check.scenarios.run_check`) is the same body
+under the runner kwargs of the entry's check profile, with a sampled,
+shrunk or replayed plan, the exploration scheduler and the supervised
+loop passed in. Either way every fault is a
 :class:`~repro.robust.spine.FaultEvent` of the report's ``plan``, and
-the oracles' findings are its ``violations``.
+the report's ``violations`` is the one verdict list: what the oracles
+found while watching, their quiescent checks, and the safety checks a
+body files itself (:meth:`~repro.robust.spine.Run.fail`) — the same
+code in both kinds of run. What a run *measures* (recovery latency,
+control-plane p99, detection time, ...) is a report column, and the
+experiment that owns a bound asserts it.
 
 The runners are looked up by name through
 :data:`repro.check.scenarios.SCENARIOS`: :func:`run_chaos` (``faults``),
@@ -33,11 +37,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bulk.testbed import build_bulk_site, make_payload
 from repro.core.environment import SnipeEnvironment
-from repro.daemon.tasks import TaskState
 from repro.obs.slo import _metric_value
 from repro.rcds import uri as uri_mod
-from repro.rcds.records import MOVED
-from repro.rcds.server import RC_PORT
 from repro.robust import TIMEOUTS
 from repro.robust.health import HealthBoard
 from repro.robust.oracles import (
@@ -50,10 +51,9 @@ from repro.robust.oracles import (
     ResurrectionOracle,
     ShardOracle,
     SingleOwnerOracle,
-    Violation,
 )
 from repro.robust.overload import CONTROL
-from repro.robust.spine import FaultEvent, Run, Verdict, run_spine, scenario_runner
+from repro.robust.spine import FaultEvent, Run, run_spine, scenario_runner
 from repro.robust.workloads import (
     CheckpointWorkload,
     build_chaos_env,
@@ -95,24 +95,59 @@ SYNC_MARGIN = 4.0
 
 def judge_star(run: Run, work: CheckpointWorkload, convergence: ConvergenceOracle,
                duration: float, liveness: bool = True) -> List[str]:
-    """The star workload's quiescent oracle checks, unless something was
-    found already: every task completed within the *duration* budget —
+    """The star workload's quiescent checks, unless something was found
+    already. First every task completed within the *duration* budget —
     liveness, not judged for a baseline whose documented failure is late
-    work (*liveness* False) — and the catalog replicas agree on a
-    terminal state for each (for a baseline, each done by
-    :data:`SYNC_MARGIN` ago). Returns the completed URNs."""
+    work (*liveness* False). Then, over the completed tasks:
+
+    * the catalog replicas agree on a terminal state for each (for a
+      baseline, each done by :data:`SYNC_MARGIN` ago) — ``lww-convergence``;
+    * the collector never got two different results for one task —
+      ``exactly-once``;
+    * every Guardian recovery raised the task's incarnation —
+      ``no-incarnation-regression``;
+    * unless this is a baseline (lost work, like late work, is its
+      documented failure): every unit of work was reported, nothing is
+      parked in the collector's reorder buffer, and every acked send
+      was delivered, deduplicated, or deliberately fenced at the
+      receiver — ``no-silent-loss``.
+
+    Returns the completed URNs."""
     completed = work.completed()
-    if not run.violations:
-        if liveness and len(completed) < len(work.urns):
-            run.violations.append(Violation(
-                "liveness", run.sim.now,
-                f"only {len(completed)}/{len(work.urns)} workers completed "
-                f"within the {duration:.0f}s budget"))
-        else:
-            synced = run.sim.now - (0.0 if liveness else SYNC_MARGIN)
-            convergence.check_quiescent(
-                [u for u in completed if work.state["done_at"][u] <= synced])
+    if run.violations:
+        return completed
+    if liveness and len(completed) < len(work.urns):
+        run.fail("liveness", f"only {len(completed)}/{len(work.urns)} workers "
+                             f"completed within the {duration:.0f}s budget")
         run.sweep()
+        return completed
+    state, env = work.state, run.env
+    synced = run.sim.now - (0.0 if liveness else SYNC_MARGIN)
+    convergence.check_quiescent([u for u in completed if state["done_at"][u] <= synced])
+    if state["mismatch"]:
+        run.fail("exactly-once", f"{len(state['mismatch'])} result mismatches: "
+                                 f"{state['mismatch'][:4]}")
+    recoveries = [r for g in env.guardians.values() for r in g.recoveries]
+    bad = [(r["urn"], r["old_inc"], r["new_inc"]) for r in recoveries
+           if (r["new_inc"] or 0) <= (r["old_inc"] or 0)]
+    if bad:
+        run.fail("no-incarnation-regression",
+                 f"{len(bad)} of {len(recoveries)} recoveries did not raise the "
+                 f"incarnation (urn, old, new): {bad[:4]}")
+    if liveness:
+        steps = set(range(1, work.total + 1))
+        missing = {u: sorted(steps - state["progress"].get(u, set()))
+                   for u in completed if steps - state["progress"].get(u, set())}
+        coll = env.daemons["c0"].contexts[work.coll.urn]
+        held = sum(len(v) for v in coll._ooo.values())
+        received = coll.msgs_received + coll.msgs_deduped + coll.msgs_fenced
+        acked = sum(work.acked.values())
+        if missing or held or received < acked:
+            run.fail("no-silent-loss",
+                     f"{acked} acked sends vs {coll.msgs_received} delivered + "
+                     f"{coll.msgs_deduped} deduped + {coll.msgs_fenced} fenced; "
+                     f"{held} parked out-of-order; missing work: {missing or 'none'}")
+    run.sweep()
     return completed
 
 
@@ -184,26 +219,6 @@ def faults_chaos_plan(env: SnipeEnvironment, workers: List[str], fault_stop: flo
     return plan, events
 
 
-def _check_catalogs(env: SnipeEnvironment, urns: List[str]):
-    """Direct per-replica reads (no failover): do the replicas agree?"""
-    client = RpcClient(env.topology.hosts["gw"])
-    disagreements = []
-    for urn in urns:
-        states = {}
-        for replica, _port in env.rc_replicas:
-            try:
-                assertions = yield client.call(replica, RC_PORT, "rc.lookup", uri=urn)
-            except Exception:
-                states[replica] = "<unreachable>"
-                continue
-            info = assertions.get("state")
-            states[replica] = info["value"] if info else None
-        if len(set(states.values())) != 1 or set(states.values()) != {TaskState.EXITED}:
-            disagreements.append((urn, states))
-    client.close()
-    return disagreements
-
-
 @scenario_runner
 def run_chaos(
     seed: int,
@@ -224,17 +239,11 @@ def run_chaos(
     crashing — the zombie case: the Guardian (correctly, per its lease
     evidence) declares the worker dead and respawns it, and the fencing
     machinery must keep the surviving original from double-executing.
-    After quiescence the invariants self-healing must preserve:
-
-    * **completed-exactly-once** — every task reports exactly one
-      effective completion (duplicates are deduplicated and must agree);
-    * **no-incarnation-regression** — the incarnations a receiver
-      accepts per task never decrease, and every recovery raised it;
-    * **catalogs-converged** — every RC replica independently reports
-      the same terminal state for every task;
-    * **no-silent-loss** — every unit of work was reported, nothing is
-      parked in a reorder buffer, and every acked send was delivered,
-      deduplicated, or deliberately fenced at the receiver.
+    After quiescence :func:`judge_star` checks what self-healing must
+    preserve: every task completed, with one result each, and the catalog
+    replicas agree it is done; every recovery raised the incarnation (the
+    ``delivery`` oracle checks, message by message, that no receiver
+    accepted a regressed one); nothing was silently lost.
     """
     fault_stop = min(duration * 0.45, 45.0)
 
@@ -242,7 +251,6 @@ def run_chaos(
         env = run.env
         convergence, delivery = watch_star(run)
         work = CheckpointWorkload(env, workers, "chaos", total, ckpt_every, step)
-        acked, coll_state, urns = work.acked, work.state, work.urns
         given = run.plan is not None
         events = chaos_events(run, lambda: faults_chaos_plan(
             env, workers, fault_stop, churn, partitions))
@@ -260,54 +268,6 @@ def run_chaos(
         for g in env.guardians.values():
             unrecoverable.update(g.unrecoverable)
         coll_ctx = env.daemons["c0"].contexts[work.coll.urn]
-
-        invariants: List[Verdict] = []
-        # 1. Every task completed exactly once.
-        dups = sum(coll_state["dup_done"].values())
-        invariants.append((
-            "completed-exactly-once",
-            len(completed) == len(urns) and not coll_state["mismatch"],
-            f"{len(completed)}/{len(urns)} completed once; "
-            f"{dups} duplicate reports deduplicated; "
-            f"{len(coll_state['mismatch'])} result mismatches",
-        ))
-        # 2. Incarnations never regress.
-        regressed = [
-            u for u, incs in coll_state["incs"].items()
-            if any(b < a for a, b in zip(incs, incs[1:]))
-        ]
-        bad_recs = [r for r in recoveries if (r["new_inc"] or 0) <= (r["old_inc"] or 0)]
-        invariants.append((
-            "no-incarnation-regression",
-            not regressed and not bad_recs,
-            f"{len(recoveries)} recoveries, all raised incarnation; "
-            f"{len(regressed)} receivers saw a regression",
-        ))
-        # 3. Catalog replicas agree on terminal state.
-        disagreements = env.run(until=env.sim.process(_check_catalogs(env, urns)))
-        invariants.append((
-            "catalogs-converged",
-            not disagreements,
-            "all replicas report state=exited for every task"
-            if not disagreements else f"disagreeing records: {disagreements}",
-        ))
-        # 4. Nothing silently lost.
-        missing = {
-            u: sorted(set(range(1, total + 1)) - coll_state["progress"].get(u, set()))
-            for u in urns
-            if set(range(1, total + 1)) - coll_state["progress"].get(u, set())
-        }
-        held = sum(len(v) for v in coll_ctx._ooo.values())
-        recv_events = coll_ctx.msgs_received + coll_ctx.msgs_deduped + coll_ctx.msgs_fenced
-        acked_total = sum(acked.values())
-        invariants.append((
-            "no-silent-loss",
-            not missing and held == 0 and recv_events >= acked_total,
-            f"{acked_total} acked sends vs {coll_ctx.msgs_received} delivered + "
-            f"{coll_ctx.msgs_deduped} deduped + {coll_ctx.msgs_fenced} fenced; "
-            f"{held} parked out-of-order; missing work: {missing or 'none'}",
-        ))
-
         latencies = [r["recovered_at"] - r["detected_at"] for r in recoveries]
         return {
             "workers": n_workers,
@@ -318,7 +278,6 @@ def run_chaos(
             "recoveries": recoveries,
             "unrecoverable": unrecoverable,
             "msgs_fenced": coll_ctx.msgs_fenced,
-            "invariants": run.verdicts("invariant", invariants),
             "recovery_latency": {
                 "count": len(latencies),
                 "mean": sum(latencies) / len(latencies) if latencies else 0.0,
@@ -342,7 +301,6 @@ def run_overload(
     service_time: float = 0.1,
     congest_factor: float = 3.0,
     slow_factor: float = 4.0,
-    control_p99_bound: float = 0.5,
     **spine,
 ) -> Run:
     """One seeded overload run; returns a report dict (``report["ok"]``).
@@ -360,10 +318,14 @@ def run_overload(
       CPU-starved — overload *plus* degradation, the regime where fixed
       timeouts misfire.
 
-    No host ever crashes, so **any** Guardian death declaration is a
-    false positive. ``adaptive=False`` is the static baseline: fixed
+    No host ever crashes, so **any** host-lease death declaration is a
+    false positive: the ``no-false-death`` oracle judges every one. Lost
+    lease heartbeats and the control-plane p99 are columns, bounded by
+    experiment E12. ``adaptive=False`` is the static baseline: fixed
     timeouts, no circuit breakers, no priority lanes (the bounded queues
-    themselves stay — they are the environment, not the treatment).
+    themselves stay — they are the environment, not the treatment). It
+    is slow, not unsafe: it loses heartbeats and blows the p99 bound, and
+    passes its oracles.
     """
 
     def configure(sim):
@@ -381,6 +343,9 @@ def run_overload(
     def scenario(run: Run, workers: List[str]):
         env = run.env
         watch_star(run)
+        falsedeath = FalseDeathOracle(run.sim)  # no overload plan crashes a host
+        run.bus.subscribe(falsedeath.on_probe)
+        run.oracles.append(falsedeath)
         # Enough steps that every worker is still mid-run (lease live,
         # reports flowing) for the whole overload window.
         work = CheckpointWorkload(env, workers, "ovl", total=400, ckpt_every=8,
@@ -408,19 +373,6 @@ def run_overload(
         hb_ok = sum(d.heartbeats_ok for d in env.daemons.values())
         hb_failed = sum(d.heartbeats_failed for d in env.daemons.values())
         window = t_load1 - t_load0
-        criteria: List[Verdict] = [
-            ("no-false-deaths",
-             deaths == 0 and recoveries == 0,
-             f"{deaths} deaths declared, {recoveries} recoveries "
-             f"(every host stayed up: any death is false)"),
-            ("no-lost-heartbeats",
-             hb_failed == 0,
-             f"{hb_ok} lease heartbeats delivered, {hb_failed} failed"),
-            ("control-p99-bounded",
-             hist.n > 0 and control_p99 <= control_p99_bound,
-             f"control-plane p99 {control_p99 * 1000:.1f}ms over {hist.n} calls "
-             f"(bound {control_p99_bound * 1000:.0f}ms)"),
-        ]
         return {
             "saturation": saturation,
             "adaptive": adaptive,
@@ -442,7 +394,6 @@ def run_overload(
             "breaker_opens": int(sum(v for k, v in snap.items()
                                      if k.startswith("robust.breaker_opened"))),
             "worker_stats": dict(work.wstats),
-            "criteria": run.verdicts("criterion", criteria),
         }
 
     return run_spine(
@@ -495,18 +446,13 @@ def run_bulk_chaos(
     Builds the rack site, starts a relay-tree distribution of a
     ``object_kb`` object to every member host, and kills one rack's
     relay head (plus one leaf) while the object is in flight. The
-    durable chunk stores and swarm failover must absorb both:
-
-    * **all-hosts-complete** — every destination holds the full object
-      by the deadline, crashes notwithstanding;
-    * **digests-verified** — every completed host verified each chunk
-      digest and the whole-object hash against the signed chunk map;
-    * **exactly-once-per-chunk** — no host committed the same chunk
-      twice (modulo explicit corruption evictions, of which a clean run
-      has none);
-    * **failover-exercised** — the kills actually landed mid-transfer
-      (at least one destination's fetch was interrupted and resumed),
-      so the run proves recovery rather than a quiet fair-weather pass.
+    durable chunk stores and swarm failover must absorb both: every
+    destination holds the full object by the deadline, crashes
+    notwithstanding (``liveness``), and verified it against the signed
+    chunk map, committing each chunk once (``chunk-integrity``). The
+    ``killed`` and ``crashes`` columns show whether the kills landed
+    mid-transfer — fetches interrupted and resumed: the chaos plan's
+    progress-triggered kills always do, a sampled check plan need not.
 
     With *poison* one chunk is corrupted in the first relay's store the
     instant that relay commits it (synchronously, from the probe, before
@@ -515,20 +461,8 @@ def run_bulk_chaos(
     re-pulls from a clean one, and the chunk-integrity oracle flags any
     corrupt commit (the seeded ``no-chunk-verify`` bug).
     """
-    commits: Dict[Tuple[str, int], int] = {}
-    evicts: Dict[Tuple[str, int], int] = {}
-
-    def counter(kind: str, fields: Dict) -> None:
-        if kind == "bulk.chunk":
-            key = (fields["host"], fields["seq"])
-            commits[key] = commits.get(key, 0) + 1
-        elif kind == "bulk.evict":
-            key = (fields["host"], fields["seq"])
-            evicts[key] = evicts.get(key, 0) + 1
-
     def scenario(run: Run, root: str, dests: List[str]):
         env, sim = run.env, run.sim
-        run.bus.subscribe(counter)
         chunks = ChunkOracle(sim)
         run.bus.subscribe(chunks.on_probe)
         run.oracles = [chunks]
@@ -564,44 +498,17 @@ def run_bulk_chaos(
             "chunk_retries": 0}
         if not run.violations:
             if report["completed"] != len(dests):
-                run.violations.append(Violation(
-                    "liveness", sim.now,
-                    f"only {report['completed']}/{len(dests)} hosts completed "
-                    f"(failed: {report['failed']})"))
+                run.fail("liveness", f"only {report['completed']}/{len(dests)} "
+                                     f"hosts completed (failed: {report['failed']})")
             elif not report["all_verified"]:
-                run.violations.append(Violation(
-                    "chunk-integrity", sim.now,
-                    "a completed host's whole-object hash did not verify"))
+                run.fail("chunk-integrity",
+                         "a completed host's whole-object hash did not verify")
             run.sweep()
         killed: Dict[str, float] = {}
         for t, what, host in env.failures.log:
             if what == "host_down":
                 killed.setdefault(host, t)
         crashes = sum(r.get("crashes", 0) for r in report["per_dest"].values())
-        dups = sorted(
-            f"{host}#{seq}"
-            for (host, seq), n in commits.items()
-            if n > 1 + evicts.get((host, seq), 0)
-        )
-        invariants: List[Verdict] = [
-            ("all-hosts-complete",
-             report["completed"] == len(dests),
-             f"{report['completed']}/{len(dests)} hosts hold the object; "
-             f"failed: {report['failed'] or 'none'}"),
-            ("digests-verified",
-             report["all_verified"],
-             "every chunk digest and whole-object hash checked out"
-             if report["all_verified"] else "a completed host skipped verification"),
-            ("exactly-once-per-chunk",
-             not dups,
-             f"{sum(commits.values())} chunk commits across the site, no "
-             f"duplicates" if not dups else f"duplicate commits: {dups}"),
-            ("failover-exercised",
-             crashes >= 1 and len(killed) >= 2,
-             f"{len(killed)} hosts killed mid-object "
-             f"({', '.join(f'{h} at t={t:.2f}s' for h, t in sorted(killed.items()))}); "
-             f"{crashes} fetches interrupted and resumed"),
-        ]
         return {
             "racks": racks,
             "per_rack": per_rack,
@@ -613,11 +520,10 @@ def run_bulk_chaos(
             "hosts": len(dests),
             "elapsed": report["elapsed"],
             "aggregate_goodput": report["aggregate_goodput"],
-            "chunk_commits": sum(commits.values()),
+            "chunk_commits": chunks.committed,
             "chunk_retries": report["chunk_retries"],
             "crashes": crashes,
             "poisoned": sorted(f"{h}#{q}" for h, q in poisoned),
-            "invariants": run.verdicts("invariant", invariants),
         }
 
     return run_spine(
@@ -662,8 +568,14 @@ def run_gray(
 
     Meanwhile checkpointing chaos-workers run to completion and
     closed-loop catalog sessions (:func:`start_gray_sessions`) measure
-    goodput. ``differential=False`` is the heartbeat-only baseline of
-    experiment E15: health boards inert, Guardian trusts lapsed leases.
+    goodput. Every oracle watches, :func:`judge_star` judges the workload
+    at quiescence, and ``detection_s`` measures how soon the zombie was
+    quarantined (experiment E15 bounds it). ``differential=False`` is the
+    heartbeat-only baseline of E15: health boards inert, Guardian trusts
+    lapsed leases. Its false deaths and late or lost work are its
+    documented failures, so neither the false-death oracle nor
+    :func:`judge_star`'s completion and silent-loss checks judge it;
+    every other safety check still does.
     """
     gray_probes = {"corrupt_deliver": 0, "deaths": []}
 
@@ -721,19 +633,6 @@ def run_gray(
         snap = env.sim.obs.metrics.snapshot()
         rx_corrupt = int(sum(v for k, v in snap.items()
                              if k.startswith("transport.rx_corrupt")))
-        mismatch = work.state["mismatch"]
-
-        # False deaths and corrupt deliveries are their oracles' verdicts,
-        # completion is judge_star's.
-        criteria: List[Verdict] = [
-            ("zombie-quarantined",
-             (detection_s is not None) if differential else True,
-             (f"{zombie} quarantined {detection_s:.2f}s after slowdown "
-              f"by {len(detections)} host(s)") if detection_s is not None
-             else f"{zombie} never quarantined"
-                  + ("" if differential else " (baseline: detector off)")),
-            ("exactly-once", not mismatch, f"{len(mismatch)} result mismatches"),
-        ]
         return {
             "differential": differential,
             "workers": n_workers,
@@ -751,7 +650,6 @@ def run_gray(
             "ckpt_rejected": sum(g.ckpt_rejected for g in env.guardians.values()),
             "rx_corrupt_dropped": rx_corrupt,
             "corrupt_delivered": gray_probes["corrupt_deliver"],
-            "criteria": run.verdicts("criterion", criteria),
         }
 
     saved = HealthBoard.differential_enabled
@@ -802,7 +700,16 @@ def run_partition_heal(
       (memory gone, per-host disk dicts survive) and recovers
       *blackout_for* seconds later. With no surviving replica to copy
       from, the catalog — including tombstones for keys deleted before
-      the crash — must come back from the durable snapshot + journal.
+      the crash — must come back from the durable snapshot + journal
+      (``durable-restore``: every replica restored, none empty).
+
+    Either way, at quiescence the ``no-resurrection`` and
+    ``compaction-convergence`` oracles check that no deleted key came
+    back and that the replicas agree, and ``writes-survive`` that every
+    live key holds at least its last acked write on every replica. The
+    measurements — ``reconverge_s``, ``max_sync_batch``, the heal-window
+    ``control_p99`` and ``control_probe_failed``, the heartbeat columns —
+    are bounded by experiment E16.
 
     ``bounded=False`` is the experiment-E16 baseline: compaction off and
     the legacy single-blob ``rc.sync`` exchange, whose payload grows
@@ -910,9 +817,27 @@ def run_partition_heal(
         env.sim.process(monitor(), name="heal-monitor")
         yield duration
 
+        stale = []
+        for uri, (n_acked, _t) in load["acked"].items():
+            for name, store in stores.items():
+                view = visible_state(store, uri)
+                got = view.get("v")
+                n_got = int(got[3].split(":")[0]) if got else None
+                if n_got is None or n_got < n_acked:
+                    stale.append((uri, name, n_got, n_acked))
         if not run.violations:
             resurrection.check_quiescent()
             compaction.check_quiescent(prefix="snipe://heal/")
+            if stale:
+                run.fail("writes-survive",
+                         f"{len(stale)} (key, replica) pairs behind their last "
+                         f"acked write; stale/missing: {stale[:4]}")
+            restores = {name: srv.restores for name, srv in env.rc_servers.items()}
+            records = [s.record_count() for s in stores.values()]
+            if blackout and not (all(r >= 1 for r in restores.values())
+                                 and all(records)):
+                run.fail("durable-restore", f"restores per replica {restores}, "
+                                            f"records {records}")
             run.sweep()
         export = env.sim.obs.metrics.export()
         snap = env.sim.obs.metrics.snapshot()
@@ -927,72 +852,6 @@ def run_partition_heal(
         replica_stats = {name: srv.stats() for name, srv in env.rc_servers.items()}
         reconverge_s = (measures["reconverged_at"] - monitor_from
                         if measures["reconverged_at"] is not None else None)
-
-        resurrected = []
-        for uri in load["retired"]:
-            for name, store in stores.items():
-                if visible_state(store, uri):
-                    resurrected.append((uri, name))
-        stale = []
-        for uri, (n_acked, _t) in load["acked"].items():
-            for name, store in stores.items():
-                view = visible_state(store, uri)
-                got = view.get("v")
-                n_got = int(got[3].split(":")[0]) if got else None
-                if n_got is None or n_got < n_acked:
-                    stale.append((uri, name, n_got, n_acked))
-
-        criteria: List[Verdict] = [
-            ("replicas-reconverged",
-             reconverge_s is not None,
-             (f"all {len(load['keys'])} tracked keys agree on every replica "
-              f"{reconverge_s:.2f}s after heal "
-              f"({measures['diverged_at_heal']} keys diverged at heal)")
-             if reconverge_s is not None
-             else f"still diverged at t={env.sim.now:.0f}s "
-                  f"({_agreement()} keys disagree)"),
-            ("no-resurrection",
-             not resurrected,
-             f"{len(load['retired'])} keys deleted"
-             + (f"; resurrected: {sorted(set(resurrected))[:4]}" if resurrected
-                else ", none came back")),
-            ("writes-survive",
-             not stale,
-             f"{len(load['acked'])} live keys at or past their last acked write"
-             + (f"; stale/missing: {stale[:4]}" if stale else "")),
-        ]
-        if bounded:
-            criteria.append((
-                "payload-bounded",
-                max_batch <= max_sync_records,
-                f"largest sync payload {max_batch:.0f} records "
-                f"(bound {max_sync_records})",
-            ))
-            criteria.append((
-                "control-responsive-during-heal",
-                control_p99 is not None and control_p99 <= 0.5
-                and probe["failed"] == 0,
-                f"heal-window control p99 "
-                + (f"{control_p99 * 1000:.0f}ms" if control_p99 is not None
-                   else "n/a")
-                + f", {probe['failed']} probe failures",
-            ))
-            if not blackout:
-                criteria.append((
-                    "zero-lost-heartbeats",
-                    hb_failed == 0 and hb_failovers == 0,
-                    f"{hb_failed} lease heartbeats failed, "
-                    f"{hb_failovers} had to fail over",
-                ))
-        if blackout:
-            restores = {name: srv.restores for name, srv in env.rc_servers.items()}
-            criteria.append((
-                "durable-restore",
-                all(r >= 1 for r in restores.values())
-                and all(s.record_count() > 0 for s in stores.values()),
-                f"restores per replica {restores}, "
-                f"records {[s.record_count() for s in stores.values()]}",
-            ))
 
         return {
             "mode": "blackout" if blackout else "partition",
@@ -1017,7 +876,6 @@ def run_partition_heal(
             "deletes_ok": load["deletes_ok"],
             "deletes_failed": load["deletes_failed"],
             "retired": len(load["retired"]),
-            "resurrected": sorted(set(resurrected)),
             "stale_keys": stale,
             "sync_failures": sync_failures,
             "snapshot_catchups": sum(s["snapshot_catchups"]
@@ -1025,7 +883,6 @@ def run_partition_heal(
             "replica_stats": replica_stats,
             "lookup_ops_ok": sessions["ops_ok"],
             "lookup_ops_failed": sessions["ops_failed"],
-            "criteria": run.verdicts("criterion", criteria),
         }
 
     return run_spine(
@@ -1071,14 +928,12 @@ def run_shard_chaos(
     is partitioned away and heals. At quiescence the federation must
     show:
 
-    * **splits-exercised** — the load actually forced at least one
-      split, so the faults raced a migration rather than a quiet map;
-    * **groups-converged** — within every shard replica group, the
-      replicas agree on the visible state of every tracked name
-      (per-shard LWW convergence);
-    * **placement-clean** — every live tracked name is visible *only*
-      in the group that owns it under the final map: in particular no
-      name is visible in both a split parent and its child;
+    * the load actually forced at least one split, so the faults raced
+      a migration rather than a quiet map (``liveness``);
+    * every shard replica group agrees internally, and every live name
+      is visible only in the group that owns it under the final map —
+      in particular never in both a split parent and its child
+      (``shard-ownership``'s quiescent check);
     * **writes-survive** — each live key's converged value is at least
       its last acknowledged write, and no retired key resurrected;
     * **queries-complete** — a scatter-gather prefix query through the
@@ -1104,37 +959,10 @@ def run_shard_chaos(
         run.arm()
         yield duration
 
-        # -- quiescent checks -----------------------------------------------
         mgr = env.shard_manager
-        if not run.violations:
-            if mgr.splits < 1:
-                run.violations.append(Violation(
-                    "liveness", run.sim.now,
-                    f"the load never forced a split (threshold "
-                    f"{split_threshold}, {load['writes_ok']} writes acked) — "
-                    f"the scenario exercised no migration"))
-            shard.check_quiescent(mgr)
-            run.sweep()
         final_map = mgr.map
-        groups = {sid: grp for sid, grp in mgr.servers.items()}
+        groups = dict(mgr.servers)
         tracked_set = set(load["keys"])
-
-        diverged: List[Tuple[str, str]] = []
-        misplaced: List[Tuple[str, str]] = []
-        dual: List[str] = []
-        for uri in sorted(tracked_set):
-            owner_sid = final_map.route(uri)
-            visible_in: List[str] = []
-            for sid, grp in groups.items():
-                views = [visible_state(s.store, uri) for s in grp.values()]
-                if any(v != views[0] for v in views[1:]):
-                    diverged.append((uri, sid))
-                if any(views):
-                    visible_in.append(sid)
-                    if sid != owner_sid:
-                        misplaced.append((uri, sid))
-            if len(visible_in) > 1:
-                dual.append(uri)
 
         # LWW-honest survival checks: an entry stamped at/after the last ack
         # (or the delete) is a *later* write that legitimately won — e.g. an
@@ -1152,7 +980,6 @@ def run_shard_chaos(
             elif got[3] < n_acked and got[0] < t_acked - _EPS:
                 stale.append((uri, final_map.route(uri), got[3], n_acked))
         resurrected = []
-        zombie_revived = 0
         for uri, t_deleted in load["retired"].items():
             for sid, grp in groups.items():
                 views = [v for v in (visible_state(s.store, uri)
@@ -1160,10 +987,19 @@ def run_shard_chaos(
                 if not views:
                     continue
                 got = views[0].get("v")
-                if got is not None and got[0] >= t_deleted - _EPS:
-                    zombie_revived += 1  # newer stamp: a legitimate LWW winner
-                else:
+                if got is None or got[0] < t_deleted - _EPS:
                     resurrected.append((uri, sid))
+        judged = not run.violations
+        if judged:
+            if mgr.splits < 1:
+                run.fail("liveness", f"the load never forced a split (threshold "
+                                     f"{split_threshold}, {load['writes_ok']} writes "
+                                     f"acked) — the scenario exercised no migration")
+            shard.check_quiescent(mgr)
+            if stale or resurrected:
+                run.fail("writes-survive", f"stale: {stale[:4]}; "
+                                           f"resurrected: {resurrected[:4]}")
+            run.sweep()
 
         # Ground truth for the federation query: what the owning groups
         # actually hold live at quiescence (acked state modulo zombies).
@@ -1176,42 +1012,11 @@ def run_shard_chaos(
                    if u in tracked_set]
         query_missing = sorted(set(truth) - set(queried))
         query_extra = sorted(set(queried) - set(truth))
-
+        if judged and (query_missing or query_extra):
+            run.fail("queries-complete", f"missing: {query_missing[:4]}; "
+                                         f"extra: {query_extra[:4]}")
         redirects = sum(s.redirects for g in groups.values() for s in g.values())
         handoffs = sum(s.handoffs for g in groups.values() for s in g.values())
-        moved_markers = sum(
-            1 for g in groups.values() for s in g.values()
-            for bucket in s.store.data.values()
-            for e in bucket.values() if e.deleted and e.value == MOVED)
-
-        invariants: List[Verdict] = [
-            ("splits-exercised",
-             mgr.splits >= 1,
-             f"{mgr.splits} splits, map at epoch {final_map.epoch} with "
-             f"{len(final_map.shards)} shards; {handoffs} records handed off"),
-            ("groups-converged",
-             not diverged,
-             "every shard replica group agrees on every tracked name"
-             if not diverged else f"diverged (uri, shard): {diverged[:4]}"),
-            ("placement-clean",
-             not misplaced and not dual,
-             f"every live name only in its owning group "
-             f"({moved_markers} migration tombstones left behind)"
-             if not (misplaced or dual)
-             else f"misplaced: {misplaced[:4]}; parent+child visible: {dual[:4]}"),
-            ("writes-survive",
-             not stale and not resurrected,
-             f"{len(load['acked'])} live keys at/past last acked write, "
-             f"{len(load['retired'])} retired keys stayed deleted "
-             f"({zombie_revived} revived by later-stamped in-flight writes)"
-             if not (stale or resurrected)
-             else f"stale: {stale[:4]}; resurrected: {resurrected[:4]}"),
-            ("queries-complete",
-             not query_missing and not query_extra,
-             f"facade query returned all {len(truth)} live keys"
-             if not (query_missing or query_extra)
-             else f"missing: {query_missing[:4]}; extra: {query_extra[:4]}"),
-        ]
         return {
             "workers": n_workers,
             "n_keys": n_keys,
@@ -1229,7 +1034,6 @@ def run_shard_chaos(
             "writes_failed": load["writes_failed"],
             "deletes_ok": load["deletes_ok"],
             "retired": len(load["retired"]),
-            "invariants": run.verdicts("invariant", invariants),
         }
 
     return run_spine(

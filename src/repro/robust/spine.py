@@ -36,9 +36,6 @@ CHUNK = 0.5
 #: Virtual seconds between ``run.done`` checks of an unsupervised run.
 STEP = 5.0
 
-#: One quiescent verdict: ``(name, ok, detail)``.
-Verdict = Tuple[str, bool, str]
-
 
 @dataclass
 class Violation:
@@ -147,8 +144,6 @@ class Run:
         #: plan when the caller gave none.
         self.plan: Optional[List[FaultEvent]] = None
         self.oracles: List = []
-        #: True under the model checker's supervised loop.
-        self.checking = False
         #: Optional "the workload is done" predicate a body may set: the
         #: run then stops at the first step boundary where it holds.
         self.done: Optional[Callable[[], bool]] = None
@@ -226,22 +221,14 @@ class Run:
         try:
             step()
         except Exception as exc:  # strict mode: a component process died
-            self.violations.append(Violation(
-                "process-crash", self.sim.now, f"{type(exc).__name__}: {exc}"))
+            self.fail("process-crash", f"{type(exc).__name__}: {exc}")
             return False
         return True
 
-    def verdicts(self, kind: str, verdicts: List[Verdict]) -> List[Verdict]:
-        """In a chaos run, file every failed quiescent verdict as a
-        ``<kind>:<name>`` violation (which fails the run and lands on the
-        flight tape); returns *verdicts* for the report. A check run is
-        judged by its oracles alone: under an arbitrary plan a measured
-        criterion is a number, not a safety property."""
-        for name, ok, detail in verdicts:
-            if not ok and not self.checking:
-                self.violations.append(
-                    Violation(f"{kind}:{name}", self.sim.now, detail))
-        return verdicts
+    def fail(self, check: str, detail: str) -> None:
+        """File a violation of *check* now: a process crash, or a check
+        a body makes itself — judged alike in chaos and check runs."""
+        self.violations.append(Violation(check, self.sim.now, detail))
 
 
 def run_spine(
@@ -289,9 +276,9 @@ def run_spine(
     the profiler and the SLO monitor attach through it.
 
     The run fails iff ``run.violations`` is non-empty at the end —
-    oracle findings, crashes and failed quiescent verdicts
-    (:meth:`Run.verdicts`) alike — and only a failed run ships its
-    flight tape.
+    oracle findings, crashes and a body's own quiescent checks
+    (:meth:`Run.fail`) alike, judged the same in both forms — and only
+    a failed run ships its flight tape.
     """
     env, *site = build()
     sim = env.sim
@@ -306,7 +293,6 @@ def run_spine(
     recorder = FlightRecorder(sim).attach(bus) if flight else None
     run = Run(env, bus)
     run.plan = plan(site[-1]) if callable(plan) else plan
-    run.checking = supervise is not None
     if scheduler is not None:
         sim.set_scheduler(scheduler)
     body = scenario(run, *site)

@@ -107,8 +107,8 @@ class CheckpointWorkload:
                  program: str = "chaos-worker") -> None:
         self.total = total
         self.acked: Dict[str, int] = {}
-        self.state: Dict = {"done": {}, "done_at": {}, "dup_done": {},
-                            "progress": {}, "incs": {}, "mismatch": []}
+        self.state: Dict = {"done": {}, "done_at": {}, "progress": {},
+                            "mismatch": []}
         self.wstats = {"steps": 0, "send_failures": 0, "ckpt_failures": 0}
         self._install(env)
         env.settle(2.0)
@@ -210,15 +210,12 @@ class CheckpointWorkload:
                 msg = yield ctx.recv()
                 p = msg.payload
                 urn = p["urn"]
-                coll_state["incs"].setdefault(urn, []).append(msg.src_inc)
                 if msg.tag == "done":
-                    if urn in coll_state["done"]:
-                        coll_state["dup_done"][urn] = coll_state["dup_done"].get(urn, 0) + 1
-                        if coll_state["done"][urn] != p["result"]:
-                            coll_state["mismatch"].append(urn)
-                    else:
+                    if urn not in coll_state["done"]:
                         coll_state["done"][urn] = p["result"]
                         coll_state["done_at"][urn] = ctx.sim.now
+                    elif coll_state["done"][urn] != p["result"]:
+                        coll_state["mismatch"].append(urn)
                 else:
                     coll_state["progress"].setdefault(urn, set()).add(p["i"])
 

@@ -188,6 +188,28 @@ def test_e15_check_rejects_a_second_owner_in_either_config(config):
         BY_ID["E15"].check(rows)
 
 
+@pytest.mark.parametrize("config, column, value", [
+    ("adaptive", "control_p99_ms", 500.1), ("static", "ok", False)])
+def test_e12_check_rejects_a_breached_bound_or_an_unsafe_baseline(config, column, value):
+    """E12 owns the control-plane bound; the static baseline is slow,
+    not unsafe."""
+    rows = json.loads((RESULTS / "quick" / "E12.json").read_text())["rows"]
+    next(r for r in rows["overload"] if r["config"] == config)[column] = value
+    with pytest.raises(AssertionError):
+        BY_ID["E12"].check(rows)
+
+
+@pytest.mark.parametrize("config, column, value", [
+    ("bounded", "control_p99_ms", 500.1), ("blackout", "probe_failed", 1),
+    ("bounded", "hb_failed", 1), ("unbounded", "reconverge_s", None)])
+def test_e16_check_rejects_a_breached_heal_bound(config, column, value):
+    """The heal bounds a run measures are E16's to assert, row by row."""
+    rows = json.loads((RESULTS / "quick" / "E16.json").read_text())["rows"]
+    next(r for r in rows["runs"] if r["config"] == config)[column] = value
+    with pytest.raises(AssertionError):
+        BY_ID["E16"].check(rows)
+
+
 def test_summaries_report_a_mean_of_nothing_as_none():
     e15 = json.loads((RESULTS / "quick" / "E15.json").read_text())["rows"]["runs"]
     for r in e15:

@@ -1,9 +1,14 @@
-"""The seeded chaos suite: every invariant must hold for every seed."""
+"""The seeded chaos suite: every check must hold for every seed, and
+the star workload's quiescent checks must each catch what they judge."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.robust.chaos import DEFAULT_SEEDS, run_chaos
+from repro.robust.chaos import DEFAULT_SEEDS, judge_star, run_chaos
 from repro.robust.cli import render
+from repro.robust.spine import ProbeBus, Run
+from repro.sim.kernel import Simulator
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
@@ -14,6 +19,13 @@ def test_chaos_invariants_hold(seed):
     assert report["recoveries"], "fault schedule produced no recoveries"
     for rec in report["recoveries"]:
         assert rec["new_inc"] > (rec["old_inc"] or 0)
+        # Recovery latency (detection -> respawned) is bounded by the
+        # spawn/fetch slack; detection itself is bounded by lease + scan
+        # + grace, so MTTR from crash is bounded, which E11 measures.
+        # Budget: quorum confirm + fence write + checkpoint fetch (with
+        # retries) + RM placement + up to 5 s polling for the
+        # successor's registration — comfortably under 8 s mid-churn.
+        assert rec["recovered_at"] - rec["detected_at"] < 8.0
     assert not report["unrecoverable"]
 
 
@@ -35,15 +47,49 @@ def test_chaos_is_seed_deterministic():
     assert run_chaos(3)["events"] != a["events"]
 
 
-def test_chaos_mttr_bounded_by_detection_window():
-    """Recovery latency (detection -> respawned) must be bounded by the
-    spawn/fetch slack; detection itself is bounded by lease + scan +
-    grace. Together: MTTR from crash is bounded, which E11 measures.
+def _star(recoveries=(), mismatch=(), progress=(1, 2), held=0):
+    """A finished star run in doctored state: one task of two steps that
+    completed, its collector having admitted every acked send."""
+    collector = SimpleNamespace(_ooo={"w": list(range(held))}, msgs_received=3,
+                                msgs_deduped=0, msgs_fenced=0)
+    env = SimpleNamespace(
+        sim=Simulator(),
+        guardians={"g0": SimpleNamespace(recoveries=list(recoveries))},
+        daemons={"c0": SimpleNamespace(contexts={"urn:coll": collector})})
+    state = {"done": {"urn:w": 2}, "done_at": {"urn:w": 0.0},
+             "progress": {"urn:w": set(progress)}, "mismatch": list(mismatch)}
+    work = SimpleNamespace(urns=["urn:w"], total=2, state=state,
+                           acked={"urn:w": 3}, coll=SimpleNamespace(urn="urn:coll"),
+                           completed=lambda: ["urn:w"])
+    convergence = SimpleNamespace(check_quiescent=lambda urns: None)
+    return Run(env, ProbeBus()), work, convergence
 
-    Budget: quorum confirm + fence write + checkpoint fetch (with
-    retries) + RM placement + up to 5 s polling for the successor's
-    registration — comfortably under 8 s even mid-churn."""
-    report = run_chaos(1)
-    assert report["ok"], render("faults", report)
-    for rec in report["recoveries"]:
-        assert rec["recovered_at"] - rec["detected_at"] < 8.0
+
+def _judged(liveness=True, **doctored):
+    run, work, convergence = _star(**doctored)
+    judge_star(run, work, convergence, duration=10.0, liveness=liveness)
+    return [v.oracle for v in run.violations]
+
+
+def test_judge_star_passes_a_clean_star_run():
+    assert _judged() == []
+
+
+def test_judge_star_flags_a_collector_result_mismatch():
+    assert _judged(mismatch=[("urn:w", 2, 3)]) == ["exactly-once"]
+
+
+def test_judge_star_flags_missing_work():
+    assert _judged(progress=(1,)) == ["no-silent-loss"]
+
+
+def test_judge_star_flags_a_recovery_that_did_not_raise_the_incarnation():
+    stuck = {"urn": "urn:w", "old_inc": 4, "new_inc": 4}
+    assert _judged(recoveries=[stuck]) == ["no-incarnation-regression"]
+
+
+def test_judge_star_leaves_a_baselines_lost_work_unjudged():
+    """A parked message is silent loss once every task finished; for a
+    baseline, lost work — like late work — is its documented failure."""
+    assert _judged(held=1) == ["no-silent-loss"]
+    assert _judged(held=1, progress=(1,), liveness=False) == []

@@ -1,9 +1,10 @@
 """End-to-end gray-failure scenario (E15's engine).
 
-One full seeded run each way: the differential detector must pass all
-gray criteria; the heartbeat-only baseline must visibly exhibit the
-gray failure modes (never detecting the zombie, falsely killing hosts
-whose only crime is a delayed heartbeat). Both are multi-fault 40 s
+One full seeded run each way: the differential detector must pass
+every gray check and detect the zombie within E15's bound; the
+heartbeat-only baseline must visibly exhibit the gray failure modes
+(never detecting the zombie, falsely killing hosts whose only crime is
+a delayed heartbeat). Both are multi-fault 40 s
 simulations, hence the slow marker — CI runs them in the chaos job's
 sweep, not tier-1.
 """
@@ -17,7 +18,7 @@ pytestmark = pytest.mark.slow
 
 def test_gray_differential_seed1_passes_all_criteria():
     report = run_gray(1, flight=False)
-    assert report["ok"], [n for n, ok, _ in report["criteria"] if not ok]
+    assert report["ok"], report["violations"]
     assert report["false_lease_deaths"] == 0
     assert report["corrupt_delivered"] == 0
     assert report["rx_corrupt_dropped"] > 0      # the corruptor did fire

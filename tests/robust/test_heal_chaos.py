@@ -1,7 +1,8 @@
 """End-to-end partition-heal scenario (E16's engine).
 
 Three full seeded runs: bounded anti-entropy healing a long partition
-must pass every heal criterion with real compaction/catch-up activity;
+must pass every heal check, and meet E16's bounds on what it measures,
+with real compaction/catch-up activity;
 the unbounded baseline must actually exhibit the heal storm (one huge
 sync blob, degraded control-lane latency or lost heartbeats during the
 heal window); and a blackout of all three replicas must come back from
@@ -19,10 +20,10 @@ pytestmark = pytest.mark.slow
 
 def test_heal_bounded_seed1_passes_all_criteria():
     report = run_partition_heal(1, flight=False)
-    assert report["ok"], [n for n, ok, _ in report["criteria"] if not ok]
+    assert report["ok"], report["violations"]  # no-resurrection included
     assert report["reconverge_s"] is not None
     assert report["max_sync_batch"] <= report["bound"]
-    assert report["resurrected"] == []
+    assert report["control_p99"] <= 0.5 and report["control_probe_failed"] == 0
     assert report["heartbeats_failed"] == 0
     assert report["heartbeat_failovers"] == 0
     # The partition outlived the compaction horizon, so the heal really
@@ -46,8 +47,7 @@ def test_heal_unbounded_baseline_exhibits_the_storm():
 
 def test_heal_blackout_restores_from_durable_snapshots():
     report = run_partition_heal(1, blackout=True, flight=False)
-    assert report["ok"], [n for n, ok, _ in report["criteria"] if not ok]
+    assert report["ok"], report["violations"]  # no-resurrection included
     stats = report["replica_stats"]
     assert all(s["restores"] == 1 for s in stats.values())
-    assert report["resurrected"] == []
     assert report["reconverge_s"] is not None

@@ -52,16 +52,19 @@ def test_guardian_does_not_declare_overloaded_host_dead():
     )
 
 
-def test_overload_scenario_adaptive_keeps_control_plane_clean():
+@pytest.mark.parametrize("seed", [pytest.param(1, marks=pytest.mark.slow), 2,
+                                  pytest.param(3, marks=pytest.mark.slow)])
+def test_overload_scenario_adaptive_keeps_control_plane_clean(seed):
     """E12 smoke at 5x saturation: zero false deaths, zero lost
-    heartbeats, bounded control p99."""
-    report = run_overload(seed=2, saturation=5.0, adaptive=True)
+    heartbeats, bounded control p99 — on each seed CI's chaos sweep
+    runs (seeds 1 and 3 under ``-m slow``)."""
+    report = run_overload(seed=seed, saturation=5.0, adaptive=True)
     assert report["deaths_declared"] == 0
     assert report["recoveries"] == 0
     assert report["heartbeats_failed"] == 0
     assert report["control_calls"] > 0
     assert report["control_p99_s"] <= 0.5
-    assert report["ok"], report["criteria"]
+    assert report["ok"], report["violations"]
     # Overload control was actually exercised, not idled through: the
     # site saw several times its capacity and shed bulk load somewhere
     # (client fast-fail via breakers, server shed, or backpressure).
@@ -78,8 +81,12 @@ def test_overload_scenario_is_seed_deterministic():
 
 
 def test_overload_static_baseline_shows_the_failure_mode():
-    """Fixed timeouts at 5x saturation lose heartbeats — the regression
-    guard that keeps the E12 comparison meaningful."""
+    """Fixed timeouts at 5x saturation lose heartbeats and blow the
+    control-plane p99 bound — the regression guard that keeps the E12
+    comparison meaningful. The baseline is slow, not unsafe: no host is
+    declared dead, so every oracle passes."""
     report = run_overload(seed=1, saturation=5.0, adaptive=False)
     assert report["heartbeats_failed"] > 0
-    assert not report["ok"]
+    assert report["control_p99_s"] > 0.5
+    assert report["deaths_declared"] == 0
+    assert report["ok"], report["violations"]
