@@ -47,6 +47,20 @@ def test_chaos_is_seed_deterministic():
     assert run_chaos(3)["events"] != a["events"]
 
 
+def test_chaos_mttr_bounded_by_detection_window():
+    """Recovery latency (detection -> respawned) must be bounded by the
+    spawn/fetch slack; detection itself is bounded by lease + scan +
+    grace. Together: MTTR from crash is bounded, which E11 measures.
+
+    Budget: quorum confirm + fence write + checkpoint fetch (with
+    retries) + RM placement + up to 5 s polling for the successor's
+    registration — comfortably under 8 s even mid-churn."""
+    report = run_chaos(1)
+    assert report["ok"], render("faults", report)
+    for rec in report["recoveries"]:
+        assert rec["recovered_at"] - rec["detected_at"] < 8.0
+
+
 def _star(recoveries=(), mismatch=(), progress=(1, 2), held=0):
     """A finished star run in doctored state: one task of two steps that
     completed, its collector having admitted every acked send."""
