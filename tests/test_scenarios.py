@@ -131,3 +131,18 @@ def test_run_hands_back_the_sim_next_to_the_report():
     assert isinstance(run, Run) and run.report["ok"]
     assert run.sim.now == run.report["finished_at"]
     assert run.sim.obs.metrics.export()["counters"]
+
+
+def test_heal_report_names_the_bound_its_replicas_ran_with():
+    """Under the heal check profile, ``bounded=False`` lifts the batch
+    bound the profile's ``rc_server_kw`` sets, and a bounded run's
+    ``bound`` is the profile's, not the chaos run's."""
+    profile = {**SCENARIOS["heal"].check, "duration": 20.0}
+    runner = SCENARIOS["heal"].runner
+    unbounded = runner.run(1, bounded=False, flight=False, **profile)
+    servers = unbounded.env.rc_servers.values()
+    assert [s.max_sync_records for s in servers] == [None] * len(servers)
+    assert unbounded.report["bound"] is None
+    bounded = runner.run(1, flight=False, **profile)
+    assert bounded.report["bound"] == 32
+    assert {s.max_sync_records for s in bounded.env.rc_servers.values()} == {32}
