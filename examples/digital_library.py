@@ -68,7 +68,7 @@ def build_site() -> SnipeEnvironment:
         env.boot_daemon(name)
     # A file server (with replication) at every site.
     for s in range(3):
-        env.add_file_server(f"s{s}h1", redundancy=2)
+        env.add_file_server(f"s{s}h1")
     env.settle(2.0)
     return env
 

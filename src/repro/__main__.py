@@ -70,8 +70,8 @@ _SUBCOMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def main() -> int:
+    argv = sys.argv[1:]
     commands = {"examples": _cmd_examples, "info": _cmd_info}
     if argv and argv[0] in _SUBCOMMANDS:
         import importlib

@@ -75,16 +75,15 @@ def _uri(i: int, n_shards: int) -> str:
             f"/d{(i // n_shards) // DIR_WIDTH:05d}/n{i:09d}")
 
 
-def _site(seed: int, n_client_hosts: int,
-          n_placement: int = 12) -> Tuple[SnipeEnvironment, List[str], List[str]]:
-    """One LAN: 3 root hosts, the shard placement pool, client hosts.
+def _site(seed: int, n_client_hosts: int) -> Tuple[SnipeEnvironment, List[str], List[str]]:
+    """One LAN: 3 root hosts, the 12-host shard placement pool, client hosts.
     Both configs build the identical site; full replication just leaves
     the placement pool idle (that asymmetry *is* the experiment)."""
     env = SnipeEnvironment(seed=seed)
     env.add_segment("lan")
     for name in ("r0", "r1", "r2"):
         env.add_host(name, segments=["lan"])
-    placement = [f"n{i}" for i in range(n_placement)]
+    placement = [f"n{i}" for i in range(12)]
     for name in placement:
         env.add_host(name, segments=["lan"])
     clients = [f"cl{i}" for i in range(n_client_hosts)]

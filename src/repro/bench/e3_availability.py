@@ -30,7 +30,6 @@ def availability_vs_replicas(
     horizon: float = 2_000.0,
     mtbf: float = 150.0,
     mttr: float = 30.0,
-    lookup_interval: float = 1.0,
     seed: int = 0,
 ) -> Tables:
     """Table ``availability``, rows {replicas, lookups, failures, availability, host_uptime}."""
@@ -58,7 +57,7 @@ def availability_vs_replicas(
         def workload():
             yield client.update("urn:snipe:proc:probe", {"state": "running"})
             while sim.now < horizon:
-                yield sim.timeout(lookup_interval)
+                yield sim.timeout(1.0)  # one lookup per second
                 try:
                     yield client.lookup("urn:snipe:proc:probe")
                     stats["ok"] += 1

@@ -25,7 +25,6 @@ from repro.daemon.tasks import TaskSpec
 def migration_loss(
     hop_counts: Sequence[int] = (0, 1, 2, 3),
     n_msgs: int = 60,
-    send_interval: float = 0.05,
     horizon: float = 600.0,
     seed: int = 0,
 ) -> Tables:
@@ -78,7 +77,7 @@ def migration_loss(
         env.spawn(
             TaskSpec(
                 program="streamer",
-                params={"dst": info.urn, "total": n_msgs, "interval": send_interval},
+                params={"dst": info.urn, "total": n_msgs, "interval": 0.05},
             ),
             on=f"h{max(1, hops + 1)}",
         )

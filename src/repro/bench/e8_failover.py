@@ -22,10 +22,12 @@ from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
 from repro.transport.srudp import SrudpEndpoint
 
+#: Bytes per message of the bulk stream the cut interrupts.
+MSG_SIZE = 200_000
+
 
 def failover_timeline(
     total_bytes: int = 10_000_000,
-    msg_size: int = 200_000,
     cut_at: float = 0.15,
     window: float = 0.05,
     seed: int = 0,
@@ -57,13 +59,13 @@ def failover_timeline(
                 arrivals.append((sim.now, msg.size))
 
         sim.process(receiver(), name="rx")
-        n_msgs = total_bytes // msg_size
+        n_msgs = total_bytes // MSG_SIZE
         state = {"done": 0, "failed": False}
 
         def sender():
             for _ in range(n_msgs):
                 try:
-                    yield tx.send("b", 5000, None, msg_size)
+                    yield tx.send("b", 5000, None, MSG_SIZE)
                     state["done"] += 1
                 except Exception:
                     state["failed"] = True

@@ -100,11 +100,11 @@ def _measure_multicast(size: int, n_receivers: int, seed: int) -> float:
 def fig1_bandwidth(
     sizes: Optional[Sequence[int]] = None,
     media: Sequence[Medium] = (ETHERNET_100, ATM_155),
-    n_mcast_receivers: int = 4,
     seed: int = 0,
 ) -> Tables:
     """Regenerate every Fig. 1 series; table ``bandwidth``, rows
-    {series, medium, protocol, size, mbps}."""
+    {series, medium, protocol, size, mbps}; the multicast series sends
+    to a four-member group."""
     sizes = list(sizes or DEFAULT_SIZES)
     rows: List[Dict] = []
     for medium in media:
@@ -121,7 +121,7 @@ def fig1_bandwidth(
                     }
                 )
     for size in sizes:
-        bps = _measure_multicast(size, n_mcast_receivers, seed)
+        bps = _measure_multicast(size, 4, seed)
         rows.append(
             {
                 "series": f"mcast/{ETHERNET_100.name}",

@@ -766,7 +766,7 @@ def write_result(exp: Experiment, profile: str, tables: Tables, out: str) -> str
         })
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro experiments",
         description="run experiments from the manifest, check their "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.net.media import ETHERNET_100, MYRINET, WAN_T3, Medium
+from repro.net.media import ETHERNET_100, MYRINET, WAN_T3
 from repro.net.topology import Topology
 from repro.pvm.pvmd import Pvmd
 from repro.rcds.server import RCServer
@@ -15,20 +15,19 @@ def wan_site(
     n_lans: int = 2,
     hosts_per_lan: int = 4,
     seed: int = 0,
-    lan_medium: Medium = ETHERNET_100,
-    wan_medium: Medium = WAN_T3,
 ):
-    """Several LANs joined by a WAN backbone through gateway hosts.
+    """Several 100 Mbit/s Ethernet LANs joined by a T3 WAN backbone
+    through gateway hosts.
 
     Returns (sim, topo, lans) where lans is a list of host lists; each
     LAN's host 0 is its gateway (also on the WAN segment).
     """
     sim = Simulator(seed=seed)
     topo = Topology(sim)
-    wan = topo.add_segment("wan", wan_medium)
+    wan = topo.add_segment("wan", WAN_T3)
     lans: List[List] = []
     for l in range(n_lans):
-        seg = topo.add_segment(f"lan{l}", lan_medium)
+        seg = topo.add_segment(f"lan{l}", ETHERNET_100)
         hosts = []
         for i in range(hosts_per_lan):
             host = topo.add_host(f"l{l}h{i}", forwarding=(i == 0))

@@ -51,6 +51,9 @@ HINT_WEIGHT = 16.0
 NEAR_WEIGHT = 4.0
 FAR_WEIGHT = 1.0
 
+#: Chunk workers per transfer, each pulling from its own chosen source.
+PARALLEL = 4
+
 #: How often the background refresher re-reads RC for new sources, and
 #: how long a worker naps when no healthy source is available.
 REFRESH_INTERVAL = 0.5
@@ -85,17 +88,14 @@ class BulkFetcher:
         rc: RCClient,
         service: "BulkService",
         secret: Optional[bytes] = None,
-        parallel: int = 4,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.sim = host.sim
         self.host = host
         self.rc = rc
         self.service = service
         self.secret = secret
-        self.parallel = parallel
         #: Rounds of map resolution; chunk-level retry is per source.
-        self.retry = retry or RetryPolicy(attempts=3, base_delay=0.2, deadline=5.0)
+        self.retry = RetryPolicy(attempts=3, base_delay=0.2, deadline=5.0)
         self._rpc = RpcClient(host, secret=secret)
         self._rng = host.sim.rng.stream(f"bulk-fetch.{host.name}")
         self.chunk_retries = 0
@@ -213,7 +213,7 @@ class BulkFetcher:
         }
         procs = []
         if state["queue"]:
-            for w in range(min(self.parallel, len(state["queue"]))):
+            for w in range(min(PARALLEL, len(state["queue"]))):
                 procs.append(self.sim.process(
                     self._worker(name, state), name=f"bulk-w{w}:{name}"))
             refresher = self.sim.process(

@@ -93,8 +93,9 @@ def verify_checkpoint_record(record: dict) -> bool:
         return False
 
 
-def spec_from_record(record: dict, keep_urn: bool = True) -> TaskSpec:
-    """Reconstruct a spawnable :class:`TaskSpec` from a checkpoint record.
+def spec_from_record(record: dict) -> TaskSpec:
+    """Reconstruct a spawnable :class:`TaskSpec` from a checkpoint record,
+    under the task's own URN.
 
     Used by :func:`restart_from_files` and by the Guardian when it
     respawns a dead task on a fresh host.
@@ -110,7 +111,7 @@ def spec_from_record(record: dict, keep_urn: bool = True) -> TaskSpec:
         mobile_code=record["mobile_code"],
         owner=record["owner"],
         initial_state=dict(record["state"]),
-        urn_override=record["urn"] if keep_urn else None,
+        urn_override=record["urn"],
     )
 
 
@@ -203,10 +204,10 @@ def checkpoint_to_files(ctx: "SnipeContext", lifn: Optional[str] = None, replica
     return defuse(ctx.sim.process(go(), name=f"ckpt:{ctx.urn}"))
 
 
-def restart_from_files(host: "Host", rc: "RCClient", lifn: str, keep_urn: bool = True):
+def restart_from_files(host: "Host", rc: "RCClient", lifn: str):
     """Restart a checkpointed task on *host* from its stored state.
 
-    Returns a process yielding the (old or new) URN. The restarted task
+    Returns a process yielding the task's URN. The restarted task
     resumes from ``checkpoint_state`` exactly as a migrated one would.
     """
 
@@ -217,7 +218,7 @@ def restart_from_files(host: "Host", rc: "RCClient", lifn: str, keep_urn: bool =
         if not verify_checkpoint_record(record):
             host.sim.obs.metrics.counter("ckpt.verify_failures").inc()
             raise CheckpointCorrupt(f"checkpoint {lifn!r} failed digest verification")
-        spec = spec_from_record(record, keep_urn=keep_urn)
+        spec = spec_from_record(record)
         client = RpcClient(host)
         try:
             result = yield client.call(

@@ -155,17 +155,13 @@ class SnipeEnvironment:
         self.daemons[host_name] = daemon
         return daemon
 
-    def add_file_server(
-        self, host_name: str, replicate: bool = True, **repl_kw
-    ) -> FileServer:
+    def add_file_server(self, host_name: str) -> FileServer:
+        """A file server on *host_name* with its replication daemon."""
         server = FileServer(
             self.topology.hosts[host_name], self.rc_client(host_name), secret=self.secret
         )
         self.file_servers[host_name] = server
-        if replicate:
-            self.replication_daemons[host_name] = ReplicationDaemon(
-                server, secret=self.secret, **repl_kw
-            )
+        self.replication_daemons[host_name] = ReplicationDaemon(server, secret=self.secret)
         return server
 
     def add_bulk_service(self, host_name: str, **bulk_kw) -> BulkService:

@@ -47,6 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Well-known SNIPE daemon port.
 DAEMON_PORT = 3500
 
+#: Period of the load loop: each tick publishes the host's load and
+#: renews its lease.
+LOAD_INTERVAL = 1.0
+
 
 class SpawnError(Exception):
     """The host cannot run this spec (requirements, resources, unknown program)."""
@@ -67,7 +71,6 @@ class SnipeDaemon:
         rc: Optional[RCClient],
         programs: ProgramRegistry,
         secret: Optional[bytes] = None,
-        load_interval: float = 1.0,
         lease_ttl: float = 3.0,
         context_factory: Optional[Callable[["SnipeDaemon", TaskInfo], TaskContext]] = None,
     ) -> None:
@@ -75,7 +78,6 @@ class SnipeDaemon:
         self.host = host
         self.rc = rc
         self.programs = programs
-        self.load_interval = load_interval
         #: Heartbeat lease horizon: each load-loop tick re-asserts
         #: ``lease-expires = now + lease_ttl`` in the host's metadata. A
         #: host whose lease has lapsed is presumed dead by the Guardian
@@ -181,7 +183,7 @@ class SnipeDaemon:
             # Wheel timer, not a Timeout: with hundreds of hosts these
             # periodic heartbeat sleeps would otherwise dominate the
             # event heap.
-            yield self.sim.timer_event(self.load_interval, owner=owner)
+            yield self.sim.timer_event(LOAD_INTERVAL, owner=owner)
             if not self.host.up:
                 continue
             self._m_load.set(self.load())

@@ -8,14 +8,14 @@
 
 Policy implemented: every local file is pushed to peers until it has at
 least ``redundancy`` registered locations; files whose read rate exceeds
-``hot_threshold`` gets/second earn extra replicas up to ``max_replicas``.
+``HOT_THRESHOLD`` gets/second earn extra replicas up to ``MAX_REPLICAS``.
 Over-replicated cold files are trimmed (never below the target, and a
 server only deletes its *own* replica).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from repro.files.server import FileServer
 from repro.rcds import uri as uri_mod
@@ -23,8 +23,10 @@ from repro.robust.replicas import discover
 from repro.rpc import RpcClient, RpcError
 from repro.sim.errors import Interrupt
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+#: Read rate (gets/second) above which a file is hot...
+HOT_THRESHOLD = 10.0
+#: ...and the replica count a hot file is expanded to.
+MAX_REPLICAS = 5
 
 
 class ReplicationDaemon:
@@ -34,16 +36,12 @@ class ReplicationDaemon:
         self,
         server: FileServer,
         redundancy: int = 2,
-        max_replicas: int = 5,
-        hot_threshold: float = 10.0,
         interval: float = 2.0,
         secret: Optional[bytes] = None,
     ) -> None:
         self.server = server
         self.sim = server.sim
         self.redundancy = redundancy
-        self.max_replicas = max_replicas
-        self.hot_threshold = hot_threshold
         self.interval = interval
         self._rpc = RpcClient(server.host, secret=secret)
         self._last_gets: Dict[str, int] = {}
@@ -86,8 +84,8 @@ class ReplicationDaemon:
         rate = (vf.gets - prev) / max(self.interval, 1e-9)
         self._last_gets[name] = vf.gets
         target = self.redundancy
-        if rate > self.hot_threshold:
-            target = self.max_replicas  # demand-driven expansion
+        if rate > HOT_THRESHOLD:
+            target = MAX_REPLICAS  # demand-driven expansion
         if len(locations) < target:
             # Push to a peer that lacks a replica.
             holders = {uri_mod.host_of(u) for u in locations}

@@ -454,7 +454,7 @@ class Guardian:
                     raise RuntimeError(
                         f"checkpoints {lifn!r} and {prev_lifn!r} both corrupt"
                     )
-            spec = spec_from_record(record, keep_urn=True)
+            spec = spec_from_record(record)
             spec.fence_predecessors = True
             # 2. Respawn through an RM; lease-aware placement steers the
             #    task away from dead (and merely-partitioned) hosts. The

@@ -31,11 +31,9 @@ DEFAULT_CAPACITY = 512
 class FlightRecorder:
     """Bounded per-host rings of recent probes, frames, and violations."""
 
-    def __init__(self, sim, capacity: int = DEFAULT_CAPACITY,
-                 capture_frames: bool = True) -> None:
+    def __init__(self, sim, capacity: int = DEFAULT_CAPACITY) -> None:
         self.sim = sim
         self.capacity = capacity
-        self.capture_frames = capture_frames
         self.recorded = 0
         self.dropped: Dict[str, int] = {}
         self._rings: Dict[str, Deque[Tuple[int, Dict[str, Any]]]] = {}
@@ -44,8 +42,7 @@ class FlightRecorder:
     def attach(self, bus=None) -> "FlightRecorder":
         """Arm the recorder: frame capture via ``sim.flight``, probe
         capture by subscribing to *bus* (when given)."""
-        if self.capture_frames:
-            self.sim.flight = self
+        self.sim.flight = self
         if bus is not None:
             bus.subscribe(self.on_probe)
         return self

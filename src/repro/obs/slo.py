@@ -115,8 +115,7 @@ def _metric_value(export: Dict[str, Any], metric: str, column: str) -> float:
     return sum(values) if column == "value" else max(values)
 
 
-def evaluate_slos(export: Dict[str, Any],
-                  slos: Sequence[Slo] = DEFAULT_SLOS,
+def evaluate_slos(export: Dict[str, Any], slos: Sequence[Slo],
                   partial: bool = False) -> List[Dict[str, Any]]:
     """Evaluate every SLO against one metrics export.
 
@@ -182,7 +181,7 @@ class SloMonitor:
     a final-state assertion.
     """
 
-    def __init__(self, sim, slos: Sequence[Slo] = DEFAULT_SLOS,
+    def __init__(self, sim, slos: Sequence[Slo],
                  interval: float = 1.0) -> None:
         self.sim = sim
         self.slos = tuple(slos)

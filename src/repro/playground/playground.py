@@ -20,7 +20,7 @@ so mobile code is checkpointable and migratable for free — the §5.8
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.daemon.daemon import SnipeDaemon, SpawnError
 from repro.daemon.tasks import QuotaExceeded, TaskInfo, TaskSpec, new_task_urn
@@ -33,9 +33,11 @@ from repro.security.keys import KeyPair, sign, verify
 from repro.security.trust import TrustPolicy
 from repro.sim.events import defuse
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
-
+#: VM instructions run between two flushes of queued side effects, and
+#: the simulated CPU seconds one instruction costs.
+SLICE_STEPS, SEC_PER_STEP = 2000, 1e-6
+#: Instruction and memory-cell budgets of a spec that sets no quota.
+DEFAULT_MAX_STEPS, DEFAULT_MAX_CELLS = 10_000_000, 100_000
 
 class CodeVerificationError(Exception):
     """Bad signature, untrusted signer, or rights exceeding the grant."""
@@ -64,10 +66,6 @@ class Playground:
         daemon: SnipeDaemon,
         trust: TrustPolicy,
         grants: Optional[Dict[str, Set[str]]] = None,
-        slice_steps: int = 2000,
-        sec_per_step: float = 1e-6,
-        default_max_steps: int = 10_000_000,
-        default_max_cells: int = 100_000,
     ) -> None:
         self.daemon = daemon
         self.sim = daemon.sim
@@ -75,10 +73,6 @@ class Playground:
         self.trust = trust
         #: signer URN -> set of rights this playground grants that signer.
         self.grants = grants or {}
-        self.slice_steps = slice_steps
-        self.sec_per_step = sec_per_step
-        self.default_max_steps = default_max_steps
-        self.default_max_cells = default_max_cells
         self.files = FileClient(daemon.host, daemon.rc)
         self.runs = 0
         self.rejections = 0
@@ -183,10 +177,10 @@ class Playground:
         except CompileError as exc:
             raise SpawnError(f"mobile code does not compile: {exc}") from None
         # 4: confine and meter.
-        max_steps = self.default_max_steps
+        max_steps = DEFAULT_MAX_STEPS
         if spec.cpu_quota is not None:
-            max_steps = int(spec.cpu_quota / self.sec_per_step)
-        max_cells = self.default_max_cells
+            max_steps = int(spec.cpu_quota / SEC_PER_STEP)
+        max_cells = DEFAULT_MAX_CELLS
         if spec.memory_quota is not None:
             max_cells = int(spec.memory_quota)
         outbox: List = []
@@ -198,7 +192,7 @@ class Playground:
         self.runs += 1
         while True:
             try:
-                done = vm.run(max_slice=self.slice_steps)
+                done = vm.run(max_slice=SLICE_STEPS)
             except VmQuotaError as exc:
                 self.daemon.log_violation(ctx.urn, "vm-quota")
                 raise QuotaExceeded(f"{ctx.urn}: {exc}") from None
@@ -212,7 +206,7 @@ class Playground:
                     yield ctx.send(effect[1], effect[2], tag="mobile")
             if done:
                 break
-            yield ctx.compute(self.slice_steps * self.sec_per_step)
+            yield ctx.compute(SLICE_STEPS * SEC_PER_STEP)
         results_to = spec.params.get("results_to")
         if results_to:
             yield ctx.send(results_to, list(vm.output), tag="mobile-results")

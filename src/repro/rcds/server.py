@@ -16,7 +16,7 @@ instead of replaying records that no longer exist. Setting
 record blob per sync on the CONTROL lane, no compaction — which is the
 E16 baseline.
 
-Each replica is durable by default: every record entering the log is
+Each replica is durable: every record entering the log is
 journaled to the host's :attr:`~repro.net.host.Host.disk` with a
 content digest, and the journal folds into a digest-verified snapshot
 every ``snapshot_every`` records (two snapshot generations are kept, so
@@ -49,6 +49,15 @@ RC_PORT = 385
 #: Hard cap on snapshot catch-up pages per sync round; a guard against a
 #: cursor loop, not a tuning knob (the page size bounds each RPC).
 _MAX_SNAPSHOT_PAGES = 512
+
+#: CPU cost per record assembled or applied in a sync payload. On a
+#: single-threaded replica (``service_time > 0``) this is what makes an
+#: unbounded blob a head-of-line block: the serve loop is occupied for
+#: the whole apply, and every queued request behind it waits.
+APPLY_COST = 0.0002
+
+#: Pause between consecutive batches of one anti-entropy round.
+SYNC_SPACING = 0.02
 
 
 #: Snapshot entry leaves combine by addition modulo this: order
@@ -84,15 +93,12 @@ class RCServer:
         secret: Optional[bytes] = None,
         sync_interval: float = 0.5,
         service_time: float = 0.0002,
-        apply_cost: float = 0.0002,
         max_sync_records: Optional[int] = 64,
         sync_rounds: int = 8,
-        sync_spacing: float = 0.02,
         compact_interval: float = 2.0,
         tombstone_grace: float = 0.0,
         peer_stale_after: float = 10.0,
         log_keep_tail: int = 32,
-        durable: bool = True,
         snapshot_every: int = 256,
     ) -> None:
         self.sim = host.sim
@@ -101,20 +107,12 @@ class RCServer:
         self.store = RCStore(server_id=f"{host.name}:{port}")
         self.peers = list(peers or [])
         self.sync_interval = sync_interval
-        #: CPU cost per record assembled or applied in a sync payload.
-        #: On a single-threaded replica (``service_time > 0``) this is
-        #: what makes an unbounded blob a head-of-line block: the serve
-        #: loop is occupied for the whole apply, and every queued request
-        #: behind it waits.
-        self.apply_cost = apply_cost
         #: Records per sync RPC on the BULK lane; ``None`` = legacy
         #: unbounded single-blob protocol with no compaction (baseline).
         self.max_sync_records = max_sync_records
         #: Max pull/push batches per anti-entropy round — the rest of a
         #: large backlog waits for the next round (rate limiting).
         self.sync_rounds = sync_rounds
-        #: Pause between consecutive batches of one round.
-        self.sync_spacing = sync_spacing
         self.compact_interval = compact_interval
         #: Minimum wall-clock age before a tombstone is GC-eligible.
         #: The vector-based guard in ``gc_tombstones`` only covers this
@@ -131,7 +129,6 @@ class RCServer:
         #: Recent records kept in the log past the stability watermark,
         #: so a briefly-lagging peer syncs records instead of snapshots.
         self.log_keep_tail = log_keep_tail
-        self.durable = durable
         self.snapshot_every = snapshot_every
         #: Last version vector heard from each peer: server_id ->
         #: (vector, sim-time heard). Gossip for the stability watermarks.
@@ -179,33 +176,32 @@ class RCServer:
         self._g_tombstones = obs.metrics.gauge(
             "rcds.tombstones", replica=self.store.server_id)
         self._obs = obs
-        if durable:
-            self._disk = host.disk.setdefault(f"rcds:{port}", {
-                "snapshot": None, "snapshot_prev": None,
-                "journal": [], "journal_prev": [],
-            })
-            self._restoring = False
-            #: Sum of the current generation's entry leaves mod
-            #: ``_LEAF_MOD``; meaningful while ``store.dirty`` is a set.
-            #: Kept in memory: a storage fault may rot the header's copy.
-            self._combined = 0
-            # Resolved here, not at module import: ``repro.core`` imports
-            # this module at package init, so a top-level import back
-            # into it would be circular.
-            from repro.core.checkpoint import seal_record, verify_checkpoint_record
-            self._seal, self._verify = seal_record, verify_checkpoint_record
-            self.store.on_record = self._journal_record
-            host.on_crash.append(self._on_host_crash)
-            host.on_recover.append(self._on_host_recover)
-            if (self._disk["snapshot"] is not None or self._disk["journal"]
-                    or self._disk["journal_prev"]):
-                # Cold restart on a machine whose disk has catalog state.
-                self._restore_from_disk()
+        self._disk = host.disk.setdefault(f"rcds:{port}", {
+            "snapshot": None, "snapshot_prev": None,
+            "journal": [], "journal_prev": [],
+        })
+        self._restoring = False
+        #: Sum of the current generation's entry leaves mod
+        #: ``_LEAF_MOD``; meaningful while ``store.dirty`` is a set.
+        #: Kept in memory: a storage fault may rot the header's copy.
+        self._combined = 0
+        # Resolved here, not at module import: ``repro.core`` imports
+        # this module at package init, so a top-level import back
+        # into it would be circular.
+        from repro.core.checkpoint import seal_record, verify_checkpoint_record
+        self._seal, self._verify = seal_record, verify_checkpoint_record
+        self.store.on_record = self._journal_record
+        host.on_crash.append(self._on_host_crash)
+        host.on_recover.append(self._on_host_recover)
+        if (self._disk["snapshot"] is not None or self._disk["journal"]
+                or self._disk["journal_prev"]):
+            # Cold restart on a machine whose disk has catalog state.
+            self._restore_from_disk()
         self._sync_proc = self.sim.process(
             self._anti_entropy(), name=f"rc-sync:{host.name}"
         )
         self._compact_proc = None
-        if compact_interval is not None and max_sync_records is not None:
+        if max_sync_records is not None:
             self._compact_proc = self.sim.process(
                 self._maintenance(), name=f"rc-compact:{host.name}"
             )
@@ -245,9 +241,9 @@ class RCServer:
         host is slowed. On a single-threaded replica the serve loop holds
         this long — the mechanism that turns an unbounded anti-entropy
         blob into a head-of-line block for every queued request."""
-        if self.apply_cost > 0 and n > 0:
+        if n > 0:
             speed = max(getattr(self.host, "cpu_speed", 1.0), 1e-9)
-            yield self.sim.timeout(self.apply_cost * n / speed)
+            yield self.sim.timeout(APPLY_COST * n / speed)
 
     def _h_sync(self, args: Dict):
         """Legacy push-pull merge: apply the caller's records, return
@@ -443,7 +439,7 @@ class RCServer:
             self.peer_vectors[peer_id] = (dict(peer_vec), self.sim.now)
             if not page.get("more"):
                 break
-            yield self.sim.timeout(self.sync_spacing)
+            yield self.sim.timeout(SYNC_SPACING)
         # Push: bounded batches of what we have beyond the peer's vector.
         for _ in range(self.sync_rounds):
             missing = self.store.missing_for(peer_vec)
@@ -461,7 +457,7 @@ class RCServer:
             self.peer_vectors[peer_id] = (dict(peer_vec), self.sim.now)
             if len(missing) <= self.max_sync_records:
                 break
-            yield self.sim.timeout(self.sync_spacing)
+            yield self.sim.timeout(SYNC_SPACING)
 
     def _behind(self, peer_vec: Dict[str, int]) -> bool:
         return any(seq > self.store.vector.get(origin, 0)
@@ -484,12 +480,11 @@ class RCServer:
                 self.store.adopt_vector(page.get("vector", {}))
                 self.snapshot_catchups += 1
                 self._m_catchups.inc()
-                if self.durable:
-                    # Registers adopted from a snapshot never pass through
-                    # the journal; persist them before the next crash.
-                    self._fold()
+                # Registers adopted from a snapshot never pass through
+                # the journal; persist them before the next crash.
+                self._fold()
                 return
-            yield self.sim.timeout(self.sync_spacing)
+            yield self.sim.timeout(SYNC_SPACING)
 
     # -- compaction / tombstone GC ------------------------------------------
     def _maintenance(self):
@@ -710,8 +705,7 @@ class RCServer:
             self._sync_proc.interrupt("closed")
         if self._compact_proc is not None and self._compact_proc.is_alive:
             self._compact_proc.interrupt("closed")
-        if self.durable:
-            if self._on_host_crash in self.host.on_crash:
-                self.host.on_crash.remove(self._on_host_crash)
-            if self._on_host_recover in self.host.on_recover:
-                self.host.on_recover.remove(self._on_host_recover)
+        if self._on_host_crash in self.host.on_crash:
+            self.host.on_crash.remove(self._on_host_crash)
+        if self._on_host_recover in self.host.on_recover:
+            self.host.on_recover.remove(self._on_host_recover)

@@ -57,8 +57,6 @@ class ShardedRCClient(CatalogClient):
         self.host = host
         self.secret = secret
         self.root_replicas = [tuple(r) for r in root_replicas]
-        #: Surface compatibility with RCClient (callers introspect this).
-        self.replicas = list(self.root_replicas)
         self.map: ShardMap = ShardMap.initial(self.root_replicas)
         self._map_fetched = -1e18
         self._clients: Dict[Tuple[Tuple[str, int], ...], RCClient] = {}

@@ -35,6 +35,18 @@ from repro.sim.errors import Interrupt
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
 
+#: Child groups a split carves out of the heaviest prefix.
+SPLIT_FANOUT = 2
+#: Names sampled (striding the whole owned block) to plan a split.
+SPLIT_SAMPLE = 512
+#: Seconds a split's parent and children wait before splitting again:
+#: the parent's count only drops once handoff drains.
+SPLIT_COOLDOWN = 15.0
+#: Mean period of the director's control loop (jittered by ±25 %).
+CHECK_INTERVAL = 1.0
+#: First port handed to a shard replica group; each group takes the next.
+PORT_BASE = 1400
+
 
 class ShardManager:
     """Creates shard replica groups and drives the map's evolution."""
@@ -49,11 +61,6 @@ class ShardManager:
         placement_hosts: Optional[Sequence[str]] = None,
         replicas_per_shard: int = 3,
         split_threshold: Optional[int] = None,
-        split_fanout: int = 2,
-        split_sample: int = 512,
-        split_cooldown: float = 15.0,
-        check_interval: float = 1.0,
-        port_base: int = 1400,
         server_kw: Optional[Dict] = None,
     ) -> None:
         self.sim = sim
@@ -64,11 +71,7 @@ class ShardManager:
                                     or sorted(h for h, _ in self.root_replicas))
         self.replicas_per_shard = replicas_per_shard
         self.split_threshold = split_threshold
-        self.split_fanout = split_fanout
-        self.split_sample = split_sample
-        self.split_cooldown = split_cooldown
         self._split_after: Dict[str, float] = {}
-        self.check_interval = check_interval
         self.server_kw = dict(server_kw or {})
         self.map = ShardMap.initial(self.root_replicas)
         self.published_epoch = 0
@@ -76,7 +79,7 @@ class ShardManager:
         #: sid -> {server_id: ShardRCServer}, every group this manager
         #: created (root servers are registered by the environment).
         self.servers: Dict[str, Dict[str, ShardRCServer]] = {}
-        self._next_port = port_base
+        self._next_port = PORT_BASE
         director = director_host or self.root_replicas[0][0]
         self._host = hosts[director]
         self._rc: Optional[RCClient] = None
@@ -95,12 +98,12 @@ class ShardManager:
         for server in servers.values():
             server.adopt_map(self.map)
 
-    def add_shard(self, sid: str, prefixes: Sequence[str],
-                  host_names: Optional[Sequence[str]] = None) -> List[ShardRCServer]:
+    def add_shard(self, sid: str, prefixes: Sequence[str]) -> List[ShardRCServer]:
         """Carve an initial shard out of the namespace (pre-traffic):
-        create its replica group and push the new map to every server
-        directly — nothing to migrate yet, no races to respect."""
-        names = list(host_names or self._place(self.replicas_per_shard))
+        create its replica group on the least-loaded placement hosts and
+        push the new map to every server directly — nothing to migrate
+        yet, no races to respect."""
+        names = self._place(self.replicas_per_shard)
         port = self._alloc_port()
         replicas = tuple((h, port) for h in names)
         self.map = self.map.with_shard(sid, prefixes, replicas, parent=ROOT_SID)
@@ -161,7 +164,7 @@ class ShardManager:
         try:
             while True:
                 yield self.sim.timer_event(
-                    self.check_interval * (0.75 + 0.5 * rng.random()),
+                    CHECK_INTERVAL * (0.75 + 0.5 * rng.random()),
                     owner="shard-director")
                 if not self._host.up:
                     continue
@@ -217,7 +220,7 @@ class ShardManager:
         biggest = max(group.values(), key=lambda s: s.store.live_uri_count())
         info = self.map.shards[sid]
         prefix = max(info.prefixes,
-                     key=lambda p: len(biggest.store.query(p, limit=self.split_sample)))
+                     key=lambda p: len(biggest.store.query(p, limit=SPLIT_SAMPLE)))
         # Plan only over names the *current map* still routes here. The
         # store also holds records a previous split already gave away
         # (handoff still draining); planning over those would mint child
@@ -229,9 +232,9 @@ class ShardManager:
         # missed; it just stays with the parent for a later pass.)
         pool = [n for n in biggest.store.query(prefix)
                 if self.map.route(n) == sid]
-        step = max(1, -(-len(pool) // self.split_sample))
-        names = pool[::step][:self.split_sample]
-        groups = plan_split(prefix, names, fanout=self.split_fanout)
+        step = max(1, -(-len(pool) // SPLIT_SAMPLE))
+        names = pool[::step][:SPLIT_SAMPLE]
+        groups = plan_split(prefix, names, fanout=SPLIT_FANOUT)
         if not groups:
             return False
         children = []
@@ -251,7 +254,7 @@ class ShardManager:
         self._m_splits.inc()
         # Cooldown covers the parent (its count only drops once handoff
         # drains) and the children (their counts are still filling).
-        until = self.sim.now + self.split_cooldown
+        until = self.sim.now + SPLIT_COOLDOWN
         self._split_after[sid] = until
         for child_sid, _, _ in children:
             self._split_after[child_sid] = until

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.rcds.records import MOVED, Entry
-from repro.rcds.server import RCServer
+from repro.rcds.server import SYNC_SPACING, RCServer
 from repro.rcds.shard.map import MAP_KEY, MAP_URI, ShardMap
 from repro.robust import TIMEOUTS
 from repro.robust.overload import BULK, CONTROL
@@ -44,6 +44,16 @@ from repro.sim.errors import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
+
+#: Mean period of the janitor loop (jittered by ±25 %).
+HANDOFF_INTERVAL = 0.5
+#: Least time between two reads of the published map from the root group.
+MAP_REFRESH_INTERVAL = 2.0
+#: Registers per ``rc.install`` batch; one janitor pass scans for at most
+#: ``HANDOFF_ROUNDS`` batches' worth.
+HANDOFF_BATCH = 64
+HANDOFF_ROUNDS = 8
+
 
 class ShardRedirect(Exception):
     """Raised by handlers for names this shard does not own; becomes an
@@ -66,10 +76,6 @@ class ShardRCServer(RCServer):
         sid: str,
         prefixes: Sequence[str],
         root_replicas: Optional[Sequence[Tuple[str, int]]] = None,
-        map_refresh_interval: float = 2.0,
-        handoff_interval: float = 0.5,
-        handoff_batch: int = 64,
-        handoff_rounds: int = 8,
         **kw,
     ) -> None:
         self.sid = sid
@@ -85,10 +91,6 @@ class ShardRCServer(RCServer):
         kw.setdefault("tombstone_grace", 30.0)
         super().__init__(host, **kw)
         self.root_replicas = [tuple(r) for r in (root_replicas or [])]
-        self.map_refresh_interval = map_refresh_interval
-        self.handoff_interval = handoff_interval
-        self.handoff_batch = handoff_batch
-        self.handoff_rounds = handoff_rounds
         self.redirects = 0
         self.handoffs = 0
         self._m_redirects = self.sim.obs.metrics.counter("rcds.redirects")
@@ -234,13 +236,13 @@ class ShardRCServer(RCServer):
         try:
             while True:
                 yield self.sim.timer_event(
-                    self.handoff_interval * (0.75 + 0.5 * rng.random()),
+                    HANDOFF_INTERVAL * (0.75 + 0.5 * rng.random()),
                     owner=owner)
                 if not self.host.up:
                     continue
                 if (self.root_replicas
                         and self.sim.now - self._map_refreshed
-                        >= self.map_refresh_interval):
+                        >= MAP_REFRESH_INTERVAL):
                     yield from self._refresh_map(rng)
                 if self._handoff_dirty and self.map is not None:
                     yield from self._handoff_pass()
@@ -275,7 +277,7 @@ class ShardRCServer(RCServer):
         owning sid. Moved markers are excluded — they are the record
         that migration already happened."""
         out: Dict[str, List[Tuple[str, str, Entry]]] = {}
-        budget = self.handoff_batch * self.handoff_rounds
+        budget = HANDOFF_BATCH * HANDOFF_ROUNDS
         for uri in self.store.iter_uris():
             owner = self.map.route(uri)
             if owner == self.sid:
@@ -303,8 +305,8 @@ class ShardRCServer(RCServer):
             info = self.map.shards.get(owner_sid)
             if info is None:
                 continue
-            for start in range(0, len(entries), self.handoff_batch):
-                batch = entries[start:start + self.handoff_batch]
+            for start in range(0, len(entries), HANDOFF_BATCH):
+                batch = entries[start:start + HANDOFF_BATCH]
                 if not (yield from self._install_on(info.replicas, batch)):
                     break  # owning group unreachable; retry next pass
                 wall = self.host.clock()
@@ -328,7 +330,7 @@ class ShardRCServer(RCServer):
                     self.sim.probes.emit(
                         "shard.handoff", src=self.sid, dst=owner_sid,
                         server=self.store.server_id, count=len(batch))
-                yield self.sim.timeout(self.sync_spacing)
+                yield self.sim.timeout(SYNC_SPACING)
 
     def _install_on(self, replicas, batch) -> bool:
         """Install *batch* on one reachable replica of the owning group;

@@ -13,7 +13,7 @@ goals") are per-owner concurrency caps enforced before selection.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.daemon.daemon import DAEMON_PORT
 from repro.daemon.tasks import TaskSpec
@@ -45,7 +45,6 @@ class ResourceManager:
         rc: RCClient,
         port: int = RM_PORT,
         mode: str = ACTIVE,
-        managed_hosts: Optional[List[str]] = None,
         goals: Optional[Dict[str, int]] = None,
         secret: Optional[bytes] = None,
         service_time: float = 0.0,
@@ -57,7 +56,6 @@ class ResourceManager:
         self.rc = rc
         self.port = port
         self.mode = mode
-        self.managed_hosts = managed_hosts
         self.goals = goals or {}
         #: token -> {"owner", "host", "urn" (active mode)}
         self.allocations: Dict[int, Dict] = {}
@@ -99,8 +97,7 @@ class ResourceManager:
         and one ``lookup_many``. A failed read fails the request, which
         the requester's RM client then retries on another RM."""
         urls = yield self.rc.query("snipe://")
-        hosts = {url: host for url, host in uri_mod.host_records(urls).items()
-                 if self.managed_hosts is None or host in self.managed_hosts}
+        hosts = uri_mod.host_records(urls)
         records = yield self.rc.lookup_many(list(hosts))
         return {host: records[url] for url, host in hosts.items()
                 if "daemon" in records[url]}

@@ -25,7 +25,7 @@ from repro.robust.retry import RetryError, RetryPolicy
 #: client reads its default here instead of burying a literal at the call
 #: site; under adaptive overload control these are the *cold-start*
 #: values and the anchor for the per-destination floor
-#: (``timeout_floor_factor * static``) — see ``repro.robust.overload``.
+#: (``TIMEOUT_FLOOR_FACTOR * static``) — see ``repro.robust.overload``.
 TIMEOUTS = {
     "rpc.default": 5.0,  # RpcClient.call fallback when no entry applies
     "daemon.call": 2.0,  # daemon control ops (spawn/fence/signal)

@@ -30,9 +30,9 @@ healthy transport signals in would put a floor under the score that no
 amount of failed work could break through. Transport kinds fill in only
 where no application evidence exists (e.g. the per-iface cells that
 steer the path selector, fed purely by srudp outcomes). A peer whose score
-falls below ``quarantine_below`` is *quarantined* — demoted by the path
+falls below ``QUARANTINE_BELOW`` is *quarantined* — demoted by the path
 selector, sunk to the back of RC/file candidate orders, penalised in RM
-placement — until either its score recovers above ``recover_above`` or a
+placement — until either its score recovers above ``RECOVER_ABOVE`` or a
 ``probation`` window elapses and it earns another chance. Hysteresis
 plus probation means one lost frame never flaps a peer, and a recovered
 peer is re-admitted without an operator.
@@ -58,6 +58,12 @@ KIND_WEIGHTS = {"rpc": 0.4, "srudp": 0.3, "digest": 0.2, "heartbeat": 0.1}
 #: Kinds that measure *work* rather than *delivery*. When present they
 #: exclude the transport kinds from the score — see the module docstring.
 APP_KINDS = frozenset({"rpc", "digest"})
+
+#: Hysteresis band: a cell with enough samples is quarantined when its
+#: score falls below ``QUARANTINE_BELOW`` and released above
+#: ``RECOVER_ABOVE``.
+QUARANTINE_BELOW = 0.35
+RECOVER_ABOVE = 0.7
 
 
 class _Cell:
@@ -95,16 +101,12 @@ class HealthBoard:
         sim: Optional["Simulator"] = None,
         owner: str = "",
         alpha: float = 0.2,
-        quarantine_below: float = 0.35,
-        recover_above: float = 0.7,
         min_samples: int = 4,
         probation: float = 10.0,
     ) -> None:
         self.sim = sim
         self.owner = owner
         self.alpha = alpha
-        self.quarantine_below = quarantine_below
-        self.recover_above = recover_above
         self.min_samples = min_samples
         self.probation = probation
         #: Instance-level switch: the E15 baseline runs with the board
@@ -208,10 +210,10 @@ class HealthBoard:
         now = self.sim.now if self.sim is not None else 0.0
         t0 = self._quarantined.get(key)
         if t0 is None:
-            if score < self.quarantine_below and cell.samples >= self.min_samples:
+            if score < QUARANTINE_BELOW and cell.samples >= self.min_samples:
                 self._quarantined[key] = now
                 self._transition(now, key, "quarantine", score)
-        elif score > self.recover_above:
+        elif score > RECOVER_ABOVE:
             del self._quarantined[key]
             self._transition(now, key, "release", score)
 

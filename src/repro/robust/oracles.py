@@ -108,12 +108,6 @@ class LwwMap:
     def get(self, uri: str, key: str) -> Optional[Any]:
         return self.regs.get((uri, key))
 
-    def visible(self) -> Dict[Tuple[str, str], Any]:
-        """Non-tombstoned register values (for whole-map comparisons)."""
-        return {
-            rk: e.value for rk, e in self.regs.items() if not getattr(e, "deleted", False)
-        }
-
 
 class ConvergenceOracle:
     """Each catalog replica must equal the LWW fold of what it applied.

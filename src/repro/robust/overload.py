@@ -72,30 +72,28 @@ def lane_for_request(req: Any) -> str:
     return BULK
 
 
+#: Adaptive RPC timeouts never drop below this fraction of the static
+#: default (guards against a lucky fast sample starving slow methods)...
+TIMEOUT_FLOOR_FACTOR = 0.5
+#: ...and never exceed this, however congested the path looks.
+MAX_TIMEOUT = 30.0
+#: Bulk-lane bound for transport rx queues (backpressure beyond this).
+TRANSPORT_RX_CAPACITY = 512
+
+
 @dataclass
 class OverloadConfig:
-    """Per-simulation overload-control switches (see ``sim.overload``).
+    """Per-simulation overload-control settings (see ``sim.overload``).
 
-    ``adaptive=False`` freezes every timeout at its static default and is
-    the E12 baseline; ``breakers=False`` disables quarantine. Both exist
-    so experiments can measure each mechanism's contribution separately.
+    ``adaptive=False`` is the E12 static baseline: every timeout frozen at
+    its static default, no circuit breakers (no quarantine), and every RPC
+    issued on the bulk lane (priority classification off). The bounded
+    queues stay either way.
     """
 
     adaptive: bool = True
-    breakers: bool = True
-    #: When False, every RPC is issued on the bulk lane (priority
-    #: classification off) — the static-baseline half of E12 together
-    #: with ``adaptive=False``/``breakers=False``.
-    lanes: bool = True
-    #: Adaptive RPC timeouts never drop below this fraction of the static
-    #: default (guards against a lucky fast sample starving slow methods).
-    timeout_floor_factor: float = 0.5
-    #: ...and never exceed this, however congested the path looks.
-    max_timeout: float = 30.0
     #: Bulk-lane bound for RPC servers (shed-oldest beyond this).
     server_bulk_capacity: int = 256
-    #: Bulk-lane bound for transport rx queues (backpressure beyond this).
-    transport_rx_capacity: int = 512
 
 
 class RttEstimator:
@@ -300,13 +298,13 @@ class BreakerBoard:
         br = self._breakers.get(key)
         if br is None:
 
-            def transition(old: str, new: str, _key=key) -> None:
+            def transition(old: str, new: str) -> None:
                 if new == OPEN:
                     self._m_opened.inc()
                 elif new == CLOSED:
                     self._m_reclosed.inc()
                 if self.on_transition is not None:
-                    self.on_transition(_key, old, new)
+                    self.on_transition(key, old, new)
 
             br = CircuitBreaker(on_transition=transition, **self.kwargs)
             self._breakers[key] = br
@@ -446,8 +444,8 @@ class AdaptiveTimeouts:
         if est is None:
             est = self.estimators[key] = RttEstimator(
                 initial_rto=static,
-                min_rto=static * self.config.timeout_floor_factor,
-                max_rto=self.config.max_timeout,
+                min_rto=static * TIMEOUT_FLOOR_FACTOR,
+                max_rto=MAX_TIMEOUT,
             )
         return est
 

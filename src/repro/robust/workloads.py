@@ -21,6 +21,16 @@ from repro.rcds.client import QUORUM, ConsistencyError, RCClient
 from repro.robust import TIMEOUTS
 from repro.rpc import RpcClient, RpcError
 
+#: Most open-loop lookups in flight per worker host: past it the
+#: generator sheds client-side, so the sim stays bounded.
+MAX_OUTSTANDING = 48
+#: Sequential lookups per closed-loop catalog session, and the pause
+#: after each lookup and between sessions.
+OPS_PER_SESSION, THINK = 8, 0.05
+#: The shard site's write load (keys, seconds between a key's writes)
+#: and the live-name count at which the director splits a shard.
+SHARD_KEYS, SHARD_WRITE_INTERVAL, SHARD_SPLIT_THRESHOLD = 48, 0.25, 24
+
 
 def _star_site(
     seed: int,
@@ -148,7 +158,6 @@ class CheckpointWorkload:
                 try:
                     yield checkpoint_to_files(ctx)
                 except Exception:
-                    coll_state["ckpt_skipped"] = coll_state.get("ckpt_skipped", 0) + 1
                     ctx.sim.obs.metrics.counter("ckpt.skipped").inc()
 
             i = ctx.checkpoint_state.get("i", 0)
@@ -226,7 +235,6 @@ def start_load_generators(
     offered_rate: float,
     t_load0: float,
     t_load1: float,
-    max_outstanding: int = 48,
 ) -> Dict:
     """Open-loop Poisson ``rc.lookup`` generators on the worker hosts.
 
@@ -261,7 +269,7 @@ def start_load_generators(
             while env.sim.now < t_load1:
                 yield env.sim.timeout(rng.expovariate(rate))
                 load["offered"] += 1
-                if state["outstanding"] >= max_outstanding:
+                if state["outstanding"] >= MAX_OUTSTANDING:
                     load["failed"] += 1  # client-side shed: site hopeless
                     continue
                 state["outstanding"] += 1
@@ -283,14 +291,12 @@ def start_gray_sessions(
     workers: List[str],
     t0: float,
     t1: float,
-    ops_per_session: int = 8,
-    think: float = 0.05,
 ) -> Dict:
     """Closed-loop, short-lived catalog sessions on the worker hosts.
 
     Each session is a *fresh* :class:`RCClient` (fresh circuit breakers,
     fresh RTT estimates — the state a short-lived task starts with) doing
-    ``ops_per_session`` sequential lookups, then closing. Closed-loop on
+    ``OPS_PER_SESSION`` sequential lookups, then closing. Closed-loop on
     purpose: a zombie replica's timeouts stall the session, so goodput
     reflects detection quality instead of hiding it the way open-loop
     fire-and-forget would. What persists across sessions is only the
@@ -307,7 +313,7 @@ def start_gray_sessions(
         def session():
             client = RCClient(host, list(env.rc_replicas), secret=env.secret)
             try:
-                for _ in range(ops_per_session):
+                for _ in range(OPS_PER_SESSION):
                     target = env.rc_replicas[rng.randrange(len(env.rc_replicas))][0]
                     try:
                         yield client.lookup(f"snipe://host/{target}")
@@ -316,7 +322,7 @@ def start_gray_sessions(
                         stats["in_window"][key] = stats["in_window"].get(key, 0) + 1
                     except Exception:
                         stats["ops_failed"] += 1
-                    yield env.sim.timeout(think)
+                    yield env.sim.timeout(THINK)
             finally:
                 client.close()
 
@@ -325,7 +331,7 @@ def start_gray_sessions(
             while env.sim.now < t1:
                 stats["sessions"] += 1
                 yield env.sim.process(session(), name=f"gray-sess:{host_name}")
-                yield env.sim.timeout(think)
+                yield env.sim.timeout(THINK)
 
         env.sim.process(gen(), name=f"gray-load:{host_name}")
 
@@ -411,7 +417,6 @@ def start_heal_sessions(
     n_keys: int = 24,
     interval: float = 0.4,
     value_pad: int = 1024,
-    retire_frac: float = 0.25,
     retire_window: Tuple[float, float] = (0.0, 0.0),
 ) -> Dict:
     """Sustained per-key write/delete load against *pinned* replicas.
@@ -419,7 +424,7 @@ def start_heal_sessions(
     Each key is written by one worker to one fixed replica (a direct
     :class:`RpcClient`, deliberately *without* failover) so that during
     a partition both sides keep accepting divergent writes — the worst
-    case anti-entropy has to heal. The first ``retire_frac`` of the keys
+    case anti-entropy has to heal. The first quarter of the keys
     stop being written at a seeded time inside *retire_window* and are
     then deleted through the *next* replica in the ring, which during
     the partition usually sits on the other side of the cut: exactly the
@@ -448,7 +453,7 @@ def start_heal_sessions(
         )
 
     return _start_keyed_load(
-        env, workers, t0, t1, n_keys, interval, retire_frac, retire_window,
+        env, workers, t0, t1, n_keys, interval, 0.25, retire_window,
         "heal.load", lambda i: f"snipe://heal/k{i}", ops_of, RpcError,
         delete_delay=0.5)
 
@@ -463,14 +468,7 @@ def visible_state(store, uri: str) -> Dict[str, Tuple]:
     return out
 
 
-def build_shard_env(
-    seed: int,
-    n_workers: int = 3,
-    split_threshold: int = 24,
-    replicas_per_shard: int = 3,
-    rc_server_kw: Optional[Dict] = None,
-    manager_kw: Optional[Dict] = None,
-) -> Tuple[SnipeEnvironment, List[str]]:
+def build_shard_env(seed: int, n_workers: int = 3) -> Tuple[SnipeEnvironment, List[str]]:
     """The shard chaos site: a sharded catalog on the core hosts, workers
     each alone behind the gateway so they can be isolated.
 
@@ -480,13 +478,9 @@ def build_shard_env(
     gateway — deliberately off the core hosts, so a core crash stresses
     the shard groups without also beheading map publication."""
     env, workers = _star_site(seed, n_workers)
-    env.add_rc_servers(["c0", "c1", "c2"], sharded=True,
-                       **dict(rc_server_kw or {}))
-    mgr = env.enable_sharding(
-        split_threshold=split_threshold,
-        replicas_per_shard=replicas_per_shard,
-        director_host="gw",
-        **dict(manager_kw or {}))
+    env.add_rc_servers(["c0", "c1", "c2"], sharded=True)
+    mgr = env.enable_sharding(split_threshold=SHARD_SPLIT_THRESHOLD,
+                              replicas_per_shard=3, director_host="gw")
     mgr.add_shard("app", ("snipe://app/",))
     mgr.start()
     mgr.seed_map()
@@ -498,10 +492,7 @@ def start_shard_sessions(
     workers: List[str],
     t0: float,
     t1: float,
-    n_keys: int = 48,
-    interval: float = 0.25,
-    retire_frac: float = 0.2,
-    retire_window: Tuple[float, float] = (0.0, 0.0),
+    retire_window: Tuple[float, float],
 ) -> Dict:
     """Closed-loop write/delete load through the sharded facade.
 
@@ -510,7 +501,7 @@ def start_shard_sessions(
     value — an ack means a majority of the *owning* group at that epoch
     accepted it, which is exactly the durability the quiescent checks
     hold the federation to while splits move the ownership under the
-    writers. The first ``retire_frac`` keys stop at a seeded time inside
+    writers. The first fifth of the keys stop at a seeded time inside
     *retire_window* and are deleted; a retired key reappearing after
     migration with a stamp *older* than its delete is a resurrection
     across the split boundary. (A strictly newer stamp is not: an
@@ -524,7 +515,7 @@ def start_shard_sessions(
                 lambda uri: client.delete(uri, consistency=QUORUM))
 
     return _start_keyed_load(
-        env, workers, t0, t1, n_keys, interval, retire_frac, retire_window,
+        env, workers, t0, t1, SHARD_KEYS, SHARD_WRITE_INTERVAL, 0.2, retire_window,
         # Structured names so splits have a radix to bite on.
         "shard.load", lambda i: f"snipe://app/g{i % 4}/k{i:03d}", ops_of,
         ConsistencyError)

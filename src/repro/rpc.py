@@ -251,7 +251,7 @@ class RpcClient:
     def breaker_open(self, dst_host: str, dst_port: int) -> bool:
         """Is the destination currently quarantined? Clients use this to
         order failover candidates so they try healthy replicas first."""
-        if not self.sim.overload.breakers:
+        if not self.sim.overload.adaptive:
             return False
         return self._breakers.is_open((dst_host, dst_port))
 
@@ -314,10 +314,10 @@ class RpcClient:
         # even in the static baseline (lanes off), so E12 can compare what
         # happens to logically-control traffic with and without priority.
         requested_lane = lane
-        if not config.lanes:
+        if not config.adaptive:
             lane = BULK  # baseline: no priority classification anywhere
         bkey = (dst_host, dst_port)
-        if config.breakers and not self._breakers.allow(bkey):
+        if config.adaptive and not self._breakers.allow(bkey):
             # Quarantined destination: fail fast so the caller's failover
             # moves on instead of burning its deadline on a sick replica.
             self._error_counter(method).inc()
@@ -358,7 +358,7 @@ class RpcClient:
                     # cut shorter than its retry budget heals before
                     # exhaustion), so feed per-iface steering here.
                     self.endpoint.paths.note_result(dst_host, False)
-                if config.breakers:
+                if config.adaptive:
                     self._breakers.record(bkey, False)
                 # Reap a send failure for a clearer error, if there is one.
                 if send_ev.triggered and not send_ev.ok:
@@ -381,7 +381,7 @@ class RpcClient:
             # deadline it would adapt right into the failure.
             self._timeouts.observe(dst_host, dst_port, method, timeout, rtt)
             self.host.health.note_outcome(dst_host, rtt <= timeout, kind="rpc")
-            if config.breakers:
+            if config.adaptive:
                 self._breakers.record(bkey, True)
             if not resp.ok:
                 self._error_counter(method).inc()

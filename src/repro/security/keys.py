@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 _E = 65537
+#: RSA modulus size of every generated key pair.
+KEY_BITS = 512
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
@@ -78,9 +80,9 @@ class KeyPair:
         return self.public.fingerprint()
 
 
-def generate_keypair(rng: random.Random, bits: int = 512) -> KeyPair:
-    """Generate an RSA key pair with a *bits*-bit modulus."""
-    half = bits // 2
+def generate_keypair(rng: random.Random) -> KeyPair:
+    """Generate an RSA key pair with a ``KEY_BITS``-bit modulus."""
+    half = KEY_BITS // 2
     p = _random_prime(half, rng)
     q = _random_prime(half, rng)
     while q == p:

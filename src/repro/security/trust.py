@@ -36,14 +36,11 @@ class TrustPolicy:
         """Trust *issuer_uri* to sign statements for *purpose*."""
         self._purposes.setdefault(purpose, set()).add(issuer_uri)
 
-    def revoke(self, issuer_uri: str, purpose: Optional[str] = None) -> None:
-        """Stop trusting an issuer (for one purpose, or entirely)."""
-        if purpose is not None:
-            self._purposes.get(purpose, set()).discard(issuer_uri)
-        else:
-            for issuers in self._purposes.values():
-                issuers.discard(issuer_uri)
-            self._anchors.pop(issuer_uri, None)
+    def revoke(self, issuer_uri: str) -> None:
+        """Stop trusting an issuer for every purpose, and unpin its key."""
+        for issuers in self._purposes.values():
+            issuers.discard(issuer_uri)
+        self._anchors.pop(issuer_uri, None)
 
     # -- queries ------------------------------------------------------------
     def anchor_key(self, issuer_uri: str) -> Optional[PublicKey]:

@@ -21,7 +21,7 @@ def _derive_seed(master: int, name: str) -> int:
 class RngRegistry:
     """Factory and cache for named :class:`random.Random` streams."""
 
-    def __init__(self, master_seed: int = 0) -> None:
+    def __init__(self, master_seed: int) -> None:
         self.master_seed = master_seed
         self._streams: Dict[str, random.Random] = {}
 

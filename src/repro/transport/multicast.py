@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.packet import BROADCAST, Frame
-from repro.robust.overload import BULK, LaneStore, lane_for_request
+from repro.robust.overload import BULK, TRANSPORT_RX_CAPACITY, LaneStore, lane_for_request
 from repro.sim.events import waker
 from repro.sim.resources import Store
 from repro.transport.base import Message, SendError, TransportEndpoint
@@ -71,26 +71,22 @@ class EthernetMulticast(TransportEndpoint):
 
     proto = "mcast"
     header_bytes = 32
+    initial_rto = 0.05  # first retransmission timeout, doubled per retry
+    max_retries = 12
 
     def __init__(
         self,
         host,
         port,
         segment_name: str,
-        initial_rto: float = 0.05,
-        min_rto: float = 0.002,
-        max_retries: int = 12,
         rx_capacity: Optional[int] = None,
     ) -> None:
         self.segment_name = segment_name
         super().__init__(host, port)
-        self.initial_rto = initial_rto
-        self.min_rto = min_rto
-        self.max_retries = max_retries
         # Bounded ingress, same discipline as SRUDP: a full bulk lane
         # withholds the _MDone confirmation so the sender NACK-repairs.
         if rx_capacity is None:
-            rx_capacity = self.sim.overload.transport_rx_capacity
+            rx_capacity = TRANSPORT_RX_CAPACITY
         self._rx_queue: LaneStore = LaneStore(self.sim, bulk_capacity=rx_capacity)
         self._ctrl: Dict[int, Store] = {}  # msg_id -> sender control inbox
         self._rx_state: Dict[Tuple[str, int], Set[int]] = {}
@@ -279,7 +275,7 @@ class EthernetMulticast(TransportEndpoint):
                 ),
                 lane=(
                     lane_for_request(data.payload)
-                    if self.sim.overload.lanes
+                    if self.sim.overload.adaptive
                     else BULK
                 ),
             )

@@ -79,7 +79,7 @@ class PathSelector:
         last = self._last_choice.get(dst_host)
         iface = last[0] if last is not None else "*"
         self.host.health.note_outcome(dst_host, ok, kind="srudp", iface=iface)
-        if last is not None and self.host.sim.overload.breakers:
+        if last is not None and self.host.sim.overload.adaptive:
             self.breakers.record((dst_host, iface), ok)
 
     def _invalidate(self, dst_host: str) -> None:
@@ -146,7 +146,7 @@ class PathSelector:
                 fallback = None
                 expires = float("inf")
                 quarantine = (
-                    self._breakers if self.host.sim.overload.breakers else None
+                    self._breakers if self.host.sim.overload.adaptive else None
                 )
                 health = self.host.health
                 for seg in shared:

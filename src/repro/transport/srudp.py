@@ -25,7 +25,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.robust.overload import BULK, LaneStore, RttEstimator, lane_for_request
+from repro.robust.overload import (
+    BULK, TRANSPORT_RX_CAPACITY, LaneStore, RttEstimator, lane_for_request,
+)
 from repro.sim.events import waker
 from repro.sim.resources import Store
 from repro.transport.base import Message, SendError, TransportEndpoint
@@ -290,7 +292,7 @@ class SrudpEndpoint(TransportEndpoint):
         # the final ACK so the sender retransmits — backpressure, never
         # silent loss.
         if rx_capacity is None:
-            rx_capacity = self.sim.overload.transport_rx_capacity
+            rx_capacity = TRANSPORT_RX_CAPACITY
         self._rx_queue: LaneStore = LaneStore(self.sim, bulk_capacity=rx_capacity)
         self._ack_routes: Dict[int, Store] = {}  # msg_id -> sender's ack inbox
         self._rx_state: Dict[Tuple[str, int], _RxState] = {}
@@ -548,7 +550,7 @@ class SrudpEndpoint(TransportEndpoint):
                 ),
                 lane=(
                     lane_for_request(data.payload)
-                    if self.sim.overload.lanes
+                    if self.sim.overload.adaptive
                     else BULK
                 ),
             )

@@ -266,19 +266,18 @@ class StreamEndpoint(TransportEndpoint):
 
     proto = "tcp"
     header_bytes = 40  # IP 20 + TCP 20
+    max_window = 64  # congestion-window cap, in segments
 
     def __init__(
         self,
         host,
         port,
         path_policy: str = "snipe",
-        max_window: int = 64,
         initial_rto: float = 0.05,
         min_rto: float = 0.002,
         max_retries: int = 12,
     ) -> None:
         super().__init__(host, port, path_policy)
-        self.max_window = max_window
         self.initial_rto = initial_rto
         self.min_rto = min_rto
         self.max_retries = max_retries

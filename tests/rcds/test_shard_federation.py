@@ -56,7 +56,7 @@ def test_sharded_client_routes_and_reads_preloaded_names():
 
 
 def test_split_plan_covers_every_branch_and_parent_drains():
-    # 900 names over 4 radix branches — more than split_sample (512), so
+    # 900 names over 4 radix branches — more than SPLIT_SAMPLE (512), so
     # a head-page sample would only ever see g0/g1/g2 and the plan would
     # leave every g3 name stranded on the parent (the pre-fix behaviour:
     # a permanent 225-name residual per replica).

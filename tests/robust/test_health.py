@@ -14,7 +14,9 @@ The load-bearing semantics, each pinned by a test:
   1.0 and quarantines nothing.
 """
 
-from repro.robust.health import APP_KINDS, KIND_WEIGHTS, HealthBoard
+from repro.robust.health import (
+    APP_KINDS, KIND_WEIGHTS, QUARANTINE_BELOW, RECOVER_ABOVE, HealthBoard,
+)
 from repro.sim import Simulator
 
 
@@ -36,7 +38,7 @@ def test_app_kinds_trump_transport():
     b = fresh()
     feed(b, "z", True, "srudp", 20)
     feed(b, "z", False, "rpc", 8)
-    assert b.score("z") < b.quarantine_below
+    assert b.score("z") < QUARANTINE_BELOW
     assert b.is_quarantined("z")
 
 
@@ -45,7 +47,7 @@ def test_transport_fills_in_without_app_evidence():
     quarantine — transport evidence counts when it is all there is."""
     b = fresh()
     feed(b, "p", False, "srudp", 6, iface="eth0")
-    assert b.score("p", "eth0") < b.quarantine_below
+    assert b.score("p", "eth0") < QUARANTINE_BELOW
     assert b.iface_quarantined("p", "eth0")
 
 
@@ -67,7 +69,7 @@ def test_min_samples_gate():
     thing holding the flag back."""
     b = fresh(min_samples=4, alpha=0.5)
     feed(b, "p", False, "rpc", 3)
-    assert b.score("p") < b.quarantine_below
+    assert b.score("p") < QUARANTINE_BELOW
     assert not b.is_quarantined("p")
     feed(b, "p", False, "rpc", 1)
     assert b.is_quarantined("p")
@@ -75,14 +77,14 @@ def test_min_samples_gate():
 
 def test_probation_then_recovery():
     """The flag clears after probation even at a low score (the peer
-    earns a re-probe), and successes above recover_above release it."""
+    earns a re-probe), and successes above RECOVER_ABOVE release it."""
     b = fresh(probation=10.0)
     feed(b, "p", False, "rpc", 8)
     assert b.is_quarantined("p")
     b.sim.run(until=10.0)
     assert not b.is_quarantined("p")
     feed(b, "p", True, "rpc", 12)
-    assert b.score("p") > b.recover_above
+    assert b.score("p") > RECOVER_ABOVE
     assert not b.is_quarantined("p")
     assert [w for _, _, _, w in b.transitions] == ["quarantine", "release"]
 

@@ -245,7 +245,7 @@ def test_adaptive_timeouts_cold_start_is_static_value():
 
 
 def test_adaptive_timeouts_learn_per_method_with_floor():
-    cfg = OverloadConfig(timeout_floor_factor=0.5, max_timeout=30.0)
+    cfg = OverloadConfig()
     at = AdaptiveTimeouts(cfg)
     for _ in range(30):
         at.observe("h", 1, "fast", 5.0, 0.01)
@@ -257,7 +257,7 @@ def test_adaptive_timeouts_learn_per_method_with_floor():
 
 
 def test_adaptive_timeouts_backoff_after_timeouts():
-    at = AdaptiveTimeouts(OverloadConfig(max_timeout=30.0))
+    at = AdaptiveTimeouts(OverloadConfig())
     at.observe("h", 1, "m", 5.0, 1.0)
     base = at.timeout_for("h", 1, "m", 5.0)
     at.note_timeout("h", 1, "m", 5.0)

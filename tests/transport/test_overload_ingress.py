@@ -114,7 +114,7 @@ def test_pathsel_breakers_disabled_by_config():
     from tests.transport.test_pathsel import dual_homed
 
     sim, topo, a, b, _ = dual_homed()
-    sim.overload.breakers = False
+    sim.overload.adaptive = False
     sel = SrudpEndpoint(a, 5000).paths
     sel.note_result("b", False)
     sel.note_result("b", False)
