@@ -55,6 +55,9 @@ class Request:
     #: Priority lane: control-plane requests (leases, fencing, probes)
     #: jump bulk data in every ingress queue between caller and handler.
     lane: str = BULK
+    #: The request was pinned to one path: the reply goes back to the
+    #: address the request came from, so the call tests one round trip.
+    pinned: bool = False
 
 
 @dataclass
@@ -192,7 +195,13 @@ class RpcServer:
             size = ENVELOPE_BYTES + response.result.size
             response = Response(response.req_id, response.ok,
                                 result=response.result.value, error=response.error)
-        defuse(self.endpoint.send(msg.src_host, msg.payload.reply_port, response, size))
+        req = msg.payload
+        if req.pinned:
+            sent = self.endpoint.send_via(msg.src_host, req.reply_port, response, size,
+                                          msg.src_ip)
+        else:
+            sent = self.endpoint.send(msg.src_host, req.reply_port, response, size)
+        defuse(sent)
 
 
 class RpcClient:
@@ -264,6 +273,7 @@ class RpcClient:
         _size: Optional[int] = None,
         retry=None,
         lane: str = BULK,
+        via: Optional[str] = None,
         **args,
     ):
         """Process event yielding the result, or failing with RpcError.
@@ -277,7 +287,12 @@ class RpcClient:
         transient :class:`RpcError` failures are retried with backoff
         under the policy's deadline budget. ``lane=CONTROL`` marks the
         call as control-plane: it jumps bulk traffic in every ingress
-        queue and is never load-shed.
+        queue and is never load-shed. ``via`` pins the request to that
+        one address of *dst_host* and the reply to the address it came
+        from: the call tests one round trip over one path, waits exactly
+        ``timeout``, and neither consults nor feeds the breakers, the
+        adaptive timeouts or the health board — its outcome is evidence
+        about that path, which only the caller can weigh.
         """
         if timeout is None:
             timeout = TIMEOUTS["rpc.default"]
@@ -287,7 +302,7 @@ class RpcClient:
                 retry.run(
                     self.sim,
                     lambda i: self._call(dst_host, dst_port, method, args, timeout,
-                                         _size, lane),
+                                         _size, lane, via),
                     retry_on=(RpcError,),
                     rng=rng,
                     op=method,
@@ -295,7 +310,7 @@ class RpcClient:
                 name=f"call:{method}@{dst_host}",
             )
         return self.sim.process(
-            self._call(dst_host, dst_port, method, args, timeout, _size, lane),
+            self._call(dst_host, dst_port, method, args, timeout, _size, lane, via),
             name=f"call:{method}@{dst_host}",
         )
 
@@ -308,8 +323,11 @@ class RpcClient:
         timeout: float,
         _size: Optional[int] = None,
         lane: str = BULK,
+        via: Optional[str] = None,
     ):
         config = self.sim.overload
+        # A pinned call is a probe of one path: no feedback either way.
+        feedback = via is None
         # The *requested* lane keeps feeding the control-latency histogram
         # even in the static baseline (lanes off), so E12 can compare what
         # happens to logically-control traffic with and without priority.
@@ -317,14 +335,16 @@ class RpcClient:
         if not config.adaptive:
             lane = BULK  # baseline: no priority classification anywhere
         bkey = (dst_host, dst_port)
-        if config.adaptive and not self._breakers.allow(bkey):
+        if feedback and config.adaptive and not self._breakers.allow(bkey):
             # Quarantined destination: fail fast so the caller's failover
             # moves on instead of burning its deadline on a sick replica.
             self._error_counter(method).inc()
             raise RpcError(f"{method}@{dst_host}:{dst_port}: circuit open")
-        effective = self._timeouts.timeout_for(dst_host, dst_port, method, timeout)
+        effective = (self._timeouts.timeout_for(dst_host, dst_port, method, timeout)
+                     if feedback else timeout)
         req = Request(method=method, args=args, reply_port=self.endpoint.port,
-                      req_id=self.sim.sequence("rpc.req"), lane=lane)
+                      req_id=self.sim.sequence("rpc.req"), lane=lane,
+                      pinned=not feedback)
         if self.secret is not None:
             req.auth = hmac_tag(self.secret, {"method": method, "req_id": req.req_id})
         reply_ev = self.sim.event()
@@ -332,7 +352,10 @@ class RpcClient:
         t0 = self.sim.now
         try:
             wire = payload_size(args) if _size is None else ENVELOPE_BYTES + _size
-            send_ev = self.endpoint.send(dst_host, dst_port, req, wire)
+            if feedback:
+                send_ev = self.endpoint.send(dst_host, dst_port, req, wire)
+            else:
+                send_ev = self.endpoint.send_via(dst_host, dst_port, req, wire, via)
             defuse(send_ev)  # reaped below; must not count as uncaught
             # The send itself may fail (peer unreachable): watch both. The
             # deadline is a cancellable wheel timer so a timely reply (the
@@ -347,9 +370,10 @@ class RpcClient:
             deadline.cancel()
             if not reply_ev.triggered:
                 self._error_counter(method).inc()
-                self._timeouts.note_timeout(dst_host, dst_port, method, timeout)
-                self.host.health.note_outcome(dst_host, False, kind="rpc")
-                if not send_ev.triggered:
+                if feedback:
+                    self._timeouts.note_timeout(dst_host, dst_port, method, timeout)
+                    self.host.health.note_outcome(dst_host, False, kind="rpc")
+                if feedback and not send_ev.triggered:
                     # The request itself never finished arriving (no
                     # transport ack before the deadline). That is evidence
                     # against the chosen *path*, not just the peer — and
@@ -358,7 +382,7 @@ class RpcClient:
                     # cut shorter than its retry budget heals before
                     # exhaustion), so feed per-iface steering here.
                     self.endpoint.paths.note_result(dst_host, False)
-                if config.adaptive:
+                if feedback and config.adaptive:
                     self._breakers.record(bkey, False)
                 # Reap a send failure for a clearer error, if there is one.
                 if send_ev.triggered and not send_ev.ok:
@@ -379,10 +403,11 @@ class RpcClient:
             # and the adaptive timeout legitimately stretches to keep
             # calls completing — if health graded against the stretched
             # deadline it would adapt right into the failure.
-            self._timeouts.observe(dst_host, dst_port, method, timeout, rtt)
-            self.host.health.note_outcome(dst_host, rtt <= timeout, kind="rpc")
-            if config.adaptive:
-                self._breakers.record(bkey, True)
+            if feedback:
+                self._timeouts.observe(dst_host, dst_port, method, timeout, rtt)
+                self.host.health.note_outcome(dst_host, rtt <= timeout, kind="rpc")
+                if config.adaptive:
+                    self._breakers.record(bkey, True)
             if not resp.ok:
                 self._error_counter(method).inc()
                 raise RpcError(f"{method}@{dst_host}: {resp.error}")

@@ -156,6 +156,7 @@ class TransportEndpoint:
         body_bytes: int,
         trace_id: Optional[int] = None,
         digest: Optional[str] = None,
+        via: Optional[str] = None,
     ) -> bool:
         """Push one protocol frame toward *dst_host*. False if unroutable.
 
@@ -163,12 +164,17 @@ class TransportEndpoint:
         record naming the chosen interface/network is emitted per frame
         when tracing is on, which is what makes mid-message reroutes
         visible in a trace. *digest* is the end-to-end payload digest for
-        verifying transports.
+        verifying transports. *via* pins the frame to one address of
+        *dst_host* (:meth:`PathSelector.select_via`) instead of the
+        selector's choice.
         """
         if dst_host == self.host.name:
             self._send_local(dst_port, payload, body_bytes, trace_id=trace_id)
             return True
-        choice = self.paths.select(dst_host)
+        if via is None:
+            choice = self.paths.select(dst_host)
+        else:
+            choice = self.paths.select_via(dst_host, via)
         if choice is None:
             return False
         nic, dst_ip, l2 = choice

@@ -125,6 +125,28 @@ class PathSelector:
             self._last_choice[dst_host] = sig
         return choice
 
+    def select_via(
+        self, dst_host: str, dst_ip: str
+    ) -> Optional[Tuple["NIC", str, Optional[str]]]:
+        """Path to one address *dst_ip* of *dst_host*, by :meth:`_compute`'s
+        rules with no shopping: direct when this host has an interface on
+        that address's segment, else routed toward the address. Link
+        state, breakers and health are not consulted — a pinned send
+        tests its one path, it does not steer around it — and nothing is
+        cached or counted as a switch."""
+        target = self.topology.hosts.get(dst_host)
+        dst_nic = target.nic_for_ip(dst_ip) if target is not None else None
+        if dst_nic is None:
+            return None
+        nic = self.host.nic_on_segment(dst_nic.segment.name)
+        if nic is not None:
+            return nic, dst_ip, None
+        hop = self.topology.next_hop(self.host.name, dst_ip)
+        if hop is None:
+            return None
+        out_nic, l2_ip = hop
+        return out_nic, dst_ip, None if l2_ip == dst_ip else l2_ip
+
     def _compute(
         self, dst_host: str
     ) -> Tuple[Optional[Tuple["NIC", str, Optional[str]]], float]:

@@ -135,12 +135,12 @@ class _SingleFlight:
     __slots__ = (
         "ep", "dst_host", "dst_port", "payload", "size", "msg_id",
         "trace_id", "digest", "t0", "sent_at", "est", "rto", "retries",
-        "timer", "owner", "event", "finished",
+        "timer", "owner", "event", "finished", "via",
     )
 
     def __init__(self, ep: "SrudpEndpoint", dst_host: str, dst_port: int,
                  payload: Any, size: int, trace_id: Optional[int],
-                 parent: Optional[int]) -> None:
+                 parent: Optional[int], via: Optional[str] = None) -> None:
         sim = ep.sim
         self.ep = ep
         self.dst_host = dst_host
@@ -148,6 +148,7 @@ class _SingleFlight:
         self.payload = payload
         self.size = size
         self.trace_id = trace_id
+        self.via = via
         ep._next_msg_id += 1
         self.msg_id = ep._next_msg_id
         self.digest = ep._message_digest(payload) if ep.digest_enabled else None
@@ -184,7 +185,7 @@ class _SingleFlight:
                      ep.port, self.t0)
         ep._send_frame(self.dst_host, self.dst_port, data,
                        self.size if self.size else 1,
-                       trace_id=self.trace_id, digest=self.digest)
+                       trace_id=self.trace_id, digest=self.digest, via=self.via)
 
     # Ack-route protocol: the endpoint's _on_frame routes ACKs here.
     def try_put(self, ack: _Ack) -> bool:
@@ -208,7 +209,8 @@ class _SingleFlight:
             self.finished = True
             ep._ack_routes.pop(self.msg_id, None)
             ep._m_send_latency.observe(sim.now - self.t0)
-            ep.paths.note_result(self.dst_host, True)
+            if self.via is None:
+                ep.paths.note_result(self.dst_host, True)
             if ep._tracer.enabled:
                 ep._tracer.event("srudp.acked", trace_id=self.trace_id,
                                  msg=self.msg_id)
@@ -233,7 +235,8 @@ class _SingleFlight:
             self.finished = True
             ep._ack_routes.pop(self.msg_id, None)
             ep._m_send_errors.inc()
-            ep.paths.note_result(self.dst_host, False)
+            if self.via is None:
+                ep.paths.note_result(self.dst_host, False)
             if ep._tracer.enabled:
                 ep._tracer.event("srudp.failed", trace_id=self.trace_id,
                                  msg=self.msg_id, outstanding=1)
@@ -340,6 +343,19 @@ class SrudpEndpoint(TransportEndpoint):
             self._sender(dst_host, dst_port, payload, size, trace_id, parent),
             name=f"srudp-send:{self.host.name}->{dst_host}",
         )
+
+    def send_via(self, dst_host: str, dst_port: int, payload: Any, size: int,
+                 via: str):
+        """:meth:`send` with every data frame pinned to *via*, one address
+        of *dst_host* (:meth:`PathSelector.select_via`). Single-segment
+        messages only. The outcome is the caller's evidence about that
+        one path, so it feeds no path steering."""
+        if size > self.max_payload(dst_host):
+            raise ValueError("srudp: a pinned send must fit one segment")
+        return _SingleFlight(
+            self, dst_host, dst_port, payload, size,
+            self._tracer.maybe_trace_id(), self._tracer.current_trace_id, via,
+        ).event
 
     def _sender(self, dst_host: str, dst_port: int, payload: Any, size: int,
                 trace_id: Optional[int], parent: Optional[int] = None):
