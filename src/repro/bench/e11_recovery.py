@@ -12,9 +12,11 @@ Measured, per lease TTL: time from the crash to detection
 (``detect_s``) and to the respawned successor being registered
 (``mttr_s``).  Both are bounded by the failure-detection window —
 
-    bound = lease_ttl + scan_interval + grace + slack
+    bound = lease_ttl + scan_interval + grace + probe_timeout + slack
 
-where slack covers checkpoint fetch + RM placement + spawn.  Shorter
+where probe_timeout is the Guardian's one confirmation round (every
+interface of the suspect pinged at once) and slack covers checkpoint
+fetch + RM placement + spawn.  Shorter
 leases buy faster recovery at the price of more heartbeat traffic; the
 table makes that dial visible.
 """
@@ -27,6 +29,7 @@ from repro.bench.table import Tables
 from repro.core.checkpoint import checkpoint_to_files
 from repro.core.environment import SnipeEnvironment
 from repro.daemon.tasks import TaskSpec, TaskState
+from repro.guardian.guardian import PROBE_TIMEOUT
 
 #: Guardian scan cadence / post-lease grace used by the site below.
 SCAN_INTERVAL = 1.0
@@ -88,7 +91,7 @@ def recovery_mttr(lease_ttls: Sequence[float] = (1.5, 3.0, 6.0),
         assert revived.state == TaskState.EXITED and revived.exit_value == 40
         detect_s = rec["detected_at"] - crash_at
         mttr_s = rec["recovered_at"] - crash_at
-        bound_s = lease_ttl + SCAN_INTERVAL + GRACE + SPAWN_SLACK
+        bound_s = lease_ttl + SCAN_INTERVAL + GRACE + PROBE_TIMEOUT + SPAWN_SLACK
         rows.append({
             "lease_ttl_s": lease_ttl,
             "detect_s": round(detect_s, 3),

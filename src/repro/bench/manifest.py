@@ -308,17 +308,14 @@ def _check_e11(t: Tables) -> None:
     # The builder itself asserts one recovery per episode and
     # exactly-once completion. Detection dominates MTTR (the respawn
     # adds well under a second) and tracks the lease TTL: a shorter
-    # lease never recovers slower than a longer one.
+    # lease never recovers slower than a longer one, and none misses the
+    # analytic bound (TTL + scan + grace + probe round + slack).
     assert len(rows) > 1
     for r in rows:
         assert 0.0 <= r["detect_s"] <= r["mttr_s"] < r["detect_s"] + 1.0
+        assert r["within_bound"]
     mttr = [r["mttr_s"] for r in rows]
     assert all(a < b for a, b in zip(mttr, mttr[1:]))
-    # ``within_bound`` (MTTR <= TTL + scan + grace + slack) is reported,
-    # not asserted: the Guardian's serial probe-before-death pushes
-    # detection ~7 s past the lease (ROADMAP, "A recovery path that
-    # needs no favourable fault plan"), so the analytic bound has not
-    # held since the probe was added.
 
 
 def _check_e12(t: Tables) -> None:

@@ -7,11 +7,14 @@ whoever was watching. The Guardian closes that loop as a SNIPE service:
 
 * **Detection** — every daemon re-asserts ``lease-expires`` in its host
   metadata on each load-loop tick; the Guardian scans the catalog and
-  presumes any host with a lapsed lease dead. Host death is therefore
-  detected within ``lease_ttl + scan_interval + grace`` of the crash,
-  regardless of who was talking to the host. Task-level failures on live
-  hosts arrive faster, through the ordinary notify-list machinery — the
-  Guardian subscribes itself to every checkpointed task it owns.
+  suspects any host with a lapsed lease, then confirms the death in one
+  probe round: every interface of every suspect is pinged at once, and
+  a suspect is dead only if every path fails. Host death is therefore
+  detected within ``lease_ttl + scan_interval + grace + PROBE_TIMEOUT``
+  of the crash, regardless of who was talking to the host. Task-level
+  failures on live hosts arrive faster, through the ordinary notify-list
+  machinery — the Guardian subscribes itself to every checkpointed task
+  it owns.
 * **Recovery** — the dead task's latest checkpoint LIFN is read from the
   replicated file service, and the task is respawned through a resource
   manager (whose lease-aware placement avoids dead hosts) with a spec
@@ -51,7 +54,7 @@ from repro.robust.health import HealthBoard
 from repro.robust.overload import CONTROL
 from repro.robust.replicas import discover
 from repro.robust.retry import RetryPolicy
-from repro.rpc import RpcClient, RpcError, RpcServer
+from repro.rpc import RpcClient, RpcServer
 from repro.sim.events import defuse
 from repro.sim.resources import Store
 
@@ -61,6 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Well-known guardian port.
 GUARDIAN_PORT = 3700
+#: How long one confirmation round waits for a suspect's pings: the
+#: static timeout of each per-interface ``daemon.ping``, never backed off.
+PROBE_TIMEOUT = 0.5
 
 
 def _values(record: Dict) -> Dict:
@@ -99,18 +105,10 @@ class Guardian:
         #: (fence + respawn) on that evidence is a false death. Disabled
         #: with the heartbeat-only detector (``--bug naive-health``).
         self._probe = RpcClient(host, secret=secret)
-        self.probe_timeout = 0.5
-        # Enough attempts that the probes *alone* can cross the health
-        # board's min_samples and steer themselves onto a backup path:
-        # on a one-way cut of the primary segment, failed pings 1..4 feed
-        # the (host, iface) cell, the 4th quarantines it, and the 5th
-        # re-shops to the alternate segment and comes back alive. Fewer
-        # attempts make declaring death a race against path steering.
-        self.probe_attempts = 5
-        #: Hosts recently confirmed alive by a probe and until when the
-        #: confirmation holds — bounds probe traffic to one RPC per
-        #: suspect per scan even though several code paths re-check.
-        self._alive_until: Dict[str, float] = {}
+        #: The last scan's verdict, ``{host: lease-expiry}`` of confirmed
+        #: deaths. The notify and recovery paths read it; only a scan
+        #: probes, so a suspect costs one round per scan.
+        self._dead: Dict[str, float] = {}
         self.false_deaths_averted = 0
         self.ckpt_rejected = 0
         #: The guardian's own pseudo-process URN: being in the local
@@ -193,8 +191,9 @@ class Guardian:
                 continue  # catalog flaky this tick; next scan retries
 
     def _dead_hosts(self):
-        """Hosts whose lease has lapsed *and* failed a liveness probe,
-        as ``{host: lease-expiry}``.
+        """Hosts whose lease has lapsed *and* that failed the scan's
+        probe round, as ``{host: lease-expiry}``; kept as the verdict
+        the notify and recovery paths read until the next scan.
 
         Lease comparison uses this guardian's own (possibly skewed) wall
         clock — exactly the evidence a real detector would have. The
@@ -209,47 +208,71 @@ class Guardian:
         urls = yield self.rc.query("snipe://", lane=CONTROL)
         hosts = uri_mod.host_records(urls)
         records = yield self.rc.lookup_many(list(hosts), lane=CONTROL)
-        dead = {}
+        suspects = {}
         now = self.host.clock()
         for url, host_name in hosts.items():
-            lease = _values(records[url]).get("lease-expires")
+            val = _values(records[url]).get
+            lease = val("lease-expires")
             if lease is not None and lease + self.grace < now:
-                if (yield from self._confirm_dead(host_name)):
-                    dead[host_name] = lease
-        return dead
+                suspects[host_name] = (lease, val("interfaces") or {})
+        alive = yield from self._probe_round(suspects)
+        self._dead = {h: lease for h, (lease, _ifs) in suspects.items()
+                      if h not in alive}
+        return self._dead
 
-    def _confirm_dead(self, host_name: str):
-        """Second opinion on a lease-lapsed host: ping its daemon.
+    def _probe_round(self, suspects: Dict):
+        """Second opinion on lease-lapsed hosts: the set that answered.
 
-        Returns True only if every probe attempt fails. Each failed
-        attempt feeds the path selector and health board, so a retry
-        naturally prefers an alternate path on multi-homed topologies —
-        no false death on a one-way partition that only cuts the first
-        route. Gated on the differential detector: the ``naive-health``
-        baseline trusts leases alone, which is the bug E15 demonstrates.
+        One bounded round: every interface a suspect's host record
+        lists (§5.2.1) gets its own ``daemon.ping`` at once, pinned to
+        that address and answered over the same path, each waiting the
+        static :data:`PROBE_TIMEOUT`. A suspect is alive if any path
+        answers — a one-way cut of its primary segment is not a death —
+        and the whole round takes at most one timeout however many
+        suspects and paths there are. Gated on the differential
+        detector: the ``naive-health`` baseline trusts leases alone,
+        which is the bug E15 demonstrates.
         """
         if not HealthBoard.differential_enabled:
-            return True
-        until = self._alive_until.get(host_name)
-        if until is not None and self.sim.now < until:
-            return False
-        for _ in range(self.probe_attempts):
-            try:
-                yield self._probe.call(
-                    host_name, DAEMON_PORT, "daemon.ping",
-                    timeout=self.probe_timeout, lane=CONTROL,
-                )
-            except RpcError:
+            return set()
+        verdicts = {host_name: self._ping_paths(host_name, interfaces)
+                    for host_name, (_lease, interfaces) in suspects.items()}
+        yield self.sim.all_of(list(verdicts.values()))
+        alive = set()
+        for host_name, verdict in verdicts.items():
+            if not verdict.value:
                 continue
+            alive.add(host_name)
             self.false_deaths_averted += 1
             self._m_probe_saved.inc()
-            self._alive_until[host_name] = self.sim.now + self.scan_interval
             tracer = self.sim.obs.tracer
             if tracer.enabled:
                 tracer.event("guardian.probe_alive", guardian=self.host.name,
                              host=host_name)
-            return False
-        return True
+        return alive
+
+    def _ping_paths(self, host_name: str, interfaces: Dict):
+        """Ping every interface of *host_name* at once; the returned
+        event succeeds with True at the first answer, or with False
+        once every path has failed."""
+        verdict = self.sim.event()
+        calls = [self._probe.call(host_name, DAEMON_PORT, "daemon.ping",
+                                  timeout=PROBE_TIMEOUT, lane=CONTROL,
+                                  via=info["ip"])
+                 for _iface, info in sorted(interfaces.items())]
+        pending = len(calls)
+
+        def settle(call):
+            nonlocal pending
+            pending -= 1
+            if not verdict.triggered and (call.ok or not pending):
+                verdict.succeed(call.ok)
+
+        for call in calls:
+            call.add_callback(settle)
+        if not calls:
+            verdict.succeed(False)
+        return verdict
 
     def _live_guardians(self, dead):
         """Guardian hosts registered in the catalog, minus dead ones."""
@@ -357,7 +380,9 @@ class Guardian:
         if urn in self._recovering:
             return
         try:
-            meta = yield self.rc.lookup(urn, lane=CONTROL)
+            # QUORUM: a replica that has not yet applied the daemon's
+            # death report would send the recovery to the next scan.
+            meta = yield self.rc.lookup(urn, consistency=QUORUM, lane=CONTROL)
         except Exception:
             return
         val = _values(meta).get
@@ -366,7 +391,7 @@ class Guardian:
         lifn = val("checkpoint-lifn")
         if lifn is None:
             return
-        dead = yield from self._dead_hosts()
+        dead = self._dead
         if not self._is_dead(val("state"), val("exit-error"), val("host"), dead):
             return
         live_guardians = yield from self._live_guardians(dead)
@@ -414,9 +439,8 @@ class Guardian:
                 meta = None
             if meta is not None:
                 val = _values(meta).get
-                dead = yield from self._dead_hosts()
                 if not self._is_dead(val("state"), val("exit-error"),
-                                     val("host"), dead):
+                                     val("host"), self._dead):
                     self._detected.pop(urn, None)
                     return
                 inc = val("incarnation")

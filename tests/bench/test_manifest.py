@@ -210,6 +210,17 @@ def test_e16_check_rejects_a_breached_heal_bound(config, column, value):
         BY_ID["E16"].check(rows)
 
 
+@pytest.mark.parametrize("row", [0, -1])
+def test_e11_check_rejects_a_row_outside_the_analytic_bound(row):
+    """A recovery that lands inside the TTL ordering but past
+    TTL + scan + grace + probe round + slack still fails E11."""
+    rows = json.loads((RESULTS / "quick" / "E11.json").read_text())["rows"]
+    BY_ID["E11"].check(rows)
+    sorted(rows["mttr"], key=lambda r: r["lease_ttl_s"])[row]["within_bound"] = False
+    with pytest.raises(AssertionError):
+        BY_ID["E11"].check(rows)
+
+
 def test_summaries_report_a_mean_of_nothing_as_none():
     e15 = json.loads((RESULTS / "quick" / "E15.json").read_text())["rows"]["runs"]
     for r in e15:
