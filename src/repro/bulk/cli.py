@@ -3,9 +3,11 @@
 One subcommand:
 
 * ``tree`` — show the relay tree the distributor would build for a
-  site (who pulls from whom), then run one tree distribution and print
-  the per-destination outcome — a quick way to see the pipeline,
-  swarm announcements, and digest verification at work.
+  site (who pulls from whom, and each host's child count), then run
+  one tree distribution and print the per-destination outcome and the
+  object copies each NIC sent, root first — a quick way to see the
+  pipeline, swarm announcements, digest verification and the per-NIC
+  load at work.
 
 The unicast-vs-tree measurement is experiment E13:
 ``python -m repro experiments E13``.
@@ -31,8 +33,9 @@ def _cmd_tree(args) -> int:
 
     def show(node: str, indent: int) -> None:
         mark = " (root)" if node == root else ""
-        print(f"  {'  ' * indent}{node}{mark}")
-        for c in sorted(children.get(node, [])):
+        kids = sorted(children.get(node, []))
+        print(f"  {'  ' * indent}{node}{mark} children={len(kids)}")
+        for c in kids:
             show(c, indent + 1)
 
     print(f"relay tree: {args.racks} racks x {args.per_rack} hosts, "
@@ -43,6 +46,10 @@ def _cmd_tree(args) -> int:
     dist = env.bulk_distributor(root, fanout=args.fanout)
     proc = dist.distribute("demo", payload, dests, chunk_size=CHUNK,
                            strategy="tree", deadline=60.0)
+    hosts = [root] + sorted(h for h in env.topology.hosts if h != root)
+    nics = [(f"{h}:{i}", nic) for h in hosts
+            for i, nic in sorted(env.topology.hosts[h].nics.items())]
+    tx0 = [nic.tx_bytes for _, nic in nics]
     report = env.run(until=proc)
     print(f"\ndistributed {report['bytes'] / 1024:.0f} KiB "
           f"({report['nchunks']} chunks) to "
@@ -58,6 +65,10 @@ def _cmd_tree(args) -> int:
         print(f"  {d:8s} ok={r.get('ok')} "
               f"verified={r.get('hash_ok')} "
               f"retries={r.get('chunk_retries', 0)} from [{srcs}]")
+    # Per-NIC load: the busiest uplink bounds the makespan.
+    print("\ntx object copies per NIC (bytes sent / object size):")
+    for (label, nic), before in zip(nics, tx0):
+        print(f"  {label:10s} {(nic.tx_bytes - before) / report['bytes']:.2f}")
     return 0 if report["completed"] == len(dests) else 1
 
 

@@ -7,9 +7,10 @@ object in RC metadata once it holds chunks of it — completed fetchers
 become additional sources, swarm-style.
 
 The crucial detail for pipelined relay trees is that ``bulk.get_chunk``
-*waits*: a request for a chunk the host does not hold yet — but is
-actively fetching — parks inside the handler until the chunk is
-committed (bounded by :data:`SERVE_WAIT`), then answers. A relay
+*waits*: a request for a chunk the host does not hold yet — because it
+is still fetching it, or has not even resolved the object's map — parks
+inside the handler until the chunk is committed (bounded by
+:data:`SERVE_WAIT`), then answers. A relay
 therefore forwards chunk *k* to its children while chunk *k+1* is still
 arriving from its parent, with no extra protocol machinery: the
 children simply ask slightly ahead of the relay's own progress.
@@ -226,10 +227,10 @@ class BulkService:
         sliced = self._file_chunk(name, seq)
         if sliced is not None:
             return Sized({"seq": seq, "data": sliced}, size=len(sliced) + 64)
-        if name in self.store.maps:
-            # Mid-fetch relay: hold the request until the chunk lands.
-            return self._wait_chunk(name, seq)
-        raise KeyError(f"{self.host.name} holds no chunks of {name!r}")
+        # A relay mid-fetch — or one still resolving the object's map, as
+        # every tree level starts at once: hold the request until the
+        # chunk lands.
+        return self._wait_chunk(name, seq)
 
     def _wait_chunk(self, name: str, seq: int):
         arrived = self.store.wait(name, seq)
