@@ -11,17 +11,21 @@ gateway). Two strategies face the same topology and seed:
 * **unicast** — every destination reads the whole object straight from
   the root: N copies cross the backbone, serialized on the root's link;
 * **tree** — the ``repro.bulk`` pipelined relay tree: one pull per rack
-  crosses the backbone, relays forward chunk *k* while receiving *k+1*,
-  and completed peers announce themselves as extra sources.
+  crosses the backbone, no host feeds more than ``FANOUT`` (2)
+  children, relays forward chunk *k* while receiving *k+1*, and
+  completed peers announce themselves as extra sources.
 
 Measured per (hosts, strategy): completion wall-clock, aggregate
-goodput (delivered bytes / elapsed), chunk retries, and whether every
-per-host digest verified. A third configuration kills a rack's relay
-head mid-transfer (recovering it after one second) and must still
-complete everywhere with all digests verified — the mid-object
-failover + resume claim. The shape assertion is the data-plane claim:
-the relay tree beats naive unicast by >= 3x aggregate goodput at 16
-hosts.
+goodput (delivered bytes / elapsed), chunk retries, whether every
+per-host digest verified, and the root's load — bytes its NIC sent
+during the run over the object's size (``root_copies``; unicast sends
+one copy per host, the tree about ``FANOUT``). A third configuration
+kills a rack's relay head mid-transfer (recovering it after one
+second) and must still complete everywhere with all digests verified —
+the mid-object failover + resume claim. The shape assertions are the
+data-plane claim: the relay tree beats naive unicast by >= 3x
+aggregate goodput at 16 hosts, and its root sends at most
+``FANOUT`` + 0.5 copies.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ LAYOUTS = {8: (4, 2), 16: (4, 4), 32: (4, 8)}
 #: a few dozen chunks per host, so pipelining is actually exercised.
 CHUNK = 16384
 
+#: Children per relay-tree host, the root included.
+FANOUT = 2
+
 #: How long the killed relay stays down before recovering.
 CRASH_OUTAGE = 1.0
 
@@ -49,10 +56,10 @@ def _one_run(
     racks, per_rack = LAYOUTS[hosts]
     env, root, dests = build_bulk_site(seed=seed, racks=racks, per_rack=per_rack)
     payload = make_payload(object_kb * 1024, CHUNK)
-    dist = env.bulk_distributor(root)
+    dist = env.bulk_distributor(root, fanout=FANOUT)
     victim: Optional[str] = None
     if crash:
-        parents = build_relay_tree(env.topology, root, dests, fanout=2)
+        parents = build_relay_tree(env.topology, root, dests, fanout=FANOUT)
         victim = sorted(d for d, p in parents.items() if p == root)[0]
 
     def go(sim):
@@ -69,7 +76,10 @@ def _one_run(
             env.topology.hosts[victim].recover()
         return (yield d)
 
+    root_nics = env.topology.hosts[root].nics.values()
+    tx0 = sum(nic.tx_bytes for nic in root_nics)
     report = env.sim.run(until=env.sim.process(go(env.sim)))
+    root_tx = sum(nic.tx_bytes for nic in root_nics) - tx0
     return {
         "hosts": hosts,
         "strategy": strategy,
@@ -80,6 +90,7 @@ def _one_run(
         "elapsed_s": round(report["elapsed"], 3),
         "goodput_mbs": round(report["aggregate_goodput"] / 1e6, 2),
         "chunk_retries": report["chunk_retries"],
+        "root_copies": round(root_tx / report["bytes"], 2),
         "crashes": sum(
             r.get("crashes", 0) for r in report["per_dest"].values()
         ),

@@ -38,7 +38,7 @@ from repro.bench.e8_failover import failover_timeline
 from repro.bench.e9_rc import anti_entropy_ablation, rc_update_scaling
 from repro.bench.e10_media import media_selection
 from repro.bench.e11_recovery import recovery_mttr
-from repro.bench.e13_bulk import bulk_distribution
+from repro.bench.e13_bulk import FANOUT as E13_FANOUT, bulk_distribution
 from repro.bench.e14_obs import SIM_COLUMNS, TRACING, bulk_obs_overhead
 from repro.bench.e17_kernel_scale import kernel_scale
 from repro.bench.e18_catalog_scale import catalog_scale, split_under_load
@@ -350,6 +350,11 @@ def _check_e13(t: Tables) -> None:
         assert r["completed"] == r["hosts"] and r["all_verified"], r
         if r["crash"]:
             assert r["crashes"] >= 1
+        elif r["strategy"] == "tree":
+            # No host feeds more than fanout children, the root
+            # included, so its NIC sends about fanout copies however
+            # many hosts the tree reaches.
+            assert r["root_copies"] <= E13_FANOUT + 0.5, r
     # The data-plane claim: at 16 hosts the relay tree beats naive
     # root-unicast — by at least 3x aggregate goodput once the object
     # is long enough to fill the pipeline (1 MiB = 64 chunks) — and its

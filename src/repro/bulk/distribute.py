@@ -2,27 +2,31 @@
 
 The naive plan — every destination reads the whole object from the root
 — serializes N copies through the root's uplink. The
-:class:`Distributor` instead builds a topology-aware relay tree: hosts
-are clustered by their dominant network segment, one member per cluster
-pulls from the root across the backbone, and the rest pull from relays
-inside their own segment, so the object crosses each backbone link a
-constant number of times instead of N.
+:class:`Distributor` instead builds a topology-aware relay tree whose
+every host, the root included, feeds at most ``fanout`` children, so no
+NIC sends more than about ``fanout`` copies of the object. Hosts are
+clustered by their dominant network segment and each cluster is entered
+by exactly one edge, into its *head*: the root feeds ``fanout`` heads,
+and each head keeps one slot for its own cluster and relays to further
+heads across the backbone with the rest. The other members pull from
+relays inside their own segment, so the object crosses the backbone
+once per cluster instead of N times.
 
-The tree is *pipelined* for free: a relay's children simply fetch from
-the relay, and the relay's ``bulk.get_chunk`` handler answers each
-chunk as soon as it is committed locally (see
-:mod:`repro.bulk.service`) — so chunk *k* flows down the tree while
-chunk *k+1* is still arriving at the relay. Because every completed
-host announces itself as a source, the tree degrades gracefully into a
-swarm: when a relay dies mid-transfer its children strike it and fail
-over to the root or to any announced peer, and the relay itself — its
-chunk store being durable — resumes from its missing chunks on
-recovery rather than starting over.
+The tree is *pipelined*: every destination starts at once, and a
+relay's ``bulk.get_chunk`` handler holds each request until the chunk
+is committed locally (see :mod:`repro.bulk.service`) — so chunk *k*
+flows down the tree while chunk *k+1* is still arriving at the relay.
+Because every completed host announces itself as a source, the tree
+degrades gracefully into a swarm: when a relay dies mid-transfer its
+children strike it and fail over to the root or to any announced peer,
+and the relay itself — its chunk store being durable — resumes from its
+missing chunks on recovery rather than starting over.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro.bulk.fetch import BulkError
 from repro.sim.errors import Interrupt
@@ -32,15 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.bulk.service import BulkService
     from repro.net.topology import Topology
 
-#: Per-tree-level start stagger: a child begins fetching slightly after
-#: its parent so the parent has resolved the chunk map (and can hold
-#: ``get_chunk`` requests) by the time the first one arrives.
-LEVEL_STAGGER = 0.05
-
-#: Off-segment source weight relay children fetch with: low enough that
-#: the backbone mostly carries the per-rack head transfers, but nonzero
-#: so a child can still drain from the root when its rack goes dark.
-TREE_FAR_WEIGHT = 0.25
+#: Off-segment source weight relay children fetch with: the root is a
+#: failover source for a child whose relay goes dark, not a second feed —
+#: any steady share of requests it takes lands on the root's uplink, the
+#: one NIC the tree exists to unload.
+TREE_FAR_WEIGHT = 0.01
 
 
 def build_relay_tree(
@@ -49,10 +49,16 @@ def build_relay_tree(
     """Parent assignment (dest -> parent host) clustered by segment.
 
     Destinations are grouped by their dominant segment (the one most of
-    the destinations share); each cluster's head pulls from *root*, and
-    the rest of the cluster forms a ``fanout``-ary tree under the head,
-    so bulk bytes stay inside the segment.
+    the destinations share); the first member of each cluster is its
+    head. No host gets more than *fanout* children: the root feeds
+    ``fanout`` heads, each head feeds ``fanout - 1`` further heads
+    breadth-first, and each cluster's other members fill a
+    ``fanout``-ary tree under their head's remaining slots, so bulk
+    bytes stay inside the segment.
     """
+    if fanout < 2:
+        raise ValueError(f"fanout {fanout} < 2: a head needs one slot for "
+                         "its cluster and one to relay onward")
     seg_count: Dict[str, int] = {}
     dest_segs: Dict[str, List[str]] = {}
     for d in dests:
@@ -65,19 +71,27 @@ def build_relay_tree(
         primary = max(dest_segs[d], key=lambda s: (seg_count[s], s))
         clusters.setdefault(primary, []).append(d)
     parents: Dict[str, str] = {}
+    free = {root: fanout}
+
+    def attach(child: str, feeders: Deque[str], slots: int) -> None:
+        parent = feeders[0]
+        parents[child] = parent
+        free[parent] -= 1
+        if free[parent] == 0:
+            feeders.popleft()
+        free[child] = slots
+        feeders.append(child)
+
+    head_feeders = deque([root])
     for _seg, members in sorted(clusters.items()):
-        for i, d in enumerate(members):
-            parents[d] = root if i == 0 else members[(i - 1) // fanout]
+        attach(members[0], head_feeders, fanout - 1)
+    for _seg, members in sorted(clusters.items()):
+        head = members[0]
+        feeders = deque([head])
+        free[head] += 1  # the slot every head keeps for its own cluster
+        for d in members[1:]:
+            attach(d, feeders, fanout)
     return parents
-
-
-def tree_depth(parents: Dict[str, str], dest: str, root: str) -> int:
-    """Levels between *dest* and *root* in the parent map."""
-    depth, node = 0, dest
-    while node != root and depth < len(parents) + 1:
-        node = parents[node]
-        depth += 1
-    return depth
 
 
 class Distributor:
@@ -135,16 +149,13 @@ class Distributor:
         else:
             parents = {d: self.root for d in dests}
         t_end = t0 + deadline
-        workers = []
-        for d in dests:
-            stagger = (
-                LEVEL_STAGGER * (tree_depth(parents, d, self.root) - 1)
-                if strategy == "tree" else 0.0
-            )
-            workers.append(self.sim.process(
-                self._one_dest(name, d, parents[d], strategy, stagger, t_end),
+        workers = [
+            self.sim.process(
+                self._one_dest(name, d, parents[d], strategy, t_end),
                 name=f"bulk-dest:{name}@{d}",
-            ))
+            )
+            for d in dests
+        ]
         yield self.sim.all_of(workers)
         results = {d: w.value for d, w in zip(dests, workers)}
         span.finish()
@@ -168,7 +179,7 @@ class Distributor:
             "per_dest": results,
         }
 
-    def _one_dest(self, name, dest, parent, strategy, stagger, t_end):
+    def _one_dest(self, name, dest, parent, strategy, t_end):
         """Deliver to one destination, surviving crashes of it and of
         its sources; returns a per-destination report (never raises)."""
         svc = self.services[dest]
@@ -179,8 +190,6 @@ class Distributor:
         hints = [self.services[parent].address]
         errors: List[str] = []
         crashes = 0
-        if stagger > 0:
-            yield self.sim.timeout(stagger)
         while self.sim.now < t_end:
             if not host.up:
                 # Park until the host recovers (or the deadline hits) —

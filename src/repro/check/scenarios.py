@@ -151,7 +151,7 @@ SCENARIOS: Dict[str, Scenario] = {
                  "goodput_MB_s": lambda r: r["aggregate_goodput"] / 1e6,
                  "poisoned": _count("poisoned")},
         flags=("duration",),
-        check={"racks": 2, "object_kb": 512, "chunk_size": 16384,
+        check={"racks": 3, "object_kb": 512, "chunk_size": 16384,
                "duration": CHECK_DURATION, "poison": True},
         bugs=("no-chunk-verify",),
         profile={"object_kb": 1024},

@@ -1,9 +1,20 @@
 """Relay-tree construction and end-to-end fan-out distribution."""
 
-from repro.bulk.distribute import build_relay_tree, tree_depth
+import pytest
+
+from repro.bulk.distribute import TREE_FAR_WEIGHT, build_relay_tree
 from repro.bulk.testbed import build_bulk_site, make_payload
 
 CHUNK = 4096
+
+
+def tree_depth(parents, dest, root):
+    """Levels between *dest* and *root* in the parent map."""
+    depth, node = 0, dest
+    while node != root and depth <= len(parents):
+        node = parents[node]
+        depth += 1
+    return depth
 
 
 def run_gen(env, gen):
@@ -30,7 +41,39 @@ def test_relay_tree_fanout_bound():
     env, root, dests = build_bulk_site(racks=1, per_rack=7, settle=0)
     parents = build_relay_tree(env.topology, root, dests, fanout=2)
     for p in set(parents.values()):
-        assert list(parents.values()).count(p) <= 3  # head + fanout children
+        assert list(parents.values()).count(p) <= 2
+
+
+@pytest.mark.parametrize("racks,per_rack", [(4, 8), (3, 3)])
+def test_relay_tree_bounds_every_out_degree_and_enters_each_rack_once(
+        racks, per_rack):
+    env, root, dests = build_bulk_site(racks=racks, per_rack=per_rack, settle=0)
+    fanout = 2
+    parents = build_relay_tree(env.topology, root, dests, fanout=fanout)
+    assert set(parents) == set(dests)
+    children = {}
+    for d, p in parents.items():
+        children[p] = children.get(p, 0) + 1
+    assert children[root] == fanout
+    assert max(children.values()) <= fanout
+
+    def rack(h):
+        return h.split("-")[0]
+
+    for r in range(racks):
+        members = [d for d in dests if rack(d) == f"m{r}"]
+        entries = [d for d in members if parents[d] == root
+                   or rack(parents[d]) != f"m{r}"]
+        assert len(entries) == 1, (r, entries)
+        # Every other member pulls from inside its own rack.
+        for d in set(members) - set(entries):
+            assert rack(parents[d]) == f"m{r}"
+
+
+def test_relay_tree_rejects_a_fanout_with_no_slot_to_relay():
+    env, root, dests = build_bulk_site(racks=2, per_rack=2, settle=0)
+    with pytest.raises(ValueError):
+        build_relay_tree(env.topology, root, dests, fanout=1)
 
 
 def test_distribute_tree_delivers_everywhere():
@@ -96,8 +139,8 @@ def test_distribute_survives_relay_crash_and_recovery():
 
 
 def test_distribute_tree_keeps_backbone_traffic_constant():
-    # In tree mode only cluster heads talk to the root: the root serves
-    # ~racks transfers' worth of bytes, not hosts' worth.
+    # In tree mode only the root's fanout children pull from it: the
+    # root serves ~fanout transfers' worth of bytes, not hosts' worth.
     env, root, dests = build_bulk_site(racks=2, per_rack=4)
     payload = make_payload(40 * CHUNK, CHUNK)
     dist = env.bulk_distributor(root)
@@ -115,3 +158,43 @@ def test_distribute_tree_keeps_backbone_traffic_constant():
     total_bytes = len(dests) * 40 * CHUNK
     # The root served well under half of all delivered bytes.
     assert root_bytes < total_bytes / 2
+
+
+def test_distribute_tree_root_sends_about_fanout_copies():
+    # The root's uplink is the one every copy would funnel through; the
+    # tree holds its load at ~fanout copies however many racks there are.
+    env, root, dests = build_bulk_site(racks=4, per_rack=8)
+    size = 64 * 16384
+    payload = make_payload(size, 16384)
+    fanout = 2
+    dist = env.bulk_distributor(root, fanout=fanout)
+    nics = env.topology.hosts[root].nics.values()
+    tx0 = sum(nic.tx_bytes for nic in nics)
+    report = env.run(until=dist.distribute("weights", payload, dests,
+                                           chunk_size=16384))
+    assert report["completed"] == len(dests) and report["all_verified"]
+    root_tx = sum(nic.tx_bytes for nic in nics) - tx0
+    assert root_tx <= (fanout + 0.5) * size
+
+
+def test_relay_parks_a_request_that_beats_its_own_map_lookup():
+    # A child asks its relay for chunks before the relay has even
+    # started resolving the object's map; the relay must hold the
+    # requests, not refuse them (a refusal strikes the relay).
+    env, root, dests = build_bulk_site(racks=1, per_rack=2)
+    relay, child = env.bulk_services[dests[0]], env.bulk_services[dests[1]]
+    payload = make_payload(12 * CHUNK, CHUNK)
+
+    def go(sim):
+        yield env.bulk_services[root].seed("weights", payload, CHUNK)
+        fetch = child.fetcher.fetch("weights", hints=[relay.address],
+                                    far_weight=TREE_FAR_WEIGHT)
+        yield sim.timeout(0.2)
+        assert "weights" not in relay.store.maps
+        yield relay.fetcher.fetch("weights", hints=[(root, 2200)])
+        return (yield fetch)
+
+    report = run_gen(env, go(env.sim))
+    assert report["ok"] and report["hash_ok"]
+    assert report["chunk_retries"] == 0
+    assert set(report["bytes_by_source"]) == {relay.address}

@@ -101,7 +101,9 @@ def test_minimize_rejects_a_passing_configuration():
 def test_bulk_scenario_runs_clean_and_quarantines_the_poison():
     report = run_check(scenario="bulk", seed=1, duration=30.0)
     assert report["ok"], report["violations"]
-    assert report["completed"] == report["hosts"] == 6
+    # The check profile's 3 racks of 3: the root feeds two heads, one
+    # of which also relays to the third rack's head.
+    assert report["completed"] == report["hosts"] == 9
     assert report["poisoned"], "the scenario must poison one source"
     assert report["plan"], "seeded plan must crash at least one fetcher"
 
