@@ -237,8 +237,9 @@ class BulkFetcher:
                 f"{name!r} incomplete on {self.host.name}: "
                 f"{store.count(name)}/{cmap.nchunks} chunks after {elapsed:.2f}s"
             )
-        payload = store.payload(name)
-        actual = content_hash(payload)
+        # Hash the reassembled object without keeping it: a local would
+        # hold a whole extra copy across the announce below.
+        actual = content_hash(store.payload(name))
         hash_ok = actual == cmap.hash
         if type(self).verify_enabled and not hash_ok:
             # The store holds bytes that no longer hash to the map (e.g.
