@@ -10,10 +10,8 @@ Commands:
   (see :mod:`repro.bench.manifest`).
 * ``info`` — package and inventory summary.
 * ``obs`` — observability: ``obs report [export.json]``, ``obs diff
-  BASE NEW`` (with ``--fail-over PCT`` as a CI regression gate),
-  ``obs profile`` (kernel work counts) and ``obs slo``
-  (declarative SLO gates over an overload run or a saved export)
-  (see :mod:`repro.obs.cli`).
+  BASE NEW`` (aligned deltas, rendered only) and ``obs profile``
+  (kernel work counts) (see :mod:`repro.obs.cli`).
 * ``chaos`` — seeded fault injection judged by the oracles:
   ``chaos run --seed N`` and ``chaos sweep`` (see :mod:`repro.robust.cli`).
 * ``check`` — model checking: explored schedules, reference-model

@@ -1,7 +1,7 @@
 """The scenario table: the one place a scenario is declared.
 
 Every consumer of a scenario — the ``chaos`` and ``check`` CLIs, ``obs
-profile`` and ``obs slo``, the experiment sweeps, CI's loops — looks it
+profile``, the experiment sweeps, CI's loops — looks it
 up in :data:`SCENARIOS` by name; nothing else dispatches on a scenario
 name. An entry is a record of plain data and plain functions:
 

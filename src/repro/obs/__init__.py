@@ -17,20 +17,17 @@ from repro.obs.prof import KernelProfiler, profile_scenario
 from repro.obs.report import (
     BENCH_SCHEMA_VERSION,
     diff_exports,
-    gate_diff,
     load_export,
     render_diff,
     render_report,
     save_export,
     write_bench_json,
 )
-from repro.obs.slo import DEFAULT_SLOS, Slo, SloMonitor, evaluate_slos
 from repro.obs.tracing import DEFAULT_CAPACITY, Span, Tracer, load_jsonl
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "DEFAULT_CAPACITY",
-    "DEFAULT_SLOS",
     "FlightRecorder",
     "Gauge",
     "Histogram",
@@ -38,13 +35,9 @@ __all__ = [
     "MetricCounter",
     "MetricsRegistry",
     "Observability",
-    "Slo",
-    "SloMonitor",
     "Span",
     "Tracer",
     "diff_exports",
-    "evaluate_slos",
-    "gate_diff",
     "load_export",
     "load_jsonl",
     "profile_scenario",

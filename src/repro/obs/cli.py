@@ -1,4 +1,4 @@
-"""``python -m repro obs`` — render, diff, profile, and gate observability.
+"""``python -m repro obs`` — render, diff and profile observability.
 
 Subcommands:
 
@@ -10,18 +10,12 @@ Subcommands:
   ``--json PATH`` saves the export; ``--trace PATH`` enables tracing and
   dumps the JSON-lines trace log.
 * ``diff BASE NEW`` — align two saved exports by (metric, tags) and
-  print per-column deltas. ``--fail-over PCT`` turns the diff into a CI
-  regression gate: exit nonzero when any matching metric moved more than
-  PCT percent (``--metrics GLOB`` filters, ``--direction up|down|any``
-  picks the gated direction).
+  print per-column deltas. It renders only: a verdict on a seeded run
+  is its replay digest's or its experiment check's.
 * ``profile`` — run a scenario (``demo``, or any chaos scenario in the
   scenario table, with its profile preset) under the deterministic
   kernel profiler; print its event/heap/frame counts and write them to
   ``BENCH_profile_<scenario>.json``.
-* ``slo`` — evaluate the declarative SLOs (control-RPC p99, heartbeat
-  loss, recovery MTTR, shed rate) continuously over an overload run —
-  or offline against a saved export (``--export FILE``) — and exit
-  nonzero on violation.
 
 What tracing does to the simulated outcome (off / sampled / on) is
 experiment E14, ``python -m repro experiments E14``; what looking costs
@@ -32,13 +26,10 @@ for the tracer, ``obs.trace_overhead_ratio`` for its traced pass).
 from __future__ import annotations
 
 import argparse
-import json
 from typing import Callable, List, Optional
 
 from repro.check.scenarios import SCENARIOS
 from repro.obs.report import (
-    diff_exports,
-    gate_diff,
     load_export,
     render_diff,
     render_report,
@@ -149,23 +140,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     base = load_export(args.base)
     new = load_export(args.new)
     print(render_diff(base, new, title=f"observability diff: {args.new} vs {args.base}"))
-    if args.fail_over is None:
-        return 0
-    rows = diff_exports(base, new)
-    tripped = gate_diff(rows, args.fail_over, metrics_glob=args.metrics,
-                        direction=args.direction)
-    print()
-    if not tripped:
-        print(f"GATE OK: no metric matching {args.metrics!r} moved "
-              f"{args.direction} by more than {args.fail_over:g}%")
-        return 0
-    print(f"GATE FAILED: {len(tripped)} metric change(s) beyond "
-          f"{args.fail_over:g}% ({args.direction}):")
-    for row in tripped:
-        tags = f"[{row['tags']}]" if row["tags"] else ""
-        print(f"  {row['metric']}{tags} {row['column']}: "
-              f"{row['base']} -> {row['new']} ({row['pct']:+.1f}%)")
-    return 1
+    return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -179,42 +154,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         extra={"ok": result["ok"], "profile": result["profile"]})
     print(f"\nprofile written to {path}")
     return 0
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.obs.slo import (
-        DEFAULT_SLOS,
-        SloMonitor,
-        evaluate_slos,
-        format_slo_results,
-        parse_slo,
-    )
-
-    slos = tuple(parse_slo(s) for s in args.slo) if args.slo else DEFAULT_SLOS
-    if args.export is not None:
-        results = evaluate_slos(load_export(args.export), slos)
-        title = f"SLO evaluation: {args.export}"
-    else:
-        holder = {}
-
-        def instrument(sim):
-            holder["monitor"] = SloMonitor(sim, slos,
-                                           interval=args.interval).attach()
-
-        SCENARIOS["overload"].runner(
-            args.seed, saturation=args.saturation, adaptive=not args.static,
-            duration=args.duration, instrument=instrument)
-        results = holder["monitor"].results()
-        mode = "static baseline" if args.static else "adaptive"
-        title = (f"SLO evaluation: overload seed={args.seed} "
-                 f"saturation={args.saturation:g}x ({mode})")
-    print(format_slo_results(results, title=title))
-    if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"results written to {args.json}")
-    return 0 if all(r["ok"] for r in results) else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -235,19 +174,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="enable tracing and dump the JSON-lines trace log")
     p_report.set_defaults(fn=_cmd_report)
 
-    p_diff = sub.add_parser("diff", help="diff two saved exports "
-                                         "(optionally as a CI regression gate)")
+    p_diff = sub.add_parser("diff", help="diff two saved exports")
     p_diff.add_argument("base")
     p_diff.add_argument("new")
-    p_diff.add_argument("--fail-over", type=float, default=None, metavar="PCT",
-                        help="exit nonzero if any gated metric changed by "
-                             "more than PCT percent")
-    p_diff.add_argument("--metrics", default="*", metavar="GLOB",
-                        help="glob of metric names the gate applies to "
-                             "(default: all)")
-    p_diff.add_argument("--direction", choices=("any", "up", "down"),
-                        default="any",
-                        help="gate increases, decreases, or both (default any)")
     p_diff.set_defaults(fn=_cmd_diff)
 
     p_prof = sub.add_parser("profile",
@@ -259,29 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="directory for BENCH_profile_<scenario>.json "
                              "(default: .)")
     p_prof.set_defaults(fn=_cmd_profile)
-
-    p_slo = sub.add_parser("slo", help="evaluate SLOs over an overload run "
-                                       "or a saved export")
-    p_slo.add_argument("--seed", type=int, default=1)
-    p_slo.add_argument("--saturation", type=float, default=5.0,
-                       help="offered load as a multiple of site capacity "
-                            "(default 5.0)")
-    p_slo.add_argument("--static", action="store_true",
-                       help="baseline: fixed timeouts, no breakers, no "
-                            "priority lanes (the natural SLO breach)")
-    p_slo.add_argument("--duration", type=float, default=32.0)
-    p_slo.add_argument("--interval", type=float, default=1.0,
-                       help="virtual seconds between in-run SLO samples "
-                            "(default 1.0)")
-    p_slo.add_argument("--slo", action="append", default=None, metavar="SPEC",
-                       help="name:metric[:column]:op:threshold (repeatable; "
-                            "default: the built-in SLO set)")
-    p_slo.add_argument("--export", default=None, metavar="FILE",
-                       help="evaluate offline against a saved export instead "
-                            "of simulating")
-    p_slo.add_argument("--json", default=None, metavar="PATH",
-                       help="save the per-SLO verdicts as JSON")
-    p_slo.set_defaults(fn=_cmd_slo)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -231,37 +231,3 @@ def write_bench_json(
         fh.write("\n")
     return path
 
-
-def gate_diff(
-    rows: List[Dict[str, Any]],
-    fail_over: float,
-    metrics_glob: str = "*",
-    direction: str = "any",
-) -> List[Dict[str, Any]]:
-    """Diff rows (see :func:`diff_exports`) that trip a regression gate.
-
-    A row trips when its metric name matches *metrics_glob*, both sides
-    are present with a nonzero base (so ``pct`` is defined), and the
-    percent change exceeds *fail_over* in the gated *direction*: ``up``
-    flags increases, ``down`` decreases, ``any`` both. The CLI exits
-    nonzero when this returns a nonempty list — the CI regression gate.
-    """
-    from fnmatch import fnmatchcase
-
-    if direction not in ("any", "up", "down"):
-        raise ValueError(f"unknown direction {direction!r}")
-    tripped: List[Dict[str, Any]] = []
-    for row in rows:
-        if not fnmatchcase(row["metric"], metrics_glob):
-            continue
-        pct = row.get("pct")
-        if not isinstance(pct, (int, float)):
-            continue
-        if direction == "up" and pct <= fail_over:
-            continue
-        if direction == "down" and pct >= -fail_over:
-            continue
-        if direction == "any" and abs(pct) <= fail_over:
-            continue
-        tripped.append(row)
-    return tripped

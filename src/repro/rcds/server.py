@@ -164,7 +164,7 @@ class RCServer:
         self._m_lag = obs.metrics.histogram("rcds.propagation_lag")
         #: Records per sync payload, observed wherever a batch is
         #: assembled (pull replies, push batches, snapshot pages, legacy
-        #: blobs). Its max is the heal-storm SLO.
+        #: blobs). Its max is E16's heal-storm bound.
         self._m_batch = obs.metrics.histogram("rcds.sync_batch_records")
         self._m_compactions = obs.metrics.counter("rcds.compactions")
         self._m_tombstones_gc = obs.metrics.counter("rcds.tombstones_gc")

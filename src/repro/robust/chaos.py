@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bulk.testbed import build_bulk_site, make_payload
 from repro.core.environment import SnipeEnvironment
-from repro.obs.slo import _metric_value
 from repro.rcds import uri as uri_mod
 from repro.robust import TIMEOUTS
 from repro.robust.health import HealthBoard
@@ -837,9 +836,11 @@ def run_partition_heal(
                 run.fail("durable-restore", f"restores per replica {restores}, "
                                             f"records {records}")
             run.sweep()
-        export = env.sim.obs.metrics.export()
         snap = env.sim.obs.metrics.snapshot()
-        max_batch = _metric_value(export, "rcds.sync_batch_records", "max")
+        # The largest sync payload any replica assembled; a float, as the
+        # digested report has always carried it.
+        max_batch = max((float(h["max"]) for h in env.sim.obs.metrics.export()["histograms"]
+                         if h["name"] == "rcds.sync_batch_records"), default=0.0)
         lat = sorted(probe["lat"])
         control_p99 = lat[int(0.99 * (len(lat) - 1))] if lat else None
         control_max = lat[-1] if lat else None

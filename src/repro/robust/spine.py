@@ -1,7 +1,7 @@
 """The run spine: the one sequence every scenario run goes through.
 
-The chaos harness, the model checker, the profiler, the SLO monitor and
-the benches all run a scenario by one call of :func:`run_spine`::
+The chaos harness, the model checker, the profiler and the benches all
+run a scenario by one call of :func:`run_spine`::
 
     build site -> instrument -> probe bus -> flight recorder
       -> [check: exploration scheduler]
@@ -273,7 +273,7 @@ def run_spine(
     *obs_sample* enables tracing at that sampling rate (None: the
     tracer stays detached, the zero-cost default); *instrument(sim)* is
     an arbitrary hook for what must be in place before the first event —
-    the profiler and the SLO monitor attach through it.
+    the profiler attaches through it.
 
     The run fails iff ``run.violations`` is non-empty at the end —
     oracle findings, crashes and a body's own quiescent checks

@@ -65,6 +65,18 @@ def test_obs_report_renders_saved_export_and_diff(tmp_path):
     assert diff.returncode == 0
     assert "delta" in diff.stdout
     assert "transport.retransmits" in diff.stdout
+    # A chaos run's export is the other input the pair renders.
+    gray = tmp_path / "gray.json"
+    run = run_cli("chaos", "run", "--scenario", "gray", "--seed", "1",
+                  "--export", str(gray))
+    assert run.returncode == 0 and gray.is_file()
+    rendered = run_cli("obs", "report", str(gray))
+    assert rendered.returncode == 0
+    assert "guardian.probe_saved" in rendered.stdout
+    diff = run_cli("obs", "diff", str(out), str(gray))
+    assert diff.returncode == 0
+    assert "guardian.probe_saved" in diff.stdout
+    assert "transport.retransmits" in diff.stdout
 
 
 # ---------------------------------------------------------------------------
