@@ -4,7 +4,7 @@
     national infrastructure" (§1)
 
 The earlier experiments all run tens of hosts; this one exists to show
-the simulator *kernel* itself — timer wheel, direct rx dispatch,
+the simulator *kernel* itself — one event heap, direct rx dispatch,
 timestamp-clocked NICs, slim events — sustains sites in the hundreds of
 hosts, so scenario authors can write thousand-endpoint studies without
 the harness becoming the bottleneck.

@@ -190,12 +190,6 @@ class BulkService:
                              consistency=QUORUM, lane=CONTROL)
         return cmap
 
-    def seed_from_file(self, name: str, chunk_size: Optional[int] = None):
-        """Seed *name* from the attached file server's stored copy."""
-        if self.file_server is None or name not in self.file_server.files:
-            raise KeyError(f"no stored file {name!r} on {self.host.name}")
-        return self.seed(name, self.file_server.files[name].payload, chunk_size)
-
     def announce(self, name: str):
         """Register this host as a source for *name* (a process)."""
         return self.rc.update(

@@ -180,9 +180,9 @@ class SnipeDaemon:
     def _load_loop(self):
         owner = f"daemon:{self.host.name}"
         while True:
-            # Wheel timer, not a Timeout: with hundreds of hosts these
-            # periodic heartbeat sleeps would otherwise dominate the
-            # event heap.
+            # A kernel timer, not a Timeout: the two resume the loop at
+            # different queue positions, so swapping them would reorder
+            # same-timestamp ties.
             yield self.sim.timer_event(LOAD_INTERVAL, owner=owner)
             if not self.host.up:
                 continue

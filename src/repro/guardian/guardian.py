@@ -174,8 +174,8 @@ class Guardian:
         registered = False
         owner = f"guardian:{self.host.name}"
         while True:
-            # Lease scans are long periodic sleeps: park them in the
-            # timer wheel instead of the event heap.
+            # Lease scans sleep on a kernel timer (see the daemon's load
+            # loop for why not a Timeout).
             yield self.sim.timer_event(self.scan_interval, owner=owner)
             if not self.host.up:
                 registered = False

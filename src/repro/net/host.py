@@ -198,9 +198,6 @@ class Host:
     def unbind(self, proto: str, port: int) -> None:
         self._bindings.pop((proto, port), None)
 
-    def is_bound(self, proto: str, port: int) -> bool:
-        return (proto, port) in self._bindings
-
     def ephemeral_port(self) -> int:
         port = self._next_ephemeral
         self._next_ephemeral += 1

@@ -62,7 +62,6 @@ class Frame:
         "l2_dst",
         "via_segment",
         "trace_id",
-        "digest",
         "corrupt",
     )
 
@@ -80,7 +79,6 @@ class Frame:
         l2_dst: Optional[str] = None,
         via_segment: Optional[str] = None,
         trace_id: Optional[int] = None,
-        digest: Optional[str] = None,
         corrupt: bool = False,
     ) -> None:
         self.src = src
@@ -105,17 +103,11 @@ class Frame:
         #: reroutes, gateway forwards) carries the same id, so one send can
         #: be reconstructed end-to-end from the trace stream.
         self.trace_id = trace_id
-        #: End-to-end payload digest stamped by verifying transports
-        #: (SHA-256 of the message payload, computed once per message — see
-        #: :func:`repro.security.hashes.content_hash`). None = the sending
-        #: transport does not verify.
-        self.digest = digest
         #: Set by the failure injector when the wire flipped bits in this
-        #: frame's payload. Receivers never read this flag directly — they
-        #: detect corruption by recomputing the payload digest; the flag is
-        #: what makes that recomputation come out wrong (and what the
-        #: corruption oracle uses as ground truth when verification is
-        #: deliberately disabled).
+        #: frame's payload. A verifying receiver reads it as the outcome
+        #: of re-checking the payload digest (the wire model computes no
+        #: hash); it is also the corruption oracle's ground truth when
+        #: verification is deliberately disabled.
         self.corrupt = corrupt
 
     def __copy__(self) -> "Frame":

@@ -83,10 +83,6 @@ class Topology:
         self.bump_version()
         return nic
 
-    def host_of_ip(self, ip: str) -> Optional[Host]:
-        name = self._ip_to_host.get(ip)
-        return self.hosts.get(name) if name else None
-
     def bump_version(self) -> None:
         """Invalidate cached routes (called on any topology/health change)."""
         self._version += 1

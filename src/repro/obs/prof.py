@@ -2,15 +2,15 @@
 
 The profiler counts the kernel-level work that bounds simulation
 speed: events popped and callbacks they dispatch, event-heap pushes
-and high-water queue length, timer churn (``Timeout`` events plus wheel
-timers noted through :meth:`KernelProfiler.note_timer`), Frame
+and high-water queue length, timer churn (``Timeout`` events plus kernel
+timers from ``Simulator.schedule_timer``, cancelled or not), Frame
 constructions (the simulator's per-sim frame-id counter), and bytes
 serialized onto wires (charged by the NIC tx paths). Every count is a
 pure function of the seed; the profiler never reads the host clock —
 where the host time goes is perfbench's traced pass.
 
 Everything is gated on ``sim._prof``: a detached simulator pays one
-``is not None`` test per schedule and per step, nothing else. An
+``is not None`` test per push and per dispatch, nothing else. An
 attached profiler only counts; the kernel dispatches every event itself.
 
 ``python -m repro obs profile --scenario <s>`` runs a scenario under the
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Timeout
 from repro.sim.kernel import TimerHandle, _stop_run
 
 
@@ -53,17 +53,14 @@ class KernelProfiler:
         self._frames1 = sim.frames_constructed
         return self
 
-    def note_schedule(self, event: Event, queue_len: int) -> None:
-        """Called by ``Simulator._schedule`` after the heap push."""
+    def note_schedule(self, event, queue_len: int) -> None:
+        """Called by ``Simulator._schedule`` and ``schedule_timer`` after
+        the heap push."""
         self.heap_pushes += 1
         if queue_len > self.queue_max:
             self.queue_max = queue_len
-        if isinstance(event, Timeout):
+        if event.__class__ is TimerHandle or isinstance(event, Timeout):
             self.timers_scheduled += 1
-
-    def note_timer(self, handle: TimerHandle) -> None:
-        """Called by ``Simulator.schedule_timer`` for every wheel timer."""
-        self.timers_scheduled += 1
 
     def note_pop(self, event) -> None:
         """Called by the kernel just before it dispatches a popped event.

@@ -170,7 +170,9 @@ class ShardManager:
                     continue
                 self._set_gauges()
                 if self.published_epoch < self.map.epoch:
-                    yield from self._publish(self._changed_sids())
+                    # Every group hears the new map: the cheap
+                    # over-approximation of the groups it changed.
+                    yield from self._publish(list(self.servers))
                     continue  # re-observe before changing the map again
                 if self.split_threshold is not None:
                     yield from self._maybe_split()
@@ -191,12 +193,6 @@ class ShardManager:
     def _shard_size(self, sid: str) -> int:
         group = self.servers.get(sid, {})
         return max((s.store.live_uri_count() for s in group.values()), default=0)
-
-    def _changed_sids(self) -> List[str]:
-        """Groups whose servers must hear about an unpublished map: any
-        group whose replica set or prefix ownership differs from what
-        its servers were last told. Cheap over-approximation: all."""
-        return list(self.servers)
 
     # -- split --------------------------------------------------------------
     def _maybe_split(self):

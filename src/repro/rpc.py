@@ -358,8 +358,9 @@ class RpcClient:
                 send_ev = self.endpoint.send_via(dst_host, dst_port, req, wire, via)
             defuse(send_ev)  # reaped below; must not count as uncaught
             # The send itself may fail (peer unreachable): watch both. The
-            # deadline is a cancellable wheel timer so a timely reply (the
-            # common case) costs no heap traffic for the loser.
+            # deadline is a cancellable kernel timer: a timely reply (the
+            # common case) cancels it with a flag write, and the dead
+            # entry is discarded unseen when it reaches the heap head.
             wake = self.sim.event()
             fire = waker(wake)
             reply_ev.add_callback(fire)

@@ -81,13 +81,6 @@ class Event:
         self.sim._schedule(self, delay)
         return self
 
-    def trigger(self, other: "Event") -> None:
-        """Mirror another (already triggered) event's outcome onto this one."""
-        if other._exc is not None:
-            self.fail(other._exc)
-        else:
-            self.succeed(other._value)
-
     # -- callbacks -----------------------------------------------------
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run *fn(event)* when the event is processed (immediately if already)."""

@@ -173,10 +173,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
 
 class Gate:
     """Broadcast signal: many waiters, one ``open()`` wakes them all.

@@ -155,7 +155,6 @@ class TransportEndpoint:
         payload: Any,
         body_bytes: int,
         trace_id: Optional[int] = None,
-        digest: Optional[str] = None,
         via: Optional[str] = None,
     ) -> bool:
         """Push one protocol frame toward *dst_host*. False if unroutable.
@@ -163,8 +162,7 @@ class TransportEndpoint:
         *trace_id* stamps the frame for causal tracing; a ``frame.tx``
         record naming the chosen interface/network is emitted per frame
         when tracing is on, which is what makes mid-message reroutes
-        visible in a trace. *digest* is the end-to-end payload digest for
-        verifying transports. *via* pins the frame to one address of
+        visible in a trace. *via* pins the frame to one address of
         *dst_host* (:meth:`PathSelector.select_via`) instead of the
         selector's choice.
         """
@@ -189,7 +187,6 @@ class TransportEndpoint:
             frame_id=self.sim.next_frame_id(),
             l2_dst=l2,
             trace_id=trace_id,
-            digest=digest,
         )
         if self._tracer.enabled:
             self._tracer.event(

@@ -9,15 +9,15 @@ handshake, 8 header bytes per frame, and — under loss — the go-back-N
 resend storm; that is where the "slightly higher point-to-point
 communication performance" of §6.1 comes from.
 
-End-to-end integrity: the sender stamps every data frame with a SHA-256
-digest of the message payload (computed once per message via
-:func:`repro.security.hashes.content_hash`); the receiver re-verifies on
-arrival and a frame whose bytes no longer match — bit flips injected by
-a gray link — is counted (``transport.rx_corrupt``), dropped, and left
-out of the selective ACK, so the sender simply retransmits it. Corrupt
-data is never delivered upward. ``SrudpEndpoint.digest_enabled = False``
-(the ``no-digest`` seeded bug) turns verification off; the corruption
-oracle then catches the corrupt delivery.
+End-to-end integrity: every data frame models a header digest of the
+message payload that the receiver re-verifies on arrival. The wire
+model decides the outcome from the frame's ``corrupt`` flag, so no hash
+is computed: a frame whose bytes no longer match — bit flips injected
+by a gray link — is counted (``transport.rx_corrupt``), dropped, and
+left out of the selective ACK, so the sender simply retransmits it.
+Corrupt data is never delivered upward. ``SrudpEndpoint.digest_enabled
+= False`` (the ``no-digest`` seeded bug) turns verification off for the
+whole run; the corruption oracle then catches the corrupt delivery.
 """
 
 from __future__ import annotations
@@ -61,45 +61,6 @@ class _Data:
         self.t0 = t0  # virtual send time, for delivery-latency accounting
 
 
-class _LazyDigest:
-    """A frame-header digest whose hex value is computed on first read.
-
-    The wire model decides verification outcomes from the frame's
-    corruption state, so in the common case the SHA-256 over the
-    message's canonical encoding is never needed; this defers it while
-    keeping ``frame.digest is not None`` semantics (and a real value for
-    anything that prints or compares it).
-    """
-
-    __slots__ = ("_payload", "_hex")
-
-    def __init__(self, payload: Any) -> None:
-        self._payload = payload
-        self._hex: Optional[str] = None
-
-    @property
-    def hex(self) -> Optional[str]:
-        if self._hex is None:
-            from repro.security.hashes import content_hash
-
-            try:
-                self._hex = content_hash(self._payload)
-            except Exception:
-                return None  # unhashable payload object: unverified
-        return self._hex
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, _LazyDigest):
-            return self.hex == other.hex
-        return self.hex == other
-
-    def __hash__(self) -> int:
-        return hash(self.hex)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<digest {self.hex}>"
-
-
 class _Ack:
     __slots__ = ("msg_id", "cumulative", "missing", "done")
 
@@ -120,7 +81,7 @@ class _SingleFlight:
     refreshes — is overwhelmingly single-segment, and for one segment the
     :meth:`SrudpEndpoint._sender` window loop degenerates to "push, wait
     for the done-ACK, retransmit on timeout". Driving that with two
-    callbacks (the ACK route and a cancellable wheel timer) instead of a
+    callbacks (the ACK route and a cancellable kernel timer) instead of a
     generator process saves the Process/initialise-event/resume machinery
     per message, which was the largest remaining block in the overload
     profile after the wire path was flattened.
@@ -134,7 +95,7 @@ class _SingleFlight:
 
     __slots__ = (
         "ep", "dst_host", "dst_port", "payload", "size", "msg_id",
-        "trace_id", "digest", "t0", "sent_at", "est", "rto", "retries",
+        "trace_id", "t0", "sent_at", "est", "rto", "retries",
         "timer", "owner", "event", "finished", "via",
     )
 
@@ -151,7 +112,6 @@ class _SingleFlight:
         self.via = via
         ep._next_msg_id += 1
         self.msg_id = ep._next_msg_id
-        self.digest = ep._message_digest(payload) if ep.digest_enabled else None
         ep._ack_routes[self.msg_id] = self
         ep._note_tx()
         self.t0 = sim.now
@@ -185,7 +145,7 @@ class _SingleFlight:
                      ep.port, self.t0)
         ep._send_frame(self.dst_host, self.dst_port, data,
                        self.size if self.size else 1,
-                       trace_id=self.trace_id, digest=self.digest, via=self.via)
+                       trace_id=self.trace_id, via=self.via)
 
     # Ack-route protocol: the endpoint's _on_frame routes ACKs here.
     def try_put(self, ack: _Ack) -> bool:
@@ -363,7 +323,6 @@ class SrudpEndpoint(TransportEndpoint):
         msg_id = self._next_msg_id
         mss = self.max_payload(dst_host)
         nsegs = max(1, -(-size // mss))
-        digest = self._message_digest(payload) if self.digest_enabled else None
         acks: Store = Store(self.sim)
         self._ack_routes[msg_id] = acks
         self._note_tx()
@@ -402,7 +361,6 @@ class SrudpEndpoint(TransportEndpoint):
                     )
                 return self._send_frame(
                     dst_host, dst_port, data, seg_bytes(seq), trace_id=trace_id,
-                    digest=digest,
                 )
 
             while unacked:
@@ -420,9 +378,9 @@ class SrudpEndpoint(TransportEndpoint):
                 # Wait for an ACK or a retransmission timeout. The get()
                 # event is reused across timeouts so an ACK arriving late
                 # is never swallowed by an abandoned waiter. The timeout
-                # is a cancellable wheel timer: when the ACK wins the race
-                # (the overwhelming majority of waits) the timer dies in
-                # its bucket without ever touching the event heap.
+                # is a cancellable kernel timer: when the ACK wins the race
+                # (the overwhelming majority of waits) cancelling it is a
+                # flag write, and the kernel discards it unseen.
                 sent_at = self.sim.now
                 if pending is None:
                     pending = acks.get()
@@ -500,19 +458,6 @@ class SrudpEndpoint(TransportEndpoint):
             self._ack_routes.pop(msg_id, None)
 
     # -- receiving ------------------------------------------------------------
-    @staticmethod
-    def _message_digest(payload) -> Optional["_LazyDigest"]:
-        """The end-to-end digest stamped on every data frame.
-
-        Evaluated lazily: receivers decide "does the payload still match
-        the header digest?" from the frame's wire-corruption state, so
-        the hex value is only ever materialised if something (a debugger,
-        a dump) actually reads it — hashing the canonical encoding of
-        every message payload up front was a top-five cost in the bulk
-        wire profile, for bytes nothing looked at.
-        """
-        return _LazyDigest(payload)
-
     def recv(self):
         """Event yielding the next complete :class:`Message`."""
         return self._rx_queue.get()
@@ -532,7 +477,7 @@ class SrudpEndpoint(TransportEndpoint):
         self._on_data(frame, item)
 
     def _on_data(self, frame, data: _Data) -> None:
-        if frame.corrupt and self.digest_enabled and frame.digest is not None:
+        if frame.corrupt and self.digest_enabled:
             # Recomputing the digest over the received bytes does not
             # match the sender-stamped header digest: count the corrupt
             # receive, drop the segment, and leave it un-ACKed so the
@@ -550,9 +495,9 @@ class SrudpEndpoint(TransportEndpoint):
         if state is None:
             state = self._rx_state[key] = _RxState(data.nsegs)
         if frame.corrupt:
-            # Verification is off (no-digest bug) or the payload was
-            # unhashable: the flipped bits go undetected and poison the
-            # whole reassembly. The corruption oracle's ground truth.
+            # Verification is off (the no-digest bug): the flipped bits
+            # go undetected and poison the whole reassembly. The
+            # corruption oracle's ground truth.
             state.corrupt = True
         state.add(data.seq)
         if state.complete:

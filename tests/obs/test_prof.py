@@ -21,9 +21,10 @@ class _StubNic:
 
 def test_profiler_counts_what_the_kernel_dispatches():
     """An event with two callbacks, a fired timer, a cancelled timer and
-    a frame arrival: three events popped, three callbacks run. The
-    cancelled timer is never dispatched, and an ``_Arrival`` overrides
-    ``_process`` and runs no callback list."""
+    a frame arrival: four heap pushes, three events popped, three
+    callbacks run. The cancelled timer is pushed but discarded unseen,
+    and an ``_Arrival`` overrides ``_process`` and runs no callback
+    list."""
     sim = Simulator(seed=1)
     prof = KernelProfiler().attach(sim)
     ran = []
@@ -38,7 +39,7 @@ def test_profiler_counts_what_the_kernel_dispatches():
     assert ran == ["a", "b", "timer", "frame"]
     assert prof.callbacks == 3
     assert prof.events == prof.export()["heap"]["pops"] == 3
-    assert prof.heap_pushes == 3 and prof.timers_scheduled == 2
+    assert prof.heap_pushes == 4 and prof.timers_scheduled == 2
     # run(until=event)'s stop hook ends the run; it is not counted.
     done = sim.event()
     done.add_callback(lambda e: ran.append("done"))

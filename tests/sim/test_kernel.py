@@ -8,7 +8,7 @@ from repro.sim import Interrupt, SimulationError, Simulator, defuse
 def test_clock_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0.0
-    assert sim.queue_empty
+    assert sim.peek() == float("inf")
 
 
 def test_timeout_advances_clock():
@@ -221,6 +221,16 @@ def test_step_on_empty_queue_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.step()
+
+
+def test_step_dispatches_one_live_event_past_cancelled_heads():
+    sim = Simulator()
+    fired = []
+    sim.schedule_timer(1.0, lambda: fired.append(1)).cancel()
+    sim.schedule_timer(2.0, lambda: fired.append(2))
+    sim.schedule_timer(3.0, lambda: fired.append(3))
+    sim.step()
+    assert fired == [2] and sim.now == 2.0
 
 
 def test_peek():
