@@ -19,7 +19,9 @@ Measured per (hosts, strategy): completion wall-clock, aggregate
 goodput (delivered bytes / elapsed), chunk retries, whether every
 per-host digest verified, and the root's load — bytes its NIC sent
 during the run over the object's size (``root_copies``; unicast sends
-one copy per host, the tree about ``FANOUT``). A third configuration
+one copy per host, the tree about ``FANOUT``). ``survivor_s`` is the
+makespan over the hosts that never crashed and ``victim_s`` the killed
+relay's own finish (None without a kill). A third configuration
 kills a rack's relay head mid-transfer (recovering it after one
 second) and must still complete everywhere with all digests verified —
 the mid-object failover + resume claim. The shape assertions are the
@@ -78,8 +80,10 @@ def _one_run(
 
     root_nics = env.topology.hosts[root].nics.values()
     tx0 = sum(nic.tx_bytes for nic in root_nics)
+    t0 = env.sim.now
     report = env.sim.run(until=env.sim.process(go(env.sim)))
     root_tx = sum(nic.tx_bytes for nic in root_nics) - tx0
+    per_dest = report["per_dest"]
     return {
         "hosts": hosts,
         "strategy": strategy,
@@ -91,9 +95,12 @@ def _one_run(
         "goodput_mbs": round(report["aggregate_goodput"] / 1e6, 2),
         "chunk_retries": report["chunk_retries"],
         "root_copies": round(root_tx / report["bytes"], 2),
-        "crashes": sum(
-            r.get("crashes", 0) for r in report["per_dest"].values()
-        ),
+        "crashes": sum(r.get("crashes", 0) for r in per_dest.values()),
+        "survivor_s": round(max(
+            r["finished_at"] for r in per_dest.values()
+            if r.get("ok") and not r["crashes"]) - t0, 3),
+        "victim_s": round(per_dest[victim]["finished_at"] - t0, 3)
+        if victim is not None else None,
     }
 
 

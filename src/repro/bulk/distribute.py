@@ -18,9 +18,11 @@ is committed locally (see :mod:`repro.bulk.service`) — so chunk *k*
 flows down the tree while chunk *k+1* is still arriving at the relay.
 Because every completed host announces itself as a source, the tree
 degrades gracefully into a swarm: when a relay dies mid-transfer its
-children strike it and fail over to the root or to any announced peer,
-and the relay itself — its chunk store being durable — resumes from its
-missing chunks on recovery rather than starting over.
+children strike it, re-read the source set, and fail over to the root
+or to any announced peer, and the relay itself — its chunk store being
+durable — resumes from its missing chunks on recovery rather than
+starting over. A destination's ``finished_at`` is its last verified
+chunk commit plus its announce.
 """
 
 from __future__ import annotations

@@ -12,12 +12,16 @@ distinct source is a distinct SRUDP destination, so ``PathSelector``
 picks per-destination interfaces independently.
 
 Failure handling is per chunk: a timed-out or refused request strikes
-the source and requeues the chunk, so a transfer survives a source
-dying mid-object as long as any replica remains. Every chunk is
-digest-verified against the map before it is committed to the local
-:class:`~repro.bulk.service.ChunkStore` — and since the store is
-durable, a fetch restarted after a crash resumes from ``missing()``
-instead of starting over.
+the source, and the worker holding the chunk requeues it and retries it
+itself, so a transfer survives a source dying mid-object as long as any
+replica remains. Every chunk is digest-verified against the map before
+it is committed to the local :class:`~repro.bulk.service.ChunkStore` —
+and since the store is durable, a fetch restarted after a crash resumes
+from ``missing()`` instead of starting over.
+
+No timer drives a fetch: it ends at its last verified commit (plus the
+announce), and a strike or an empty source pool starts its one re-read
+of the ``bulk:`` record, so a healthy fetch reads the record once.
 """
 
 from __future__ import annotations
@@ -54,9 +58,8 @@ FAR_WEIGHT = 1.0
 #: Chunk workers per transfer, each pulling from its own chosen source.
 PARALLEL = 4
 
-#: How often the background refresher re-reads RC for new sources, and
-#: how long a worker naps when no healthy source is available.
-REFRESH_INTERVAL = 0.5
+#: How long a worker with an empty source pool naps when a re-read of
+#: the ``bulk:`` record found no new source either.
 NO_SOURCE_BACKOFF = 0.25
 
 
@@ -98,10 +101,7 @@ class BulkFetcher:
         self.retry = RetryPolicy(attempts=3, base_delay=0.2, deadline=5.0)
         self._rpc = RpcClient(host, secret=secret)
         self._rng = host.sim.rng.stream(f"bulk-fetch.{host.name}")
-        self.chunk_retries = 0
-        self.integrity_failures = 0
         metrics = self.sim.obs.metrics
-        self._m_goodput = metrics.histogram("bulk.goodput")
         self._m_retries = metrics.counter("bulk.chunk_retries")
         self._m_bytes = metrics.counter("bulk.bytes")
 
@@ -210,28 +210,21 @@ class BulkFetcher:
             "bad": 0,
             "bytes_by_source": {},
             "t_end": t0 + deadline,
+            "reread": None,  # the one source re-read in flight, if any
         }
-        procs = []
-        if state["queue"]:
-            for w in range(min(PARALLEL, len(state["queue"]))):
-                procs.append(self.sim.process(
-                    self._worker(name, state), name=f"bulk-w{w}:{name}"))
-            refresher = self.sim.process(
-                self._refresh_sources(name, state), name=f"bulk-refresh:{name}")
-            defuse(refresher)
-            try:
+        procs = [
+            self.sim.process(self._worker(name, state), name=f"bulk-w{w}:{name}")
+            for w in range(min(PARALLEL, len(state["queue"])))
+        ]
+        try:
+            if procs:
                 yield self.sim.all_of(procs)
-            finally:
-                if refresher.is_alive:
-                    refresher.interrupt("fetch done")
-                for p in procs:
-                    defuse(p)
-                    if p.is_alive:
-                        p.interrupt("fetch done")
+        finally:
+            for p in procs + [state["reread"]]:
+                if p is not None and p.is_alive:
+                    p.interrupt("fetch done")
         elapsed = self.sim.now - t0
         span.finish()
-        self.chunk_retries += state["retries"]
-        self.integrity_failures += state["bad"]
         if not store.complete(name):
             raise BulkError(
                 f"{name!r} incomplete on {self.host.name}: "
@@ -256,7 +249,6 @@ class BulkFetcher:
                     if self.sim.probes is not None:
                         self.sim.probes.emit("bulk.evict", host=self.host.name,
                                              name=name, seq=seq)
-            self.integrity_failures += len(evicted)
             raise BulkError(
                 f"{name!r}: reassembled hash mismatch; evicted "
                 f"{len(evicted)} corrupt chunk(s) for refetch"
@@ -265,8 +257,6 @@ class BulkFetcher:
             self.sim.probes.emit("bulk.complete", host=self.host.name,
                                  name=name, hash=actual)
         self._m_bytes.inc(cmap.size)
-        if elapsed > 0:
-            self._m_goodput.observe(cmap.size / elapsed)
         if announce:
             # Completed copies become sources, swarm-style. Best-effort:
             # a partitioned RC must not fail an already-complete fetch.
@@ -290,20 +280,15 @@ class BulkFetcher:
         }
 
     def _worker(self, name: str, state: Dict):
-        """One fetch lane: pop the next missing chunk, ask a source."""
+        """One fetch lane: pop the next missing chunk, ask a source; return
+        once the queue is empty (a failed chunk is requeued and re-popped
+        by the lane that held it)."""
         store = self.service.store
         cmap: ChunkMap = state["cmap"]
         queue: deque = state["queue"]
         try:
-            while not store.complete(name):
-                if self.sim.now >= state["t_end"]:
-                    return
-                try:
-                    seq = queue.popleft()
-                except IndexError:
-                    # Remaining chunks are in flight on other workers.
-                    yield self.sim.timeout(NO_SOURCE_BACKOFF / 2)
-                    continue
+            while queue and self.sim.now < state["t_end"]:
+                seq = queue.popleft()
                 if store.has(name, seq):
                     continue
                 pool = self._rank_sources(
@@ -311,7 +296,8 @@ class BulkFetcher:
                     state["far_weight"])
                 if not pool:
                     queue.appendleft(seq)
-                    yield self.sim.timeout(NO_SOURCE_BACKOFF)
+                    if not (yield self._reread_sources(name, state)):
+                        yield self.sim.timeout(NO_SOURCE_BACKOFF)
                     continue
                 src = self._pick_source(pool)
                 call = self._rpc.call(
@@ -325,18 +311,14 @@ class BulkFetcher:
                 try:
                     resp = yield call
                 except RpcError:
-                    state["strikes"][src] = state["strikes"].get(src, 0) + 1
-                    state["retries"] += 1
-                    self._m_retries.inc()
+                    self._strike(name, state, src, 1)
                     queue.appendleft(seq)
                     continue
                 data = resp["data"]
                 digest = content_hash(data)
                 if type(self).verify_enabled and digest != cmap.digests[seq]:
                     state["bad"] += 1
-                    state["strikes"][src] = MAX_STRIKES  # poisoned source
-                    state["retries"] += 1
-                    self._m_retries.inc()
+                    self._strike(name, state, src, MAX_STRIKES)  # poisoned
                     queue.appendleft(seq)
                     continue
                 if store.add(name, seq, data):
@@ -350,22 +332,35 @@ class BulkFetcher:
         except Interrupt:
             return
 
-    def _refresh_sources(self, name: str, state: Dict):
-        """Merge newly-announced sources into the pool, swarm-style."""
+    def _strike(self, name: str, state: Dict, src: Tuple[str, int],
+                strikes: int) -> None:
+        """Count a failed chunk against *src*, and look for new sources."""
+        state["strikes"][src] = state["strikes"].get(src, 0) + strikes
+        state["retries"] += 1
+        self._m_retries.inc()
+        self._reread_sources(name, state)
+
+    def _reread_sources(self, name: str, state: Dict):
+        """The fetch's one re-read of the ``bulk:`` record (a process,
+        started unless one is already in flight); its value is whether
+        it merged a source the pool did not know."""
+        proc = state["reread"]
+        if proc is None or not proc.is_alive:
+            proc = state["reread"] = self.sim.process(
+                self._merge_sources(name, state), name=f"bulk-reread:{name}")
+            defuse(proc)  # a strike starts it and need not wait for it
+        return proc
+
+    def _merge_sources(self, name: str, state: Dict):
+        lookup = self.rc.lookup(bulk_urn(name), lane=CONTROL)
+        defuse(lookup)  # the fetch may end mid-lookup
         try:
-            while True:
-                yield self.sim.timeout(REFRESH_INTERVAL)
-                lookup = self.rc.lookup(bulk_urn(name), lane=CONTROL)
-                defuse(lookup)  # refresher may be interrupted mid-lookup
-                try:
-                    assertions = yield lookup
-                except ConsistencyError:
-                    continue
-                for src in parse_sources(assertions):
-                    if src not in state["sources"]:
-                        state["sources"].append(src)
-        except Interrupt:
-            return
+            assertions = yield lookup
+        except ConsistencyError:
+            return False
+        new = [s for s in parse_sources(assertions) if s not in state["sources"]]
+        state["sources"].extend(new)
+        return bool(new)
 
     def close(self) -> None:
         self._rpc.close()

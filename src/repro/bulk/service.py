@@ -4,7 +4,9 @@ Every participating host runs one :class:`BulkService`. It holds the
 host's verified chunks (a :class:`ChunkStore`), serves them to peers
 over ``bulk.get_chunk``, and registers the host as a *source* for an
 object in RC metadata once it holds chunks of it — completed fetchers
-become additional sources, swarm-style.
+become additional sources, swarm-style. Nobody polls for them: a
+fetcher re-reads the source set only when a source fails it or it has
+none left (see :mod:`repro.bulk.fetch`).
 
 The crucial detail for pipelined relay trees is that ``bulk.get_chunk``
 *waits*: a request for a chunk the host does not hold yet — because it
@@ -142,7 +144,6 @@ class BulkService:
         self.file_server = None
         self.rpc = RpcServer(host, port, secret=secret)
         self.rpc.register("bulk.get_chunk", self._h_get_chunk)
-        self.rpc.register("bulk.stat", self._h_stat)
         self._fetcher = None
 
     @property
@@ -234,15 +235,6 @@ class BulkService:
                            f"not here after {SERVE_WAIT}s")
         data = self.store.get(name, seq)
         return Sized({"seq": seq, "data": data}, size=len(data) + 64)
-
-    def _h_stat(self, args: Dict) -> Dict:
-        name = args["name"]
-        cmap = self.store.maps.get(name)
-        return {
-            "have": self.store.count(name),
-            "nchunks": cmap.nchunks if cmap else None,
-            "complete": self.store.complete(name),
-        }
 
     def close(self) -> None:
         self.rpc.close()

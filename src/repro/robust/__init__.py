@@ -39,7 +39,6 @@ TIMEOUTS = {
     "rm.migrate": 5.0,  # migration handoff
     "ctx.spawn": 2.0,  # SnipeContext spawn/migrate daemon calls
     "bulk.chunk": 2.5,  # bulk chunk fetch (> server-side SERVE_WAIT hold)
-    "bulk.stat": 1.0,  # bulk peer chunk-inventory probe
 }
 
 __all__ = ["RetryError", "RetryPolicy", "TIMEOUTS"]

@@ -198,3 +198,13 @@ def test_relay_parks_a_request_that_beats_its_own_map_lookup():
     assert report["ok"] and report["hash_ok"]
     assert report["chunk_retries"] == 0
     assert set(report["bytes_by_source"]) == {relay.address}
+
+
+def test_tree_cli_prints_the_catalog_lookups_it_served(capsys):
+    from repro.bulk.cli import main
+
+    assert main(["tree", "--racks", "2", "--per-rack", "2",
+                 "--object-kb", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "catalog lookups served: 4\n" in out
+    assert "root:if0" in out
