@@ -9,7 +9,7 @@ tree crosses it once per rack and fans out inside the rack segments.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.bulk.chunks import DEFAULT_CHUNK_SIZE
 from repro.core.environment import SnipeEnvironment
@@ -19,18 +19,15 @@ def build_bulk_site(
     seed: int = 0,
     racks: int = 4,
     per_rack: int = 4,
-    secret: Optional[bytes] = None,
-    configure: Optional[Callable[[SnipeEnvironment], None]] = None,
     settle: float = 1.0,
 ) -> Tuple[SnipeEnvironment, str, List[str]]:
     """Build the rack site; returns ``(env, root, dests)``.
 
     ``racks * per_rack`` member hosts are the distribution destinations;
     the root on the backbone is the origin. Every host (root + members)
-    gets a bulk service. *configure* runs after services are placed and
-    before the settle, for callers that add file servers or probes.
+    gets a bulk service.
     """
-    env = SnipeEnvironment(seed=seed, secret=secret)
+    env = SnipeEnvironment(seed=seed)
     env.add_segment("backbone")
     root = "root"
     env.add_host(root, segments=["backbone"])
@@ -47,8 +44,6 @@ def build_bulk_site(
     env.add_bulk_service(root)
     for d in dests:
         env.add_bulk_service(d)
-    if configure is not None:
-        configure(env)
     if settle > 0:
         env.settle(settle)
     return env, root, dests
