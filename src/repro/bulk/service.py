@@ -122,10 +122,7 @@ class BulkService:
 
     ``seed`` makes this host the origin of an object (build the map,
     publish it signed to RC on the control lane, hold every chunk);
-    ``announce`` registers the host as a source; an attached
-    :class:`~repro.files.server.FileServer` lets the service serve
-    chunks sliced straight out of stored :class:`VirtualFile` payloads,
-    which is how file-server replicas join the source set.
+    ``announce`` registers the host as a source.
     """
 
     def __init__(
@@ -141,7 +138,6 @@ class BulkService:
         self.port = port
         self.secret = secret
         self.store = ChunkStore(self.sim)
-        self.file_server = None
         self.rpc = RpcServer(host, port, secret=secret)
         self.rpc.register("bulk.get_chunk", self._h_get_chunk)
         self._fetcher = None
@@ -158,10 +154,6 @@ class BulkService:
 
             self._fetcher = BulkFetcher(self.host, self.rc, self, secret=self.secret)
         return self._fetcher
-
-    def attach_file_server(self, file_server) -> None:
-        """Serve chunks sliced from this file server's stored payloads."""
-        self.file_server = file_server
 
     # -- origin-side API ----------------------------------------------------
     def seed(self, name: str, payload, chunk_size: Optional[int] = None):
@@ -199,29 +191,11 @@ class BulkService:
         )
 
     # -- serving ------------------------------------------------------------
-    def _file_chunk(self, name: str, seq: int) -> Optional[bytes]:
-        """Slice chunk *seq* out of an attached file-server payload."""
-        if self.file_server is None:
-            return None
-        vf = self.file_server.files.get(name)
-        if vf is None:
-            return None
-        cmap = self.store.maps.get(name)
-        chunk_size = cmap.chunk_size if cmap else DEFAULT_CHUNK_SIZE
-        data = object_bytes(vf.payload)
-        off = seq * chunk_size
-        if off >= len(data) and not (off == 0 and not data):
-            raise KeyError(f"chunk {seq} of {name!r} out of range")
-        return data[off:off + chunk_size]
-
     def _h_get_chunk(self, args: Dict):
         name, seq = args["name"], args["seq"]
         if self.store.has(name, seq):
             data = self.store.get(name, seq)
             return Sized({"seq": seq, "data": data}, size=len(data) + 64)
-        sliced = self._file_chunk(name, seq)
-        if sliced is not None:
-            return Sized({"seq": seq, "data": sliced}, size=len(sliced) + 64)
         # A relay mid-fetch — or one still resolving the object's map, as
         # every tree level starts at once: hold the request until the
         # chunk lands.
@@ -235,8 +209,3 @@ class BulkService:
                            f"not here after {SERVE_WAIT}s")
         data = self.store.get(name, seq)
         return Sized({"seq": seq, "data": data}, size=len(data) + 64)
-
-    def close(self) -> None:
-        self.rpc.close()
-        if self._fetcher is not None:
-            self._fetcher.close()

@@ -29,9 +29,6 @@ from repro.robust.spine import FaultEvent
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     add_chaos_flags(p, check=True)
-    p.add_argument("--no-explore", action="store_true",
-                   help="keep the kernel's FIFO tie-breaking (fault timing "
-                        "is still the seeded plan)")
     p.add_argument("--bug", choices=sorted(BUGS), default=None,
                    help="deliberately disable a safety mechanism (and the "
                         "scenario whose oracles catch it): " + bug_help())
@@ -43,10 +40,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 
 def _describe(report: dict) -> str:
-    extra = (f" reorders={report['schedule_reordered']}"
-             if report["explore"] else " (FIFO schedule)")
-    return (f"{summary(report['scenario'], report)}{extra} "
-            f"t={report['finished_at']:.1f}s")
+    return (f"{summary(report['scenario'], report)} "
+            f"reorders={report['schedule_reordered']} t={report['finished_at']:.1f}s")
 
 
 def _handle_failure(report: dict, args, params: Dict) -> None:
@@ -126,8 +121,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # run: the one seed; sweep: seeds 1..N, stopping at the first violation
     sweep = args.cmd == "sweep"
     for seed in (range(1, args.seeds + 1) if sweep else [args.seed]):
-        report = run_check(scenario=args.scenario, seed=seed, bug=args.bug,
-                           explore=not args.no_explore, **params)
+        report = run_check(scenario=args.scenario, seed=seed, bug=args.bug, **params)
         status = "OK  " if report["ok"] else "FAIL"
         print(f"seed {seed:4d}: {status} {_describe(report)}")
         if not report["ok"]:

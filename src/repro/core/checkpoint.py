@@ -71,7 +71,6 @@ def seal_record(record: dict, host=None, scramble_key: str = "state") -> dict:
     record["digest"] = record_digest(record)
     if host is not None and getattr(host, "corrupt_ckpt_writes", False):
         record[scramble_key] = {"__bitrot__": host.sim.now}
-        host.sim.obs.metrics.counter("ckpt.corrupt_writes").inc()
     return record
 
 

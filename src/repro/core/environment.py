@@ -165,14 +165,11 @@ class SnipeEnvironment:
         return server
 
     def add_bulk_service(self, host_name: str, **bulk_kw) -> BulkService:
-        """Put a bulk-plane endpoint on a host; if the host also runs a
-        file server, its stored payloads become chunk sources."""
+        """Put a bulk-plane endpoint on a host."""
         service = BulkService(
             self.topology.hosts[host_name], self.rc_client(host_name),
             secret=self.secret, **bulk_kw,
         )
-        if host_name in self.file_servers:
-            service.attach_file_server(self.file_servers[host_name])
         self.bulk_services[host_name] = service
         return service
 

@@ -312,7 +312,6 @@ class SnipeContext(TaskContext):
             # A newer incarnation of this source has already spoken: the
             # sender is a fenced zombie and its stragglers are dropped.
             self.msgs_fenced += 1
-            self.sim.obs.metrics.counter("ctx.msgs_fenced").inc()
             return
         if env.src_inc > max_inc:
             self._max_inc[env.src_urn] = env.src_inc
@@ -403,13 +402,7 @@ class SnipeContext(TaskContext):
         inner.add_callback(unwrap)
         return ev
 
-    def leave_group(self, group: str):
-        return self.daemon.mcast.leave(group, self.urn)
-
     # -- metadata access ------------------------------------------------------------
-    def lookup(self, uri: str):
-        return self.rc.lookup(uri)
-
     def publish(self, assertions: Dict[str, Any], uri: Optional[str] = None):
         """Publish assertions about self (or another URI) to the catalog."""
         return self.rc.update(uri or self.urn, assertions)

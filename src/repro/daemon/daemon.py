@@ -101,7 +101,6 @@ class SnipeDaemon:
 
         metrics = self.sim.obs.metrics
         self._m_spawns = metrics.counter("daemon.spawns")
-        self._m_task_lifetime = metrics.histogram("daemon.task_lifetime")
         self._m_load = metrics.gauge("daemon.load", host=host.name)
         #: Lease heartbeat outcomes: a failed heartbeat is a dropped
         #: control-plane message, the direct precursor of a false death.
@@ -113,17 +112,12 @@ class SnipeDaemon:
         self.rpc = RpcServer(host, DAEMON_PORT, secret=secret)
         self.rpc.register("daemon.spawn", self._h_spawn)
         self.rpc.register("daemon.kill", self._h_kill)
-        self.rpc.register("daemon.fence", self._h_fence)
         self.rpc.register("daemon.signal", self._h_signal)
-        self.rpc.register("daemon.suspend", self._h_suspend)
-        self.rpc.register("daemon.resume", self._h_resume)
         self.rpc.register("daemon.status", self._h_status)
         self.rpc.register("daemon.ping", self._h_ping)
         self.rpc.register("daemon.list", self._h_list)
         self.rpc.register("daemon.load", self._h_load)
-        self.rpc.register("daemon.lookup", self._h_lookup)
         self.rpc.register("daemon.notify", self._h_notify)
-        self.rpc.register("daemon.checkpoint", self._h_checkpoint)
         self.rpc.register("daemon.migrate_out", self._h_migrate_out)
         self._client = RpcClient(host, secret=secret)
 
@@ -290,8 +284,6 @@ class SnipeDaemon:
                 info.state = TaskState.FAILED
                 info.error = str(exc)
         info.ended_at = self.sim.now
-        if info.started_at is not None:
-            self._m_task_lifetime.observe(info.ended_at - info.started_at)
         self._publish_process(info)
         self._fire_notifications(info)
 
@@ -336,7 +328,6 @@ class SnipeDaemon:
         info.ended_at = self.sim.now
         if proc is not None and proc.is_alive:
             proc.interrupt(reason)
-        self.sim.obs.metrics.counter("daemon.fenced").inc()
         if self.sim.obs.tracer.enabled:
             self.sim.obs.tracer.event(
                 "daemon.fence", host=self.host.name, urn=urn, reason=reason
@@ -573,17 +564,8 @@ class SnipeDaemon:
     def _h_kill(self, args: Dict) -> bool:
         return self.kill(args["urn"], args.get("reason", "killed"))
 
-    def _h_fence(self, args: Dict) -> bool:
-        return self.fence(args["urn"], args.get("reason", "fenced"))
-
     def _h_signal(self, args: Dict) -> bool:
         return self.signal(args["urn"], args["signal"])
-
-    def _h_suspend(self, args: Dict) -> bool:
-        return self.suspend(args["urn"])
-
-    def _h_resume(self, args: Dict) -> bool:
-        return self.resume(args["urn"])
 
     def _h_ping(self, args: Dict) -> Dict:
         """Liveness probe (Guardian second-path check before declaring a
@@ -618,13 +600,6 @@ class SnipeDaemon:
             "memory": self.host.memory,
         }
 
-    def _h_lookup(self, args: Dict) -> Dict:
-        """Name-to-address lookup of local tasks."""
-        info = self.tasks.get(args["urn"])
-        if info is None:
-            raise KeyError(f"no such task {args['urn']!r}")
-        return {"host": self.host.name, "state": info.state}
-
     def _h_notify(self, args: Dict) -> bool:
         """Deliver a state-change notification to a local task."""
         ctx = self.contexts.get(args["urn"])
@@ -632,13 +607,6 @@ class SnipeDaemon:
             return False
         ctx.notifications.try_put(args["event"])
         return True
-
-    def _h_checkpoint(self, args: Dict) -> Dict:
-        """Capture a task's checkpointable state (migration support)."""
-        ctx = self.contexts.get(args["urn"])
-        if ctx is None:
-            raise KeyError(f"no such task {args['urn']!r}")
-        return dict(ctx.checkpoint_state)
 
     def migrate_out(self, urn: str) -> Dict:
         """Checkpoint and stop a task so it can restart elsewhere (§5.6:

@@ -53,7 +53,8 @@ class TaskSpec:
     arch: Optional[str] = None
     os: Optional[str] = None
     min_memory: float = 0.0
-    #: Quotas enforced by the supervising daemon.
+    #: Quotas: the supervising daemon enforces the CPU one, a playground
+    #: the memory one (its VM's cell budget, §3.6).
     cpu_quota: Optional[float] = None
     memory_quota: Optional[float] = None
     #: Optional explicit name stem for the URN.
@@ -138,9 +139,6 @@ class ProgramRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._programs
 
-    def names(self):
-        return sorted(self._programs)
-
 
 class TaskContext:
     """Execution context handed to a running program.
@@ -181,19 +179,6 @@ class TaskContext:
         if quota is not None and self.info.cpu_used > quota:
             self.daemon.log_violation(self.urn, "cpu-quota")
             raise QuotaExceeded(f"{self.urn}: cpu {self.info.cpu_used:.3f}s > quota {quota}s")
-
-    def allocate_memory(self, amount: float) -> None:
-        """Claim memory; raises immediately on quota violation."""
-        self.info.memory_used += amount
-        quota = self.info.spec.memory_quota
-        if quota is not None and self.info.memory_used > quota:
-            self.daemon.log_violation(self.urn, "memory-quota")
-            raise QuotaExceeded(
-                f"{self.urn}: memory {self.info.memory_used} > quota {quota}"
-            )
-
-    def free_memory(self, amount: float) -> None:
-        self.info.memory_used = max(0.0, self.info.memory_used - amount)
 
     # -- signals & notifications -----------------------------------------------
     def next_signal(self):

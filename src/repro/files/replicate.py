@@ -47,7 +47,7 @@ class ReplicationDaemon:
         self._last_gets: Dict[str, int] = {}
         self.replicas_created = 0
         self.replicas_deleted = 0
-        self._proc = self.sim.process(self._run(), name=f"repl:{server.host.name}")
+        self.sim.process(self._run(), name=f"repl:{server.host.name}")
 
     def _run(self):
         rng = self.sim.rng.stream(f"replication.{self.server.host.name}")
@@ -111,8 +111,3 @@ class ReplicationDaemon:
                     yield self.server.lifns.unbind(name, our_url)
                 except Exception:
                     pass
-
-    def close(self) -> None:
-        if self._proc.is_alive:
-            self._proc.interrupt("closed")
-        self._rpc.close()

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.bulk.chunks import DEFAULT_CHUNK_SIZE, chunk_digests
+from repro.bulk.chunks import DEFAULT_CHUNK_SIZE
 from repro.rcds import uri as uri_mod
 from repro.rcds.client import ONE, RCClient
 from repro.rcds.lifn import LifnRegistry
@@ -35,13 +35,9 @@ class VirtualFile:
     payload: Any
     size: int
     hash: str
-    created: float
     gets: int = 0
     #: Chunked payloads (from sinks) keep their message list.
     chunks: Optional[list] = None
-    #: Per-chunk digests for chunked payloads — what `file.stat` exposes
-    #: instead of the opaque chunk tuple, and what the bulk plane checks.
-    chunk_digests: Optional[tuple] = None
 
 
 class FileServer:
@@ -66,9 +62,6 @@ class FileServer:
         self.rpc = RpcServer(host, port, secret=secret)
         self.rpc.register("file.put", self._h_put)
         self.rpc.register("file.get", self._h_get)
-        self.rpc.register("file.stat", self._h_stat)
-        self.rpc.register("file.delete", self._h_delete)
-        self.rpc.register("file.list", self._h_list)
         self.sim.process(self._register(), name=f"fs-reg:{host.name}")
 
     def _register(self):
@@ -91,9 +84,7 @@ class FileServer:
             payload=payload,
             size=size,
             hash=content_hash(payload),
-            created=self.sim.now,
             chunks=chunks,
-            chunk_digests=chunk_digests(chunks) if chunks is not None else None,
         )
         self.files[name] = vf
         return vf
@@ -213,30 +204,3 @@ class FileServer:
         return Sized(
             {"payload": vf.payload, "size": vf.size, "hash": vf.hash}, size=vf.size + 128
         )
-
-    def _h_stat(self, args: Dict) -> Dict:
-        vf = self.files.get(args["name"])
-        if vf is None:
-            raise KeyError(f"no file {args['name']!r}")
-        return {
-            "size": vf.size,
-            "hash": vf.hash,
-            "created": vf.created,
-            "gets": vf.gets,
-            "chunk_digests": vf.chunk_digests,
-        }
-
-    def _h_delete(self, args: Dict):
-        name = args["name"]
-        if name not in self.files:
-            return False
-
-        def finish():
-            del self.files[name]
-            yield self.lifns.unbind(name, self.location_url(name))
-            return True
-
-        return finish()
-
-    def _h_list(self, args: Dict):
-        return sorted(self.files)

@@ -132,18 +132,15 @@ class Guardian:
         metrics = self.sim.obs.metrics
         self._m_recoveries = metrics.counter("guardian.recoveries")
         self._m_failed = metrics.counter("guardian.recovery_failures")
-        self._m_unrecoverable = metrics.counter("guardian.unrecoverable")
         self._m_detect = metrics.histogram("guardian.detect_latency")
         self._m_recover = metrics.histogram("guardian.recovery_latency")
         self._m_deaths = metrics.counter("guardian.deaths_declared")
         self._m_probe_saved = metrics.counter("guardian.probe_saved")
-        self._m_ckpt_rejected = metrics.counter("guardian.ckpt_rejected")
         #: Count of first-time death declarations (E12's false-death
         #: metric: under pure overload this must stay at zero).
         self.deaths_declared = 0
 
         self.rpc = RpcServer(host, port, secret=secret)
-        self.rpc.register("guardian.status", self._h_status)
         self.sim.process(self._register(), name=f"guardian-reg:{host.name}")
         self.sim.process(self._scan_loop(), name=f"guardian-scan:{host.name}")
         self.sim.process(self._notify_loop(), name=f"guardian-notify:{host.name}")
@@ -161,13 +158,6 @@ class Guardian:
             )
         except Exception:
             pass  # RC unreachable at boot; the scan loop re-registers
-
-    def _h_status(self, args: Dict) -> Dict:
-        return {
-            "recoveries": len(self.recoveries),
-            "recovering": sorted(self._recovering),
-            "unrecoverable": dict(self.unrecoverable),
-        }
 
     # -- failure detection -----------------------------------------------------
     def _scan_loop(self):
@@ -353,7 +343,6 @@ class Guardian:
             if lifn is None:
                 if urn not in self.unrecoverable:
                     self.unrecoverable[urn] = task_host
-                    self._m_unrecoverable.inc()
                 continue
             if not self._owns(urn, live_guardians):
                 continue
@@ -458,7 +447,6 @@ class Guardian:
             record = got["payload"]
             if not verify_checkpoint_record(record):
                 self.ckpt_rejected += 1
-                self._m_ckpt_rejected.inc()
                 if self.sim.probes is not None:
                     self.sim.probes.emit("guardian.ckpt_rejected", urn=urn, lifn=lifn)
                 if prev_lifn is None:
@@ -474,7 +462,6 @@ class Guardian:
                 record = got["payload"]
                 if not verify_checkpoint_record(record):
                     self.ckpt_rejected += 1
-                    self._m_ckpt_rejected.inc()
                     raise RuntimeError(
                         f"checkpoints {lifn!r} and {prev_lifn!r} both corrupt"
                     )

@@ -251,7 +251,6 @@ class Host:
         for nic in self.nics.values():
             nic.up = False
         self.topology.bump_version()
-        self.sim.obs.metrics.counter("host.crashes").inc()
         self.sim.obs.tracer.event("host.crash", host=self.name)
         for fn in list(self.on_crash):
             fn(self)

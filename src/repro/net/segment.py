@@ -113,12 +113,6 @@ class Segment:
             raise ValueError(f"duplicate IP {nic.address.ip} on segment {self.name}")
         self.nics[nic.address.ip] = nic
 
-    def detach(self, nic: "NIC") -> None:
-        self.nics.pop(nic.address.ip, None)
-
-    def lookup(self, ip: str) -> Optional["NIC"]:
-        return self.nics.get(ip)
-
     # -- gray link state (driven by the failure injector) ------------------
     def block_link(self, src: str, dst: str) -> None:
         """Hold the *src*→*dst* direction down (refcounted; ``"*"`` = any)."""

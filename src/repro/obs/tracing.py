@@ -64,10 +64,6 @@ class Span:
         self.end: Optional[float] = None
         self.outcome: Optional[str] = None
 
-    def annotate(self, **tags: Any) -> "Span":
-        self.tags.update(tags)
-        return self
-
     def finish(self, outcome: str = "ok") -> None:
         """Close the span (idempotent) and emit its trace record."""
         if self.end is not None:
@@ -217,11 +213,6 @@ class Tracer:
                 continue
             out.append(rec)
         return out
-
-    def clear(self) -> None:
-        self._records.clear()
-        self.dropped = 0
-        self.sampled_out = 0
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(rec, default=str) for rec in self._records)

@@ -116,7 +116,6 @@ class Pvmd:
         self.rpc.register("pvm.spawn", self._h_spawn)
         self.rpc.register("pvm.spawn_local", self._h_spawn_local)
         self.rpc.register("pvm.route", self._h_route)
-        self.rpc.register("pvm.tasks", self._h_tasks)
         self.rpc.register("pvm.putinfo", self._h_putinfo)
         self.rpc.register("pvm.getinfo", self._h_getinfo)
         #: Master-held global service registry ("simple facility for
@@ -278,9 +277,6 @@ class Pvmd:
         if ctx is None:
             raise PvmError(f"no task {tid} on {self.host.name}")
         ctx._deliver(env)
-
-    def _h_tasks(self, args: Dict):
-        return sorted(self.tasks)
 
     def _h_putinfo(self, args: Dict):
         if not self.is_master:

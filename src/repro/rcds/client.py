@@ -93,10 +93,6 @@ class CatalogClient:
         info = assertions.get(key)
         return info["value"] if info else None
 
-    def set(self, uri: str, key: str, value: Any, consistency: str = ONE,
-            lane: str = BULK):
-        return self.update(uri, {key: value}, consistency, lane=lane)
-
 
 class RCClient(CatalogClient, ReplicaClient):
     """Client-side access to a set of RC replicas from one host."""

@@ -156,7 +156,6 @@ class RCServer:
         self.restores = 0
         obs = self.sim.obs
         self._m_syncs_ok = obs.metrics.counter("rcds.syncs_ok")
-        self._m_syncs_failed = obs.metrics.counter("rcds.syncs_failed")
         self._m_updates = obs.metrics.counter("rcds.updates")
         self._m_lookups = obs.metrics.counter("rcds.lookups")
         #: How stale a record was when anti-entropy delivered it here:
@@ -167,14 +166,8 @@ class RCServer:
         #: blobs). Its max is E16's heal-storm bound.
         self._m_batch = obs.metrics.histogram("rcds.sync_batch_records")
         self._m_compactions = obs.metrics.counter("rcds.compactions")
-        self._m_tombstones_gc = obs.metrics.counter("rcds.tombstones_gc")
-        self._m_catchups = obs.metrics.counter("rcds.snapshot_catchups")
         self._m_snapshots = obs.metrics.counter("rcds.snapshots")
         self._m_folded = obs.metrics.counter("rcds.snapshot_entries_folded")
-        self._g_records = obs.metrics.gauge(
-            "rcds.store_records", replica=self.store.server_id)
-        self._g_tombstones = obs.metrics.gauge(
-            "rcds.tombstones", replica=self.store.server_id)
         self._obs = obs
         self._disk = host.disk.setdefault(f"rcds:{port}", {
             "snapshot": None, "snapshot_prev": None,
@@ -197,14 +190,9 @@ class RCServer:
                 or self._disk["journal_prev"]):
             # Cold restart on a machine whose disk has catalog state.
             self._restore_from_disk()
-        self._sync_proc = self.sim.process(
-            self._anti_entropy(), name=f"rc-sync:{host.name}"
-        )
-        self._compact_proc = None
+        self.sim.process(self._anti_entropy(), name=f"rc-sync:{host.name}")
         if max_sync_records is not None:
-            self._compact_proc = self.sim.process(
-                self._maintenance(), name=f"rc-compact:{host.name}"
-            )
+            self.sim.process(self._maintenance(), name=f"rc-compact:{host.name}")
 
     # -- RPC handlers -------------------------------------------------------
     def _h_lookup(self, args: Dict) -> Dict:
@@ -381,7 +369,6 @@ class RCServer:
         except RpcError as exc:
             cause = _failure_cause(exc)
             self.syncs_failed += 1
-            self._m_syncs_failed.inc()
             self._obs.metrics.counter("rcds.sync_failures", cause=cause).inc()
             span.finish(f"error:{cause}")
 
@@ -479,7 +466,6 @@ class RCServer:
             if not page.get("more"):
                 self.store.adopt_vector(page.get("vector", {}))
                 self.snapshot_catchups += 1
-                self._m_catchups.inc()
                 # Registers adopted from a snapshot never pass through
                 # the journal; persist them before the next crash.
                 self._fold()
@@ -505,13 +491,9 @@ class RCServer:
                     {o: s for o, s in horizon.items() if s > 0})
                 if dropped:
                     self._m_compactions.inc()
-                removed = self.store.gc_tombstones(
+                self.store.gc_tombstones(
                     self._stability(include_stale=True),
                     now=self.sim.now, grace=self.tombstone_grace)
-                if removed:
-                    self._m_tombstones_gc.inc()
-                self._g_records.set(self.store.record_count())
-                self._g_tombstones.set(self.store.tombstone_count())
         except Interrupt:
             return
 
@@ -697,15 +679,3 @@ class RCServer:
     def _on_host_recover(self, host) -> None:
         self.restores += 1
         self._restore_from_disk()
-
-    def close(self) -> None:
-        self.rpc.close()
-        self._client.close()
-        if self._sync_proc.is_alive:
-            self._sync_proc.interrupt("closed")
-        if self._compact_proc is not None and self._compact_proc.is_alive:
-            self._compact_proc.interrupt("closed")
-        if self._on_host_crash in self.host.on_crash:
-            self.host.on_crash.remove(self._on_host_crash)
-        if self._on_host_recover in self.host.on_recover:
-            self.host.on_recover.remove(self._on_host_recover)

@@ -65,7 +65,6 @@ class ShardedRCClient(CatalogClient):
         metrics = self.sim.obs.metrics
         self._m_redirect_retries = metrics.counter("rcds.redirect_retries")
         self._m_map_refreshes = metrics.counter("rcds.map_refreshes")
-        self._m_fanout = metrics.histogram("rcds.query_fanout")
 
     # -- plumbing -----------------------------------------------------------
     def _client_for(self, replicas) -> RCClient:
@@ -75,10 +74,6 @@ class ShardedRCClient(CatalogClient):
         if client is None:
             client = self._clients[key] = RCClient(self.host, list(key), secret=self.secret)
         return client
-
-    @property
-    def failovers(self) -> int:
-        return sum(c.failovers for c in self._clients.values())
 
     def _ensure_map(self, force: bool = False):
         if not force and self.sim.now - self._map_fetched < MAP_TTL:
@@ -158,7 +153,6 @@ class ShardedRCClient(CatalogClient):
     def _query(self, prefix: str, lane: str = BULK):
         yield from self._ensure_map()
         shards = self.map.shards_for_prefix(prefix)
-        self._m_fanout.observe(len(shards))
         found = set()
         for info in shards:
             client = self._client_for(info.replicas)
@@ -170,7 +164,3 @@ class ShardedRCClient(CatalogClient):
                     break
                 after = page[-1]
         return sorted(found)
-
-    def close(self) -> None:
-        for client in self._clients.values():
-            client.close()

@@ -85,10 +85,6 @@ class ShardManager:
         self._rc: Optional[RCClient] = None
         self._rpc: Optional[RpcClient] = None
         self._proc = None
-        obs = sim.obs
-        self._g_shard_count = obs.metrics.gauge("rcds.shard_count")
-        self._m_splits = obs.metrics.counter("rcds.shard_splits")
-        self._g_records: Dict[str, object] = {}
 
     # -- group construction -------------------------------------------------
     def register_root(self, servers: Dict[str, ShardRCServer]) -> None:
@@ -168,7 +164,6 @@ class ShardManager:
                     owner="shard-director")
                 if not self._host.up:
                     continue
-                self._set_gauges()
                 if self.published_epoch < self.map.epoch:
                     # Every group hears the new map: the cheap
                     # over-approximation of the groups it changed.
@@ -178,17 +173,6 @@ class ShardManager:
                     yield from self._maybe_split()
         except Interrupt:
             return
-
-    def _set_gauges(self) -> None:
-        self._g_shard_count.set(len(self.map.shards))
-        for sid, group in self.servers.items():
-            size = max((s.store.live_uri_count() for s in group.values()),
-                       default=0)
-            gauge = self._g_records.get(sid)
-            if gauge is None:
-                gauge = self._g_records[sid] = self.sim.obs.metrics.gauge(
-                    "rcds.shard_records", shard=sid)
-            gauge.set(size)
 
     def _shard_size(self, sid: str) -> int:
         group = self.servers.get(sid, {})
@@ -247,7 +231,6 @@ class ShardManager:
             self._make_group(child_sid, child_prefixes, replicas)
         self.map = new_map
         self.splits += 1
-        self._m_splits.inc()
         # Cooldown covers the parent (its count only drops once handoff
         # drains) and the children (their counts are still filling).
         until = self.sim.now + SPLIT_COOLDOWN
@@ -296,16 +279,3 @@ class ShardManager:
                 continue
             out.update(group)
         return out
-
-    def close(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("closed")
-        if self._rc is not None:
-            self._rc.close()
-        if self._rpc is not None:
-            self._rpc.close()
-        for sid, group in self.servers.items():
-            if sid == ROOT_SID:
-                continue  # environment-owned
-            for server in group.values():
-                server.close()

@@ -82,7 +82,6 @@ class ShardRCServer(RCServer):
         self.prefixes: Tuple[str, ...] = tuple(prefixes)
         self.epoch = 0
         self.map: Optional[ShardMap] = None
-        self.lookups_served = 0
         # gc_grace discipline: a shard replica receives cross-group
         # imports (handoff), so its tombstones must outlive the longest
         # plausible janitor delay — a source replica can sit through a
@@ -94,7 +93,6 @@ class ShardRCServer(RCServer):
         self.redirects = 0
         self.handoffs = 0
         self._m_redirects = self.sim.obs.metrics.counter("rcds.redirects")
-        self._m_handoffs = self.sim.obs.metrics.counter("rcds.handoffs")
         self.rpc.register("rc.shard_config", self._h_shard_config)
         self.rpc.register("rc.install", self._h_install)
         #: Anything misplaced to look for? Set on config changes and on
@@ -113,9 +111,7 @@ class ShardRCServer(RCServer):
                 self._handoff_dirty = True
 
         self.store.on_apply = _watch_apply
-        self._shard_proc = self.sim.process(
-            self._shard_loop(), name=f"rc-shard:{self.store.server_id}"
-        )
+        self.sim.process(self._shard_loop(), name=f"rc-shard:{self.store.server_id}")
 
     # -- ownership ----------------------------------------------------------
     def owns(self, uri: str) -> bool:
@@ -160,7 +156,6 @@ class ShardRCServer(RCServer):
     # -- fenced handlers ----------------------------------------------------
     def _h_lookup(self, args: Dict) -> Dict:
         self._fence(args["uri"], read=True)
-        self.lookups_served += 1
         return super()._h_lookup(args)
 
     def _h_lookup_many(self, args: Dict) -> Dict:
@@ -168,7 +163,6 @@ class ShardRCServer(RCServer):
         # the client regroups it on the refreshed map.
         for uri in args["uris"]:
             self._fence(uri, read=True)
-        self.lookups_served += 1
         return super()._h_lookup_many(args)
 
     def _h_update(self, args: Dict) -> Dict:
@@ -178,19 +172,6 @@ class ShardRCServer(RCServer):
     def _h_delete(self, args: Dict) -> Dict:
         self._fence(args["uri"])
         return super()._h_delete(args)
-
-    def stats(self) -> Dict:
-        out = super().stats()
-        out.update({
-            "sid": self.sid,
-            "epoch": self.epoch,
-            "prefixes": list(self.prefixes),
-            "live_uris": self.store.live_uri_count(),
-            "redirects": self.redirects,
-            "handoffs": self.handoffs,
-            "lookups_served": self.lookups_served,
-        })
-        return out
 
     # -- config -------------------------------------------------------------
     def _h_shard_config(self, args: Dict) -> Dict:
@@ -325,7 +306,6 @@ class ShardRCServer(RCServer):
                     self.store.mark_moved(uri, key, wall)
                     moved += 1
                 self.handoffs += moved
-                self._m_handoffs.inc(moved)
                 if self.sim.probes is not None:
                     self.sim.probes.emit(
                         "shard.handoff", src=self.sid, dst=owner_sid,
@@ -344,8 +324,3 @@ class ShardRCServer(RCServer):
             except RpcError:
                 continue
         return False
-
-    def close(self) -> None:
-        if self._shard_proc.is_alive:
-            self._shard_proc.interrupt("closed")
-        super().close()

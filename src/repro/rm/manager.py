@@ -70,12 +70,8 @@ class ResourceManager:
         self._rng = self.sim.rng.stream(f"rm.{host.name}:{port}")
         self.rpc = RpcServer(host, port, secret=secret, service_time=service_time)
         self.rpc.register("rm.request", self._h_request)
-        self.rpc.register("rm.release", self._h_release)
         self.rpc.register("rm.kill", self._h_kill)
-        self.rpc.register("rm.suspend", self._h_suspend)
-        self.rpc.register("rm.resume", self._h_resume)
         self.rpc.register("rm.migrate", self._h_migrate)
-        self.rpc.register("rm.status", self._h_status)
         self._client = RpcClient(host, secret=secret)
         self.sim.process(self._register(), name=f"rm-reg:{host.name}")
 
@@ -161,9 +157,6 @@ class ResourceManager:
         self._m_rejects.inc()
         raise AllocationError(f"all candidates failed: {errors}")
 
-    def _h_release(self, args: Dict) -> bool:
-        return self.allocations.pop(args["token"], None) is not None
-
     def _task_call(self, urn: str, method: str):
         """Forward a control action to the daemon supervising *urn*."""
         meta = yield self.rc.lookup(urn)
@@ -175,12 +168,6 @@ class ResourceManager:
 
     def _h_kill(self, args: Dict):
         return self._task_call(args["urn"], "daemon.kill")
-
-    def _h_suspend(self, args: Dict):
-        return self._task_call(args["urn"], "daemon.suspend")
-
-    def _h_resume(self, args: Dict):
-        return self._task_call(args["urn"], "daemon.resume")
 
     def _h_migrate(self, args: Dict):
         """RM-initiated migration (§3.5: 'or (if the code is mobile) migrate
@@ -220,11 +207,3 @@ class ResourceManager:
             to, DAEMON_PORT, "daemon.spawn", timeout=2.0, spec=new_spec, direct=True
         )
         return {"urn": result["urn"], "from": old_host, "to": to}
-
-    def _h_status(self, args: Dict) -> Dict:
-        return {
-            "mode": self.mode,
-            "requests": self.requests,
-            "rejects": self.rejects,
-            "allocations": len(self.allocations),
-        }

@@ -47,16 +47,9 @@ BULK = "bulk"
 
 #: Methods that are control-plane regardless of what the caller says.
 #: Server-side safety net: even a client that forgot to tag its call
-#: cannot starve fencing or anti-entropy behind bulk data.
-CONTROL_METHODS = frozenset(
-    {
-        "daemon.fence",
-        "daemon.notify",
-        "daemon.ping",
-        "guardian.status",
-        "rc.sync",
-    }
-)
+#: cannot starve liveness probes, death notices or anti-entropy behind
+#: bulk data.
+CONTROL_METHODS = frozenset({"daemon.notify", "daemon.ping", "rc.sync"})
 
 
 def lane_for_request(req: Any) -> str:
@@ -291,7 +284,6 @@ class BreakerBoard:
         self.on_transition: Optional[Callable[[Any, str, str], None]] = None
         metrics = sim.obs.metrics
         self._m_opened = metrics.counter("robust.breaker_opened", scope=scope)
-        self._m_reclosed = metrics.counter("robust.breaker_reclosed", scope=scope)
         self._m_rejected = metrics.counter("robust.breaker_rejected", scope=scope)
 
     def breaker(self, key: Any) -> CircuitBreaker:
@@ -301,8 +293,6 @@ class BreakerBoard:
             def transition(old: str, new: str) -> None:
                 if new == OPEN:
                     self._m_opened.inc()
-                elif new == CLOSED:
-                    self._m_reclosed.inc()
                 if self.on_transition is not None:
                     self.on_transition(key, old, new)
 

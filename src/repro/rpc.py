@@ -102,7 +102,6 @@ class RpcServer:
         self.auth_failures = 0
         self.requests_shed = 0
         self._m_served = self.sim.obs.metrics.counter("rpc.requests_served")
-        self._m_auth_failures = self.sim.obs.metrics.counter("rpc.auth_failures")
         self._m_shed = self.sim.obs.metrics.counter("rpc.requests_shed")
         # Server ingress is shed-oldest rather than backpressure: under
         # sustained overload the oldest queued bulk request belongs to a
@@ -150,7 +149,6 @@ class RpcServer:
                     body = {"method": req.method, "req_id": req.req_id}
                     if req.auth is None or not verify_hmac(self.secret, body, req.auth):
                         self.auth_failures += 1
-                        self._m_auth_failures.inc()
                         self._reply(msg, Response(req.req_id, False, error="auth"))
                         continue
                 handler = self.handlers.get(req.method)
@@ -217,11 +215,10 @@ class RpcClient:
         self._timeouts = AdaptiveTimeouts(self.sim.overload)
         self._breakers = BreakerBoard(self.sim, scope="rpc")
         self._m_control_latency = self._metrics.histogram("overload.control_latency")
-        # Per-method metric handles, memoized: the registry interns on a
+        # Per-method error counters, memoized: the registry interns on a
         # sorted-tag key, which is too much string work for the per-call
         # hot path.
         self._m_errors: Dict[str, Any] = {}
-        self._m_latency: Dict[str, Any] = {}
         self._dispatcher = self.sim.process(self._dispatch(), name=f"rpc-client:{host.name}")
 
     def _error_counter(self, method: str):
@@ -229,14 +226,6 @@ class RpcClient:
         if m is None:
             m = self._m_errors[method] = self._metrics.counter(
                 "rpc.errors", method=method
-            )
-        return m
-
-    def _latency_histogram(self, method: str):
-        m = self._m_latency.get(method)
-        if m is None:
-            m = self._m_latency[method] = self._metrics.histogram(
-                "rpc.call_latency", method=method
             )
         return m
 
@@ -412,7 +401,6 @@ class RpcClient:
             if not resp.ok:
                 self._error_counter(method).inc()
                 raise RpcError(f"{method}@{dst_host}: {resp.error}")
-            self._latency_histogram(method).observe(rtt)
             if requested_lane == CONTROL:
                 self._m_control_latency.observe(rtt)
             return resp.result

@@ -33,8 +33,5 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<RngRegistry seed={self.master_seed} streams={sorted(self._streams)}>"

@@ -77,14 +77,8 @@ class TransportEndpoint:
         self._m_tx = obs.metrics.counter("transport.tx_messages", proto=self.proto)
         self._m_rx = obs.metrics.counter("transport.rx_messages", proto=self.proto)
         self._m_latency = obs.metrics.histogram("transport.msg_latency", proto=self.proto)
-        self._m_send_latency = obs.metrics.histogram(
-            "transport.send_latency", proto=self.proto
-        )
         self._m_retransmits = obs.metrics.counter(
             "transport.retransmits", proto=self.proto
-        )
-        self._m_send_errors = obs.metrics.counter(
-            "transport.send_errors", proto=self.proto
         )
         self._m_rx_drops = obs.metrics.counter(
             "transport.rx_drops", proto=self.proto

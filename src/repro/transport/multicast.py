@@ -220,7 +220,6 @@ class EthernetMulticast(TransportEndpoint):
                     retries += 1
                     if retries > self.max_retries:
                         missing = sorted(set(members) - done)
-                        self._m_send_errors.inc()
                         if tracer.enabled:
                             tracer.event(
                                 "mcast.failed", trace_id=trace_id, msg=msg_id,
@@ -232,7 +231,6 @@ class EthernetMulticast(TransportEndpoint):
                     self.retransmits += 1
                     self._note_retransmit()
                     push(nsegs - 1, ack_req=True, retransmit=True)
-            self._m_send_latency.observe(self.sim.now - t0)
             if tracer.enabled:
                 tracer.event("mcast.acked", trace_id=trace_id, msg=msg_id)
             return size

@@ -168,7 +168,6 @@ class _SingleFlight:
         if ack.done:
             self.finished = True
             ep._ack_routes.pop(self.msg_id, None)
-            ep._m_send_latency.observe(sim.now - self.t0)
             if self.via is None:
                 ep.paths.note_result(self.dst_host, True)
             if ep._tracer.enabled:
@@ -194,7 +193,6 @@ class _SingleFlight:
         if self.retries > ep.max_retries:
             self.finished = True
             ep._ack_routes.pop(self.msg_id, None)
-            ep._m_send_errors.inc()
             if self.via is None:
                 ep.paths.note_result(self.dst_host, False)
             if ep._tracer.enabled:
@@ -406,7 +404,6 @@ class SrudpEndpoint(TransportEndpoint):
                         rto = max(self.min_rto, 2.5 * self._srtt)
                     retries = 0
                     if ack.done:
-                        self._m_send_latency.observe(self.sim.now - t0)
                         self.paths.note_result(dst_host, True)
                         if tracer.enabled:
                             tracer.event(
@@ -431,7 +428,6 @@ class SrudpEndpoint(TransportEndpoint):
                     # Timeout: probe with the lowest unacked segment.
                     retries += 1
                     if retries > self.max_retries:
-                        self._m_send_errors.inc()
                         self.paths.note_result(dst_host, False)
                         if tracer.enabled:
                             tracer.event(
@@ -451,7 +447,6 @@ class SrudpEndpoint(TransportEndpoint):
                         self.retransmits += 1
                         self._note_retransmit()
                         push(min(unacked), ack_req=True, retransmit=True)
-            self._m_send_latency.observe(self.sim.now - t0)
             self.paths.note_result(dst_host, True)
             return size
         finally:

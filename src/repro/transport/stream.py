@@ -130,14 +130,12 @@ class _Conn:
             try:
                 yield from self._send_message(payload, size, mss, t0, trace_id)
             except SendError as exc:
-                ep._m_send_errors.inc()
                 if ep._tracer.enabled:
                     ep._tracer.event("tcp.failed", trace_id=trace_id,
                                      dst=self.dst_host)
                 self.dead = True
                 done_ev.fail(exc)
                 return
-            ep._m_send_latency.observe(sim.now - t0)
             done_ev.succeed(size)
 
     def _send_message(self, payload: Any, size: int, mss: int,
@@ -221,7 +219,6 @@ class _Conn:
                     if dupacks == 3:
                         # Fast retransmit + multiplicative decrease.
                         ep.fast_retransmits += 1
-                        ep._m_fast_retransmits.inc()
                         ep._note_retransmit()
                         self.ssthresh = max(2.0, self.cwnd / 2)
                         self.cwnd = self.ssthresh
@@ -238,7 +235,6 @@ class _Conn:
                         f"(msg {msg_id}, {base}/{nsegs} acked)"
                     )
                 ep.timeouts += 1
-                ep._m_timeouts.inc()
                 ep._note_retransmit()
                 if tracer.enabled:
                     tracer.event("tcp.timeout", trace_id=trace_id, msg=msg_id,
@@ -286,12 +282,6 @@ class StreamEndpoint(TransportEndpoint):
         self._rx_conns: Dict[Tuple[str, int], _RxConn] = {}
         self.fast_retransmits = 0
         self.timeouts = 0
-        self._m_fast_retransmits = self.sim.obs.metrics.counter(
-            "transport.fast_retransmits", proto=self.proto
-        )
-        self._m_timeouts = self.sim.obs.metrics.counter(
-            "transport.timeouts", proto=self.proto
-        )
 
     # -- sending ----------------------------------------------------------
     def send(self, dst_host: str, dst_port: int, payload: Any, size: int):
@@ -310,12 +300,6 @@ class StreamEndpoint(TransportEndpoint):
             (payload, size, mss, done, self.sim.now, self._tracer.maybe_trace_id())
         )
         return done
-
-    def connect(self, dst_host: str, dst_port: int) -> None:
-        """Pre-establish the connection (optional; send() does it lazily)."""
-        key = (dst_host, dst_port)
-        if key not in self._conns or self._conns[key].dead:
-            self._conns[key] = _Conn(self, dst_host, dst_port)
 
     # -- receiving ------------------------------------------------------------
     def recv(self):

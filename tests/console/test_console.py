@@ -43,6 +43,25 @@ def test_console_spawn_inspect_kill():
     assert any("spawned" in line for line in console.transcript)
 
 
+def test_console_signals_a_process_by_urn():
+    """§3.3's signal path from a console: the URN resolves through the
+    catalog to the supervising daemon, which queues the signal."""
+    env = console_env()
+
+    @env.program("signal-echo")
+    def signal_echo(ctx):
+        sig = yield ctx.next_signal()
+        return f"got:{sig}"
+
+    console = Console(env.topology.hosts["h3"], env.rc_client("h3"))
+    urn = env.run(until=console.spawn("h1", TaskSpec(program="signal-echo")))
+    env.settle(1.0)
+    assert env.run(until=console.signal(urn, "SIGUSR1")) is True
+    env.settle(1.0)
+    assert env.daemons["h1"].tasks[urn].exit_value == "got:SIGUSR1"
+    assert env.run(until=console.signal(urn, "SIGUSR1")) is False  # exited
+
+
 def test_console_group_state():
     env = console_env()
     console = Console(env.topology.hosts["h3"], env.rc_client("h3"))

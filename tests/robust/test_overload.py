@@ -224,7 +224,7 @@ def test_lane_for_request_explicit_tag_wins():
 
 
 def test_lane_for_request_method_table_is_the_safety_net():
-    assert lane_for_request(_Req("daemon.fence")) == CONTROL
+    assert lane_for_request(_Req("daemon.ping")) == CONTROL
     assert lane_for_request(_Req("rc.sync")) == CONTROL
     assert lane_for_request(_Req("rc.lookup")) == BULK
     assert lane_for_request("not-a-request") == BULK

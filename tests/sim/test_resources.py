@@ -100,13 +100,14 @@ def test_priority_store_orders_items():
 
     def consumer(sim, store):
         yield sim.timeout(1)
+        got.append(len(store))
         for _ in range(3):
             got.append((yield store.get())[1])
 
     sim.process(producer(sim, store))
     sim.process(consumer(sim, store))
     sim.run()
-    assert got == ["a", "b", "c"]
+    assert got == [3, "a", "b", "c"]
 
 
 def test_resource_mutual_exclusion():

@@ -79,6 +79,28 @@ def test_obs_report_renders_saved_export_and_diff(tmp_path):
     assert "transport.retransmits" in diff.stdout
 
 
+def test_obs_profile_writes_the_same_counts_twice(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        result = run_cli("obs", "profile", "--scenario", "demo", "--out", str(out))
+        assert result.returncode == 0 and "profile written to" in result.stdout
+    a, b = (out / "BENCH_profile_demo.json" for out in outs)
+    assert a.read_bytes() == b.read_bytes()
+    assert '"events"' in a.read_text()
+
+
+def test_check_run_reports_a_seeded_bug_and_writes_its_trace(tmp_path):
+    """The failure path of ``check run``: the violation line, the trace
+    and the flight tape beside it (CI's seeded-bug loop shrinks too)."""
+    trace = tmp_path / "t.json"
+    result = run_cli("check", "run", "--scenario", "faults", "--seed", "1",
+                     "--bug", "no-fence-write", "--no-shrink", "--trace", str(trace))
+    assert result.returncode == 1
+    assert "seed    1: FAIL" in result.stdout and "reorders=" in result.stdout
+    assert "VIOLATION [single-owner]" in result.stdout
+    assert trace.is_file() and (tmp_path / "t.flight.jsonl").is_file()
+
+
 # ---------------------------------------------------------------------------
 # chaos / check flag validation (flags are declared per scenario-table entry)
 # ---------------------------------------------------------------------------

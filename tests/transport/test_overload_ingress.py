@@ -39,14 +39,14 @@ def test_srudp_control_lane_is_admitted_when_bulk_is_full(lan):
     rx = SrudpEndpoint(b, 5000, rx_capacity=1)
     sim.run(until=tx.send("h1", 5000, "bulk-0", 64))
     # Bulk lane now full (capacity 1, nobody consuming). A control-plane
-    # request (daemon.fence is in CONTROL_METHODS) still gets through
+    # request (daemon.ping is in CONTROL_METHODS) still gets through
     # without displacing or waiting on the bulk item.
-    fence = Request(method="daemon.fence", args={}, reply_port=5000, req_id=1)
-    sim.run(until=tx.send("h1", 5000, fence, 64))
+    ping = Request(method="daemon.ping", args={}, reply_port=5000, req_id=1)
+    sim.run(until=tx.send("h1", 5000, ping, 64))
     first = rx.recv()
     sim.run(until=1.0)
     assert first.triggered
-    assert getattr(first.value.payload, "method", None) == "daemon.fence"
+    assert getattr(first.value.payload, "method", None) == "daemon.ping"
     assert rx.rx_drops == 0
 
 
