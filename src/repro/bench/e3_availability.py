@@ -50,7 +50,9 @@ def availability_vs_replicas(
             RCServer(h, peers=[r for r in replicas if r[0] != h.name], sync_interval=2.0)
         client = RCClient(client_host, replicas, rpc_timeout=0.4)
         injector = FailureInjector(sim, topo)
-        injector.churn_hosts([h.name for h in server_hosts], mtbf, mttr, stop_at=horizon)
+        for ev in injector.churn_plan([h.name for h in server_hosts], mtbf, mttr,
+                                      sim.now, horizon):
+            injector.inject(ev)
 
         stats = {"ok": 0, "fail": 0}
 

@@ -31,6 +31,7 @@ the oracles can catch what they claim to catch.
 from repro.check.explore import BUGS, ExplorationScheduler, seeded_bug
 from repro.check.scenarios import SCENARIOS, run_check, sample_fault_plan
 from repro.check.shrink import ddmin, load_trace, minimize, replay_trace, write_trace
+from repro.net.failures import FaultEvent
 from repro.robust.oracles import (
     ConvergenceOracle,
     DeliveryOracle,
@@ -40,7 +41,6 @@ from repro.robust.oracles import (
     Violation,
     lww_merge,
 )
-from repro.robust.spine import FaultEvent
 
 __all__ = [
     "BUGS",

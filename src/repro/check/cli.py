@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.check.explore import BUGS
 from repro.check.scenarios import add_chaos_flags, bug_help, chaos_kwargs, run_check, summary
 from repro.check.shrink import load_trace, minimize, replay_trace, write_trace
-from repro.robust.spine import FaultEvent
+from repro.net.failures import FaultEvent
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:

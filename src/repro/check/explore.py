@@ -3,7 +3,7 @@ the seeded bugs the oracles must catch.
 
 One integer — the seed — fully determines a check run: it picks the
 fault plan (an explicit, replayable list of
-:class:`~repro.robust.spine.FaultEvent`, from the scenario's ``plan_*``
+:class:`~repro.net.failures.FaultEvent`, from the scenario's ``plan_*``
 sampler below), seeds every workload RNG stream, and seeds the
 :class:`ExplorationScheduler` that permutes same-timestamp event ties
 inside the kernel. Replaying the same (scenario, seed, plan, bug) tuple
@@ -22,10 +22,10 @@ from typing import Callable, Dict, List, Optional
 from repro.bulk.fetch import BulkFetcher
 from repro.core.process import SnipeContext
 from repro.daemon.daemon import SnipeDaemon
+from repro.net.failures import FaultEvent
 from repro.rcds.records import RCStore
 from repro.rcds.shard.server import ShardRCServer
 from repro.robust.health import HealthBoard
-from repro.robust.spine import FaultEvent
 from repro.transport.srudp import SrudpEndpoint
 
 

@@ -34,8 +34,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.check import explore as ck
 from repro.check.explore import BUGS, ExplorationScheduler, sample_plan, seeded_bug
+from repro.net.failures import FaultEvent
 from repro.robust import chaos
-from repro.robust.spine import FaultEvent
 
 #: A report column: a report key, or a function of the report.
 Column = Union[str, Callable[[Dict], Any]]

@@ -16,7 +16,7 @@ import json
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.check.scenarios import run_check
-from repro.robust.spine import FaultEvent
+from repro.net.failures import FaultEvent
 
 TRACE_VERSION = 2
 

@@ -8,7 +8,11 @@ kill, or migrate the task); in *passive* mode it only records a
 reservation and leaves the spawn to the requester.
 
 Allocation goals (§3.5 "attempting to adhere to resource allocation
-goals") are per-owner concurrency caps enforced before selection.
+goals") are per-owner concurrency caps enforced before selection. An
+owner at its goal first has the allocations whose task has ended
+dropped, read from the task records in one ``lookup_many``. A passive
+reservation carries no URN, so nothing says its task ended: it stays
+held.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.daemon.daemon import DAEMON_PORT
-from repro.daemon.tasks import TaskSpec
+from repro.daemon.tasks import TaskSpec, TaskState
 from repro.rcds import uri as uri_mod
 from repro.rcds.client import RCClient
 from repro.rm.selection import rank_hosts
@@ -88,6 +92,19 @@ class ResourceManager:
     def _owner_allocations(self, owner: str) -> int:
         return sum(1 for a in self.allocations.values() if a["owner"] == owner)
 
+    def _release_ended(self, owner: str):
+        """Drop *owner*'s active-mode allocations whose task record shows
+        a terminal state (one ``lookup_many``; a failed read fails the
+        request)."""
+        urns = {token: a["urn"] for token, a in self.allocations.items()
+                if a["owner"] == owner and a["urn"]}
+        if not urns:
+            return
+        records = yield self.rc.lookup_many(list(urns.values()))
+        for token, urn in urns.items():
+            if (records[urn].get("state") or {}).get("value") in TaskState.TERMINAL:
+                del self.allocations[token]
+
     def _collect_host_metadata(self):
         """Pull candidate host metadata from the catalog: one ``query``
         and one ``lookup_many``. A failed read fails the request, which
@@ -113,11 +130,13 @@ class ResourceManager:
         t0 = self.sim.now
         goal = self.goals.get(owner)
         if goal is not None and self._owner_allocations(owner) >= goal:
-            self.rejects += 1
-            self._m_rejects.inc()
-            raise AllocationError(
-                f"allocation goal: {owner} already holds {goal} allocations"
-            )
+            yield from self._release_ended(owner)
+            if self._owner_allocations(owner) >= goal:
+                self.rejects += 1
+                self._m_rejects.inc()
+                raise AllocationError(
+                    f"allocation goal: {owner} already holds {goal} allocations"
+                )
         ranked = yield from self._select(spec)
         if not ranked:
             self.rejects += 1

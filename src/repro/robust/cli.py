@@ -39,10 +39,10 @@ from repro.check.scenarios import (
     show,
     summary,
 )
+from repro.net.failures import FaultEvent
 from repro.obs.flight import dump_flight_records
 from repro.obs.report import save_export
 from repro.robust.chaos import DEFAULT_SEEDS
-from repro.robust.spine import FaultEvent
 
 
 def render(name: str, report: Dict) -> str:

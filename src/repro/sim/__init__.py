@@ -27,7 +27,7 @@ from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout, defuse, waker
 from repro.sim.kernel import Simulator, TimerHandle
 from repro.sim.process import Process
-from repro.sim.resources import Gate, PriorityStore, Resource, Store
+from repro.sim.resources import Gate, Resource, Store
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "Event",
     "Gate",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "Resource",
     "RngRegistry",

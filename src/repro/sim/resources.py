@@ -1,11 +1,10 @@
-"""Shared resources: stores (bounded queues), priority stores, semaphores,
-and broadcast gates. These are the synchronisation vocabulary used by the
-network and SNIPE service layers.
+"""Shared resources: stores (bounded queues), semaphores and broadcast
+gates. These are the synchronisation vocabulary used by the network and
+SNIPE service layers.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, List, Tuple
 
@@ -51,7 +50,7 @@ class Store:
                 self._getters.popleft().succeed(item)
                 return ev
             if not self.full and not self._getters:
-                self._push_item(item)
+                self.items.append(item)
                 ev.succeed()
                 return ev
         self._putters.append((ev, item))
@@ -69,7 +68,7 @@ class Store:
         ev = Event(self.sim)
         if not self._putters:
             if self.items and not self._getters:
-                ev.succeed(self._pop_item())
+                ev.succeed(self.items.popleft())
             else:
                 self._getters.append(ev)
             return ev
@@ -82,7 +81,7 @@ class Store:
         if not self.items and not self._putters:
             return False, None
         if self.items:
-            item = self._pop_item()
+            item = self.items.popleft()
             self._dispatch()
             return True, item
         # A putter is waiting but the item hasn't been admitted yet.
@@ -91,12 +90,6 @@ class Store:
         return True, item
 
     # -- internals -------------------------------------------------------
-    def _push_item(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _pop_item(self) -> Any:
-        return self.items.popleft()
-
     def _dispatch(self) -> None:
         progressed = True
         while progressed:
@@ -104,44 +97,14 @@ class Store:
             # Admit queued puts while there is room.
             while self._putters and not self.full:
                 ev, item = self._putters.popleft()
-                self._push_item(item)
+                self.items.append(item)
                 ev.succeed()
                 progressed = True
             # Satisfy queued gets while there are items.
             while self._getters and self.items:
                 ev = self._getters.popleft()
-                ev.succeed(self._pop_item())
+                ev.succeed(self.items.popleft())
                 progressed = True
-
-
-class PriorityStore(Store):
-    """Store returning the smallest item first (items must be orderable)."""
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        super().__init__(sim, capacity)
-        self._heap: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def full(self) -> bool:
-        return len(self._heap) >= self.capacity
-
-    def _push_item(self, item: Any) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _pop_item(self) -> Any:
-        return heapq.heappop(self._heap)
-
-    @property
-    def items(self):  # type: ignore[override]
-        return self._heap
-
-    @items.setter
-    def items(self, value) -> None:
-        # Base-class __init__ assigns a deque; ignore it, the heap is canonical.
-        pass
 
 
 class Resource:

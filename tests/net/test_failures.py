@@ -1,6 +1,9 @@
 """Unit tests for the failure injector."""
 
+import pytest
+
 from repro.net import FailureInjector, Medium, Topology
+from repro.net.failures import FaultEvent
 from repro.sim import Simulator
 
 LAN = Medium(name="lan", bandwidth=1e6, latency=0.001, mtu=1500, frame_overhead=0)
@@ -90,10 +93,15 @@ def test_oneway_partition_cuts_single_direction():
     assert not cross.link_blocked("a1", "b1")
 
 
+def _arm_churn(inj, hosts, mtbf, mttr, stop_at):
+    for ev in inj.churn_plan(hosts, mtbf, mttr, inj.sim.now, stop_at):
+        inj.inject(ev)
+
+
 def test_churn_produces_alternating_up_down():
     sim, topo = small_topo()
     inj = FailureInjector(sim, topo)
-    inj.churn_hosts(["h0", "h1"], mtbf=10.0, mttr=2.0, stop_at=200.0)
+    _arm_churn(inj, ["h0", "h1"], mtbf=10.0, mttr=2.0, stop_at=200.0)
     sim.run(until=200.0)
     # Each host's log alternates down/up.
     for h in ("h0", "h1"):
@@ -110,7 +118,7 @@ def test_churn_is_seed_deterministic():
         seg = topo.add_segment("lan", LAN)
         topo.connect(topo.add_host("h0"), seg)
         inj = FailureInjector(sim, topo)
-        inj.churn_hosts(["h0"], mtbf=5.0, mttr=1.0, stop_at=100.0)
+        _arm_churn(inj, ["h0"], mtbf=5.0, mttr=1.0, stop_at=100.0)
         sim.run(until=100.0)
         return inj.log
 
@@ -119,8 +127,8 @@ def test_churn_is_seed_deterministic():
 
 
 def test_overlapping_scripts_do_not_double_crash_or_early_recover():
-    """A scheduled outage overlapping churn must not re-crash a downed
-    host, and must not recover a host another script still holds down."""
+    """An outage overlapping another on the same host must not re-crash
+    a downed host, and must not recover a host the other still holds."""
     sim, topo = small_topo()
     inj = FailureInjector(sim, topo)
     # Script A holds h1 down over [2, 10); script B over [4, 6).
@@ -153,22 +161,84 @@ def test_overlapping_segment_holds_refcount():
     assert topo.segments["lan"].up
 
 
-def test_injector_emits_obs_counters_and_trace_events():
+def test_injector_logs_and_traces_each_transition():
     sim, topo = small_topo()
     sim.obs.tracer.enabled = True
     inj = FailureInjector(sim, topo)
     inj.host_down_at(1.0, "h0", duration=1.0)
     inj.segment_down_at(2.0, "lan", duration=1.0)
     sim.run(until=5.0)
-    metrics = sim.obs.metrics
-    assert metrics.counter("failures.host_down").value == 1
-    assert metrics.counter("failures.host_up").value == 1
-    assert metrics.counter("failures.segment_down").value == 1
-    assert metrics.counter("failures.segment_up").value == 1
-    kinds = [ev["kind"] for ev in sim.obs.tracer.events()]
-    for kind in ("failure.host_down", "failure.host_up",
-                 "failure.segment_down", "failure.segment_up"):
-        assert kind in kinds
+    assert inj.log == [(1.0, "host_down", "h0"), (2.0, "segment_down", "lan"),
+                       (2.0, "host_up", "h0"), (3.0, "segment_up", "lan")]
+    traced = [(ev["kind"], ev["target"]) for ev in sim.obs.tracer.events()
+              if ev["kind"].startswith("failure.")]
+    assert traced == [(f"failure.{k}", w) for _, k, w in inj.log]
+
+
+#: One event of every kind, each armed at t=1 for 2 s, and the fault-log
+#: entries it must write (without times: fail at 1.0, heal at 3.0).
+KIND_CASES = {
+    "crash": (FaultEvent("crash", "a2", 1.0, 2.0),
+              [("host_down", "a2")], [("host_up", "a2")]),
+    "partition": (FaultEvent("partition", "side-b", 1.0, 2.0),
+                  [("segment_down", "side-b")], [("segment_up", "side-b")]),
+    "split": (FaultEvent("split", "a1,a2|b1", 1.0, 2.0),
+              [("link_down", "cross:a1->b1"), ("link_down", "cross:b1->a1")],
+              [("link_up", "cross:a1->b1"), ("link_up", "cross:b1->a1")]),
+    "oneway": (FaultEvent("oneway", "a1->b1", 1.0, 2.0),
+               [("link_down", "cross:a1->b1")], [("link_up", "cross:a1->b1")]),
+    "congest": (FaultEvent("congest", "cross", 1.0, 2.0, 4.0),
+                [("segment_congested", "cross")], [("segment_decongested", "cross")]),
+    "slow": (FaultEvent("slow", "b1", 1.0, 2.0, 10.0),
+             [("host_slowed", "b1")], [("host_unslowed", "b1")]),
+    "impair-segment": (FaultEvent("impair", "cross", 1.0, 2.0, extra=(("loss", 0.5),)),
+                       [("link_impaired", "cross:*->*")],
+                       [("link_unimpaired", "cross:*->*")]),
+    "impair-link": (FaultEvent("impair", "cross:b1->a1", 1.0, 2.0,
+                               extra=(("corrupt", 0.2),)),
+                    [("link_impaired", "cross:b1->a1")],
+                    [("link_unimpaired", "cross:b1->a1")]),
+    "skew": (FaultEvent("skew", "a1", 1.0, 2.0, extra=(("offset", -30.0),)),
+             [("clock_skewed", "a1")], [("clock_unskewed", "a1")]),
+    "ckptrot": (FaultEvent("ckptrot", "a2", 1.0, 2.0),
+                [("ckpt_corruptor_on", "a2")], [("ckpt_corruptor_off", "a2")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_CASES))
+def test_inject_arms_every_kind(case):
+    ev, failed, healed = KIND_CASES[case]
+    sim, topo = _partition_topo()
+    inj = FailureInjector(sim, topo)
+    inj.inject(ev)
+    sim.run(until=5.0)
+    assert inj.log == ([(1.0, k, w) for k, w in failed]
+                       + [(3.0, k, w) for k, w in healed])
+
+
+def test_inject_restores_what_each_window_changed():
+    sim, topo = _partition_topo()
+    inj = FailureInjector(sim, topo)
+    a1, cross = topo.hosts["a1"], topo.segments["cross"]
+    speed, medium = a1.cpu_speed, cross.medium
+    for ev in (FaultEvent("slow", "a1", 1.0, 2.0, 4.0),
+               FaultEvent("congest", "cross", 1.0, 2.0, 4.0),
+               FaultEvent("ckptrot", "a1", 1.0, 2.0)):
+        inj.inject(ev)
+    sim.run(until=2.0)
+    assert a1.cpu_speed == speed / 4.0 and a1.corrupt_ckpt_writes
+    assert cross.medium.bandwidth == medium.bandwidth / 4.0
+    sim.run(until=4.0)
+    assert a1.cpu_speed == speed and not a1.corrupt_ckpt_writes
+    assert cross.medium == medium
+
+
+def test_inject_rejects_an_unknown_kind():
+    sim, topo = small_topo()
+    inj = FailureInjector(sim, topo)
+    with pytest.raises(ValueError, match="unknown fault kind 'meteor'"):
+        inj.inject(FaultEvent("meteor", "h0", 1.0, 1.0))
+    assert inj.log == []
 
 
 def test_congest_segment_degrades_and_restores_medium():
@@ -185,11 +255,8 @@ def test_congest_segment_degrades_and_restores_medium():
     restored = topo.segments["lan"].medium
     assert restored.bandwidth == base.bandwidth
     assert restored.latency == base.latency
-    assert [(k, w) for _, k, w in inj.log] == [
-        ("segment_congested", "lan"), ("segment_decongested", "lan"),
-    ]
-    assert sim.obs.metrics.counter("failures.segment_congested").value == 1
-    assert sim.obs.metrics.counter("failures.segment_decongested").value == 1
+    assert inj.log == [(2.0, "segment_congested", "lan"),
+                       (5.0, "segment_decongested", "lan")]
 
 
 def test_congestion_windows_stack_multiplicatively():
@@ -216,5 +283,4 @@ def test_slow_host_scales_cpu_and_restores():
     assert topo.hosts["h1"].up  # slow, not dead
     sim.run(until=3.5)
     assert topo.hosts["h1"].cpu_speed == base
-    assert sim.obs.metrics.counter("failures.host_slowed").value == 1
-    assert sim.obs.metrics.counter("failures.host_unslowed").value == 1
+    assert inj.log == [(1.0, "host_slowed", "h1"), (3.0, "host_unslowed", "h1")]

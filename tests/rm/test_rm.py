@@ -112,6 +112,28 @@ def test_allocation_goal_enforced():
     assert "allocation goal" in run_gen(sim, go(sim))
 
 
+def test_allocation_goal_counts_only_live_tasks():
+    """A goal caps *concurrent* allocations: once alice's first task has
+    exited, her next request is granted rather than refused."""
+    sim, topo, hosts, daemons, clients, rms = rm_site(goals={"alice": 1})
+    rmc = RmClient(hosts[4], clients[4])
+    quick = TaskSpec(program="worker", params={"rounds": 1, "cost": 0.1})
+
+    def first(sim):
+        return (yield rmc.request(quick, owner="alice"))
+
+    done = run_gen(sim, first(sim))
+    sim.run(until=sim.now + 3.0)  # the task exits and its record says so
+    host = next(d for d in daemons if d.host.name == done["host"])
+    assert host.tasks[done["urn"]].state == TaskState.EXITED
+
+    def second(sim):
+        return (yield rmc.request(quick, owner="alice"))
+
+    assert run_gen(sim, second(sim))["mode"] == "active"
+    assert rms[0].rejects == 0
+
+
 def test_impossible_requirements_rejected():
     sim, topo, hosts, daemons, clients, rms = rm_site()
     rmc = RmClient(hosts[4], clients[4])

@@ -1,8 +1,8 @@
-"""Unit tests for Store, PriorityStore, Resource, and Gate."""
+"""Unit tests for Store, Resource, and Gate."""
 
 import pytest
 
-from repro.sim import Gate, PriorityStore, Resource, SimulationError, Simulator, Store
+from repro.sim import Gate, Resource, SimulationError, Simulator, Store
 
 
 def test_store_fifo_order():
@@ -87,27 +87,6 @@ def test_store_zero_capacity_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         Store(sim, capacity=0)
-
-
-def test_priority_store_orders_items():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    got = []
-
-    def producer(sim, store):
-        for item in [(3, "c"), (1, "a"), (2, "b")]:
-            yield store.put(item)
-
-    def consumer(sim, store):
-        yield sim.timeout(1)
-        got.append(len(store))
-        for _ in range(3):
-            got.append((yield store.get())[1])
-
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert got == [3, "a", "b", "c"]
 
 
 def test_resource_mutual_exclusion():

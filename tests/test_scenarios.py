@@ -12,9 +12,10 @@ from repro.check import BUGS, SCENARIOS, run_check
 from repro.check import cli as check_cli
 from repro.check.explore import _BUG_HOOKS
 from repro.check.scenarios import CHAOS_FLAGS, Scenario, columns
+from repro.net.failures import FaultEvent
 from repro.obs import cli as obs_cli
 from repro.robust import cli as chaos_cli
-from repro.robust.spine import FaultEvent, Run
+from repro.robust.spine import Run
 from tests.replay import SCENARIOS as GOLDEN_SCENARIOS
 
 

@@ -83,7 +83,8 @@ def testbed():
     # Worker nodes churn; cores and file-server hosts stay up (they are
     # the replicated infrastructure whose availability we measure).
     churners = [f"{site}-w{i}" for site in SITES for i in (1, 2)]
-    env.failures.churn_hosts(churners, mtbf=60.0, mttr=10.0, stop_at=200.0)
+    for ev in env.failures.churn_plan(churners, 60.0, 10.0, env.sim.now, 200.0):
+        env.failures.inject(ev)
     return env
 
 

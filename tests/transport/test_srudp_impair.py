@@ -24,7 +24,7 @@ def _run(seed, **impair):
     inj = FailureInjector(sim, topo)
     # Impair both directions from t=0 for the whole run: data segments
     # *and* acks get duplicated/reordered.
-    inj.impair_link_at(0.0, "lan", symmetric=True, **impair)
+    inj.impair_link_at(0.0, "lan", **impair)
     tx = SrudpEndpoint(a, 5000)
     rx = SrudpEndpoint(b, 5000)
     got = []
