@@ -28,9 +28,9 @@ def test_bulk_chaos_invariants_hold_slow(seed):
 def test_bulk_chaos_is_seed_deterministic():
     a = run_bulk_chaos(2)
     b = run_bulk_chaos(2)
-    assert a["events"] == b["events"]
+    assert a["plan"] == b["plan"]
     assert a["killed"] == b["killed"]
     assert a["chunk_commits"] == b["chunk_commits"]
     assert a["elapsed"] == b["elapsed"]
     assert a["ok"] and b["ok"]
-    assert run_bulk_chaos(3)["events"] != a["events"]
+    assert run_bulk_chaos(3)["plan"] != a["plan"]

@@ -37,14 +37,14 @@ def test_chaos_is_seed_deterministic():
     # same-seed runs agree on *everything*: fault timing, which tasks
     # died, which incarnations replaced them, and when — even within one
     # process.
-    assert a["events"] == b["events"]
+    assert a["plan"] == b["plan"]
     assert [(t, k, w) for t, k, w in a["fault_log"]] == [
         (t, k, w) for t, k, w in b["fault_log"]
     ]
     assert a["recoveries"] == b["recoveries"]
     assert a["msgs_fenced"] == b["msgs_fenced"]
     assert a["ok"] and b["ok"]
-    assert run_chaos(3)["events"] != a["events"]
+    assert run_chaos(3)["plan"] != a["plan"]
 
 
 def test_chaos_mttr_bounded_by_detection_window():
