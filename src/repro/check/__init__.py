@@ -10,13 +10,14 @@ package adds the three missing pieces of a model checker on top of it:
   interleavings (priorities are never reordered);
 * **reference-model oracles** — small, obviously-correct models checked
   *continuously* against the real implementation through the kernel's
-  probe bus (:mod:`repro.robust.oracles`, re-exported here): an LWW-map
-  model for catalog replica convergence (:class:`ConvergenceOracle`),
-  an exactly-once/FIFO model for URN-addressed message streams
-  (:class:`DeliveryOracle`), a single-owner model for Guardian restarts
-  (:class:`SingleOwnerOracle`), and the scenario-specific rest. They
-  live below this package because every scenario run carries them,
-  chaos runs included;
+  probe bus (:mod:`repro.robust.oracles`, re-exported here): one LWW-map
+  model of every catalog replica (:class:`CatalogOracle`, filing
+  ``lww-convergence``, ``no-resurrection``, ``compaction-convergence``
+  and ``shard-ownership``), an exactly-once/FIFO model for URN-addressed
+  message streams (:class:`DeliveryOracle`), a single-owner model for
+  Guardian restarts (:class:`SingleOwnerOracle`), and the
+  scenario-specific rest. They live below this package because every
+  scenario run carries them, chaos runs included;
 * **search and shrinking** — :func:`run_check` runs a scenario's one
   runner under its check profile with a seeded fault plan and an
   explored schedule; ``python -m repro check sweep`` searches seeds; on
@@ -33,7 +34,7 @@ from repro.check.scenarios import SCENARIOS, run_check, sample_fault_plan
 from repro.check.shrink import ddmin, load_trace, minimize, replay_trace, write_trace
 from repro.net.failures import FaultEvent
 from repro.robust.oracles import (
-    ConvergenceOracle,
+    CatalogOracle,
     DeliveryOracle,
     LwwMap,
     ProbeBus,
@@ -44,7 +45,7 @@ from repro.robust.oracles import (
 
 __all__ = [
     "BUGS",
-    "ConvergenceOracle",
+    "CatalogOracle",
     "DeliveryOracle",
     "ExplorationScheduler",
     "FaultEvent",

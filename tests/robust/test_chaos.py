@@ -75,13 +75,13 @@ def _star(recoveries=(), mismatch=(), progress=(1, 2), held=0):
     work = SimpleNamespace(urns=["urn:w"], total=2, state=state,
                            acked={"urn:w": 3}, coll=SimpleNamespace(urn="urn:coll"),
                            completed=lambda: ["urn:w"])
-    convergence = SimpleNamespace(check_quiescent=lambda urns: None)
-    return Run(env, ProbeBus()), work, convergence
+    catalog = SimpleNamespace(check_tasks=lambda urns: None)
+    return Run(env, ProbeBus()), work, catalog
 
 
 def _judged(liveness=True, **doctored):
-    run, work, convergence = _star(**doctored)
-    judge_star(run, work, convergence, duration=10.0, liveness=liveness)
+    run, work, catalog = _star(**doctored)
+    judge_star(run, work, catalog, duration=10.0, liveness=liveness)
     return [v.oracle for v in run.violations]
 
 
