@@ -19,6 +19,7 @@ are implemented here:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -470,20 +471,8 @@ class SnipeContext(TaskContext):
         state["__comm__"] = comm
         self._pending.clear()
         spec = self.info.spec
-        new_spec = TaskSpec(
-            program=spec.program,
-            params=spec.params,
-            arch=spec.arch,
-            os=spec.os,
-            min_memory=spec.min_memory,
-            cpu_quota=spec.cpu_quota,
-            memory_quota=spec.memory_quota,
-            name=spec.name,
-            initial_state=state,
-            mobile_code=spec.mobile_code,
-            owner=spec.owner,
-            urn_override=self.urn,
-        )
+        new_spec = dataclasses.replace(spec, initial_state=state, urn_override=self.urn,
+                                       fence_predecessors=False)
         # 2. Start the new instance (it re-registers its comm address).
         try:
             yield self.daemon._client.call(

@@ -17,6 +17,7 @@ held.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.daemon.daemon import DAEMON_PORT
@@ -202,20 +203,9 @@ class ResourceManager:
             old_host, DAEMON_PORT, "daemon.migrate_out", timeout=2.0, urn=urn
         )
         spec: TaskSpec = shipment["spec"]
-        new_spec = TaskSpec(
-            program=spec.program,
-            params=spec.params,
-            arch=spec.arch,
-            os=spec.os,
-            min_memory=spec.min_memory,
-            cpu_quota=spec.cpu_quota,
-            memory_quota=spec.memory_quota,
-            name=spec.name,
-            initial_state=shipment["state"],
-            mobile_code=spec.mobile_code,
-            owner=spec.owner,
-            urn_override=urn,  # the process keeps its URN when it moves
-        )
+        # The process keeps its URN (and incarnation) when it moves.
+        new_spec = dataclasses.replace(spec, initial_state=shipment["state"],
+                                       urn_override=urn, fence_predecessors=False)
         if to is None:
             ranked = yield from self._select(new_spec)
             ranked = [h for h in ranked if h != old_host]

@@ -260,7 +260,6 @@ class RpcClient:
         method: str,
         timeout: Optional[float] = None,
         _size: Optional[int] = None,
-        retry=None,
         lane: str = BULK,
         via: Optional[str] = None,
         **args,
@@ -271,33 +270,18 @@ class RpcClient:
         floor anchor for the per-destination adaptive estimate (None
         means the :data:`repro.robust.TIMEOUTS` default). ``_size``
         overrides the request's wire size (for calls carrying bulk
-        payloads whose declared size exceeds their encoding). ``retry``
-        is an optional :class:`repro.robust.RetryPolicy`; when given,
-        transient :class:`RpcError` failures are retried with backoff
-        under the policy's deadline budget. ``lane=CONTROL`` marks the
-        call as control-plane: it jumps bulk traffic in every ingress
-        queue and is never load-shed. ``via`` pins the request to that
-        one address of *dst_host* and the reply to the address it came
-        from: the call tests one round trip over one path, waits exactly
-        ``timeout``, and neither consults nor feeds the breakers, the
-        adaptive timeouts or the health board — its outcome is evidence
-        about that path, which only the caller can weigh.
+        payloads whose declared size exceeds their encoding).
+        ``lane=CONTROL`` marks the call as control-plane: it jumps bulk
+        traffic in every ingress queue and is never load-shed. ``via``
+        pins the request to that one address of *dst_host* and the reply
+        to the address it came from: the call tests one round trip over
+        one path, waits exactly ``timeout``, and neither consults nor
+        feeds the breakers, the adaptive timeouts or the health board —
+        its outcome is evidence about that path, which only the caller
+        can weigh.
         """
         if timeout is None:
             timeout = TIMEOUTS["rpc.default"]
-        if retry is not None:
-            rng = self.sim.rng.stream(f"retry.rpc.{self.host.name}")
-            return self.sim.process(
-                retry.run(
-                    self.sim,
-                    lambda i: self._call(dst_host, dst_port, method, args, timeout,
-                                         _size, lane, via),
-                    retry_on=(RpcError,),
-                    rng=rng,
-                    op=method,
-                ),
-                name=f"call:{method}@{dst_host}",
-            )
         return self.sim.process(
             self._call(dst_host, dst_port, method, args, timeout, _size, lane, via),
             name=f"call:{method}@{dst_host}",
