@@ -8,9 +8,11 @@ one request per owning group). The map is fetched from the root
 directory group (QUORUM when possible), cached for ``MAP_TTL``
 seconds, and refreshed early whenever an operation fails against a
 whole group — the signature of an epoch-fenced redirect. If the
-refreshed map carries a newer epoch, the operation re-routes and
-retries; if the epoch did not move, the group is genuinely unreachable
-and the failure surfaces unchanged.
+refreshed map carries a newer epoch than the one the operation was
+routed under (another session on the client may have fetched it in the
+meantime), the operation re-routes and retries; if the epoch did not
+move, the group is genuinely unreachable and the failure surfaces
+unchanged.
 
 Cross-shard prefix queries scatter to every shard whose ownership can
 intersect the prefix, page each shard with ``after``/``limit`` cursors
@@ -100,7 +102,7 @@ class ShardedRCClient(CatalogClient):
         yield from self._ensure_map()
         results, pending = [], uris
         for _attempt in range(_MAX_REROUTES):
-            groups: Dict[Tuple, List[str]] = {}
+            epoch, groups = self.map.epoch, {}
             for uri in pending:
                 groups.setdefault(self.map.owner(uri).replicas, []).append(uri)
             pending = []
@@ -111,9 +113,8 @@ class ShardedRCClient(CatalogClient):
                     pending, refused = pending + names, exc
             if not pending:
                 return results
-            before = self.map.epoch
             yield from self._ensure_map(force=True)
-            if self.map.epoch == before:
+            if self.map.epoch == epoch:
                 raise refused  # not a stale map — the group is unreachable
             self.redirect_retries += 1
             self._m_redirect_retries.inc()

@@ -11,12 +11,15 @@ stores) cannot see:
   children must not be re-split over those records (their prefixes now
   belong to the children; re-planning them would mint duplicate
   ownership).
+
+One more pins the facade: sessions sharing one fresh client must each
+re-route after a split they learn of mid-operation.
 """
 
 import pytest
 
-from repro.bench.e18_catalog_scale import PRELOAD_ORIGIN, _preload, _site
-from repro.rcds.client import QUORUM
+from repro.bench.e18_catalog_scale import PRELOAD_ORIGIN, _preload, _site, _uri
+from repro.rcds.client import QUORUM, ConsistencyError
 from repro.rcds.records import Entry
 from repro.rcds.shard.map import ShardMap
 
@@ -53,6 +56,38 @@ def test_sharded_client_routes_and_reads_preloaded_names():
     sim.run(until=3.0)
     assert got["a"] and got["a"]["v"]["value"] == 0
     assert got["b"]["v"]["value"] == 7
+
+
+def test_two_sessions_on_one_fresh_client_both_reroute_after_a_split():
+    # The first session's map fetch lands while the second's op, routed
+    # on the fresh client's epoch-0 map, is being refused: the refusal
+    # must be judged against the epoch the names were grouped under, or
+    # the second session sees "no newer map" and gives up.
+    env, mgr, _parent, hosts = _federation(120)
+    sim = env.sim
+
+    def trigger():
+        yield sim.timeout(1.0)
+        assert (yield from mgr._split("app"))
+
+    sim.process(trigger(), name="trigger")
+    sim.run(until=20.0)
+    assert mgr.map.epoch >= 2
+    client = env.rc_client(hosts[1])
+    assert client.map.epoch == 0
+    got = {}
+
+    def session(i):
+        try:
+            got[i] = (yield client.lookup(_uri(i, 4)))
+        except ConsistencyError as exc:
+            got[i] = exc
+
+    for i in (0, 1):
+        sim.process(session(i), name=f"session-{i}")
+    sim.run(until=sim.now + 5.0)
+    assert not [r for r in got.values() if isinstance(r, ConsistencyError)], got
+    assert [got[i]["v"]["value"] for i in (0, 1)] == [0, 0]
 
 
 def test_split_plan_covers_every_branch_and_parent_drains():
