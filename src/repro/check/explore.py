@@ -234,7 +234,8 @@ BUGS: Dict[str, str] = {
     "no-rx-fencing": "receivers accept envelopes from superseded incarnations "
                      "(caught by the delivery oracle)",
     "no-lww": "catalog replicas apply entries without the last-writer-wins "
-              "comparison (caught by the convergence oracle)",
+              "comparison (caught by the catalog judge's "
+              "lww-convergence claim)",
     "no-chunk-verify": "bulk fetchers commit chunks without checking their "
                        "digest against the chunk map (caught by the "
                        "chunk-integrity oracle; bulk scenario)",
@@ -248,16 +249,17 @@ BUGS: Dict[str, str] = {
     "early-gc": "replicas collect tombstones before every peer has acked "
                 "past them, so a partitioned peer's stale pre-delete "
                 "write resurrects the key on heal (caught by the "
-                "no-resurrection oracle; heal scenario)",
+                "catalog judge's no-resurrection claim; heal scenario)",
     "vector-gap": "a gapped anti-entropy batch bumps the version vector "
                   "past records that were never applied, so the skipped "
                   "records are never requested again (caught by the "
-                  "compaction-convergence oracle; heal scenario)",
+                  "catalog judge's compaction-convergence claim; heal "
+                  "scenario)",
     "stale-epoch-write": "shard replicas drop the epoch ownership fence, so "
                          "a client routing on a stale pre-split map lands "
                          "writes in the parent shard after the epoch "
-                         "advanced (caught by the shard-ownership oracle; "
-                         "shard scenario)",
+                         "advanced (caught by the catalog judge's "
+                         "shard-ownership claim; shard scenario)",
 }
 
 _BUG_HOOKS = {

@@ -160,15 +160,15 @@ class RCStore:
         self.tombstones_collected = 0
         #: Optional observer called as ``on_apply(uri, key, entry)`` for
         #: every record folded into this replica (local or remote). The
-        #: check subsystem's convergence oracle mirrors replica state
-        #: through this hook.
+        #: check subsystem's catalog judge mirrors replica state through
+        #: this hook.
         self.on_apply: Optional[Callable[[str, str, Entry], None]] = None
         #: Optional observer called as ``on_record(record)`` once a record
         #: has entered this replica's log *and* been applied (local
         #: accept or remote merge) — registers, vector and lamport all
         #: cover it, which is what lets the durability journal cut a
-        #: snapshot from inside the hook. The check subsystem's
-        #: compaction oracle hangs off it too.
+        #: snapshot from inside the hook. The check subsystem's catalog
+        #: judge hangs off it too.
         self.on_record: Optional[Callable[[Record], None]] = None
         #: ``(uri, key)`` of every register changed since the durability
         #: layer last folded a snapshot. ``None`` until a base generation

@@ -1,9 +1,9 @@
 """Heal-scenario model checking: clean runs, seeded bugs, shrink+replay.
 
 The heal scenario partitions one RC replica past the compaction horizon
-under a write/delete workload, heals, and asserts (via the resurrection
-and compaction oracles plus a retired-key sweep) that deletes stay dead
-and every replica reconverges. The seeded ``early-gc`` and
+under a write/delete workload, heals, and asserts (via the catalog
+judge's ``no-resurrection`` and ``compaction-convergence`` claims plus a
+retired-key sweep) that deletes stay dead and every replica reconverges. The seeded ``early-gc`` and
 ``vector-gap`` bugs must each be caught, shrink to a small plan, and
 re-fail when the minimized trace is replayed. Multi-run acceptance
 paths — slow-marked; CI runs them in the check job.

@@ -2,12 +2,13 @@
 
 The shard scenario runs the sharded catalog through a split under
 closed-loop write load with a core-host crash and a worker partition,
-then holds the federation to per-shard convergence, placement, and
-single-ownership (the shard oracle) plus the global LWW convergence
-oracle. The seeded ``stale-epoch-write`` bug — the ownership fence
-disabled, so writes routed on a stale pre-split map land in the parent
-shard — must be caught by the shard oracle, shrink to a small plan, and
-re-fail on replay. Slow-marked; CI runs these in the check job.
+then holds the federation to the catalog judge: LWW convergence on
+every replica and, under the ``shard-ownership`` claim, the ownership
+fence, per-shard convergence, placement and single-group visibility.
+The seeded ``stale-epoch-write`` bug — the ownership fence disabled, so
+writes routed on a stale pre-split map land in the parent shard — must
+be caught under ``shard-ownership``, shrink to a small plan, and re-fail
+on replay. Slow-marked; CI runs these in the check job.
 """
 
 import pytest

@@ -1,6 +1,6 @@
 """Property tests: register merges are joins, so replicas converge.
 
-The convergence oracle in :mod:`repro.robust.oracles` mirrors every
+The catalog judge in :mod:`repro.robust.oracles` mirrors every
 replica through :func:`repro.robust.oracles.lww_merge` — or, for the
 ``fenced-below`` max register, :func:`repro.robust.oracles.max_merge` —
 and these tests prove that both specifications are commutative,
